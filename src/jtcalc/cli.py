@@ -106,8 +106,15 @@ def _load_config_file(path):
 _KNOWN_KEYS = {
     "p", "field", "chart", "chart_file", "module", "variant", "s", "t", "j", "d",
     "budget", "samples", "seed", "format", "output", "point", "tuple_file",
-    "type", "curves", "curve_file", "level", "max_reps",
+    "type", "curves", "curve_file", "level", "max_reps", "r", "N", "s_lines",
 }
+_INT_KEYS = {"p", "r", "N", "s_lines", "j", "d", "budget", "samples", "seed", "max_reps", "hs", "ht",
+             "curves"}
+_CHOICES = {"variant": ("full", "exp", "homotopy"), "format": ("text", "jsonl", "csv")}
+# Option defaults, applied after the config file so that only a flag given on
+# the command line overrides a file value.
+_DEFAULTS = {"variant": "full", "hs": 1, "ht": 1, "budget": 10**6, "samples": 10**4,
+             "format": "text", "max_reps": 4, "j": 1, "curves": 10}
 
 
 def _parser():
@@ -127,13 +134,13 @@ def _parser():
             sp.add_argument("--chart-file", help="chart config file")
         if needs_module:
             sp.add_argument("--module", help="module expression")
-        sp.add_argument("--variant", default="full", choices=["full", "exp", "homotopy"])
-        sp.add_argument("--hs", type=int, default=1, help="homotopy s")
-        sp.add_argument("--ht", type=int, default=1, help="homotopy t")
+        sp.add_argument("--variant", choices=_CHOICES["variant"], help="default full")
+        sp.add_argument("--hs", type=int, help="homotopy s (default 1)")
+        sp.add_argument("--ht", type=int, help="homotopy t (default 1)")
         sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--budget", type=int, default=10**6)
-        sp.add_argument("--samples", type=int, default=10**4)
-        sp.add_argument("--format", default="text", choices=["text", "jsonl", "csv"])
+        sp.add_argument("--budget", type=int, help="exhaustive sweep budget (default 10^6)")
+        sp.add_argument("--samples", type=int, help="sampled sweep size (default 10^4)")
+        sp.add_argument("--format", choices=_CHOICES["format"], help="default text")
         sp.add_argument("--output", help="output path (default stdout)")
 
     sp = sub.add_parser("jt", help="Jordan type at a point")
@@ -143,11 +150,11 @@ def _parser():
 
     sp = sub.add_parser("strata", help="tabulate Jordan types over a chart sweep")
     common(sp, needs_module=True, needs_chart=True)
-    sp.add_argument("--max-reps", type=int, default=4)
+    sp.add_argument("--max-reps", type=int, help="default 4")
 
     sp = sub.add_parser("minors", help="emit determinantal rank-locus generators")
     common(sp, needs_module=True, needs_chart=True)
-    sp.add_argument("--j", type=int, default=1)
+    sp.add_argument("--j", type=int, help="default 1")
     sp.add_argument("--d", type=int, required=True)
 
     sp = sub.add_parser("closed", help="verify a closed stratum determinantally")
@@ -156,7 +163,7 @@ def _parser():
 
     sp = sub.add_parser("semicont", help="semicontinuity along curves")
     common(sp, needs_module=True, needs_chart=True)
-    sp.add_argument("--curves", type=int, default=10, help="number of seeded builtin curves")
+    sp.add_argument("--curves", type=int, help="number of seeded builtin curves (default 10)")
     sp.add_argument("--curve-file", help="file of param=c0,c1,... lines")
 
     for name in ("tensor", "dominance"):
@@ -214,35 +221,25 @@ def _resolve_module(args):
 
 
 def _apply_config(args):
+    """Merge the config file into args (a flag given on the command line wins), then defaults."""
     cfg_path = getattr(args, "config", None)
-    if not cfg_path:
-        return args
-    options = _load_config_file(cfg_path)
+    options = _load_config_file(cfg_path) if cfg_path else {}
     unknown = set(options) - _KNOWN_KEYS
     if unknown:
         raise ParseError(f"unknown config keys: {sorted(unknown)}")
     renames = {"s": "hs", "t": "ht"}
     for key, value in options.items():
         attr = renames.get(key, key)
-        if getattr(args, attr, None) in (None, "") or attr not in vars(args):
-            if attr in ("p", "r", "N", "j", "d", "budget", "samples", "seed", "max_reps", "hs", "ht"):
+        if getattr(args, attr, None) in (None, ""):
+            if attr in _INT_KEYS:
                 value = int(value)
+            if value not in _CHOICES.get(attr, (value,)):
+                raise ParseError(f"config key {key}: {value!r} is not one of {list(_CHOICES[attr])}")
+            setattr(args, attr, value)
+    for attr, value in _DEFAULTS.items():
+        if attr in vars(args) and getattr(args, attr) is None:
             setattr(args, attr, value)
     return args
-
-
-def parse_config(argv, config_file=None):
-    """Parse CLI arguments (plus an optional config file) into a RunConfig.
-
-    Flags override file values; unknown config keys are rejected.
-    """
-    args = _parser().parse_args(argv)
-    if config_file is not None:
-        args.config = config_file
-    if not args.command:
-        raise JTCalcError("no command given")
-    args = _apply_config(args)
-    return RunConfig(args.command, {k: v for k, v in vars(args).items() if v is not None})
 
 
 def _jt_of_variant(module, tup, args, field):

@@ -148,7 +148,7 @@ class FFElement:
         )
 
     def __hash__(self):
-        return hash((id(self.field), self.coeffs))
+        return hash((self.field._hash, self.coeffs))
 
     def __str__(self):
         return self.field.element_to_str(self)
@@ -184,6 +184,7 @@ class FiniteField:
         if n > 1 and not _poly_is_irreducible(modulus, p):
             raise JTCalcError(f"modulus {modulus} is reducible over GF({p})")
         self.modulus = modulus
+        self._hash = hash((p, n, modulus))
         # reduction table: x^k mod modulus for k < 2n-1, shape (2n-1, n)
         red = np.zeros((max(2 * n - 1, 1), n), dtype=np.int64)
         for k in range(red.shape[0]):
@@ -359,7 +360,7 @@ class FiniteField:
         )
 
     def __hash__(self):
-        return hash((self.p, self.n, self.modulus))
+        return self._hash
 
     def __str__(self):
         return f"GF({self.p}^{self.n})" if self.n > 1 else f"GF({self.p})"

@@ -364,10 +364,6 @@ class ExactMatrix:
         return ExactMatrix(domain, nr, nc, _OBJ, tuple(norm))
 
     @staticmethod
-    def from_int_rows(field, rows):
-        return ExactMatrix.from_rows(field, rows)
-
-    @staticmethod
     def zeros(domain, rows, cols):
         if isinstance(domain, FiniteField):
             return ExactMatrix(domain, rows, cols, _FF, _freeze(np.zeros((rows, cols, domain.n))))

@@ -396,23 +396,6 @@ def _poly_mul(ring, f, g):
     return {e: c for e, c in out.items() if not c.is_zero()}
 
 
-def _poly_pow(ring, f, k):
-    result = {(0,) * _poly_nvars(f): ring.one()}
-    base = f
-    while k:
-        if k & 1:
-            result = _poly_mul(ring, result, base)
-        base = _poly_mul(ring, base, base)
-        k >>= 1
-    return result
-
-
-def _poly_nvars(f):
-    for e in f:
-        return len(e)
-    return 0
-
-
 def _sym_matrix(a, d):
     """Induced action on the degree-d monomial basis (lex descending)."""
     ring = a.domain

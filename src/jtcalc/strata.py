@@ -12,11 +12,10 @@ machinery is involved.
 from __future__ import annotations
 
 import itertools
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
+from . import batch
 from .errors import CapExceededError, ChartError, JTCalcError
 from .fields import FiniteField, GF, PolyRing, RationalFunctionField
 from .jordan import dominance_leq, jt_rank
@@ -37,22 +36,6 @@ from .theta import (
 SYMBOLIC_DIM_CAP = 64
 EXHAUSTIVE_DEFAULT_BUDGET = 10**6
 SAMPLE_DEFAULT = 10**4
-
-
-def _thread_count():
-    try:
-        return max(1, int(os.environ.get("JTCALC_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _ordered_map(fn, items):
-    """Map preserving input order; JTCALC_THREADS caps worker parallelism."""
-    workers = _thread_count()
-    if workers == 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 @dataclass(frozen=True)
@@ -341,23 +324,30 @@ def _serialize_values(values):
     return [str(v) for v in values]
 
 
+def _pointwise_jordan_types(chart, e, field, variant, budget, seed, samples, orbit_dedupe):
+    """(values, Jordan type) per swept point, None for the zero tuple; validates every tuple first."""
+    points = list(enumerate_points(chart, field, budget, seed, samples))
+    for values, tup in points:
+        if tup.is_zero():
+            yield values, None
+            continue
+        if orbit_dedupe:
+            tup = orbit_reduce(tup)
+        yield values, jt_at_point(e, tup, variant)
+
+
 def tabulate_jt(chart, e, field, variant="full", budget=EXHAUSTIVE_DEFAULT_BUDGET,
                 seed=0, samples=SAMPLE_DEFAULT, max_reps=4, orbit_dedupe=False):
-    """Group swept points by Jordan type; the zero tuple is reported separately."""
+    """Group swept points by Jordan type; the zero tuple is reported separately.
+
+    GF(p) sweeps of `gl` charts run batched (`jtcalc.batch`); every other
+    sweep evaluates `jt_at_point` point by point.  Both give the same table.
+    """
     entries = {}
     zero_count = 0
     swept = 0
-    points = list(enumerate_points(chart, field, budget, seed, samples))
-
-    def work(item):
-        values, tup = item
-        if tup.is_zero():
-            return values, None
-        if orbit_dedupe:
-            tup = orbit_reduce(tup)
-        return values, jt_at_point(e, tup, variant)
-
-    for values, jt in _ordered_map(work, points):
+    sweep = batch.jordan_types if batch.supports(chart, e, field) else _pointwise_jordan_types
+    for values, jt in sweep(chart, e, field, variant, budget, seed, samples, orbit_dedupe):
         swept += 1
         if jt is None:
             zero_count += 1
@@ -412,30 +402,33 @@ class ClosedStratumReport:
         return not self.mismatches
 
 
-def verify_closed_stratum(chart, e, a, field, variant="full",
-                          budget=EXHAUSTIVE_DEFAULT_BUDGET, seed=0, samples=SAMPLE_DEFAULT):
-    """Check {x : JT(x) <= a} equals the common zero set of the rank-locus minors."""
-    m = e.dim()
-    if a.dim != m:
-        raise ChartError("stratum type dimension differs from the module dimension")
-    p = chart.p
-    minor_sets = {}
-    for s in range(1, p):
-        d_s = jt_rank(a, s)
-        minor_sets[s] = rank_locus_minors(chart, e, variant, s, d_s)
-    mismatches = []
-    checked = 0
+def _pointwise_closed_points(chart, e, field, variant, budget, seed, samples, polys):
+    """(values, Jordan type, whether every poly vanishes) per nonzero swept point."""
     for values, tup in enumerate_points(chart, field, budget, seed, samples):
         if tup.is_zero():
             continue
-        checked += 1
         jt = jt_at_point(e, tup, variant)
+        yield values, jt, all(poly.evaluate(values).is_zero() for poly in polys)
+
+
+def verify_closed_stratum(chart, e, a, field, variant="full",
+                          budget=EXHAUSTIVE_DEFAULT_BUDGET, seed=0, samples=SAMPLE_DEFAULT):
+    """Check {x : JT(x) <= a} equals the common zero set of the rank-locus minors.
+
+    Sweeps run batched or pointwise as in `tabulate_jt`.
+    """
+    m = e.dim()
+    if a.dim != m:
+        raise ChartError("stratum type dimension differs from the module dimension")
+    polys = []
+    for s in range(1, chart.p):
+        polys += rank_locus_minors(chart, e, variant, s, jt_rank(a, s))
+    mismatches = []
+    checked = 0
+    sweep = batch.closed_stratum_points if batch.supports(chart, e, field) else _pointwise_closed_points
+    for values, jt, rhs in sweep(chart, e, field, variant, budget, seed, samples, polys):
+        checked += 1
         lhs = dominance_leq(jt, a)
-        rhs = all(
-            poly.evaluate(values).is_zero()
-            for polys in minor_sets.values()
-            for poly in polys
-        )
         if lhs != rhs:
             mismatches.append(
                 {

@@ -38,9 +38,6 @@ KIND_GL = "gl"
 KIND_GA = "ga"
 KIND_MULTI_GA = "multi_ga"
 
-# the truncated exponential of a p-nilpotent matrix, with its inverse
-trunc_exp = texp_matrix
-
 
 @dataclass(frozen=True)
 class CommutingTuple:

@@ -137,3 +137,37 @@ def test_suite_quick_level():
 def test_usage_without_command():
     code, _, _ = run_cli([])
     assert code == 2
+
+
+def test_config_file_values_apply_unless_a_flag_is_given(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("p=3\nchart=sl2_line\nr=2\nmodule=Std(2)*Tw(1,Std(2))\n"
+                   "variant=homotopy\nformat=jsonl\ns=1\nt=2\n")
+    code, out, _ = run_cli(["jt", "--config", str(cfg), "--point", "0,1,0,1,1"])
+    assert code == 0
+    rec = json.loads(out)
+    assert rec["variant"] == "homotopy" and rec["command"] == "jt"
+    code, out, _ = run_cli(["jt", "--config", str(cfg), "--point", "0,1,0,1,1",
+                            "--variant", "full", "--format", "text"])
+    assert code == 0
+    assert out.startswith("point=") and "variant=full" in out
+
+
+def test_config_file_sweep_options(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("p=3\nchart=sl2_line\nr=1\nmodule=Std(2)\nformat=jsonl\n"
+                   "budget=1\nsamples=5\nseed=2\nmax_reps=1\n")
+    code, out, _ = run_cli(["strata", "--config", str(cfg)])
+    assert code == 0
+    records = [json.loads(line) for line in out.splitlines()]
+    assert records[-1]["swept"] == 5 and records[-1]["mode"] == "sampled"
+    assert all(len(r["representatives"]) == 1 for r in records if "type" in r)
+    code, out, _ = run_cli(["strata", "--config", str(cfg), "--samples", "7"])
+    assert json.loads(out.splitlines()[-1])["swept"] == 7
+
+
+def test_config_file_rejects_a_bad_choice(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("p=3\nchart=sl2_line\nmodule=Std(2)\nvariant=sideways\n")
+    code, _, err = run_cli(["jt", "--config", str(cfg), "--point", "0,1,0,1"])
+    assert code == 2 and "variant" in err

@@ -197,3 +197,11 @@ def test_field_spec_parsing():
 def test_descriptor_round_trip():
     for f in (GF(2), GF(7, 2), GF(5, 3)):
         assert parse_field_spec(f.descriptor()) == f
+
+
+def test_equal_elements_of_equal_fields_hash_alike():
+    a, b = GF(3).from_int(1), GF(3).from_int(1)
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    g1, g2 = GF(3, 2).gen(), GF(3, 2).gen()
+    assert len({g1, g2, GF(3, 2).one()}) == 2
