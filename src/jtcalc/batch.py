@@ -14,8 +14,8 @@ chunk of points at a time:
   is a ring homomorphism that commutes with Tw's t -> t^(p^i), so every node
   may truncate;
 * Sym and Ext follow the equivariant recurrence
-  Sym^d(g) = mu_d (Sym^(d-1)(g) (x) g) J_d, where mu_d is the multiplication
-  (for Ext, the signed wedge) map and J_d a 0/1 section of it;
+  Sym^d(g) = mu_d (Sym^(d-1)(g) (x) g) J_d, with the bases and cached maps
+  of `modules.power_maps`, which the pointwise path uses too;
 * rank profiles come from batched GF(p) elimination with a pivot per matrix.
 
 Points, validation errors and Jordan types come out in the order and with
@@ -47,9 +47,9 @@ from .modules import (
     Trivial,
     Twist,
     _contains_dual,
-    sym_basis,
+    power_maps,
 )
-from .theta import KIND_GL
+from .theta import KIND_GL, by_variant
 
 # int64 cells per (P, rows, cols) stack of a chunk: bounds a sweep's memory
 # whatever its number of points.
@@ -175,9 +175,7 @@ class _Sweep:
         self.chart = chart
         self.e = e
         self.p = p
-        # like `jt_at_point`, any variant other than "full" selects the exp operator
-        self.full = variant == "full"
-        self.variant = "full" if self.full else "exp"
+        self.variant = variant
         k, size = len(chart.params), chart.size
         self.constraints = _PolySet(chart.constraints, k, p)
         self.templates = _PolySet(
@@ -241,7 +239,7 @@ class _Sweep:
 
     def _operator(self, mats):
         p, r = self.p, mats.shape[1]
-        if self.full:
+        if by_variant(self.variant, True, False):
             top = p ** (r - 1)
             series = _Series(p, top)
             pair = None
@@ -404,7 +402,7 @@ class _Series:
         n = a[0].shape[1]
         out = a
         for k in range(2, d + 1):
-            mu, cols, vecs = _recurrence(n, k, ext)
+            mu, cols, vecs = power_maps(n, k, ext)
             left = {e: m[:, :, cols] for e, m in out.items()}
             right = {e: m[:, :, vecs] for e, m in a.items()}
             pairs = self._convolve(left, right, _outer_columns)
@@ -421,48 +419,6 @@ def _outer_columns(x, y):
     """Column-wise tensor products: out[:, i*n + v, c] = x[:, i, c] * y[:, v, c]."""
     count, rx, c = x.shape
     return (x[:, :, None, :] * y[:, None, :, :]).reshape(count, rx * y.shape[1], c)
-
-
-@lru_cache(maxsize=None)
-def _recurrence(n, d, ext):
-    """(mu_d, J_d) for Sym^d or Ext^d of an n-dimensional space.
-
-    mu_d is the matrix of Sym^(d-1) (x) V -> Sym^d (multiplication; for Ext the
-    wedge product, signed), with columns in Kronecker order (i, v) -> i*n + v.
-    J_d is returned as two index arrays: basis element c of degree d is the
-    image of (basis element cols[c] of degree d-1) (x) e_vecs[c].  Bases are
-    those of the pointwise kernels: `sym_basis` (lex descending) for Sym,
-    index subsets in lex order for Ext.
-    """
-    if ext:
-        low = list(itertools.combinations(range(n), d - 1))
-        high = list(itertools.combinations(range(n), d))
-    else:
-        low, high = sym_basis(n, d - 1), sym_basis(n, d)
-    index = {b: i for i, b in enumerate(high)}
-    lookup = {b: i for i, b in enumerate(low)}
-    mu = np.zeros((len(high), len(low) * n), dtype=np.int64)
-    for i, b in enumerate(low):
-        for v in range(n):
-            if ext:
-                if v in b:
-                    continue
-                sign = -1 if sum(x > v for x in b) % 2 else 1
-                mu[index[tuple(sorted(b + (v,)))], i * n + v] = sign
-            else:
-                mu[index[b[:v] + (b[v] + 1,) + b[v + 1:]], i * n + v] = 1
-    cols = np.zeros(len(high), dtype=np.int64)
-    vecs = np.zeros(len(high), dtype=np.int64)
-    for c, b in enumerate(high):
-        if ext:
-            v, rest = b[-1], b[:-1]
-        else:
-            v = max(i for i, x in enumerate(b) if x)
-            rest = b[:v] + (b[v] - 1,) + b[v + 1:]
-        cols[c], vecs[c] = lookup[rest], v
-    for arr in (mu, cols, vecs):
-        arr.setflags(write=False)
-    return mu, cols, vecs
 
 
 # -- rank profiles ----------------------------------------------------------------------

@@ -110,7 +110,9 @@ _KNOWN_KEYS = {
 }
 _INT_KEYS = {"p", "r", "N", "s_lines", "j", "d", "budget", "samples", "seed", "max_reps", "hs", "ht",
              "curves"}
-_CHOICES = {"variant": ("full", "exp", "homotopy"), "format": ("text", "jsonl", "csv")}
+_CHOICES = {"variant": ("full", "exp"), "format": ("text", "jsonl", "csv")}
+# `jt` alone reads --hs/--ht, so only it offers the homotopy operator
+_JT_VARIANTS = _CHOICES["variant"] + ("homotopy",)
 # Option defaults, applied after the config file so that only a flag given on
 # the command line overrides a file value.
 _DEFAULTS = {"variant": "full", "hs": 1, "ht": 1, "budget": 10**6, "samples": 10**4,
@@ -121,7 +123,7 @@ def _parser():
     ap = argparse.ArgumentParser(prog="jtcalc", description=__doc__)
     sub = ap.add_subparsers(dest="command")
 
-    def common(sp, *, needs_module=False, needs_chart=False):
+    def common(sp, *, needs_module=False, needs_chart=False, variants=_CHOICES["variant"]):
         sp.add_argument("--config", help="flat key=value config file; flags override")
         sp.add_argument("--p", type=int)
         sp.add_argument("--field", help='e.g. "GF(3)", "GF(9)", "GF(3^2; modulus=x^2+2x+2)"')
@@ -134,7 +136,7 @@ def _parser():
             sp.add_argument("--chart-file", help="chart config file")
         if needs_module:
             sp.add_argument("--module", help="module expression")
-        sp.add_argument("--variant", choices=_CHOICES["variant"], help="default full")
+        sp.add_argument("--variant", choices=variants, help="default full")
         sp.add_argument("--hs", type=int, help="homotopy s (default 1)")
         sp.add_argument("--ht", type=int, help="homotopy t (default 1)")
         sp.add_argument("--seed", type=int, default=None)
@@ -144,7 +146,7 @@ def _parser():
         sp.add_argument("--output", help="output path (default stdout)")
 
     sp = sub.add_parser("jt", help="Jordan type at a point")
-    common(sp, needs_module=True, needs_chart=True)
+    common(sp, needs_module=True, needs_chart=True, variants=_JT_VARIANTS)
     sp.add_argument("--point", help="comma-separated chart parameter values")
     sp.add_argument("--tuple-file", help="explicit tuple file (matrices row-wise)")
 
@@ -233,8 +235,9 @@ def _apply_config(args):
         if getattr(args, attr, None) in (None, ""):
             if attr in _INT_KEYS:
                 value = int(value)
-            if value not in _CHOICES.get(attr, (value,)):
-                raise ParseError(f"config key {key}: {value!r} is not one of {list(_CHOICES[attr])}")
+            choices = _JT_VARIANTS if attr == "variant" and args.command == "jt" else _CHOICES.get(attr)
+            if value not in (choices or (value,)):
+                raise ParseError(f"config key {key}: {value!r} is not one of {list(choices)}")
             setattr(args, attr, value)
     for attr, value in _DEFAULTS.items():
         if attr in vars(args) and getattr(args, attr) is None:

@@ -267,9 +267,6 @@ class FiniteField:
             idx //= self.p
         return FFElement(self, tuple(digits))
 
-    def index_of(self, a):
-        return sum(c * self.p**i for i, c in enumerate(a.coeffs))
-
     def zero(self):
         return FFElement(self, (0,) * self.n)
 
@@ -671,13 +668,6 @@ def _up_gcd(a, b, field):
     return a
 
 
-def _up_eval(a, x):
-    acc = x.field.zero()
-    for c in reversed(a):
-        acc = acc * x + x.field.embed(c)
-    return acc
-
-
 class RatFunc:
     """Reduced fraction of univariate polynomials with monic denominator."""
 
@@ -885,7 +875,7 @@ class TruncElement:
         self.coeffs = {
             e: c
             for e, c in coeffs.items()
-            if e < ring.q and not _dom_is_zero(c)
+            if e < ring.q and not c.is_zero()
         }
 
     def _coerce(self, other):
@@ -949,7 +939,7 @@ class TruncElement:
         for exp, c in self.coeffs.items():
             ne = exp * scale
             if ne < q:
-                out[ne] = _dom_frobenius(c, e)
+                out[ne] = c.frobenius(e)
         return TruncElement(self.ring, out)
 
     def subs_power(self, k):
@@ -995,16 +985,6 @@ class TruncElement:
         return "+".join(bits)
 
     __repr__ = __str__
-
-
-def _dom_is_zero(c):
-    if isinstance(c, FFElement):
-        return c.is_zero()
-    return c.is_zero()
-
-
-def _dom_frobenius(c, e):
-    return c.frobenius(e)
 
 
 class TruncatedCurveRing:
@@ -1082,18 +1062,6 @@ def frobenius_power(a, e):
     if isinstance(a, (FFElement, Polynomial, RatFunc, TruncElement)):
         return a.frobenius(e)
     raise JTCalcError(f"unsupported element {a!r}")
-
-
-def domain_of(element):
-    if isinstance(element, FFElement):
-        return element.field
-    if isinstance(element, Polynomial):
-        return element.ring
-    if isinstance(element, RatFunc):
-        return element.parent
-    if isinstance(element, TruncElement):
-        return element.ring
-    raise JTCalcError(f"unsupported element {element!r}")
 
 
 def require_field(domain):

@@ -140,11 +140,6 @@ def jt_of_nilpotent(n, p):
     return jt_from_rank_profile(RankProfile(p, n.rows, _power_ranks(n, p)))
 
 
-def rank_profile_of(n, p):
-    """Rank profile (r_1, ..., r_{p-1}) of a p-nilpotent matrix."""
-    return RankProfile(p, n.rows, _power_ranks(n, p))
-
-
 def jt_rank(a, s):
     """Rank of the s-th power of any matrix realization of a."""
     if not 1 <= s < a.p:

@@ -12,10 +12,10 @@ Three storage layouts sit behind one facade:
   is a plain tuple-of-tuples of ring elements.
 
 Over GF(p) the kernels are plain integer numpy products reduced mod p.
-Over GF(p^n), n > 1, products, Kronecker products and scalar multiples are
-one integer product each: the coordinate slices of one factor are stacked
-against the regular representation of the other (x^a times each entry),
-taken from the field's multiplication tensor.
+Over GF(p^n), n > 1, products, Kronecker products (full or column-paired)
+and scalar multiples are one integer product each: the coordinate slices
+of one factor are stacked against the regular representation of the other
+(x^a times each entry), taken from the field's multiplication tensor.
 
 Rank and kernels are only defined over fields.  Elimination runs over GF(p)
 alone: pivots are inverted by Fermat's little theorem and each pivot step
@@ -94,6 +94,21 @@ def _ff_kron(field, A, B):
     Breg = _regular(field, B).transpose(2, 0, 1, 3).reshape(n, rb * cb * n)
     prod = (A.reshape(ra * ca, n) @ Breg).reshape(ra, ca, rb, cb, n)
     return prod.transpose(0, 2, 1, 3, 4).reshape(ra * rb, ca * cb, n) % field.p
+
+
+def _ff_column_kron(field, A, B):
+    """Column-paired Kronecker product of (ra, c, n) and (rb, c, n) arrays.
+
+    out[i*rb + v, k] = A[i, k] * B[v, k]; over GF(p^n) one batched integer
+    product of A against the regular representation of B, column by column.
+    """
+    ra, c, n = A.shape
+    rb = B.shape[0]
+    if n == 1:
+        return (A[:, None] * B[None]).reshape(ra * rb, c, 1) % field.p
+    Breg = _regular(field, B).transpose(1, 2, 0, 3).reshape(c, n, rb * n)
+    prod = A.transpose(1, 0, 2) @ Breg
+    return prod.reshape(c, ra, rb, n).transpose(1, 2, 0, 3).reshape(ra * rb, c, n) % field.p
 
 
 def _ff_scalar(field, A, s):
@@ -177,18 +192,36 @@ def _ff_rref(field, M):
     return R, [c // n for c in pivots[::n]]
 
 
+def _tpoly_convolve(ring, A, B, product):
+    """Product of two t-exponent -> coefficient maps, truncated at t^q; `product` pairs coefficients."""
+    acc = {}
+    for e1, m1 in A.items():
+        for e2, m2 in B.items():
+            e = e1 + e2
+            if e >= ring.q:
+                continue
+            prod = product(ring.base, m1, m2)
+            cur = acc.get(e)
+            acc[e] = prod if cur is None else (cur + prod) % ring.base.p
+    return {e: _freeze(m) for e, m in acc.items() if m.any()}
+
+
 # -- generic object-entry kernels -------------------------------------------
 
 
 def _obj_mmul(domain, A, B):
-    rows, inner, cols = len(A), len(B), len(B[0]) if B else 0
+    cols = len(B[0]) if B else 0
+    one = domain.one()
     out = []
-    for i in range(rows):
+    for a_row in A:
+        # a lifted 0/1 map (Sym's mu_d) or a triangular factor is mostly zeros and
+        # ones: zeros add nothing, and ones add without a multiplication
+        terms = [(k, None if a == one else a) for k, a in enumerate(a_row) if not a.is_zero()]
         row = []
         for j in range(cols):
             acc = domain.zero()
-            for k in range(inner):
-                acc = acc + A[i][k] * B[k][j]
+            for k, a in terms:
+                acc = acc + (B[k][j] if a is None else a * B[k][j])
             row.append(acc)
         out.append(tuple(row))
     return tuple(out)
@@ -474,19 +507,8 @@ class ExactMatrix:
             return ExactMatrix(self.domain, self.rows, other.cols, _FF,
                                _freeze(_ff_mmul(self.domain, self._data, other._data)))
         if self._backend == _TPOLY and other._backend == _TPOLY:
-            ring = self.domain
-            base = ring.base
-            acc = {}
-            for e1, m1 in self._data.items():
-                for e2, m2 in other._data.items():
-                    e = e1 + e2
-                    if e >= ring.q:
-                        continue
-                    prod = _ff_mmul(base, m1, m2)
-                    cur = acc.get(e)
-                    acc[e] = prod if cur is None else (cur + prod) % base.p
-            return ExactMatrix(ring, self.rows, other.cols, _TPOLY,
-                               {e: _freeze(m) for e, m in acc.items() if m.any()})
+            return ExactMatrix(self.domain, self.rows, other.cols, _TPOLY,
+                               _tpoly_convolve(self.domain, self._data, other._data, _ff_mmul))
         return ExactMatrix(self.domain, self.rows, other.cols, _OBJ,
                            _obj_mmul(self.domain, self._obj_rows(), other._obj_rows()))
 
@@ -524,19 +546,8 @@ class ExactMatrix:
             return ExactMatrix(self.domain, self.rows * other.rows, self.cols * other.cols, _FF,
                                _freeze(_ff_kron(self.domain, self._data, other._data)))
         if self._backend == _TPOLY and other._backend == _TPOLY:
-            ring = self.domain
-            base = ring.base
-            acc = {}
-            for e1, m1 in self._data.items():
-                for e2, m2 in other._data.items():
-                    e = e1 + e2
-                    if e >= ring.q:
-                        continue
-                    prod = _ff_kron(base, m1, m2)
-                    cur = acc.get(e)
-                    acc[e] = prod if cur is None else (cur + prod) % base.p
-            return ExactMatrix(ring, self.rows * other.rows, self.cols * other.cols, _TPOLY,
-                               {e: _freeze(m) for e, m in acc.items() if m.any()})
+            return ExactMatrix(self.domain, self.rows * other.rows, self.cols * other.cols, _TPOLY,
+                               _tpoly_convolve(self.domain, self._data, other._data, _ff_kron))
         a, b = self._obj_rows(), other._obj_rows()
         out = []
         for i in range(self.rows):
@@ -547,6 +558,26 @@ class ExactMatrix:
                         row.append(a[i][j] * b[k][l])
                 out.append(tuple(row))
         return ExactMatrix(self.domain, self.rows * other.rows, self.cols * other.cols, _OBJ, tuple(out))
+
+    def column_kron(self, other, left, right):
+        """Column-paired Kronecker product: column c is self[:, left[c]] (x) other[:, right[c]].
+
+        Rows are in Kronecker order (i, v) -> i * other.rows + v; left and
+        right are equal-length integer index arrays.
+        """
+        other = self._check(other)
+        head = (self.domain, self.rows * other.rows, len(left))
+        if self._backend == _FF and other._backend == _FF:
+            return ExactMatrix(*head, _FF, _freeze(
+                _ff_column_kron(self.domain, self._data[:, left], other._data[:, right])))
+        if self._backend == _TPOLY and other._backend == _TPOLY:
+            return ExactMatrix(*head, _TPOLY, _tpoly_convolve(
+                self.domain, {e: m[:, left] for e, m in self._data.items()},
+                {e: m[:, right] for e, m in other._data.items()}, _ff_column_kron))
+        a, b = self._obj_rows(), other._obj_rows()
+        pairs = list(zip(left.tolist(), right.tolist()))
+        return ExactMatrix(*head, _OBJ, tuple(
+            tuple(ra[l] * rb[r] for l, r in pairs) for ra in a for rb in b))
 
     def transpose(self):
         if self._backend == _FF:
@@ -646,6 +677,10 @@ class ExactMatrix:
             return True
         a, b = self._obj_rows(), other._obj_rows()
         return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+
+    def __hash__(self):
+        # equal matrices share domain and shape; hashing only those keeps it consistent with ==
+        return hash((self.domain, self.rows, self.cols))
 
     # -- rank / kernel / determinants ----------------------------------------------
 
@@ -777,15 +812,3 @@ def block_diag(a, b):
     for i in range(b.rows):
         rows.append([dom.zero()] * a.cols + [b.entry(i, j) for j in range(b.cols)])
     return ExactMatrix.from_rows(dom, rows)
-
-
-def rank(m):
-    return m.rank()
-
-
-def kernel_basis(m):
-    return m.kernel_basis()
-
-
-def minors(m, size):
-    return m.minors(size)

@@ -13,7 +13,10 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
+
+import numpy as np
 
 from .errors import CapExceededError, JTCalcError, NotNilpotentError, ParseError
 from .fields import FiniteField, TruncElement
@@ -385,96 +388,73 @@ def sym_basis(n, d):
     return out
 
 
-def _poly_mul(ring, f, g):
-    out = {}
-    for e1, c1 in f.items():
-        for e2, c2 in g.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
-            prod = c1 * c2
-            cur = out.get(e)
-            out[e] = prod if cur is None else cur + prod
-    return {e: c for e, c in out.items() if not c.is_zero()}
+@lru_cache(maxsize=None)
+def power_maps(n, d, ext):
+    """Maps (mu_d, cols, vecs) of the recurrence Sym^d(g) = mu_d (Sym^(d-1)(g) (x) g) J_d.
 
-
-def _sym_matrix(a, d):
-    """Induced action on the degree-d monomial basis (lex descending)."""
-    ring = a.domain
-    n = a.rows
-    basis = sym_basis(n, d)
-    index = {e: i for i, e in enumerate(basis)}
-    one = {(0,) * n: ring.one()}
-    images = []
-    for v in range(n):
-        form = {}
-        for u in range(n):
-            ent = a.entry(u, v)
-            if not ent.is_zero():
-                form[tuple(1 if i == u else 0 for i in range(n))] = ent
-        images.append(form)
-    # incremental powers of each image linear form, shared across columns
-    powers = []
-    for v in range(n):
-        cur = [one]
-        for _ in range(d):
-            cur.append(_poly_mul(ring, cur[-1], images[v]))
-        powers.append(cur)
-    columns = []
-    for mono in basis:
-        acc = None
-        for v, k in enumerate(mono):
-            if k:
-                acc = powers[v][k] if acc is None else _poly_mul(ring, acc, powers[v][k])
-        if acc is None:
-            acc = one
-        col = [ring.zero()] * len(basis)
-        for e, cval in acc.items():
-            col[index[e]] = cval
-        columns.append(col)
-    rows = [[columns[j][i] for j in range(len(basis))] for i in range(len(basis))]
-    return ExactMatrix.from_rows(ring, rows)
-
-
-def _ext_matrix(a, d):
-    """Induced action on the wedge basis (index subsets, lex ascending)."""
-    ring = a.domain
-    n = a.rows
-    subsets = list(itertools.combinations(range(n), d))
-    rows_data = a.to_rows()
-    out = []
-    for s in subsets:
-        row = []
-        for t in subsets:
-            sub = [[rows_data[i][j] for j in t] for i in s]
-            row.append(_det_obj(ring, sub))
-        out.append(row)
-    return ExactMatrix.from_rows(ring, out)
-
-
-def _det_obj(ring, rows):
-    k = len(rows)
-    if k == 0:
-        return ring.one()
-    states = {0: ring.one()}
-    for i in range(k):
-        nxt = {}
-        for used, val in states.items():
-            for j in range(k):
-                bit = 1 << j
-                if used & bit:
+    The one construction of Sym^d and Ext^d (d >= 1) of an n-dimensional
+    space, shared by the pointwise `power_matrix` and the batched sweeps.
+    Bases are `sym_basis` (lex descending) for Sym and index subsets in lex
+    order for Ext.  mu_d is the 0/+-1 integer matrix of Sym^(d-1) (x) V ->
+    Sym^d (multiplication; for Ext the signed wedge product), with columns
+    in Kronecker order (i, v) -> i*n + v.  The 0/1 section J_d is given by
+    two index arrays: basis element c of degree d is the image of (basis
+    element cols[c] of degree d-1) (x) e_vecs[c].  The identity holds over
+    any commutative ring and for any matrix g.
+    """
+    if ext:
+        low = list(itertools.combinations(range(n), d - 1))
+        high = list(itertools.combinations(range(n), d))
+    else:
+        low, high = sym_basis(n, d - 1), sym_basis(n, d)
+    index = {b: i for i, b in enumerate(high)}
+    lookup = {b: i for i, b in enumerate(low)}
+    mu = np.zeros((len(high), len(low) * n), dtype=np.int64)
+    for i, b in enumerate(low):
+        for v in range(n):
+            if ext:
+                if v in b:
                     continue
-                e = rows[i][j]
-                if e.is_zero():
-                    continue
-                inversions = bin(used >> (j + 1)).count("1")
-                term = val * e
-                if inversions % 2:
-                    term = -term
-                cur = nxt.get(used | bit)
-                nxt[used | bit] = term if cur is None else cur + term
-        states = {k2: v for k2, v in nxt.items() if not v.is_zero()}
-        if not states:
-            return ring.zero()
-    return states.get((1 << k) - 1, ring.zero())
+                sign = -1 if sum(x > v for x in b) % 2 else 1
+                mu[index[tuple(sorted(b + (v,)))], i * n + v] = sign
+            else:
+                mu[index[b[:v] + (b[v] + 1,) + b[v + 1:]], i * n + v] = 1
+    cols = np.zeros(len(high), dtype=np.int64)
+    vecs = np.zeros(len(high), dtype=np.int64)
+    for c, b in enumerate(high):
+        if ext:
+            v, rest = b[-1], b[:-1]
+        else:
+            v = max(i for i, x in enumerate(b) if x)
+            rest = b[:v] + (b[v] - 1,) + b[v + 1:]
+        cols[c], vecs[c] = lookup[rest], v
+    for arr in (mu, cols, vecs):
+        arr.setflags(write=False)
+    return mu, cols, vecs
+
+
+@lru_cache(maxsize=256)
+def _lifted_mu(domain, n, d, ext):
+    return ExactMatrix.from_rows(domain, power_maps(n, d, ext)[0].tolist())
+
+
+def power_matrix(a, d, ext):
+    """Sym^d(a), or Ext^d(a) when ext, on the bases of `power_maps`.
+
+    Each step is mu_d P, where column c of P is (column cols[c] of
+    Sym^(d-1)(a)) (x) (column vecs[c] of a); mu_d is lifted to a's domain
+    once and cached.
+    """
+    if d == 0:
+        return ExactMatrix.identity(a.domain, 1)
+    n = a.rows
+    if ext and d > n:
+        return ExactMatrix.zeros(a.domain, 0, 0)
+    out = a
+    for k in range(2, d + 1):
+        _, cols, vecs = power_maps(n, k, ext)
+        out = _lifted_mu(a.domain, n, k, ext) @ out.column_kron(a, cols, vecs)
+    return out
 
 
 def _contains_dual(e):
@@ -538,15 +518,11 @@ def eval_unipotent(e, gp, explicit_pairs=None):
             return UnipotentPair(
                 block_diag(lt.g, rt.g), inv2(lt, rt, block_diag), checked=False
             )
-        if isinstance(node, Sym):
-            inner = walk(node.inner)
+        if isinstance(node, (Sym, Ext)):
+            inner, ext = walk(node.inner), isinstance(node, Ext)
             return UnipotentPair(
-                _sym_matrix(inner.g, node.d), inv(inner, lambda m: _sym_matrix(m, node.d)), checked=False
-            )
-        if isinstance(node, Ext):
-            inner = walk(node.inner)
-            return UnipotentPair(
-                _ext_matrix(inner.g, node.d), inv(inner, lambda m: _ext_matrix(m, node.d)), checked=False
+                power_matrix(inner.g, node.d, ext), inv(inner, lambda m: power_matrix(m, node.d, ext)),
+                checked=False,
             )
         if isinstance(node, Twist):
             inner = walk(node.inner)

@@ -6,7 +6,7 @@ from __future__ import annotations
 import re
 
 from .errors import ParseError
-from .fields import GF
+from .fields import GF, SUPPORTED_PRIMES
 
 _FIELD_RE = re.compile(r"^GF\(\s*(\d+)(?:\s*\^\s*(\d+))?\s*(?:;\s*modulus\s*=\s*([^)]+))?\s*\)$")
 
@@ -19,10 +19,9 @@ def parse_field_spec(text):
         raise ParseError(f"bad field spec {text!r}")
     base = int(m.group(1))
     n = int(m.group(2)) if m.group(2) else 1
-    primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
-    if m.group(2) is None and base not in primes:
+    if m.group(2) is None and base not in SUPPORTED_PRIMES:
         # allow GF(q) with q = p^n for small p
-        for p in primes:
+        for p in SUPPORTED_PRIMES:
             for k in (2, 3, 4):
                 if p**k == base:
                     base, n = p, k

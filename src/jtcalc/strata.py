@@ -29,8 +29,7 @@ from .theta import (
     homotopy_theta,
     jt_at_point,
     scale_tuple,
-    theta_exp,
-    theta_full,
+    theta_variant,
 )
 
 SYMBOLIC_DIM_CAP = 64
@@ -384,7 +383,7 @@ def rank_locus_minors(chart, e, variant, j, d):
     if d >= m:
         return []
     tup = chart.symbolic_tuple()
-    theta = theta_full(e, tup) if variant == "full" else theta_exp(e, tup)
+    theta = theta_variant(e, tup, variant)
     power = theta.matrix.pow(j)
     return power.minors(d + 1)
 
@@ -507,7 +506,7 @@ def semicontinuity_check(curve, e, variant="full"):
 
     chart = curve.chart
     generic_tup = chart.generic_tuple(curve.substitution)
-    theta = theta_full(e, generic_tup) if variant == "full" else theta_exp(e, generic_tup)
+    theta = theta_variant(e, generic_tup, variant)
     ring1 = generic_tup.domain
     ratfield = RationalFunctionField(ring1.field, ring1.variables[0])
     generic_matrix = theta.matrix.map_entries(ratfield, lambda v: _poly_to_ratfunc(v, ratfield))
@@ -599,7 +598,7 @@ def constant_rank_on_strata(table, chart, e, j, field, homotopy_samples=((1, 0),
         for rep in entry.representatives:
             values = _parse_values(rep, field)
             tup = chart.tuple_at(values)
-            theta = theta_full(e, tup) if table.variant == "full" else theta_exp(e, tup)
+            theta = theta_variant(e, tup, table.variant)
             rk = theta.matrix.pow(j).rank()
             ker = m - rk
             coker = m - rk
@@ -679,24 +678,14 @@ def orbit_reduce(tup):
             for j in range(m.cols):
                 v = m.entry(i, j)
                 if not v.is_zero():
-                    lead = (s, i, j, v)
+                    lead = (s, v)
                     break
             if lead:
                 break
         if lead:
             break
-    s, i, j, v = lead
+    s, v = lead
     beta = v.inverse()
     # solve alpha^(p^s) = beta: invert the Frobenius, which is bijective
     alpha = beta.frobenius((-s) % field.n) if field.n > 1 else beta
-    scaled = scale_tuple(tup, alpha)
-    if scaled.mats[s].entry(i, j) == field.one():
-        return scaled
-    # unreachable over finite fields; kept for contract completeness
-    best = None
-    for alpha in field.nonzero_elements():
-        cand = scale_tuple(tup, alpha)
-        key = [x for m2 in cand.serialize() for row in m2 for x in row]
-        if best is None or key < best[0]:
-            best = (key, cand)
-    return best[1]
+    return scale_tuple(tup, alpha)

@@ -578,10 +578,6 @@ ACCEPTANCE = [
 ]
 
 
-def run_acceptance():
-    return [fn() for fn in ACCEPTANCE]
-
-
 # ---------------------------------------------------------------------------
 # Extra property checks for the CLI suite
 # ---------------------------------------------------------------------------

@@ -322,14 +322,7 @@ def theta_multi_ga(explicit, scalars):
         raise JTCalcError("theta_multi_ga needs an Explicit module")
     if len(scalars) != explicit.height:
         raise JTCalcError("scalar count does not match the number of action matrices")
-    field = scalars[0].field
-    tup = CommutingTuple.multi_ga(scalars, field)
-    mats = _embedded_explicit(explicit, field)
-    total = None
-    for a, alpha in zip(scalars, mats):
-        term = alpha.scalar_mul(a)
-        total = term if total is None else total + term
-    return _finish(explicit, tup, total, "full")
+    return _theta_multi(explicit, CommutingTuple.multi_ga(scalars, scalars[0].field), "full")
 
 
 def homotopy_theta(e, tup, s_val, t_val):
@@ -341,13 +334,30 @@ def homotopy_theta(e, tup, s_val, t_val):
     return theta
 
 
+def by_variant(variant, full, exp):
+    """`full` when variant is "full", `exp` when it is "exp"; any other variant is an error.
+
+    The one place that decides which operator a variant names.
+    """
+    if variant == "full":
+        return full
+    if variant == "exp":
+        return exp
+    raise JTCalcError(f"unknown operator variant {variant!r}: expected 'full' or 'exp'")
+
+
+def theta_variant(e, tup, variant):
+    """The operator the variant names at the point: `theta_full` or `theta_exp`."""
+    return by_variant(variant, theta_full, theta_exp)(e, tup)
+
+
 def jt_at_point(e, tup, variant="full"):
     """Local Jordan type of the selected operator at the point.
 
     The operator's p-nilpotency is checked once, by the final vanishing power
     of its rank profile.
     """
-    build = _theta_full if variant == "full" else _theta_exp
+    build = by_variant(variant, _theta_full, _theta_exp)
     theta = build(e, tup, check=False)
     try:
         return jt_of_nilpotent(theta.matrix, tup.p)
@@ -359,8 +369,7 @@ def jt_power_at_point(e, tup, variant, j):
     """Jordan type of the j-th power of the selected operator."""
     if not 1 <= j < tup.p:
         raise JTCalcError(f"power {j} outside 1..p-1")
-    theta = theta_full(e, tup) if variant == "full" else theta_exp(e, tup)
-    return jt_of_nilpotent(theta.matrix.pow(j), tup.p)
+    return jt_of_nilpotent(theta_variant(e, tup, variant).matrix.pow(j), tup.p)
 
 
 def jt_exp_infinite(blist, e):

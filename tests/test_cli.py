@@ -171,3 +171,28 @@ def test_config_file_rejects_a_bad_choice(tmp_path):
     cfg.write_text("p=3\nchart=sl2_line\nmodule=Std(2)\nvariant=sideways\n")
     code, _, err = run_cli(["jt", "--config", str(cfg), "--point", "0,1,0,1"])
     assert code == 2 and "variant" in err
+
+
+def test_homotopy_is_accepted_only_by_jt(tmp_path):
+    """Only `jt` reads --hs/--ht; every other command rejects the homotopy variant."""
+    sweep = ["--p", "3", "--chart", "sl2_line", "--r", "2", "--module", "Sym(2,Std(2))"]
+    commands = [
+        ["strata"] + sweep,
+        ["closed"] + sweep + ["--type", "[3]"],
+        ["minors"] + sweep + ["--d", "1"],
+        ["semicont"] + sweep + ["--seed", "1", "--curves", "1"],
+    ]
+    for args in commands:
+        try:
+            code = run_cli(args + ["--variant", "homotopy"])[0]
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2, args[0]
+        cfg = tmp_path / f"{args[0]}.cfg"
+        cfg.write_text("variant=homotopy\n")
+        code, _, err = run_cli(args + ["--config", str(cfg)])
+        assert code == 2 and "variant" in err, args[0]
+        assert run_cli(args + ["--variant", "exp"])[0] == 0, args[0]
+    code, out, _ = run_cli(["jt"] + sweep + ["--point", "0,1,0,1,1", "--variant", "homotopy",
+                                             "--format", "jsonl"])
+    assert code == 0 and json.loads(out)["variant"] == "homotopy"

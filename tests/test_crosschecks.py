@@ -11,7 +11,7 @@ import numpy as np
 
 from jtcalc.fields import GF, PolyRing, RationalFunctionField
 from jtcalc.linalg import ExactMatrix
-from jtcalc.modules import Explicit, Std, Tensor, Twist, _ext_matrix, _sym_matrix
+from jtcalc.modules import Explicit, Std, Tensor, Twist, power_matrix
 from jtcalc.theta import CommutingTuple, theta_exp, theta_full
 
 F3, F5 = GF(3), GF(5)
@@ -29,7 +29,7 @@ def test_sym_determinant_identity():
         a = ExactMatrix.from_rows(F5, rows)
         det_a = a.det()
         for d in (2, 3, 4):
-            s = _sym_matrix(a, d)
+            s = power_matrix(a, d, False)
             assert s.det() == det_a ** (d * (d + 1) // 2), d
 
 
@@ -39,7 +39,7 @@ def test_ext_determinant_identity():
     for _ in range(10):
         rows = [[F5.random_element(rng) for _ in range(3)] for _ in range(3)]
         a = ExactMatrix.from_rows(F5, rows)
-        e = _ext_matrix(a, 2)
+        e = power_matrix(a, 2, True)
         assert e.det() == a.det() ** 2
 
 
@@ -48,7 +48,7 @@ def test_ext_top_power_is_determinant():
     for _ in range(5):
         rows = [[F3.random_element(rng) for _ in range(3)] for _ in range(3)]
         a = ExactMatrix.from_rows(F3, rows)
-        top = _ext_matrix(a, 3)
+        top = power_matrix(a, 3, True)
         assert top.shape == (1, 1) and top.entry(0, 0) == a.det()
 
 

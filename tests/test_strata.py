@@ -292,3 +292,10 @@ def test_thread_determinism(monkeypatch):
     for a in t1.entries:
         assert t1.entries[a].count == t4.entries[a].count
         assert t1.entries[a].representatives == t4.entries[a].representatives
+
+
+def test_chart_is_hashable():
+    a, b = builtin_chart("sl2_line", 3, r=2), builtin_chart("sl2_line", 3, r=2)
+    assert a == b and hash(a) == hash(b)
+    assert {a: 1}[b] == 1
+    assert len({a, b, builtin_chart("sl2_line", 3, r=1)}) == 2

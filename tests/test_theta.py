@@ -4,9 +4,18 @@ import pytest
 
 from jtcalc.errors import JTCalcError, NotNilpotentError
 from jtcalc.fields import GF, PolyRing, TruncatedCurveRing
-from jtcalc.jordan import JordanType, jt_of_nilpotent, jt_tensor
+from jtcalc.jordan import JordanType, jt_of_nilpotent, jt_tensor, parse_jordan_type
 from jtcalc.linalg import ExactMatrix
 from jtcalc.modules import Explicit, Std, Sym, Tensor, Twist, texp_matrix
+from jtcalc.strata import (
+    builtin_chart,
+    builtin_curves,
+    constant_rank_on_strata,
+    rank_locus_minors,
+    semicontinuity_check,
+    tabulate_jt,
+    verify_closed_stratum,
+)
 from jtcalc.theta import (
     CommutingTuple,
     conjugate_tuple,
@@ -20,6 +29,7 @@ from jtcalc.theta import (
     theta_exp,
     theta_full,
     theta_multi_ga,
+    theta_variant,
 )
 
 F3, F5 = GF(3), GF(5)
@@ -303,3 +313,30 @@ def test_kind_mismatches_rejected():
     short = CommutingTuple.ga([F3.one()], F3)
     with pytest.raises(JTCalcError):
         theta_full(emod, short)
+
+
+def test_unknown_variant_is_rejected():
+    """Only "full" and "exp" name an operator; nothing falls back to exp."""
+    chart = builtin_chart("sl2_line", 3, r=2)
+    tup = chart.tuple_at([F3.from_int(v) for v in (0, 1, 0, 1, 1)])
+    module = Tensor(Std(2), Twist(1, Std(2)))
+    assert theta_variant(module, tup, "exp").matrix == theta_exp(module, tup).matrix
+    assert theta_variant(module, tup, "full").matrix == theta_full(module, tup).matrix
+    curve = builtin_curves(chart, 1, 1)[0]
+    line = builtin_chart("sl2_line", 3)
+    table = tabulate_jt(line, Std(2), F3)
+    for bogus in ("homotopy", "Full"):
+        table.variant = bogus
+        for call in (
+            lambda v: jt_at_point(module, tup, v),
+            lambda v: jt_power_at_point(module, tup, v, 1),
+            lambda v: theta_variant(module, tup, v),
+            lambda v: rank_locus_minors(chart, module, v, 1, 1),
+            lambda v: semicontinuity_check(curve, module, v),
+            lambda v: tabulate_jt(line, Std(2), F3, v),
+            lambda v: tabulate_jt(line, Std(2), GF(3, 2), v),
+            lambda v: constant_rank_on_strata(table, line, Std(2), 1, F3),
+            lambda v: verify_closed_stratum(chart, module, parse_jordan_type("[3]+[1]", 3), F3, v),
+        ):
+            with pytest.raises(JTCalcError, match="unknown operator variant"):
+                call(bogus)
