@@ -23,7 +23,9 @@ is one outer-product update.  A GF(p^n) matrix is eliminated as its
 (rows*n) x (cols*n) GF(p) regular representation; its rank is the GF(p)
 rank divided by n, and its reduced echelon form is read back from the
 blocks.  Over GF(q)(x) elimination clears denominators and runs
-fraction-free (Bareiss).
+fraction-free (Bareiss) on dense integer coefficient stacks over GF(p)[x],
+through the regular representation when q = p^n, n > 1; the same kernel
+takes the powers and ranks of polynomial operators along a curve.
 """
 
 from __future__ import annotations
@@ -75,6 +77,9 @@ def _ff_mmul(field, A, B):
     if n == 1:
         return (A[..., 0] @ B[..., 0])[..., None] % field.p
     rows, inner, cols = A.shape[0], B.shape[0], B.shape[1]
+    if not A[..., 1:].any():
+        # GF(p) entries on the left (a lifted 0/1 map, say) scale every coordinate alike
+        return (A[..., 0] @ B.reshape(inner, cols * n)).reshape(rows, cols, n) % field.p
     Breg = _regular(field, B).transpose(0, 2, 1, 3).reshape(inner * n, cols * n)
     return (A.reshape(rows, inner * n) @ Breg).reshape(rows, cols, n) % field.p
 
@@ -292,49 +297,159 @@ def _det_subset_dp(domain, entries, rows, cols):
     return states.get((1 << k) - 1, domain.zero())
 
 
-# -- fraction-free rank over univariate polynomials --------------------------
+# -- dense GF(p)[x] kernel ---------------------------------------------------------
+#
+# A matrix over GF(p)[x] is an int64 stack of shape (rows, cols, L): entry
+# (i, j) is the coefficient vector of its polynomial, padded with zeros to the
+# common length L.  Coefficients are kept below p and reduced once per
+# product, which is exact in int64 for any realistic length (Dumas, Giorgi &
+# Pernet, FFLAS/FFPACK, ACM TOMS 2008).  Over GF(p^n), n > 1, a matrix is
+# stacked as its (rows*n) x (cols*n) GF(p)[x] regular representation;
+# GF(p^n)(x) is a degree-n extension of GF(p)(x), so ranks divide by n.
 
 
-def _bareiss_rank_upoly(field, M):
-    """Rank of a matrix of dense univariate coefficient tuples over GF(q)."""
-    M = [list(r) for r in M]
-    rows = len(M)
-    cols = len(M[0]) if rows else 0
-    one = (field.one(),)
-    prev = one
+def _px_trim(M):
+    """Drop the trailing coefficient columns that are zero in every entry (keeping one)."""
+    nz = M.reshape(-1, M.shape[-1]).any(axis=0).nonzero()[0]
+    return M[..., :nz[-1] + 1 if nz.size else 1]
+
+
+def _px_mmul(A, B, p):
+    """Product of (r, k, la) and (k, c, lb) stacks: one integer product per coefficient of
+    the shorter factor."""
+    if B.shape[2] < A.shape[2]:
+        return _px_mmul(B.transpose(1, 0, 2), A.transpose(1, 0, 2), p).transpose(1, 0, 2)
+    r, k, la = A.shape
+    c, lb = B.shape[1], B.shape[2]
+    out = np.zeros((r, c, la + lb - 1), dtype=np.int64)
+    Bf = B.reshape(k, c * lb)
+    for s in range(la):
+        As = A[:, :, s]
+        if As.any():
+            out[:, :, s:s + lb] += (As @ Bf).reshape(r, c, lb)
+    return _px_trim(out % p)
+
+
+def _px_series_inverse(b, length, p):
+    """First `length` coefficients of 1/b as a power series (b[0] != 0), by Newton iteration."""
+    inv = np.zeros(length, dtype=np.int64)
+    inv[0] = pow(int(b[0]), p - 2, p)
+    k = 1
+    while k < length:
+        k = min(2 * k, length)
+        err = -np.convolve(b[:k], inv[:k])[:k] % p
+        err[0] = (err[0] + 2) % p
+        inv[:k] = np.convolve(inv[:k], err)[:k] % p
+    return inv
+
+
+def _px_exact_div(num, den, p):
+    """num / den for a stack whose every entry den divides; den is trimmed.
+
+    With L the stack length and d = deg den, reversing coefficients turns
+    num = q * den into rev_L(num) = rev(q) * rev(den) with rev(den)(0) the
+    leading coefficient of den, so rev(q) is rev_L(num) times the power-series
+    inverse of rev(den), modulo x^(L - d): one product with a Toeplitz matrix.
+    """
+    d = den.shape[0] - 1
+    if num.shape[-1] <= d:
+        num = np.pad(num, [(0, 0)] * (num.ndim - 1) + [(0, d + 1 - num.shape[-1])])
+    k = num.shape[-1] - d
+    inv = _px_series_inverse(den[::-1], k, p)
+    lag = np.arange(k)[None, :] - np.arange(k)[:, None]
+    toeplitz = np.where(lag >= 0, inv[lag % k], 0)
+    quot = (num[..., ::-1][..., :k] @ toeplitz % p)[..., ::-1]
+    back = _px_mmul(den[None, None, :], quot.reshape(1, -1, k), p).reshape(num.shape[:-1] + (-1,))
+    if not np.array_equal(back, _px_trim(num)):
+        raise JTCalcError("fraction-free elimination lost exactness")
+    return quot
+
+
+def _px_rank(M, p):
+    """Rank over GF(p)(x) of a (rows, cols, L) GF(p)[x] stack by fraction-free (Bareiss) elimination.
+
+    The pivot is the first nonzero entry of the first nonzero column.  Only
+    the block below and right of it is kept; its entries become
+    (pivot * entry - column entry * row entry) / previous pivot, an exact
+    division by Sylvester's identity.
+    """
+    M = _px_trim(M % p)
+    prev = None
     rank = 0
-    pr = 0
-    for col in range(cols):
-        if pr >= rows:
+    while M.size:
+        nonzero = M.any(axis=2)
+        cols = nonzero.any(axis=0).nonzero()[0]
+        if not cols.size:
             break
-        piv = -1
-        for r in range(pr, rows):
-            if _up_trim(M[r][col]):
-                piv = r
-                break
-        if piv == -1:
-            continue
-        M[pr], M[piv] = M[piv], M[pr]
-        pivot = M[pr][col]
-        for r in range(pr + 1, rows):
-            for j in range(cols - 1, col - 1, -1):
-                num = tuple(
-                    a - b
-                    for a, b in itertools.zip_longest(
-                        _up_mul(M[r][j], pivot, field),
-                        _up_mul(M[r][col], M[pr][j], field),
-                        fillvalue=field.zero(),
-                    )
-                )
-                quot, rem = _up_divmod(num, prev, field)
-                if _up_trim(rem):
-                    raise JTCalcError("fraction-free elimination lost exactness")
-                M[r][j] = quot
-            M[r][col] = ()
-        prev = pivot
+        col = int(cols[0])
+        piv = int(nonzero[:, col].nonzero()[0][0])
+        pivot = _px_trim(M[piv, col])
         rank += 1
-        pr += 1
+        rest = np.delete(M, piv, axis=0)
+        block = rest[:, col + 1:]
+        if not block.size:
+            break
+        r, c, length = block.shape
+        scaled = _px_mmul(pivot[None, None, :], block.reshape(1, r * c, length), p).reshape(r, c, -1)
+        cross = _px_mmul(rest[:, col, None, :], M[piv, None, col + 1:], p)
+        width = max(scaled.shape[-1], cross.shape[-1])
+        num = np.zeros((r, c, width), dtype=np.int64)
+        num[..., :scaled.shape[-1]] += scaled
+        num[..., :cross.shape[-1]] -= cross
+        num = _px_trim(num % p)
+        M = num if prev is None else _px_trim(_px_exact_div(num, prev, p))
+        prev = pivot
     return rank
+
+
+def _px_stack(field, rows):
+    """GF(p)[x] stack of a GF(p^n)[x] matrix given as rows of {exponent: FFElement} maps."""
+    n = field.n
+    nr, nc = len(rows), len(rows[0]) if rows else 0
+    length = 1 + max((e for row in rows for entry in row for e in entry), default=0)
+    data = np.zeros((nr, nc, length, n), dtype=np.int64)
+    for i, row in enumerate(rows):
+        for j, entry in enumerate(row):
+            for e, v in entry.items():
+                data[i, j, e] = field.embed(v).coeffs
+    if n == 1:
+        return data[..., 0]
+    # row (i, c), column (j, a): coefficient c of entry(i, j) * x^a, as in _regular_matrix
+    reg = _regular(field, data) % field.p
+    return reg.transpose(0, 4, 1, 3, 2).reshape(nr * n, nc * n, length)
+
+
+class _PolyMatrix:
+    """A matrix over GF(p^n)[x] as the GF(p)[x] stack of its regular representation.
+
+    It has what `jordan.jt_of_nilpotent` reads: shape, `is_zero`, `@` and the
+    rank over GF(p^n)(x).
+    """
+
+    __slots__ = ("rows", "cols", "n", "p", "_data")
+
+    def __init__(self, rows, cols, n, p, data):
+        self.rows = rows
+        self.cols = cols
+        self.n = n
+        self.p = p
+        self._data = data
+
+    @staticmethod
+    def of_univariate(matrix):
+        """The matrix over a univariate `PolyRing` (coefficients GF(p^n)) as a stack."""
+        field = matrix.domain.field
+        rows = [[{e[0]: c for e, c in v.terms.items()} for v in row] for row in matrix._obj_rows()]
+        return _PolyMatrix(matrix.rows, matrix.cols, field.n, field.p, _px_stack(field, rows))
+
+    def is_zero(self):
+        return not self._data.any()
+
+    def rank(self):
+        return _px_rank(self._data, self.p) // self.n
+
+    def __matmul__(self, other):
+        return _PolyMatrix(self.rows, other.cols, self.n, self.p, _px_mmul(self._data, other._data, self.p))
 
 
 class ExactMatrix:
@@ -689,7 +804,9 @@ class ExactMatrix:
         if isinstance(self.domain, FiniteField):
             return _ff_rank(self.domain, self._data)
         if isinstance(self.domain, RationalFunctionField):
-            return _bareiss_rank_upoly(self.domain.field, self._cleared_rows())
+            field = self.domain.field
+            rows = [[dict(enumerate(v)) for v in row] for row in self._cleared_rows()]
+            return _px_rank(_px_stack(field, rows), field.p) // field.n
         require_field(self.domain)
         _, pivots = _obj_rref(self.domain, self._obj_rows())
         return len(pivots)

@@ -17,9 +17,9 @@ from dataclasses import dataclass, field as dc_field
 
 from . import batch
 from .errors import CapExceededError, ChartError, JTCalcError
-from .fields import FiniteField, GF, PolyRing, RationalFunctionField
+from .fields import FiniteField, GF, PolyRing
 from .jordan import dominance_leq, jt_rank
-from .linalg import ExactMatrix
+from .linalg import ExactMatrix, _PolyMatrix
 from .parsing import parse_field_spec, parse_polynomial
 from .theta import (
     KIND_GA,
@@ -491,15 +491,6 @@ class SemicontReport:
     ok: bool
 
 
-def _poly_to_ratfunc(poly, ratfield):
-    terms = {}
-    for e, c in poly.terms.items():
-        terms[e[0]] = c
-    size = max(terms) + 1 if terms else 0
-    num = [terms.get(i, ratfield.field.zero()) for i in range(size)]
-    return ratfield.from_coeffs(num)
-
-
 def semicontinuity_check(curve, e, variant="full"):
     """JT at the special point t=0 must lie below JT at the generic point of the curve."""
     from .jordan import jt_of_nilpotent
@@ -508,9 +499,8 @@ def semicontinuity_check(curve, e, variant="full"):
     generic_tup = chart.generic_tuple(curve.substitution)
     theta = theta_variant(e, generic_tup, variant)
     ring1 = generic_tup.domain
-    ratfield = RationalFunctionField(ring1.field, ring1.variables[0])
-    generic_matrix = theta.matrix.map_entries(ratfield, lambda v: _poly_to_ratfunc(v, ratfield))
-    generic_jt = jt_of_nilpotent(generic_matrix, chart.p)
+    # the generic point's type: ranks over GF(q)(t) of the polynomial operator's powers
+    generic_jt = jt_of_nilpotent(_PolyMatrix.of_univariate(theta.matrix), chart.p)
 
     field = ring1.field
     special_vals = curve.special_values(field)

@@ -1,22 +1,28 @@
 """Differential tests of the finite-field matrix kernels.
 
 Products, Kronecker products and scalar multiples over GF(p^n) are checked
-against entrywise `FFElement` arithmetic.  Rank, reduced row echelon form
+against entrywise `FFElement` arithmetic, products also with a left factor
+whose entries lie in GF(p), which takes a shortcut.  Rank, reduced row echelon form
 and kernels are checked against row reduction with entrywise products by
 coefficient convolution, reduced modulo the field modulus: the elimination
 `linalg` used before extension fields went through their GF(p) regular
 representation, kept here as the oracle.
 """
 
+import random
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jtcalc.fields import GF, FFElement
 from jtcalc.linalg import ExactMatrix
+from jtcalc.modules import _lifted_mu
 
 EXT_FIELDS = [GF(3, 2), GF(5, 2), GF(7, 2), GF(2, 3), GF(3, 3), GF(3, 4, (2, 0, 0, 2, 1))]
 PRIME_FIELDS = [GF(2), GF(3), GF(5), GF(7), GF(31)]
+SUBFIELD_CASES = [GF(3, 2), GF(2, 3), GF(5, 2)]
 
 
 # -- oracle: convolution elimination --------------------------------------------
@@ -114,9 +120,38 @@ def test_matmul_matches_entrywise(data):
     a = data.draw(field_rows(field))
     b = data.draw(field_rows(field, rows=len(a[0])))
     got = (ExactMatrix.from_rows(field, a) @ ExactMatrix.from_rows(field, b)).to_rows()
-    want = [[sum((a[i][k] * b[k][j] for k in range(len(b))), field.zero())
+    assert got == _entrywise_product(a, b, field)
+
+
+def _entrywise_product(a, b, field):
+    return [[sum((a[i][k] * b[k][j] for k in range(len(b))), field.zero())
              for j in range(len(b[0]))] for i in range(len(a))]
-    assert got == want
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_matmul_with_prime_field_left_factor_matches_entrywise(data):
+    """A left factor with GF(p) entries only is multiplied coordinate by coordinate."""
+    field = data.draw(st.sampled_from(SUBFIELD_CASES))
+    prime = GF(field.p)
+    a = [[field.embed(x) for x in row] for row in data.draw(field_rows(prime))]
+    b = data.draw(field_rows(field, rows=len(a[0])))
+    got = (ExactMatrix.from_rows(field, a) @ ExactMatrix.from_rows(field, b)).to_rows()
+    assert got == _entrywise_product(a, b, field)
+
+
+@pytest.mark.parametrize("ext", [False, True], ids=["sym", "ext"])
+@pytest.mark.parametrize("field", SUBFIELD_CASES, ids=str)
+def test_matmul_with_lifted_mu_matches_entrywise(field, ext):
+    """The lifted 0/+-1 map mu_d of `power_matrix` times a GF(p^n) matrix."""
+    rng = random.Random(field.order)
+    for n, d in ((2, 2), (2, 3), (3, 2), (3, 3)):
+        if ext and d > n:
+            continue
+        mu = _lifted_mu(field, n, d, ext)
+        a = mu.to_rows()
+        b = [[field.random_element(rng) for _ in range(3)] for _ in range(mu.cols)]
+        assert (mu @ ExactMatrix.from_rows(field, b)).to_rows() == _entrywise_product(a, b, field)
 
 
 @given(st.data())

@@ -10,7 +10,8 @@ from jtcalc.errors import NotNilpotentError
 from jtcalc.fields import GF, TruncatedCurveRing
 from jtcalc.jordan import jt_of_nilpotent
 from jtcalc.linalg import ExactMatrix
-from jtcalc.modules import Explicit, Std, Tensor, eval_ga_point, texp_matrix
+from jtcalc.modules import Explicit, Std, Tensor, eval_ga_point, parse_module_expr, texp_matrix
+from jtcalc.strata import curve_from_coeffs, parse_chart, semicontinuity_check
 from jtcalc.theta import (
     CommutingTuple,
     homotopy_theta,
@@ -81,3 +82,23 @@ def test_eval_ga_point_rejects_non_nilpotent_point():
     ring = TruncatedCurveRing(F3, 1)
     with pytest.raises(NotNilpotentError):
         eval_ga_point(Explicit((E12,)), ring.one())
+
+
+# a curve through a chart whose template is not nilpotent, and a curve through
+# a GF(2) chart of non-commuting pairs (as E12_2, E21_2 above): in both the
+# generic operator's final power does not vanish
+SEMICONT_CASES = [
+    ("field GF(3)\nkind gl\nr 1\nN 2\nparams a\ntemplate\na 0\n0 0\n", "Std(2)",
+     {"a": [0, 1]}, "matrix is not 3-nilpotent"),
+    ("field GF(2)\nkind gl\nr 2\nN 2\nparams a b\ntemplate\n0 a\n0 0\ntemplate\n0 0\nb 0\n",
+     "Std(2)*Std(2)", {"a": [0, 1], "b": [0, 1]}, "matrix is not 2-nilpotent"),
+]
+
+
+@pytest.mark.parametrize("variant", ["full", "exp"])
+@pytest.mark.parametrize("text, module, coeffs, message", SEMICONT_CASES, ids=["template", "operator"])
+def test_semicontinuity_rejects_non_nilpotent_generic_operator(text, module, coeffs, message, variant):
+    chart = parse_chart(text)
+    curve = curve_from_coeffs(chart, GF(chart.p), coeffs)
+    with pytest.raises(NotNilpotentError, match=f"^{message}$"):
+        semicontinuity_check(curve, parse_module_expr(module), variant)
