@@ -7,6 +7,9 @@ chunk of points at a time:
 
 * chart templates, constraints and rank-locus minors are evaluated as
   integer polynomials over a (P, k) array of parameter values;
+* a table sweep evaluates the operator once per weighted scaling orbit:
+  each tuple is scaled so its first nonzero entry is 1, and only canonical
+  tuples not met earlier in the sweep go on;
 * the one-parameter group element and the module tree are evaluated on
   series in t whose coefficients are (P, m, m) stacks mod p, truncated
   mod t^(D+1), where D is the t-degree the operator reads: p^(r-1) for the
@@ -66,24 +69,28 @@ def supports(chart, e, field):
     )
 
 
-def jordan_types(chart, e, field, variant, budget, seed, samples, orbit_dedupe):
+def jordan_types(chart, e, field, variant, budget, seed, samples):
     """(values, Jordan type) per swept point, None for the zero tuple.
 
     Like `tabulate_jt`'s pointwise path, every tuple is validated before any
-    operator is evaluated.
+    operator is evaluated, and the operator is evaluated once per weighted
+    scaling orbit: on its canonical tuple (`_orbit_reduce`), in the chunk
+    that first meets the orbit.
     """
     sweep = _Sweep(chart, e, field.p, variant)
     # the accepted values (a byte per parameter and point) are kept, not drawn again
     accepted = list(sweep.points(budget, seed, samples))
+    # canonical tuple as int8 bytes -> Jordan type; the zero tuple has none
+    types = {bytes(chart.r * chart.size**2): None}
     for values in _regroup(accepted, sweep.chunk):
-        mats = sweep.tuples(values)
-        if orbit_dedupe:
-            mats = _orbit_reduce(mats, sweep.p)
-        types = [None] * len(values)
-        nonzero = np.flatnonzero(mats.reshape(len(mats), -1).any(axis=1))
-        for i, jt in zip(nonzero.tolist(), sweep.types(mats[nonzero])):
-            types[i] = jt
-        yield from zip(values.tolist(), types)
+        mats = _orbit_reduce(sweep.tuples(values), sweep.p)
+        keys = [row.tobytes() for row in mats.reshape(len(mats), -1).astype(np.int8)]
+        new = {}
+        for i, key in enumerate(keys):
+            if key not in types:
+                new.setdefault(key, i)
+        types.update(zip(new, sweep.types(mats[list(new.values())])))
+        yield from zip(values.tolist(), map(types.get, keys))
 
 
 def closed_stratum_points(chart, e, field, variant, budget, seed, samples, polys):
@@ -161,6 +168,7 @@ def _orbit_reduce(mats, p):
     """`orbit_reduce` over GF(p): scale each tuple so its first nonzero entry is 1.
 
     alpha^(p^s) = alpha in GF(p), so every matrix of the tuple scales alike.
+    The zero tuple stays zero.
     """
     flat = mats.reshape(len(mats), -1)
     lead = flat[np.arange(len(flat)), (flat != 0).argmax(axis=1)]

@@ -422,8 +422,8 @@ def _px_stack(field, rows):
 class _PolyMatrix:
     """A matrix over GF(p^n)[x] as the GF(p)[x] stack of its regular representation.
 
-    It has what `jordan.jt_of_nilpotent` reads: shape, `is_zero`, `@` and the
-    rank over GF(p^n)(x).
+    It has what `jordan.jt_of_nilpotent` and `modules.validate_commuting_tuple`
+    read: shape, `is_zero`, `@`, `pow`, `==` and the rank over GF(p^n)(x).
     """
 
     __slots__ = ("rows", "cols", "n", "p", "_data")
@@ -450,6 +450,18 @@ class _PolyMatrix:
 
     def __matmul__(self, other):
         return _PolyMatrix(self.rows, other.cols, self.n, self.p, _px_mmul(self._data, other._data, self.p))
+
+    def __eq__(self, other):
+        return np.array_equal(_px_trim(self._data), _px_trim(other._data))
+
+    def pow(self, k):
+        """self^k, k >= 1; the products stop at the first power that vanishes."""
+        out = self
+        for _ in range(k - 1):
+            if out.is_zero():
+                break
+            out = out @ self
+        return out
 
 
 class ExactMatrix:

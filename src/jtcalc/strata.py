@@ -14,12 +14,14 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field as dc_field
+from functools import partial
 
 from . import batch
-from .errors import CapExceededError, ChartError, JTCalcError
+from .errors import CapExceededError, ChartError, JTCalcError, NotNilpotentError, ParseError
 from .fields import FiniteField, GF, PolyRing
 from .jordan import dominance_leq, jt_rank
 from .linalg import ExactMatrix, _PolyMatrix
+from .modules import validate_commuting_tuple
 from .parsing import parse_field_spec, parse_polynomial
 from .theta import (
     KIND_GA,
@@ -117,7 +119,10 @@ class Chart:
 
 
 def parse_chart(text):
-    """Parse the plain-text chart config emitted by Chart.to_text."""
+    """Parse the plain-text chart config emitted by Chart.to_text.
+
+    Malformed lines raise `ChartError` or `ParseError` naming the line.
+    """
     name = "chart"
     field = None
     kind = KIND_GL
@@ -137,45 +142,60 @@ def parse_chart(text):
         if head == "name":
             name = rest
         elif head == "field":
-            field = parse_field_spec(rest)
+            field = _located(parse_field_spec, rest, lineno)
         elif head == "kind":
             if rest not in (KIND_GL, KIND_GA, KIND_MULTI_GA):
                 raise ChartError(f"unknown chart kind {rest!r} (line {lineno})")
             kind = rest
         elif head == "r":
-            r = int(rest)
+            r = _chart_int(rest, "r", lineno)
         elif head == "N":
-            size = int(rest)
+            size = _chart_int(rest, "N", lineno)
         elif head == "params":
             for chunk in rest.split():
                 v, _, w = chunk.partition(":")
                 params.append(v)
-                weights.append(int(w) if w else 1)
+                weights.append(_chart_int(w, f"the weight of {v}", lineno) if w else 1)
         elif head == "template":
             current = []
-            template_rows.append(current)
+            template_rows.append((lineno, current))
         elif head == "constraint":
-            constraints_text.append(rest)
+            constraints_text.append((lineno, rest))
         else:
             if current is None:
                 raise ChartError(f"unexpected line {lineno}: {raw!r}")
-            current.append(ln.split())
+            current.append((lineno, ln.split()))
     if field is None or r is None or size is None or not params:
         raise ChartError("chart config needs field, r, N and params lines")
     if field.n != 1:
         raise ChartError("chart template coefficients live over the prime field")
     ring = PolyRing(field, params, weights)
+    poly = partial(parse_polynomial, ring)
     templates = []
-    for rows in template_rows:
-        if len(rows) != size or any(len(row) != size for row in rows):
-            raise ChartError(f"template grid must be {size} x {size}")
-        templates.append(
-            ExactMatrix.from_rows(ring, [[parse_polynomial(ring, cell) for cell in row] for row in rows])
-        )
+    for start, rows in template_rows:
+        if len(rows) != size or any(len(row) != size for _, row in rows):
+            raise ChartError(f"template grid must be {size} x {size} (line {start})")
+        templates.append(ExactMatrix.from_rows(
+            ring, [[_located(poly, cell, lineno) for cell in row] for lineno, row in rows]))
     if len(templates) != r:
         raise ChartError(f"expected {r} templates, found {len(templates)}")
-    constraints = tuple(parse_polynomial(ring, c) for c in constraints_text)
+    constraints = tuple(_located(poly, c, lineno) for lineno, c in constraints_text)
     return Chart(name, kind, field.p, r, size, ring, tuple(templates), constraints)
+
+
+def _chart_int(text, what, lineno):
+    try:
+        return int(text)
+    except ValueError:
+        raise ChartError(f"{what} must be an integer, found {text!r} (line {lineno})") from None
+
+
+def _located(parse, text, lineno):
+    """parse(text), with the chart line added to a ParseError's location."""
+    try:
+        return parse(text)
+    except ParseError as exc:
+        raise ParseError(str(exc), lineno, exc.column) from None
 
 
 # -- builtin charts ------------------------------------------------------------
@@ -323,30 +343,44 @@ def _serialize_values(values):
     return [str(v) for v in values]
 
 
-def _pointwise_jordan_types(chart, e, field, variant, budget, seed, samples, orbit_dedupe):
-    """(values, Jordan type) per swept point, None for the zero tuple; validates every tuple first."""
+def _pointwise_jordan_types(chart, e, field, variant, budget, seed, samples):
+    """(values, Jordan type) per swept point, None for the zero tuple.
+
+    Every tuple is validated first; `jt_at_point` then runs once per weighted
+    scaling orbit, on the orbit's canonical tuple (`orbit_reduce`).
+    """
     points = list(enumerate_points(chart, field, budget, seed, samples))
+    types = {}
     for values, tup in points:
         if tup.is_zero():
             yield values, None
             continue
-        if orbit_dedupe:
-            tup = orbit_reduce(tup)
-        yield values, jt_at_point(e, tup, variant)
+        rep = orbit_reduce(tup)
+        key = str(rep.serialize())
+        if key not in types:
+            types[key] = jt_at_point(e, rep, variant)
+        yield values, types[key]
 
 
 def tabulate_jt(chart, e, field, variant="full", budget=EXHAUSTIVE_DEFAULT_BUDGET,
                 seed=0, samples=SAMPLE_DEFAULT, max_reps=4, orbit_dedupe=False):
     """Group swept points by Jordan type; the zero tuple is reported separately.
 
+    The Jordan type is a function on the projectivized P V_r(G): scaling a
+    tuple by B_s -> alpha^(p^s) B_s (`scale_tuple`) scales the operator by
+    alpha^(p^(r-1)).  So each weighted scaling orbit is evaluated once, and
+    its type is counted for every swept point of the orbit, in sweep order.
     GF(p) sweeps of `gl` charts run batched (`jtcalc.batch`); every other
-    sweep evaluates `jt_at_point` point by point.  Both give the same table.
+    sweep evaluates `jt_at_point` once per orbit.  Both give the same table.
+
+    `orbit_dedupe` is still accepted and has no effect: every sweep is
+    evaluated once per orbit.
     """
     entries = {}
     zero_count = 0
     swept = 0
     sweep = batch.jordan_types if batch.supports(chart, e, field) else _pointwise_jordan_types
-    for values, jt in sweep(chart, e, field, variant, budget, seed, samples, orbit_dedupe):
+    for values, jt in sweep(chart, e, field, variant, budget, seed, samples):
         swept += 1
         if jt is None:
             zero_count += 1
@@ -501,6 +535,12 @@ def semicontinuity_check(curve, e, variant="full"):
     ring1 = generic_tup.domain
     # the generic point's type: ranks over GF(q)(t) of the polynomial operator's powers
     generic_jt = jt_of_nilpotent(_PolyMatrix.of_univariate(theta.matrix), chart.p)
+    if chart.kind == KIND_GL:
+        # as CommutingTuple requires of a point, identically in t
+        mats = [_PolyMatrix.of_univariate(m) for m in generic_tup.mats]
+        report = validate_commuting_tuple(mats, chart.p)
+        if report is not None:
+            raise NotNilpotentError(report)
 
     field = ring1.field
     special_vals = curve.special_values(field)
@@ -656,26 +696,21 @@ def _parse_element(text, field):
 
 
 def orbit_reduce(tup):
-    """Canonical representative of the weighted scaling orbit of a nonzero tuple."""
+    """Canonical representative of the weighted scaling orbit of a nonzero tuple.
+
+    The tuple is scaled (`scale_tuple`) so that its first nonzero entry is 1.
+    """
     if tup.is_zero():
         raise JTCalcError("the zero tuple has no projective representative")
     field = tup.domain
     if not isinstance(field, FiniteField):
         raise JTCalcError("orbit reduction works over finite fields")
-    lead = None
-    for s, m in enumerate(tup.mats):
-        for i in range(m.rows):
-            for j in range(m.cols):
-                v = m.entry(i, j)
-                if not v.is_zero():
-                    lead = (s, v)
-                    break
-            if lead:
-                break
-        if lead:
-            break
-    s, v = lead
+    entries = ((s, m.entry(i, j)) for s, m in enumerate(tup.mats)
+               for i in range(m.rows) for j in range(m.cols))
+    s, v = next((s, v) for s, v in entries if not v.is_zero())
     beta = v.inverse()
-    # solve alpha^(p^s) = beta: invert the Frobenius, which is bijective
-    alpha = beta.frobenius((-s) % field.n) if field.n > 1 else beta
-    return scale_tuple(tup, alpha)
+    # solve alpha^(p^s) = beta: invert the Frobenius, which is bijective;
+    # a multi_ga point scales every entry by alpha itself
+    if tup.kind == KIND_MULTI_GA or field.n == 1:
+        return scale_tuple(tup, beta)
+    return scale_tuple(tup, beta.frobenius((-s) % field.n))

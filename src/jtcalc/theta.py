@@ -101,15 +101,31 @@ class CommutingTuple:
     def serialize(self):
         return [m.serialize() for m in self.mats]
 
+    def _with_mats(self, mats):
+        """This point with other matrices of the same shapes, not validated again.
+
+        For scaling and conjugation, which keep a commuting p-nilpotent tuple so.
+        """
+        out = object.__new__(CommutingTuple)
+        out.__dict__.update(self.__dict__, mats=tuple(mats))
+        return out
+
 
 def scale_tuple(tup, alpha):
-    """Weighted scaling: B_s goes to alpha^(p^s) * B_s."""
+    """Weighted scaling: B_s goes to alpha^(p^s) * B_s.
+
+    Both operators of the scaled point are alpha^(p^(r-1)) times those of the
+    point, so its Jordan type is the same.  A multi_ga point is a height-1
+    point of a product of lines whose operator is linear in every a_i, so
+    there all scalars go to alpha * a_i.
+    """
     scaled = []
     factor = alpha
     for m in tup.mats:
         scaled.append(m.scalar_mul(factor))
-        factor = factor**tup.p
-    return CommutingTuple(tup.kind, tup.domain, tup.height, tup.size, tuple(scaled), tup.validated)
+        if tup.kind != KIND_MULTI_GA:
+            factor = factor**tup.p
+    return tup._with_mats(scaled)
 
 
 def conjugate_tuple(tup, g):
@@ -117,10 +133,7 @@ def conjugate_tuple(tup, g):
     if tup.kind != KIND_GL:
         raise JTCalcError("conjugation applies to matrix tuples")
     ginv = g.inverse()
-    return CommutingTuple(
-        tup.kind, tup.domain, tup.height, tup.size,
-        tuple(g @ m @ ginv for m in tup.mats), tup.validated,
-    )
+    return tup._with_mats(g @ m @ ginv for m in tup.mats)
 
 
 @dataclass(frozen=True)

@@ -196,3 +196,22 @@ def test_homotopy_is_accepted_only_by_jt(tmp_path):
     code, out, _ = run_cli(["jt"] + sweep + ["--point", "0,1,0,1,1", "--variant", "homotopy",
                                              "--format", "jsonl"])
     assert code == 0 and json.loads(out)["variant"] == "homotopy"
+
+
+CHART = "name c\nfield GF(3)\nkind gl\nr 1\nN 2\nparams a\ntemplate\n0 a\n0 0\n"
+
+
+def test_malformed_chart_files_name_the_line(tmp_path):
+    cases = [
+        (CHART.replace("r 1", "r two"), "r must be an integer, found 'two' (line 4)"),
+        (CHART.replace("params a", "params a:x"), "the weight of a must be an integer, found 'x' (line 6)"),
+        (CHART.replace("0 0\n", "0\n"), "template grid must be 2 x 2 (line 7)"),
+    ]
+    path = tmp_path / "chart.txt"
+    for text, message in cases:
+        path.write_text(text)
+        code, _, err = run_cli(["strata", "--p", "3", "--chart-file", str(path), "--module", "Std(2)"])
+        assert code == 2 and f"error: {message}\n" in err
+        assert "invalid literal" not in err and "Traceback" not in err
+    path.write_text(CHART)
+    assert run_cli(["strata", "--p", "3", "--chart-file", str(path), "--module", "Std(2)"])[0] == 0

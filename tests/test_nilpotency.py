@@ -102,3 +102,23 @@ def test_semicontinuity_rejects_non_nilpotent_generic_operator(text, module, coe
     curve = curve_from_coeffs(chart, GF(chart.p), coeffs)
     with pytest.raises(NotNilpotentError, match=f"^{message}$"):
         semicontinuity_check(curve, parse_module_expr(module), variant)
+
+
+# curves whose generic operator is p-nilpotent although the tuple along them
+# is not a point: B_0 and B_1 do not commute for t != 0, or B_1 = diag(t, 0)
+SEMICONT_TUPLE_CASES = [
+    ("field GF(3)\nkind gl\nr 2\nN 2\nparams a b\ntemplate\n0 a\n0 0\ntemplate\n0 0\nb 0\n",
+     "Std(2)*Std(2)", {"a": [0, 1], "b": [0, 1]}, "matrices 0 and 1 do not commute"),
+    ("field GF(3)\nkind gl\nr 2\nN 2\nparams a\ntemplate\n0 a\n0 0\ntemplate\na 0\n0 0\n",
+     "Tw(1,Std(2))", {"a": [0, 1]}, "matrix 1 is not 3-nilpotent"),
+]
+
+
+@pytest.mark.parametrize("variant", ["full", "exp"])
+@pytest.mark.parametrize("text, module, coeffs, message", SEMICONT_TUPLE_CASES,
+                         ids=["commute", "matrix"])
+def test_semicontinuity_rejects_an_invalid_generic_tuple(text, module, coeffs, message, variant):
+    chart = parse_chart(text)
+    curve = curve_from_coeffs(chart, GF(chart.p), coeffs)
+    with pytest.raises(NotNilpotentError, match=f"^{message}$"):
+        semicontinuity_check(curve, parse_module_expr(module), variant)
