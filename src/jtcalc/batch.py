@@ -223,8 +223,7 @@ class _Sweep:
         while emitted < samples and attempts < limit:
             n = min(chunk, limit - attempts)
             attempts += n
-            draws = np.array([rng.randrange(p) for _ in range(n * k)], dtype=np.int8)
-            values = draws.reshape(n, k)
+            values = _randrange(rng, p, n * k).reshape(n, k)
             values = values[~self.constraints(values).any(axis=1)][: samples - emitted]
             emitted += len(values)
             yield values
@@ -295,6 +294,31 @@ class _Sweep:
             raise JTCalcError(f"unknown module node {node!r}")
 
         return walk(self.e)
+
+
+def _randrange(rng, p, count):
+    """`count` successive `rng.randrange(p)` draws as int8, leaving rng where they would.
+
+    randrange(p) takes 32-bit Mersenne Twister words w until w >> (32 - k),
+    k = p.bit_length(), is below p, and returns that; getrandbits(32 W)
+    returns W such words, the first as its lowest 32 bits.  So the words are
+    drawn in bulk and filtered, and then the generator is restored and moved
+    on by exactly the words the draws used.
+    """
+    state = rng.getstate()
+    shift = 32 - p.bit_length()
+    words = np.zeros(0, dtype=np.uint32)
+    accepted = np.zeros(0, dtype=np.intp)
+    while len(accepted) < count:
+        # at least half the words are accepted, since 2^(k-1) <= p
+        more = 2 * (count - len(accepted)) + 64
+        block = np.frombuffer(rng.getrandbits(32 * more).to_bytes(4 * more, "little"), dtype="<u4")
+        words = np.concatenate([words, block >> shift])
+        accepted = np.flatnonzero(words < p)
+    rng.setstate(state)
+    if count:
+        rng.getrandbits(32 * (int(accepted[count - 1]) + 1))
+    return words[accepted[:count]].astype(np.int8)
 
 
 def _cells(e):

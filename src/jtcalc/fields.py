@@ -198,6 +198,7 @@ class FiniteField:
                 red[k] = row
         red.setflags(write=False)
         self.reduction = red
+        self._reduction_rows = tuple(tuple(int(v) for v in row) for row in red)
         # multiplication tensor: x^a * x^b = sum_c mul_tensor[a, b, c] x^c
         idx = np.arange(n)
         mul = red[idx[:, None] + idx[None, :]]
@@ -222,13 +223,11 @@ class FiniteField:
             if ai:
                 for j, bj in enumerate(b):
                     conv[i + j] += ai * bj
-        red = self.reduction
         out = [0] * n
-        for k, ck in enumerate(conv):
+        for ck, row in zip(conv, self._reduction_rows):
             if ck:
-                row = red[k]
                 for j in range(n):
-                    out[j] += ck * int(row[j])
+                    out[j] += ck * row[j]
         return tuple(v % self.p for v in out)
 
     def _pow_int(self, a, k):
@@ -465,18 +464,9 @@ class Polynomial:
 
     def evaluate(self, point):
         """Exact evaluation at field elements (base field or an extension of it)."""
-        if len(point) != len(self.ring.variables):
-            raise JTCalcError("point length does not match variable count")
-        if not point:
+        domain = self.ring.point_field(point)
+        if domain is None:
             return self.constant_value()
-        domain = point[0].field
-        for v in point:
-            if v.field != domain:
-                raise DomainMismatchError("point entries in mixed fields")
-        if domain != self.ring.field and not (
-            self.ring.field.n == 1 and domain.p == self.ring.field.p
-        ):
-            raise DomainMismatchError(f"cannot evaluate over {domain}")
         return self.evaluate_in(domain, point)
 
     def evaluate_in(self, domain, point):
@@ -559,6 +549,26 @@ class PolyRing:
         elif c.field != self.field:
             c = self.field.embed(c)
         return Polynomial(self, {(0,) * len(self.variables): c})
+
+    def point_field(self, point):
+        """The field a point's values live in, None for the empty point of no variables.
+
+        Raises for a point that `Polynomial.evaluate` cannot take: a wrong
+        length, values from mixed fields, or a field that is neither the
+        coefficient field nor, for prime coefficients, a field of its
+        characteristic.
+        """
+        if len(point) != len(self.variables):
+            raise JTCalcError("point length does not match variable count")
+        if not point:
+            return None
+        domain = point[0].field
+        for v in point:
+            if v.field != domain:
+                raise DomainMismatchError("point entries in mixed fields")
+        if domain != self.field and not (self.field.n == 1 and domain.p == self.field.p):
+            raise DomainMismatchError(f"cannot evaluate over {domain}")
+        return domain
 
     def zero(self):
         return Polynomial(self, {})

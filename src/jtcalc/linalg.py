@@ -524,6 +524,11 @@ class ExactMatrix:
         return ExactMatrix(domain, nr, nc, _OBJ, tuple(norm))
 
     @staticmethod
+    def from_coords(field, data):
+        """A finite-field matrix from a (rows, cols, n) integer array of reduced coordinates."""
+        return ExactMatrix(field, data.shape[0], data.shape[1], _FF, _freeze(data))
+
+    @staticmethod
     def zeros(domain, rows, cols):
         if isinstance(domain, FiniteField):
             return ExactMatrix(domain, rows, cols, _FF, _freeze(np.zeros((rows, cols, domain.n))))

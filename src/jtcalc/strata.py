@@ -14,7 +14,9 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field as dc_field
-from functools import partial
+from functools import cached_property, partial
+
+import numpy as np
 
 from . import batch
 from .errors import CapExceededError, ChartError, JTCalcError, NotNilpotentError, ParseError
@@ -39,9 +41,62 @@ EXHAUSTIVE_DEFAULT_BUDGET = 10**6
 SAMPLE_DEFAULT = 10**4
 
 
+class _CompiledPolys:
+    """Polynomials with GF(p) coefficients, compiled for evaluation at single points.
+
+    The monomials that occur are listed once, each as its (variable,
+    exponent) factors; each polynomial is a row of (monomial, coefficient)
+    pairs.  Values come out flat: one int per polynomial over GF(p), the n
+    coordinates of each polynomial over GF(p^n).
+    """
+
+    def __init__(self, polys, p):
+        monomials = {}
+        self.rows = tuple(
+            tuple((monomials.setdefault(exps, len(monomials)), c.coeffs[0]) for exps, c in poly.terms.items())
+            for poly in polys
+        )
+        self.monomials = tuple(tuple((v, k) for v, k in enumerate(exps) if k) for exps in monomials)
+        self.p = p
+
+    def at_ints(self, values):
+        """Values mod p at a point of GF(p) ints."""
+        p = self.p
+        mono = []
+        for factors in self.monomials:
+            m = 1
+            for v, k in factors:
+                m *= values[v] ** k
+            mono.append(m % p)
+        return [sum(c * mono[i] for i, c in row) % p for row in self.rows]
+
+    def at_coords(self, field, values):
+        """Coordinates at a point of GF(p^n) coordinate tuples, products by `FiniteField._mul`."""
+        p, mul, one = self.p, field._mul, field.one().coeffs
+        mono = []
+        for factors in self.monomials:
+            m = one
+            for v, k in factors:
+                for _ in range(k):
+                    m = mul(m, values[v])
+            mono.append(m)
+        out = []
+        for row in self.rows:
+            acc = [0] * field.n
+            for i, c in row:
+                acc = [a + c * b for a, b in zip(acc, mono[i])]
+            out.extend(a % p for a in acc)
+        return out
+
+
 @dataclass(frozen=True)
 class Chart:
-    """Polynomial parametrization of commuting tuples with constraints."""
+    """Polynomial parametrization of commuting tuples with constraints.
+
+    Templates and constraints are compiled once per chart (`_CompiledPolys`);
+    `satisfies` and `tuple_at` evaluate the compiled form and raise for a bad
+    point what `Polynomial.evaluate` raises (`PolyRing.point_field`).
+    """
 
     name: str
     kind: str
@@ -60,23 +115,51 @@ class Chart:
     def weights(self):
         return self.ring.weights
 
+    def _compile(self, polys):
+        if self.ring.field.n != 1:
+            raise ChartError("chart template coefficients live over the prime field")
+        return _CompiledPolys(polys, self.p)
+
+    @cached_property
+    def _compiled_templates(self):
+        return self._compile([t.entry(i, j) for t in self.templates
+                              for i in range(t.rows) for j in range(t.cols)])
+
+    @cached_property
+    def _compiled_constraints(self):
+        return self._compile(self.constraints)
+
+    def _evaluate(self, compiled, values):
+        """(field of the point, flat values of the compiled polynomials there)."""
+        values = list(values)
+        if not compiled.rows:
+            # nothing is evaluated, so the point is not checked
+            return (values[0].field if values else GF(self.p)), []
+        field = self.ring.point_field(values)
+        if field is None:
+            field = GF(self.p)
+        if field.n == 1:
+            return field, compiled.at_ints([v.coeffs[0] for v in values])
+        return field, compiled.at_coords(field, [v.coeffs for v in values])
+
     def satisfies(self, values):
-        return all(c.evaluate(list(values)).is_zero() for c in self.constraints)
+        _, flat = self._evaluate(self._compiled_constraints, values)
+        return not any(flat)
 
     def tuple_at(self, values, validated=True):
-        values = list(values)
-        field = values[0].field if values else GF(self.p)
-        mats = []
+        field, flat = self._evaluate(self._compiled_templates, values)
+        data = np.array(flat, dtype=np.int64)
+        mats, start = [], 0
         for tmpl in self.templates:
-            rows = [
-                [tmpl.entry(i, j).evaluate(values) for j in range(tmpl.cols)]
-                for i in range(tmpl.rows)
-            ]
-            mats.append(ExactMatrix.from_rows(field, rows))
+            end = start + tmpl.rows * tmpl.cols * field.n
+            block = data[start:end].reshape(tmpl.rows, tmpl.cols, field.n)
+            if self.kind != KIND_GL:
+                block = block[0, 0].reshape(1, 1, field.n)
+            mats.append(ExactMatrix.from_coords(field, block))
+            start = end
         if self.kind == KIND_GL:
             return CommutingTuple.gl(mats, validated=validated)
-        scalars = [m.entry(0, 0) for m in mats]
-        return CommutingTuple._scalar_tuple(self.kind, scalars, field)
+        return CommutingTuple(self.kind, field, len(mats), 1, tuple(mats))
 
     def symbolic_tuple(self):
         if self.kind == KIND_GL:

@@ -20,13 +20,14 @@ from dataclasses import dataclass
 
 from .errors import DomainMismatchError, JTCalcError, NotNilpotentError
 from .fields import FiniteField, TruncatedCurveRing, TruncElement
-from .jordan import jt_of_nilpotent
+from .jordan import jt_of_nilpotent, jt_power
 from .linalg import ExactMatrix
 from .modules import (
     Explicit,
     ModuleExpr,
     Std,
     UnipotentPair,
+    _contains_dual,
     eval_ga_point,
     eval_unipotent,
     texp_element,
@@ -198,6 +199,11 @@ def _texp_check(tup):
 
 def one_param(tup):
     """The one-parameter group element  prod_s exp(t^(p^s) B_s)  with inverse."""
+    return _one_param(tup, with_inv=True)
+
+
+def _one_param(tup, with_inv):
+    """`one_param`; the inverse is multiplied out only when with_inv, else it is None."""
     if tup.kind != KIND_GL:
         raise JTCalcError("one_param needs a matrix tuple")
     ring = _trunc_ring(tup)
@@ -205,8 +211,8 @@ def one_param(tup):
     pair = None
     for s, b in enumerate(tup.mats):
         factor = texp_matrix(b, ring, check)
-        twisted = UnipotentPair(factor.g.subs_power(tup.p**s),
-                                factor.g_inv.subs_power(tup.p**s), checked=False)
+        g_inv = factor.g_inv.subs_power(tup.p**s) if with_inv else None
+        twisted = UnipotentPair(factor.g.subs_power(tup.p**s), g_inv, checked=False)
         pair = twisted if pair is None else pair * twisted
     return pair
 
@@ -225,7 +231,8 @@ def _rho_full(e, tup):
     """Module evaluated on the full one-parameter group element."""
     ring = _trunc_ring(tup)
     if tup.kind == KIND_GL:
-        return eval_unipotent(e, one_param(tup))
+        # g^-1 is read only by Dual nodes
+        return eval_unipotent(e, _one_param(tup, _contains_dual(e)))
     if tup.kind == KIND_GA:
         c = ga_curve_element(tup)
         pairs = {leaf: eval_ga_point(_as_explicit(leaf, tup), c) for leaf in _explicit_leaves(e)}
@@ -379,9 +386,18 @@ def jt_at_point(e, tup, variant="full"):
 
 
 def jt_power_at_point(e, tup, variant, j):
-    """Jordan type of the j-th power of the selected operator."""
+    """Jordan type of the j-th power of the selected operator.
+
+    Over a finite field this is `jt_power` of the type at the point: under
+    N^j a block [i] of N splits into one chain per residue mod j of the
+    position in the block.  So the operator's rank profile is taken once,
+    and its final vanishing power is the one nilpotency check, as in
+    `jt_at_point`.  Other domains rank the j-th power itself.
+    """
     if not 1 <= j < tup.p:
         raise JTCalcError(f"power {j} outside 1..p-1")
+    if isinstance(tup.domain, FiniteField):
+        return jt_power(jt_at_point(e, tup, variant), j)
     return jt_of_nilpotent(theta_variant(e, tup, variant).matrix.pow(j), tup.p)
 
 

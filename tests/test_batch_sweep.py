@@ -4,6 +4,7 @@
 to False forces the pointwise path (`jt_at_point` per point), the oracle.
 """
 
+import random
 from unittest import mock
 
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from jtcalc import batch
 from jtcalc.errors import ChartError, JTCalcError, NotNilpotentError
-from jtcalc.fields import GF
+from jtcalc.fields import GF, SUPPORTED_PRIMES
 from jtcalc.jordan import all_types_of_dim
 from jtcalc.modules import DirectSum, Dual, Ext, Std, Sym, Tensor, Trivial, Twist, parse_module_expr
 from jtcalc.strata import builtin_chart, parse_chart, tabulate_jt, verify_closed_stratum
@@ -191,3 +192,16 @@ def test_sampling_failure_and_bad_arguments_raise_alike():
     for c, field, opts in cases:
         batched, pointwise = both(tabulate_jt, c, e, field, **opts)
         assert batched == pointwise and batched[0] is ChartError
+
+
+@pytest.mark.parametrize("p", SUPPORTED_PRIMES)
+def test_bulk_draws_are_randrange_draws(p):
+    # sampled sweeps draw their parameters in bulk; the values and the
+    # generator state afterwards must be those of one randrange(p) per value
+    for seed in (0, 1, 7):
+        for count in (0, 1, 3, 1000, 4097):
+            bulk, single = random.Random(seed), random.Random(seed)
+            draws = batch._randrange(bulk, p, count)
+            assert draws.dtype == "int8"
+            assert draws.tolist() == [single.randrange(p) for _ in range(count)]
+            assert bulk.getstate() == single.getstate()

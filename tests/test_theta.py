@@ -18,6 +18,7 @@ from jtcalc.strata import (
 )
 from jtcalc.theta import (
     CommutingTuple,
+    _one_param,
     conjugate_tuple,
     ga_curve_element,
     homotopy_theta,
@@ -72,6 +73,14 @@ def test_one_param_examples():
     t = ring2.t()
     expected = ExactMatrix.from_rows(ring2, [[ring2.one(), t**3], [ring2.zero(), ring2.one()]])
     assert one_param(tup2).g == expected
+
+
+def test_one_param_without_inverse():
+    tup = CommutingTuple.gl([E3, E3.scalar_mul(F3.from_int(2))])
+    pair = _one_param(tup, with_inv=False)
+    assert pair.g == one_param(tup).g
+    assert pair.g_inv is None
+    assert _one_param(tup, with_inv=True) == one_param(tup)
 
 
 def test_theta_full_examples():
