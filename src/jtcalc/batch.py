@@ -1,5 +1,6 @@
 """
-Batched GF(p) evaluation of chart sweeps.
+Batched evaluation of the universal operator on integer numpy stacks:
+GF(p) chart sweeps, and the operator along a curve over GF(q)[s].
 
 A sweep of a `gl` chart over GF(p) evaluates the universal operator at
 every accepted point.  Here that pipeline runs on integer numpy stacks, one
@@ -25,6 +26,13 @@ Points, validation errors and Jordan types come out in the order and with
 the messages of the pointwise path (`enumerate_points`, `CommutingTuple`,
 `jt_at_point`), which covers every other field, chart kind and module and
 is the reference the tests compare against.
+
+Along a curve (`curve_operator`) the same series and module walker run on
+a second coefficient ring, `_Polys`: each coefficient is an (S, m, m, n)
+stack of the GF(p^n) coordinates of a polynomial in the curve parameter s.
+Products convolve along s, and a twist Tw(i) stretches s by p^i as well as
+t and maps the coordinates by Frobenius.  Explicit leaves act through a
+stack form of `eval_ga_point` and `texp_element`.
 """
 
 from __future__ import annotations
@@ -39,6 +47,7 @@ import numpy as np
 from .errors import ChartError, JTCalcError, NotNilpotentError
 from .fields import FiniteField
 from .jordan import RankProfile, jt_from_rank_profile
+from .linalg import _convolve, _px_trim, _regular
 from .modules import (
     DirectSum,
     Dual,
@@ -52,7 +61,7 @@ from .modules import (
     _contains_dual,
     power_maps,
 )
-from .theta import KIND_GL, by_variant
+from .theta import KIND_GL, KIND_MULTI_GA, by_variant
 
 # int64 cells per (P, rows, cols) stack of a chunk: bounds a sweep's memory
 # whatever its number of points.
@@ -201,7 +210,8 @@ class _Sweep:
         if budget <= 0:
             raise ChartError("budget must be positive")
         for values in self._accepted(budget, seed, samples):
-            _validate(self.tuples(values), self.p)
+            mats = self.tuples(values)
+            _validate(_Pointwise(self.p, len(mats)), [mats[:, s] for s in range(mats.shape[1])])
             yield values
 
     def tuples(self, values):
@@ -245,55 +255,9 @@ class _Sweep:
         return out
 
     def _operator(self, mats):
-        p, r = self.p, mats.shape[1]
-        if by_variant(self.variant, True, False):
-            top = p ** (r - 1)
-            series = _Series(p, top)
-            pair = None
-            for s in range(r):
-                factor = _texp(mats[:, s], p, top, p**s)
-                if pair is None:
-                    pair = factor
-                else:
-                    g_inv = series.mul(factor[1], pair[1]) if self.with_inv else None
-                    pair = (series.mul(pair[0], factor[0]), g_inv)
-            return series.coefficient(self._module(series, pair)[0], top)
-        total = 0
-        for s in range(r):
-            top = p ** (r - 1 - s)
-            series = _Series(p, top)
-            g = self._module(series, _texp(mats[:, s], p, top, 1))[0]
-            total = total + series.coefficient(g, top)
-        return total % p
-
-    def _module(self, series, pair):
-        """The module tree on a (g, g^-1) pair of series; g^-1 is carried only for Dual."""
-        pair = list(pair[: 1 + self.with_inv])
-        size = pair[0][0].shape[1]
-        count = len(pair[0][0])
-
-        def walk(node):
-            if isinstance(node, Std):
-                if node.n != size:
-                    raise JTCalcError(f"Std({node.n}) does not match group element size {size}")
-                return pair
-            if isinstance(node, Trivial):
-                ident = {0: np.broadcast_to(np.eye(node.d, dtype=np.int64), (count, node.d, node.d))}
-                return [ident] * len(pair)
-            if isinstance(node, Dual):
-                g, g_inv = walk(node.inner)
-                return [series.transpose(g_inv), series.transpose(g)]
-            if isinstance(node, Tensor):
-                return [series.kron(a, b) for a, b in zip(walk(node.left), walk(node.right))]
-            if isinstance(node, DirectSum):
-                return [series.block_diag(a, b) for a, b in zip(walk(node.left), walk(node.right))]
-            if isinstance(node, (Sym, Ext)):
-                return [series.power(a, node.d, isinstance(node, Ext)) for a in walk(node.inner)]
-            if isinstance(node, Twist):
-                return [series.twist(a, node.i) for a in walk(node.inner)]
-            raise JTCalcError(f"unknown module node {node!r}")
-
-        return walk(self.e)
+        ring = _Pointwise(self.p, len(mats))
+        return _gl_operator(ring, [mats[:, s] for s in range(mats.shape[1])], self.e, self.variant,
+                            self.with_inv)
 
 
 def _randrange(rng, p, count):
@@ -336,14 +300,14 @@ def _power_dim(n, d, ext):
     return comb(n, d) if ext else comb(n + d - 1, d)
 
 
-def _validate(mats, p):
-    """Raise what `CommutingTuple` raises for the first invalid tuple of the block."""
-    r = mats.shape[1]
-    failed = [_mpow(mats[:, s], p, p).any(axis=(1, 2)) for s in range(r)]
+def _validate(ring, mats):
+    """Raise what `CommutingTuple` raises for the first invalid tuple of the stacks mats[s]."""
+    p, r = ring.p, len(mats)
+    failed = [ring.nonzero(_mpow(ring, m, p)) for m in mats]
     reports = [f"matrix {s} is not {p}-nilpotent" for s in range(r)]
     for i, j in itertools.combinations(range(r), 2):
-        a, b = mats[:, i], mats[:, j]
-        failed.append(((a @ b - b @ a) % p).any(axis=(1, 2)))
+        a, b = mats[i], mats[j]
+        failed.append(ring.nonzero(ring.reduce(ring.matmul(a, b) - ring.matmul(b, a))))
         reports.append(f"matrices {i} and {j} do not commute")
     failed = np.array(failed)
     if failed.any():
@@ -351,94 +315,226 @@ def _validate(mats, p):
         raise NotNilpotentError(reports[int(failed[:, point].argmax())])
 
 
-# -- series in t with (P, rows, cols) coefficient stacks ------------------------------
+# -- coefficient rings: what a series in t holds at each degree ------------------------
 
 
-def _texp(b, p, top, step):
-    """exp(t^step B) and exp(-t^step B): the terms t^(i step) B^i / i!, i < p, up to t^top."""
-    size = b.shape[1]
-    power = np.broadcast_to(np.eye(size, dtype=np.int64), b.shape)
-    g, g_inv = {}, {}
-    fact = 1
-    for i in range(p):
-        if i * step > top:
-            break
-        if i:
-            power = power @ b % p
-            fact = fact * i % p
-        term = power * pow(fact, p - 2, p) % p
-        g[i * step] = term
-        g_inv[i * step] = term if i % 2 == 0 else -term % p
-    return g, g_inv
+class _Pointwise:
+    """GF(p) values at a stack of points: (P, rows, cols) stacks, products point by point."""
+
+    def __init__(self, p, count):
+        self.p = p
+        self.count = count
+
+    matmul = staticmethod(np.matmul)
+
+    @staticmethod
+    def kron(a, b):
+        count, ra, ca = a.shape
+        rb, cb = b.shape[1:]
+        return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(count, ra * rb, ca * cb)
+
+    @staticmethod
+    def outer_columns(x, y):
+        """Column-wise tensor products: out[:, i*n + v, c] = x[:, i, c] * y[:, v, c]."""
+        count, rx, c = x.shape
+        return (x[:, :, None, :] * y[:, None, :, :]).reshape(count, rx * y.shape[1], c)
+
+    @staticmethod
+    def lmul(mu, m):
+        return mu @ m
+
+    @staticmethod
+    def add(a, b, into=False):
+        """a + b; with `into`, b is added into a, a fresh array of the caller's."""
+        if into:
+            a += b
+            return a
+        return a + b
+
+    def reduce(self, m):
+        return m % self.p
+
+    @staticmethod
+    def frobenius(m, i):
+        # x^p = x on GF(p)
+        return m
+
+    def identity(self, d):
+        return np.broadcast_to(np.eye(d, dtype=np.int64), (self.count, d, d))
+
+    @staticmethod
+    def nonzero(m):
+        return m.any(axis=(1, 2))
 
 
-def _kron(a, b):
-    count, ra, ca = a.shape
-    rb, cb = b.shape[1:]
-    return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(count, ra * rb, ca * cb)
+class _Polys:
+    """Polynomials over GF(q), q = p^n, in a curve parameter s.
+
+    A matrix is an (S, rows, cols, n) stack: the GF(p^n) coordinates of its
+    s^0, ..., s^(S-1) coefficients, reduced mod p; `reduce` also drops
+    trailing zero coefficients, keeping one.  This is the layout of the
+    GF(p)[x] kernel in `linalg` with a coordinate axis added, and every
+    product is its convolution along the s axis (`linalg._convolve`).
+    Over GF(p^n) the right factor enters through its regular representation
+    (`linalg._regular`), so the field's modulus reduces the coordinates;
+    n = 1 is the same code with a 1 x 1 regular representation.
+    """
+
+    def __init__(self, field):
+        self.field = field
+        self.p = field.p
+        self.n = field.n
+
+    def _reg(self, b):
+        """out[..., a, c]: coordinate c of x^a times each entry of b."""
+        return b[..., None] if self.n == 1 else _regular(self.field, b)
+
+    def matmul(self, a, b):
+        sa, r, k, n = a.shape
+        sb, c = len(b), b.shape[2]
+        breg = self._reg(b).transpose(0, 1, 3, 2, 4).reshape(sb, k * n, c * n)
+        return _convolve(a.reshape(sa, r, k * n), breg).reshape(sa + sb - 1, r, c, n)
+
+    def kron(self, a, b):
+        sa, ra, ca, n = a.shape
+        sb, rb, cb = b.shape[:3]
+        breg = self._reg(b).transpose(0, 3, 1, 2, 4).reshape(sb, n, rb * cb * n)
+        out = _convolve(a.reshape(sa, ra * ca, n), breg).reshape(sa + sb - 1, ra, ca, rb, cb, n)
+        return out.transpose(0, 1, 3, 2, 4, 5).reshape(sa + sb - 1, ra * rb, ca * cb, n)
+
+    def outer_columns(self, x, y):
+        """Column-wise tensor products: out[:, i*n + v, c] = x[:, i, c] * y[:, v, c]."""
+        sa, rx, c, n = x.shape
+        sb, ry = y.shape[:2]
+        yreg = self._reg(y).transpose(0, 2, 3, 1, 4).reshape(sb, c, n, ry * n)
+        out = _convolve(x.transpose(0, 2, 1, 3), yreg).reshape(sa + sb - 1, c, rx, ry, n)
+        return out.transpose(0, 2, 3, 1, 4).reshape(sa + sb - 1, rx * ry, c, n)
+
+    @staticmethod
+    def lmul(mu, m):
+        s, k, c, n = m.shape
+        return (mu @ m.reshape(s, k, c * n)).reshape(s, len(mu), c, n)
+
+    @staticmethod
+    def add(a, b, into=False):
+        """a + b; with `into`, b is added into a, a fresh array of the caller's, where a is
+        as long as b."""
+        if len(a) < len(b):
+            a, b, into = b, a, False
+        out = a if into else a.copy()
+        out[:len(b)] += b
+        return out
+
+    def reduce(self, m):
+        return _px_trim(m % self.p)
+
+    def frobenius(self, m, i):
+        """Coefficientwise x -> x^(p^i): s is stretched to s^(p^i) and GF(p^n) coordinates map by Frobenius."""
+        if i == 0:
+            return m
+        q = self.p**i
+        out = np.zeros(((len(m) - 1) * q + 1,) + m.shape[1:], dtype=np.int64)
+        out[::q] = m if self.n == 1 else m @ _frobenius_power(self.field, i).T % self.p
+        return out
+
+    def identity(self, d):
+        out = np.zeros((1, d, d, self.n), dtype=np.int64)
+        out[0, :, :, 0] = np.eye(d, dtype=np.int64)
+        return out
+
+    @staticmethod
+    def nonzero(m):
+        return np.array([m.any()])
+
+
+@lru_cache(maxsize=None)
+def _frobenius_power(field, i):
+    out = np.eye(field.n, dtype=np.int64)
+    for _ in range(i % field.n):
+        out = field.frobenius_matrix @ out % field.p
+    out.setflags(write=False)
+    return out
+
+
+# -- series in t over a coefficient ring --------------------------------------------------
 
 
 class _Series:
-    """Polynomials in t with (P, rows, cols) coefficient stacks, mod (p, t^(top+1)).
+    """Polynomials in t with coefficient stacks of a ring, mod t^(top+1).
 
-    A series is a dict {degree: stack}; degree 0 is always present.
+    A series is a dict {degree: stack}; degree 0 is present in every series
+    a module node returns.
     """
 
-    def __init__(self, p, top):
-        self.p = p
+    def __init__(self, ring, top):
+        self.ring = ring
+        self.p = ring.p
         self.top = top
 
     def _convolve(self, a, b, product):
+        ring = self.ring
         out = {}
         for da, ma in a.items():
             for db, mb in b.items():
                 d = da + db
                 if d <= self.top:
                     term = product(ma, mb)
-                    if d in out:
-                        out[d] += term
-                    else:
-                        out[d] = term
-        return {d: m % self.p for d, m in out.items()}
+                    out[d] = ring.add(out[d], term, into=True) if d in out else term
+        return {d: ring.reduce(m) for d, m in out.items()}
 
     def mul(self, a, b):
-        return self._convolve(a, b, np.matmul)
+        return self._convolve(a, b, self.ring.matmul)
 
     def kron(self, a, b):
-        return self._convolve(a, b, _kron)
+        return self._convolve(a, b, self.ring.kron)
 
-    def transpose(self, a):
-        return {d: m.transpose(0, 2, 1) for d, m in a.items()}
+    def add(self, a, b):
+        out = dict(a)
+        for d, m in b.items():
+            out[d] = self.ring.reduce(self.ring.add(out[d], m)) if d in out else m
+        return out
+
+    def neg(self, a):
+        return {d: -m % self.p for d, m in a.items()}
+
+    @staticmethod
+    def transpose(a):
+        return {d: np.swapaxes(m, 1, 2) for d, m in a.items()}
 
     def twist(self, a, i):
+        """The Frobenius twist: t -> t^(p^i), and coefficients to their p^i-th powers."""
         q = self.p**i
-        return {d * q: m for d, m in a.items() if d * q <= self.top}
+        return {d * q: self.ring.frobenius(m, i) for d, m in a.items() if d * q <= self.top}
 
-    def block_diag(self, a, b):
-        count, ra, ca = a[0].shape
-        rb, cb = b[0].shape[1:]
+    @staticmethod
+    def block_diag(a, b):
+        ra, ca = a[0].shape[1:3]
+        rb, cb = b[0].shape[1:3]
         out = {}
         for d in sorted(set(a) | set(b)):
-            m = np.zeros((count, ra + rb, ca + cb), dtype=np.int64)
-            if d in a:
-                m[:, :ra, :ca] = a[d]
-            if d in b:
-                m[:, ra:, ca:] = b[d]
+            ma, mb = a.get(d), b.get(d)
+            lead = max(len(x) for x in (ma, mb) if x is not None)
+            m = np.zeros((lead, ra + rb, ca + cb) + a[0].shape[3:], dtype=np.int64)
+            if ma is not None:
+                m[:len(ma), :ra, :ca] = ma
+            if mb is not None:
+                m[:len(mb), ra:, ca:] = mb
             out[d] = m
         return out
 
     def power(self, a, d, ext):
         """Sym^d (or Ext^d) of a series of square stacks, by the recurrence in d."""
+        ring = self.ring
         if d == 0:
-            return {0: np.ones((len(a[0]), 1, 1), dtype=np.int64)}
+            return {0: ring.identity(1)}
         n = a[0].shape[1]
         out = a
         for k in range(2, d + 1):
             mu, cols, vecs = power_maps(n, k, ext)
             left = {e: m[:, :, cols] for e, m in out.items()}
             right = {e: m[:, :, vecs] for e, m in a.items()}
-            pairs = self._convolve(left, right, _outer_columns)
-            out = {e: mu @ m % self.p for e, m in pairs.items()}
+            pairs = self._convolve(left, right, ring.outer_columns)
+            out = {e: ring.reduce(ring.lmul(mu, m)) for e, m in pairs.items()}
         return out
 
     @staticmethod
@@ -447,10 +543,172 @@ class _Series:
         return np.zeros_like(a[0]) if m is None else m
 
 
-def _outer_columns(x, y):
-    """Column-wise tensor products: out[:, i*n + v, c] = x[:, i, c] * y[:, v, c]."""
-    count, rx, c = x.shape
-    return (x[:, :, None, :] * y[:, None, :, :]).reshape(count, rx * y.shape[1], c)
+def _texp(ring, b, top, step, with_inv):
+    """[exp(t^step B)], with exp(-t^step B) when with_inv: the terms t^(i step) B^i / i!, i < p, up to t^top."""
+    p = ring.p
+    power = ring.identity(b.shape[1])
+    g, g_inv = {}, {}
+    fact = 1
+    for i in range(p):
+        if i * step > top:
+            break
+        if i:
+            power = ring.reduce(ring.matmul(power, b))
+            fact = fact * i % p
+        term = power * pow(fact, p - 2, p) % p
+        g[i * step] = term
+        if with_inv:
+            g_inv[i * step] = term if i % 2 == 0 else -term % p
+    return [g, g_inv] if with_inv else [g]
+
+
+def _scalar_texp(series, c, terms, with_inv):
+    """[exp(c alpha)], with exp(-c alpha) when with_inv, for a scalar series c without constant term.
+
+    terms[i] is alpha^i / i! (i < p) as a constant stack; as `texp_element`.
+    """
+    g = {0: terms[0]}
+    g_inv = {0: terms[0]}
+    cpow = None
+    for i in range(1, len(terms)):
+        cpow = c if cpow is None else series.mul(cpow, c)
+        if not cpow:
+            break
+        term = series.kron(cpow, {0: terms[i]})
+        g = series.add(g, term)
+        if with_inv:
+            g_inv = series.add(g_inv, term if i % 2 == 0 else series.neg(term))
+    return [g, g_inv] if with_inv else [g]
+
+
+def _pair_mul(series, left, right):
+    """(g h, h^-1 g^-1) of two [g] or [g, g^-1] pairs."""
+    out = [series.mul(left[0], right[0])]
+    if len(left) > 1:
+        out.append(series.mul(right[1], left[1]))
+    return out
+
+
+def _module(series, e, pair, leaves=None):
+    """The module tree on a [g] or [g, g^-1] pair of series; g^-1 is carried only for Dual.
+
+    Std leaves take `pair`, Explicit leaves their own pair from `leaves`.
+    """
+    ring = series.ring
+    width = len(pair) if pair is not None else len(next(iter(leaves.values())))
+
+    def walk(node):
+        if isinstance(node, Std):
+            size = pair[0][0].shape[1]
+            if node.n != size:
+                raise JTCalcError(f"Std({node.n}) does not match group element size {size}")
+            return pair
+        if isinstance(node, Explicit):
+            return leaves[node]
+        if isinstance(node, Trivial):
+            return [{0: ring.identity(node.d)}] * width
+        if isinstance(node, Dual):
+            g, g_inv = walk(node.inner)
+            return [series.transpose(g_inv), series.transpose(g)]
+        if isinstance(node, Tensor):
+            return [series.kron(a, b) for a, b in zip(walk(node.left), walk(node.right))]
+        if isinstance(node, DirectSum):
+            return [series.block_diag(a, b) for a, b in zip(walk(node.left), walk(node.right))]
+        if isinstance(node, (Sym, Ext)):
+            return [series.power(a, node.d, isinstance(node, Ext)) for a in walk(node.inner)]
+        if isinstance(node, Twist):
+            return [series.twist(a, node.i) for a in walk(node.inner)]
+        raise JTCalcError(f"unknown module node {node!r}")
+
+    return walk(e)
+
+
+def _gl_operator(ring, mats, e, variant, with_inv):
+    """The variant's operator at the tuple of stacks mats[s], as `theta_full` / `theta_exp` build it.
+
+    The full operator is the t^(p^(r-1)) coefficient of e on
+    prod_s exp(t^(p^s) B_s); the exponential one sums the t^(p^(r-1-s))
+    coefficients of e on exp(t B_s).
+    """
+    p, r = ring.p, len(mats)
+    if by_variant(variant, True, False):
+        top = p ** (r - 1)
+        series = _Series(ring, top)
+        pair = None
+        for s, b in enumerate(mats):
+            factor = _texp(ring, b, top, p**s, with_inv)
+            pair = factor if pair is None else _pair_mul(series, pair, factor)
+        return series.coefficient(_module(series, e, pair)[0], top)
+    total = None
+    for s, b in enumerate(mats):
+        top = p ** (r - 1 - s)
+        series = _Series(ring, top)
+        term = series.coefficient(_module(series, e, _texp(ring, b, top, 1, with_inv))[0], top)
+        total = term if total is None else ring.add(total, term)
+    return ring.reduce(total)
+
+
+# -- operators along a curve ------------------------------------------------------------
+
+
+def curve_operator(ring, kind, e, variant, mats):
+    """The variant's operator along a curve as a `_Polys` stack (S, m, m, n) of s-coefficients.
+
+    mats holds the tuple along the curve, one `_Polys` stack per matrix
+    (1 x 1 for the additive kinds); the module's pairing with the kind is
+    checked by the caller.  This is `theta_variant` over GF(q)[s], term for
+    term: a `gl` tuple goes through `_gl_operator`; Explicit leaves act
+    through `eval_ga_point` (`ga`: c = sum_s a_s t^(p^s), and a_s t alone
+    for factor s of the exponential operator) or through the product of
+    exp(t a_i alpha_i) (`multi_ga`, t^p = 0, both variants).
+    """
+    with_inv = _contains_dual(e)
+    if kind == KIND_GL:
+        return _gl_operator(ring, mats, e, variant, with_inv)
+    leaves = {leaf: _explicit_terms(leaf, ring.field) for leaf in e.leaves() if isinstance(leaf, Explicit)}
+    if not leaves:
+        raise JTCalcError("module evaluation needs a group element or additive point")
+    p, r = ring.p, len(mats)
+    if kind == KIND_MULTI_GA:
+        parts = [(1, None)]
+    elif by_variant(variant, True, False):
+        parts = [(p ** (r - 1), {p**s: a for s, a in enumerate(mats) if a.any()})]
+    else:
+        parts = [(p ** (r - 1 - s), {1: a}) for s, a in enumerate(mats)]
+    total = None
+    for top, c in parts:
+        series = _Series(ring, top)
+        # leaf matrix j goes with t a_j on multi_ga, with c^(p^j) on ga
+        scalars = [{1: a} for a in mats] if c is None else [series.twist(c, j) for j in range(r)]
+        pairs = {}
+        for leaf, powers in leaves.items():
+            pair = None
+            for c_j, terms in zip(scalars, powers):
+                factor = _scalar_texp(series, c_j, terms, with_inv)
+                pair = factor if pair is None else _pair_mul(series, pair, factor)
+            pairs[leaf] = pair
+        term = series.coefficient(_module(series, e, None, pairs)[0], top)
+        total = term if total is None else ring.add(total, term)
+    return ring.reduce(total)
+
+
+@lru_cache(maxsize=64)
+def _explicit_terms(leaf, field):
+    """alpha^i / i! (i < p) for each action matrix alpha of the leaf, as constant `_Polys` stacks."""
+    ring = _Polys(field)
+    p = ring.p
+    out = []
+    for alpha in leaf.matrices:
+        alpha = alpha.embed_into(field)._data[None]
+        power = ring.identity(alpha.shape[1])
+        terms = [power]
+        fact = 1
+        for i in range(1, p):
+            power = ring.reduce(ring.matmul(power, alpha))
+            fact = fact * i % p
+            terms.append(power * pow(fact, p - 2, p) % p)
+        out.append(tuple(terms))
+    return tuple(out)
 
 
 # -- rank profiles ----------------------------------------------------------------------
@@ -463,14 +721,14 @@ def _inverses(p):
     return inv
 
 
-def _mpow(a, k, p):
+def _mpow(ring, a, k):
     result = None
     while k:
         if k & 1:
-            result = a if result is None else result @ a % p
+            result = a if result is None else ring.reduce(ring.matmul(result, a))
         k >>= 1
         if k:
-            a = a @ a % p
+            a = ring.reduce(ring.matmul(a, a))
     return result
 
 

@@ -31,6 +31,7 @@ takes the powers and ranks of polynomial operators along a curve.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -299,35 +300,73 @@ def _det_subset_dp(domain, entries, rows, cols):
 
 # -- dense GF(p)[x] kernel ---------------------------------------------------------
 #
-# A matrix over GF(p)[x] is an int64 stack of shape (rows, cols, L): entry
-# (i, j) is the coefficient vector of its polynomial, padded with zeros to the
-# common length L.  Coefficients are kept below p and reduced once per
-# product, which is exact in int64 for any realistic length (Dumas, Giorgi &
-# Pernet, FFLAS/FFPACK, ACM TOMS 2008).  Over GF(p^n), n > 1, a matrix is
-# stacked as its (rows*n) x (cols*n) GF(p)[x] regular representation;
-# GF(p^n)(x) is a degree-n extension of GF(p)(x), so ranks divide by n.
+# A matrix over GF(p)[x] is an int64 stack of shape (L, rows, cols): slice k
+# holds the x^k coefficients of the entries, padded with zeros to the common
+# length L.  Coefficients are kept below p and reduced once per product, which
+# is exact in int64 for any realistic length (Dumas, Giorgi & Pernet,
+# FFLAS/FFPACK, ACM TOMS 2008).  Over GF(p^n), n > 1, a matrix is stacked as
+# its (rows*n) x (cols*n) GF(p)[x] regular representation; GF(p^n)(x) is a
+# degree-n extension of GF(p)(x), so ranks divide by n.  The operator along a
+# curve (`batch._Polys`) keeps the same leading coefficient axis, with the
+# GF(p^n) coordinates on a last axis, and multiplies through `_convolve` too.
 
 
 def _px_trim(M):
-    """Drop the trailing coefficient columns that are zero in every entry (keeping one)."""
-    nz = M.reshape(-1, M.shape[-1]).any(axis=0).nonzero()[0]
-    return M[..., :nz[-1] + 1 if nz.size else 1]
+    """Drop the trailing coefficients that are zero in every entry (keeping one)."""
+    nz = M.any(axis=tuple(range(1, M.ndim))).nonzero()[0]
+    return M[:nz[-1] + 1 if nz.size else 1]
+
+
+def _skew_sum(prod):
+    """out[k] = sum of prod[i, j] over i + j = k: the convolution of two coefficient sequences.
+
+    Row i of prod is written into a buffer row one longer than the result,
+    so reading the buffer back with the result's row length shifts row i by i.
+    """
+    sa, sb = prod.shape[:2]
+    if sa == 1:
+        return prod[0]
+    if sb == 1:
+        return prod[:, 0]
+    rest = prod.shape[2:]
+    width = sa + sb - 1
+    buf = np.zeros((sa, width + 1) + rest, dtype=np.int64)
+    buf[:, :sb] = prod
+    return buf.reshape((sa * (width + 1),) + rest)[: sa * width].reshape((sa, width) + rest).sum(axis=0)
+
+
+# int64 cells of the broadcast product of one block of `_convolve`: bounds its
+# memory whatever the lengths of its factors.  On the semicontinuity answers
+# of the `loci` bench, bounds up to 2^14 cells leave the peak RSS of a pass
+# where it is, while 2^15 raises it by 0.6 MB and 2^16 by 1.9 MB; the time
+# does not move measurably between 2^11 and 2^16.
+_PAIR_CELLS = 1 << 13
+
+
+def _convolve(A, B):
+    """Unreduced product of two polynomials with matrix coefficients: out[k] = sum of
+    A[i] @ B[j] over i + j = k.
+
+    A is (la, ..., r, k) and B is (lb, ..., k, c), with the same batch axes.
+    A block of A's coefficients is multiplied with all of B's in one
+    broadcast integer product of at most `_PAIR_CELLS` cells (one
+    coefficient of A at least), and its pairs are summed along anti-diagonals.
+    """
+    la, lb = len(A), len(B)
+    cells = lb * math.prod(A.shape[1:-1]) * B.shape[-1]
+    step = max(1, _PAIR_CELLS // max(cells, 1))
+    if step >= la:
+        return _skew_sum(A[:, None] @ B[None])
+    out = np.zeros((la + lb - 1,) + A.shape[1:-1] + B.shape[-1:], dtype=np.int64)
+    for start in range(0, la, step):
+        part = _skew_sum(A[start:start + step, None] @ B[None])
+        out[start:start + len(part)] += part
+    return out
 
 
 def _px_mmul(A, B, p):
-    """Product of (r, k, la) and (k, c, lb) stacks: one integer product per coefficient of
-    the shorter factor."""
-    if B.shape[2] < A.shape[2]:
-        return _px_mmul(B.transpose(1, 0, 2), A.transpose(1, 0, 2), p).transpose(1, 0, 2)
-    r, k, la = A.shape
-    c, lb = B.shape[1], B.shape[2]
-    out = np.zeros((r, c, la + lb - 1), dtype=np.int64)
-    Bf = B.reshape(k, c * lb)
-    for s in range(la):
-        As = A[:, :, s]
-        if As.any():
-            out[:, :, s:s + lb] += (As @ Bf).reshape(r, c, lb)
-    return _px_trim(out % p)
+    """Product of (la, r, k) and (lb, k, c) stacks."""
+    return _px_trim(_convolve(A, B) % p)
 
 
 def _px_series_inverse(b, length, p):
@@ -351,22 +390,22 @@ def _px_exact_div(num, den, p):
     leading coefficient of den, so rev(q) is rev_L(num) times the power-series
     inverse of rev(den), modulo x^(L - d): one product with a Toeplitz matrix.
     """
-    d = den.shape[0] - 1
-    if num.shape[-1] <= d:
-        num = np.pad(num, [(0, 0)] * (num.ndim - 1) + [(0, d + 1 - num.shape[-1])])
-    k = num.shape[-1] - d
+    d = len(den) - 1
+    if len(num) <= d:
+        num = np.pad(num, [(0, d + 1 - len(num))] + [(0, 0)] * (num.ndim - 1))
+    k = len(num) - d
     inv = _px_series_inverse(den[::-1], k, p)
-    lag = np.arange(k)[None, :] - np.arange(k)[:, None]
+    lag = np.arange(k)[:, None] - np.arange(k)[None, :]
     toeplitz = np.where(lag >= 0, inv[lag % k], 0)
-    quot = (num[..., ::-1][..., :k] @ toeplitz % p)[..., ::-1]
-    back = _px_mmul(den[None, None, :], quot.reshape(1, -1, k), p).reshape(num.shape[:-1] + (-1,))
+    quot = (toeplitz @ num[::-1][:k].reshape(k, -1) % p)[::-1].reshape((k,) + num.shape[1:])
+    back = _px_mmul(den[:, None, None], quot.reshape(k, 1, -1), p).reshape((-1,) + num.shape[1:])
     if not np.array_equal(back, _px_trim(num)):
         raise JTCalcError("fraction-free elimination lost exactness")
     return quot
 
 
 def _px_rank(M, p):
-    """Rank over GF(p)(x) of a (rows, cols, L) GF(p)[x] stack by fraction-free (Bareiss) elimination.
+    """Rank over GF(p)(x) of an (L, rows, cols) GF(p)[x] stack by fraction-free (Bareiss) elimination.
 
     The pivot is the first nonzero entry of the first nonzero column.  Only
     the block below and right of it is kept; its entries become
@@ -377,25 +416,24 @@ def _px_rank(M, p):
     prev = None
     rank = 0
     while M.size:
-        nonzero = M.any(axis=2)
+        nonzero = M.any(axis=0)
         cols = nonzero.any(axis=0).nonzero()[0]
         if not cols.size:
             break
         col = int(cols[0])
         piv = int(nonzero[:, col].nonzero()[0][0])
-        pivot = _px_trim(M[piv, col])
+        pivot = _px_trim(M[:, piv, col])
         rank += 1
-        rest = np.delete(M, piv, axis=0)
-        block = rest[:, col + 1:]
+        rest = np.delete(M, piv, axis=1)
+        block = rest[:, :, col + 1:]
         if not block.size:
             break
-        r, c, length = block.shape
-        scaled = _px_mmul(pivot[None, None, :], block.reshape(1, r * c, length), p).reshape(r, c, -1)
-        cross = _px_mmul(rest[:, col, None, :], M[piv, None, col + 1:], p)
-        width = max(scaled.shape[-1], cross.shape[-1])
-        num = np.zeros((r, c, width), dtype=np.int64)
-        num[..., :scaled.shape[-1]] += scaled
-        num[..., :cross.shape[-1]] -= cross
+        length, r, c = block.shape
+        scaled = _px_mmul(pivot[:, None, None], block.reshape(length, 1, r * c), p).reshape(-1, r, c)
+        cross = _px_mmul(rest[:, :, col, None], M[:, piv, None, col + 1:], p)
+        num = np.zeros((max(len(scaled), len(cross)), r, c), dtype=np.int64)
+        num[:len(scaled)] += scaled
+        num[:len(cross)] -= cross
         num = _px_trim(num % p)
         M = num if prev is None else _px_trim(_px_exact_div(num, prev, p))
         prev = pivot
@@ -404,19 +442,25 @@ def _px_rank(M, p):
 
 def _px_stack(field, rows):
     """GF(p)[x] stack of a GF(p^n)[x] matrix given as rows of {exponent: FFElement} maps."""
-    n = field.n
     nr, nc = len(rows), len(rows[0]) if rows else 0
     length = 1 + max((e for row in rows for entry in row for e in entry), default=0)
-    data = np.zeros((nr, nc, length, n), dtype=np.int64)
+    data = np.zeros((length, nr, nc, field.n), dtype=np.int64)
     for i, row in enumerate(rows):
         for j, entry in enumerate(row):
             for e, v in entry.items():
-                data[i, j, e] = field.embed(v).coeffs
-    if n == 1:
+                data[e, i, j] = field.embed(v).coeffs
+    return _px_of_coefficients(field, data)
+
+
+def _px_of_coefficients(field, data):
+    """GF(p)[x] stack of a GF(p^n)[x] matrix given as an (L, rows, cols, n) array:
+    the coordinates of its x^0, ..., x^(L-1) coefficients."""
+    if field.n == 1:
         return data[..., 0]
+    length, nr, nc, n = data.shape
     # row (i, c), column (j, a): coefficient c of entry(i, j) * x^a, as in _regular_matrix
     reg = _regular(field, data) % field.p
-    return reg.transpose(0, 4, 1, 3, 2).reshape(nr * n, nc * n, length)
+    return reg.transpose(0, 1, 4, 2, 3).reshape(length, nr * n, nc * n)
 
 
 class _PolyMatrix:
@@ -436,11 +480,9 @@ class _PolyMatrix:
         self._data = data
 
     @staticmethod
-    def of_univariate(matrix):
-        """The matrix over a univariate `PolyRing` (coefficients GF(p^n)) as a stack."""
-        field = matrix.domain.field
-        rows = [[{e[0]: c for e, c in v.terms.items()} for v in row] for row in matrix._obj_rows()]
-        return _PolyMatrix(matrix.rows, matrix.cols, field.n, field.p, _px_stack(field, rows))
+    def of_coefficients(field, data):
+        """The matrix over GF(p^n)[x] whose x^k coefficient has the coordinates data[k]."""
+        return _PolyMatrix(data.shape[1], data.shape[2], field.n, field.p, _px_of_coefficients(field, data))
 
     def is_zero(self):
         return not self._data.any()

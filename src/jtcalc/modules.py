@@ -271,7 +271,7 @@ def validate_commuting_tuple(matrices, p):
 # -- truncated exponentials ----------------------------------------------------
 
 
-def texp_matrix(b, ring, check=None):
+def texp_matrix(b, ring, check=None, with_inv=True):
     """Truncated exponential  sum_{i<p} t^i B^i / i!  with its inverse (t -> -t).
 
     By default B^p = 0 and g * g_inv = 1 are checked over finite fields.  For
@@ -280,6 +280,8 @@ def texp_matrix(b, ring, check=None):
     every evaluated point.  `one_param` and the exponential variant pass
     check=False for a tuple that `CommutingTuple` already validated over a
     finite field, since B^p = 0 was checked there and implies g * g_inv = 1.
+    With with_inv=False the inverse is not built (g_inv is None), and only
+    B^p = 0 is checked, which implies the other.
     """
     p = ring.p
     base = b.domain
@@ -287,8 +289,7 @@ def texp_matrix(b, ring, check=None):
         check = isinstance(base, FiniteField)
     if check and not b.pow(p).is_zero():
         raise NotNilpotentError("truncated exponential needs a p-nilpotent matrix")
-    coeffs_pos = {}
-    coeffs_neg = {}
+    coeffs = {}
     power = ExactMatrix.identity(base, b.rows)
     fact = 1
     for i in range(p):
@@ -296,13 +297,13 @@ def texp_matrix(b, ring, check=None):
             power = power @ b
             fact = fact * i
         term = power.scalar_mul(base.inv_int(fact))
-        if term.is_zero():
-            continue
-        coeffs_pos[i] = term
-        coeffs_neg[i] = term if i % 2 == 0 else -term
-    g = _matrix_from_tcoeffs(ring, b.rows, coeffs_pos)
-    ginv = _matrix_from_tcoeffs(ring, b.rows, coeffs_neg)
-    return UnipotentPair(g, ginv, checked=check)
+        if not term.is_zero():
+            coeffs[i] = term
+    g = _matrix_from_tcoeffs(ring, b.rows, coeffs)
+    if not with_inv:
+        return UnipotentPair(g, None, checked=False)
+    neg = {i: term if i % 2 == 0 else -term for i, term in coeffs.items()}
+    return UnipotentPair(g, _matrix_from_tcoeffs(ring, b.rows, neg), checked=check)
 
 
 def _matrix_from_tcoeffs(ring, size, coeffs):

@@ -19,17 +19,18 @@ from functools import cached_property, partial
 import numpy as np
 
 from . import batch
-from .errors import CapExceededError, ChartError, JTCalcError, NotNilpotentError, ParseError
+from .errors import CapExceededError, ChartError, JTCalcError, ParseError
 from .fields import FiniteField, GF, PolyRing
-from .jordan import dominance_leq, jt_rank
+from .jordan import dominance_leq, jt_of_nilpotent, jt_rank
 from .linalg import ExactMatrix, _PolyMatrix
-from .modules import validate_commuting_tuple
 from .parsing import parse_field_spec, parse_polynomial
 from .theta import (
     KIND_GA,
     KIND_GL,
     KIND_MULTI_GA,
     CommutingTuple,
+    _check_pairing,
+    by_variant,
     homotopy_theta,
     jt_at_point,
     scale_tuple,
@@ -58,6 +59,10 @@ class _CompiledPolys:
         )
         self.monomials = tuple(tuple((v, k) for v, k in enumerate(exps) if k) for exps in monomials)
         self.p = p
+        self.matrix = np.zeros((len(self.rows), len(monomials)), dtype=np.int64)
+        for j, row in enumerate(self.rows):
+            for i, c in row:
+                self.matrix[j, i] = c
 
     def at_ints(self, values):
         """Values mod p at a point of GF(p) ints."""
@@ -87,6 +92,23 @@ class _CompiledPolys:
                 acc = [a + c * b for a, b in zip(acc, mono[i])]
             out.extend(a % p for a in acc)
         return out
+
+    def at_stacks(self, ring, values):
+        """Values at a point of polynomials in one variable over GF(p^n), given as
+        `batch._Polys` stacks (S, 1, 1, n): an (len(polys), S, n) array of coefficients."""
+        mono = []
+        for factors in self.monomials:
+            m = None
+            for v, k in factors:
+                for _ in range(k):
+                    m = values[v] if m is None else ring.reduce(ring.matmul(m, values[v]))
+            mono.append(ring.identity(1) if m is None else m)
+        length = max((len(m) for m in mono), default=1)
+        table = np.zeros((len(mono), length, ring.n), dtype=np.int64)
+        for i, m in enumerate(mono):
+            table[i, :len(m)] = m[:, 0, 0]
+        flat = self.matrix @ table.reshape(len(mono), length * ring.n) % self.p
+        return flat.reshape(len(self.rows), length, ring.n)
 
 
 @dataclass(frozen=True)
@@ -166,22 +188,6 @@ class Chart:
             return CommutingTuple(KIND_GL, self.ring, self.r, self.size, self.templates, False)
         scalars = [t.entry(0, 0) for t in self.templates]
         return CommutingTuple._scalar_tuple(self.kind, scalars, self.ring)
-
-    def generic_tuple(self, substitution):
-        """Tuple over a one-variable polynomial ring via a curve substitution."""
-        values = [substitution[v] for v in self.params]
-        ring1 = values[0].ring
-        mats = []
-        for tmpl in self.templates:
-            rows = [
-                [tmpl.entry(i, j).evaluate_in(ring1, values) for j in range(tmpl.cols)]
-                for i in range(tmpl.rows)
-            ]
-            mats.append(ExactMatrix.from_rows(ring1, rows))
-        if self.kind == KIND_GL:
-            return CommutingTuple(KIND_GL, ring1, self.r, self.size, tuple(mats), False)
-        scalars = [m.entry(0, 0) for m in mats]
-        return CommutingTuple._scalar_tuple(self.kind, scalars, ring1)
 
     def to_text(self):
         lines = [
@@ -562,22 +568,65 @@ def verify_closed_stratum(chart, e, a, field, variant="full",
 
 @dataclass(frozen=True)
 class Curve:
-    """A 1-parameter family inside a chart: each parameter becomes a polynomial in t."""
+    """A 1-parameter family inside a chart: each parameter becomes a polynomial in t.
+
+    The chart's compiled templates and constraints are substituted on
+    integer GF(q)[t] coefficient stacks (`batch._Polys`): the constraints
+    once, here, and the templates when the curve is first checked.
+    """
 
     chart: Chart
     substitution: dict
     label: str = "curve"
 
     def __post_init__(self):
-        ring1 = None
         for v in self.chart.params:
             if v not in self.substitution:
                 raise ChartError(f"curve misses a value for parameter {v!r}")
-            ring1 = self.substitution[v].ring
-        values = [self.substitution[v] for v in self.chart.params]
-        for c in self.chart.constraints:
-            if not c.evaluate_in(ring1, values).is_zero():
-                raise ChartError("curve violates a chart constraint identically in t")
+            if len(self.substitution[v].ring.variables) != 1:
+                raise ChartError(f"the value for parameter {v!r} is not a polynomial in one variable")
+        if self._substitute(self.chart._compiled_constraints).any():
+            raise ChartError("curve violates a chart constraint identically in t")
+
+    @property
+    def field(self):
+        return self.substitution[self.chart.params[0]].ring.field
+
+    @property
+    def _ring(self):
+        return batch._Polys(self.field)
+
+    def _substitute(self, compiled):
+        """The compiled polynomials along the curve; nothing is kept, since a set-up may build
+        many curves it does not check."""
+        field, ring = self.field, self._ring
+        stacks = []
+        for v in self.chart.params:
+            poly = self.substitution[v]
+            data = np.zeros((max(poly.degree(), 0) + 1, 1, 1, field.n), dtype=np.int64)
+            for (e,), c in poly.terms.items():
+                data[e, 0, 0] = field.embed(c).coeffs
+            stacks.append(ring.reduce(data))
+        return compiled.at_stacks(ring, stacks)
+
+    @cached_property
+    def tuple_stacks(self):
+        """The tuple along the curve: one `batch._Polys` stack (S, N, N, n) per matrix, 1 x 1 for
+        the additive kinds."""
+        chart, ring = self.chart, self._ring
+        flat = self._substitute(chart._compiled_templates)
+        mats = flat.reshape(chart.r, chart.size, chart.size, flat.shape[1], ring.n)
+        if chart.kind != KIND_GL:
+            mats = mats[:, :1, :1]
+        return [ring.reduce(m.transpose(2, 0, 1, 3)) for m in mats]
+
+    def operator(self, e, variant):
+        """The variant's operator along the curve: an (S, m, m, n) stack of the coordinates of its
+        t^0, ..., t^(S-1) coefficients (`batch.curve_operator`)."""
+        chart = self.chart
+        by_variant(variant, None, None)
+        _check_pairing(e, chart.kind, chart.p, chart.r)
+        return batch.curve_operator(self._ring, chart.kind, e, variant, self.tuple_stacks)
 
     def special_values(self, field):
         zero = [field.zero()]
@@ -609,27 +658,22 @@ class SemicontReport:
 
 
 def semicontinuity_check(curve, e, variant="full"):
-    """JT at the special point t=0 must lie below JT at the generic point of the curve."""
-    from .jordan import jt_of_nilpotent
+    """JT at the special point t=0 must lie below JT at the generic point of the curve.
 
-    chart = curve.chart
-    generic_tup = chart.generic_tuple(curve.substitution)
-    theta = theta_variant(e, generic_tup, variant)
-    ring1 = generic_tup.domain
-    # the generic point's type: ranks over GF(q)(t) of the polynomial operator's powers
-    generic_jt = jt_of_nilpotent(_PolyMatrix.of_univariate(theta.matrix), chart.p)
+    The operator is evaluated once along the curve, as a stack of its
+    GF(q)[t] coefficients (`Curve.operator`).  The generic type is
+    read from the ranks of its powers over GF(q)(t); the special type is the
+    type of its t^0 coefficient, since t -> 0 is a ring map.
+    """
+    chart, field = curve.chart, curve.field
+    op = curve.operator(e, variant)
+    generic_jt = jt_of_nilpotent(_PolyMatrix.of_coefficients(field, op), chart.p)
     if chart.kind == KIND_GL:
         # as CommutingTuple requires of a point, identically in t
-        mats = [_PolyMatrix.of_univariate(m) for m in generic_tup.mats]
-        report = validate_commuting_tuple(mats, chart.p)
-        if report is not None:
-            raise NotNilpotentError(report)
-
-    field = ring1.field
-    special_vals = curve.special_values(field)
-    special_tup = chart.tuple_at(special_vals)
-    special_jt = jt_at_point(e, special_tup, variant)
-
+        batch._validate(curve._ring, curve.tuple_stacks)
+    # the special operator's p-th power vanishes, and its tuple is a point,
+    # because the generic ones are
+    special_jt = jt_of_nilpotent(ExactMatrix.from_coords(field, op[0]), chart.p)
     ok = dominance_leq(special_jt, generic_jt)
     return SemicontReport(curve.label, variant, generic_jt.to_text(), special_jt.to_text(), ok)
 

@@ -169,20 +169,21 @@ def _explicit_leaves(e):
     return [leaf for leaf in e.leaves() if isinstance(leaf, Explicit)]
 
 
-def _check_compat(e, tup):
+def _check_pairing(e, kind, p, height):
+    """Raise unless the module's leaves pair with points of this kind, characteristic and height."""
     expl = _explicit_leaves(e)
-    if tup.kind == KIND_GL:
+    if kind == KIND_GL:
         if expl:
             raise JTCalcError("Explicit modules pair with additive points, not matrix tuples")
         return
     if _has_std(e):
         raise JTCalcError("Std leaves pair with matrix tuples, not additive points")
     for leaf in expl:
-        if leaf.field.p != tup.p:
+        if leaf.field.p != p:
             raise DomainMismatchError("module characteristic differs from tuple field")
-        if leaf.height != tup.height:
+        if leaf.height != height:
             raise JTCalcError(
-                f"Explicit module of height {leaf.height} used with a {tup.height}-parameter point"
+                f"Explicit module of height {leaf.height} used with a {height}-parameter point"
             )
 
 
@@ -210,7 +211,7 @@ def _one_param(tup, with_inv):
     check = _texp_check(tup)
     pair = None
     for s, b in enumerate(tup.mats):
-        factor = texp_matrix(b, ring, check)
+        factor = texp_matrix(b, ring, check, with_inv)
         g_inv = factor.g_inv.subs_power(tup.p**s) if with_inv else None
         twisted = UnipotentPair(factor.g.subs_power(tup.p**s), g_inv, checked=False)
         pair = twisted if pair is None else pair * twisted
@@ -254,7 +255,8 @@ def _rho_factor(e, tup, s):
     """Module evaluated on exp(t B_s) alone (untwisted)."""
     ring = _trunc_ring(tup)
     if tup.kind == KIND_GL:
-        return eval_unipotent(e, texp_matrix(tup.mats[s], ring, _texp_check(tup)))
+        # g^-1 is read only by Dual nodes
+        return eval_unipotent(e, texp_matrix(tup.mats[s], ring, _texp_check(tup), _contains_dual(e)))
     if tup.kind == KIND_GA:
         a = tup.scalars()[s]
         c = TruncElement(ring, {1: a})
@@ -294,7 +296,7 @@ def theta_full(e, tup):
 
 
 def _theta_full(e, tup, check=None):
-    _check_compat(e, tup)
+    _check_pairing(e, tup.kind, tup.p, tup.height)
     if tup.kind == KIND_MULTI_GA:
         return _theta_multi(e, tup, "full", check)
     rho = _rho_full(e, tup)
@@ -308,7 +310,7 @@ def theta_exp(e, tup):
 
 
 def _theta_exp(e, tup, check=None):
-    _check_compat(e, tup)
+    _check_pairing(e, tup.kind, tup.p, tup.height)
     if tup.kind == KIND_MULTI_GA:
         return _theta_multi(e, tup, "exp", check)
     r = tup.height
