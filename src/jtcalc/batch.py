@@ -1,6 +1,8 @@
 """
-Batched evaluation of the universal operator on integer numpy stacks:
-GF(p) chart sweeps, and the operator along a curve over GF(q)[s].
+Evaluation of the universal operator on integer numpy stacks: GF(p) chart
+sweeps, single finite-field points, and the operator along a curve over
+GF(q)[s].  This is the one finite-field evaluator; `modules.eval_unipotent`
+is left for symbolic domains.
 
 A sweep of a `gl` chart over GF(p) evaluates the universal operator at
 every accepted point.  Here that pipeline runs on integer numpy stacks, one
@@ -23,7 +25,7 @@ chunk of points at a time:
 * rank profiles come from batched GF(p) elimination with a pivot per matrix.
 
 Points, validation errors and Jordan types come out in the order and with
-the messages of the pointwise path (`enumerate_points`, `CommutingTuple`,
+the messages of the pointwise sweep (`enumerate_points`, `CommutingTuple`,
 `jt_at_point`), which covers every other field, chart kind and module and
 is the reference the tests compare against.
 
@@ -33,6 +35,11 @@ stack of the GF(p^n) coordinates of a polynomial in the curve parameter s.
 Products convolve along s, and a twist Tw(i) stretches s by p^i as well as
 t and maps the coordinates by Frobenius.  Explicit leaves act through a
 stack form of `eval_ga_point` and `texp_element`.
+
+A single finite-field point (`theta`) runs on the same code: a `gl` point
+over GF(p) as a P = 1 `_Pointwise` stack through `_gl_operator`, every
+other point as a constant curve, S = 1 `_Polys` stacks through
+`curve_operator`.  `CommutingTuple` validates through `_validate`.
 """
 
 from __future__ import annotations
@@ -61,11 +68,26 @@ from .modules import (
     _contains_dual,
     power_maps,
 )
-from .theta import KIND_GL, KIND_MULTI_GA, by_variant
+
+KIND_GL = "gl"
+KIND_GA = "ga"
+KIND_MULTI_GA = "multi_ga"
 
 # int64 cells per (P, rows, cols) stack of a chunk: bounds a sweep's memory
 # whatever its number of points.
 CHUNK_CELLS = 1 << 16
+
+
+def by_variant(variant, full, exp):
+    """`full` when variant is "full", `exp` when it is "exp"; any other variant is an error.
+
+    The one place that decides which operator a variant names.
+    """
+    if variant == "full":
+        return full
+    if variant == "exp":
+        return exp
+    raise JTCalcError(f"unknown operator variant {variant!r}: expected 'full' or 'exp'")
 
 
 def supports(chart, e, field):
@@ -301,11 +323,22 @@ def _power_dim(n, d, ext):
 
 
 def _validate(ring, mats):
-    """Raise what `CommutingTuple` raises for the first invalid tuple of the stacks mats[s]."""
+    """Raise what `CommutingTuple` raises for the first invalid tuple of the stacks mats[s].
+
+    The reports come in the order of `modules.validate_commuting_tuple`: per
+    matrix, a shape other than the first matrix's square, then a nonzero
+    p-th power; then every pair that does not commute.
+    """
     p, r = ring.p, len(mats)
-    failed = [ring.nonzero(_mpow(ring, m, p)) for m in mats]
-    reports = [f"matrix {s} is not {p}-nilpotent" for s in range(r)]
-    for i, j in itertools.combinations(range(r), 2):
+    size = mats[0].shape[1]
+    square = next((s for s, m in enumerate(mats) if m.shape[1:3] != (size, size)), r)
+    failed = [ring.nonzero(_mpow(ring, m, p)) for m in mats[:square]]
+    reports = [f"matrix {s} is not {p}-nilpotent" for s in range(square)]
+    if square < r:
+        # fails at every point, so no later report can come first
+        failed.append(np.ones_like(failed[0]))
+        reports.append(f"matrix {square} is not square of size {size}")
+    for i, j in itertools.combinations(range(square), 2):
         a, b = mats[i], mats[j]
         failed.append(ring.nonzero(ring.reduce(ring.matmul(a, b) - ring.matmul(b, a))))
         reports.append(f"matrices {i} and {j} do not commute")
@@ -656,10 +689,12 @@ def curve_operator(ring, kind, e, variant, mats):
 
     mats holds the tuple along the curve, one `_Polys` stack per matrix
     (1 x 1 for the additive kinds); the module's pairing with the kind is
-    checked by the caller.  This is `theta_variant` over GF(q)[s], term for
-    term: a `gl` tuple goes through `_gl_operator`; Explicit leaves act
-    through `eval_ga_point` (`ga`: c = sum_s a_s t^(p^s), and a_s t alone
-    for factor s of the exponential operator) or through the product of
+    checked by the caller.  A constant curve (S = 1) is a single point; a
+    `gl` point may also come as `_Pointwise` stacks, giving a (P, m, m)
+    stack.  This is `theta_variant` over GF(q)[s], term for term: a `gl`
+    tuple goes through `_gl_operator`; Explicit leaves act through
+    `eval_ga_point` (`ga`: c = sum_s a_s t^(p^s), and a_s t alone for
+    factor s of the exponential operator) or through the product of
     exp(t a_i alpha_i) (`multi_ga`, t^p = 0, both variants).
     """
     with_inv = _contains_dual(e)

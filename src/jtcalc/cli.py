@@ -32,6 +32,7 @@ from .strata import (
     builtin_curves,
     curve_from_coeffs,
     parse_chart,
+    parse_curve_coeffs,
     rank_locus_minors,
     semicontinuity_check,
     tabulate_jt,
@@ -349,14 +350,8 @@ def _cmd_semicont(args, out):
     module = _resolve_module(args)
     curves = []
     if getattr(args, "curve_file", None):
-        coeffs = {}
         with open(args.curve_file) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                key, _, vals = line.partition("=")
-                coeffs[key.strip()] = [int(v) for v in vals.split(",")]
+            coeffs = parse_curve_coeffs(fh.read(), chart)
         curves.append(curve_from_coeffs(chart, field, coeffs, label=args.curve_file))
     else:
         if args.seed is None:

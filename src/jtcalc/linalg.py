@@ -1,15 +1,16 @@
 """
 Dense exact matrices over the coefficient domains of `fields`.
 
-Three storage layouts sit behind one facade:
+Two storage layouts sit behind one facade:
 
 * finite-field matrices are numpy int arrays of shape (rows, cols, n),
   carrying GF(p^n) coordinates, with vectorized mod-p kernels;
-* matrices over a truncated curve ring with finite-field base are stored
-  as a sparse map  t-exponent -> coefficient matrix  (the hot layout for
-  one-parameter subgroups);
-* everything else (polynomial rings, function fields, nested truncations)
-  is a plain tuple-of-tuples of ring elements.
+* everything else (polynomial rings, function fields, truncated curve
+  rings) is a plain tuple-of-tuples of ring elements.
+
+The universal operator at a finite-field point is built on integer stacks
+by `batch`, not on these matrices; it arrives here as a finite-field
+matrix for its rank profile.
 
 Over GF(p) the kernels are plain integer numpy products reduced mod p.
 Over GF(p^n), n > 1, products, Kronecker products (full or column-paired)
@@ -41,7 +42,6 @@ from .fields import (
     FiniteField,
     RationalFunctionField,
     TruncatedCurveRing,
-    TruncElement,
     _up_divmod,
     _up_mul,
     _up_trim,
@@ -49,7 +49,6 @@ from .fields import (
 )
 
 _FF = "ff"
-_TPOLY = "tpoly"
 _OBJ = "obj"
 
 
@@ -196,20 +195,6 @@ def _ff_rref(field, M):
     R, pivots = _gfp_rref(_regular_matrix(field, M), field.p, full=True)
     R = R.reshape(rows, n, cols, n)[:, :, :, 0].transpose(0, 2, 1)
     return R, [c // n for c in pivots[::n]]
-
-
-def _tpoly_convolve(ring, A, B, product):
-    """Product of two t-exponent -> coefficient maps, truncated at t^q; `product` pairs coefficients."""
-    acc = {}
-    for e1, m1 in A.items():
-        for e2, m2 in B.items():
-            e = e1 + e2
-            if e >= ring.q:
-                continue
-            prod = product(ring.base, m1, m2)
-            cur = acc.get(e)
-            acc[e] = prod if cur is None else (cur + prod) % ring.base.p
-    return {e: _freeze(m) for e, m in acc.items() if m.any()}
 
 
 # -- generic object-entry kernels -------------------------------------------
@@ -537,30 +522,14 @@ class ExactMatrix:
                         v = domain.embed(v)
                     data[i, j] = v.coeffs
             return ExactMatrix(domain, nr, nc, _FF, _freeze(data))
-        if isinstance(domain, TruncatedCurveRing) and isinstance(domain.base, FiniteField):
-            coeffs = {}
-            base = domain.base
-            for i, row in enumerate(rows):
-                for j, v in enumerate(row):
-                    if isinstance(v, int):
-                        v = domain.constant(v)
-                    if isinstance(v, FFElement):
-                        v = domain.constant(v)
-                    for e, c in v.coeffs.items():
-                        mat = coeffs.get(e)
-                        if mat is None:
-                            mat = np.zeros((nr, nc, base.n), dtype=np.int64)
-                            coeffs[e] = mat
-                        mat[i, j] = base.embed(c).coeffs
-            return ExactMatrix(
-                domain, nr, nc, _TPOLY, {e: _freeze(m) for e, m in coeffs.items() if m.any()}
-            )
         norm = []
         for row in rows:
             out = []
             for v in row:
                 if isinstance(v, int):
                     v = domain.embed_int(v)
+                elif isinstance(v, FFElement) and isinstance(domain, TruncatedCurveRing):
+                    v = domain.constant(v)
                 out.append(v)
             norm.append(tuple(out))
         return ExactMatrix(domain, nr, nc, _OBJ, tuple(norm))
@@ -574,8 +543,6 @@ class ExactMatrix:
     def zeros(domain, rows, cols):
         if isinstance(domain, FiniteField):
             return ExactMatrix(domain, rows, cols, _FF, _freeze(np.zeros((rows, cols, domain.n))))
-        if isinstance(domain, TruncatedCurveRing) and isinstance(domain.base, FiniteField):
-            return ExactMatrix(domain, rows, cols, _TPOLY, {})
         z = domain.zero()
         return ExactMatrix(domain, rows, cols, _OBJ, tuple(tuple(z for _ in range(cols)) for _ in range(rows)))
 
@@ -587,23 +554,11 @@ class ExactMatrix:
             for i in range(n):
                 data[i, i] = one
             return ExactMatrix(domain, n, n, _FF, _freeze(data))
-        if isinstance(domain, TruncatedCurveRing) and isinstance(domain.base, FiniteField):
-            return ExactMatrix(domain, n, n, _TPOLY, {0: ExactMatrix.identity(domain.base, n)._data})
         one, zero = domain.one(), domain.zero()
         return ExactMatrix(
             domain, n, n, _OBJ,
             tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n)),
         )
-
-    @staticmethod
-    def from_tcoeffs(ring, rows, cols, coeff_map):
-        """Build a truncated-ring matrix from {t-exponent: base-field ExactMatrix}."""
-        data = {}
-        for e, m in coeff_map.items():
-            if e >= ring.q or not m._data.any():
-                continue
-            data[e] = m._data
-        return ExactMatrix(ring, rows, cols, _TPOLY, data)
 
     # -- entry access ----------------------------------------------------------
 
@@ -614,12 +569,6 @@ class ExactMatrix:
     def entry(self, i, j):
         if self._backend == _FF:
             return FFElement(self.domain, tuple(int(v) for v in self._data[i, j]))
-        if self._backend == _TPOLY:
-            base = self.domain.base
-            return TruncElement(
-                self.domain,
-                {e: FFElement(base, tuple(int(v) for v in m[i, j])) for e, m in self._data.items()},
-            )
         return self._data[i][j]
 
     def to_rows(self):
@@ -644,17 +593,6 @@ class ExactMatrix:
         if self._backend == _FF and other._backend == _FF:
             return ExactMatrix(self.domain, self.rows, self.cols, _FF,
                                _freeze((self._data + other._data) % self.domain.p))
-        if self._backend == _TPOLY and other._backend == _TPOLY:
-            out = dict(self._data)
-            p = self.domain.base.p
-            for e, m in other._data.items():
-                cur = out.get(e)
-                nm = m if cur is None else (cur + m) % p
-                if nm.any():
-                    out[e] = _freeze(nm)
-                elif e in out:
-                    del out[e]
-            return ExactMatrix(self.domain, self.rows, self.cols, _TPOLY, out)
         a, b = self._obj_rows(), other._obj_rows()
         return ExactMatrix(self.domain, self.rows, self.cols, _OBJ,
                            tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b)))
@@ -663,10 +601,6 @@ class ExactMatrix:
         if self._backend == _FF:
             return ExactMatrix(self.domain, self.rows, self.cols, _FF,
                                _freeze((-self._data) % self.domain.p))
-        if self._backend == _TPOLY:
-            p = self.domain.base.p
-            return ExactMatrix(self.domain, self.rows, self.cols, _TPOLY,
-                               {e: _freeze((-m) % p) for e, m in self._data.items()})
         return ExactMatrix(self.domain, self.rows, self.cols, _OBJ,
                            tuple(tuple(-x for x in r) for r in self._obj_rows()))
 
@@ -680,9 +614,6 @@ class ExactMatrix:
         if self._backend == _FF and other._backend == _FF:
             return ExactMatrix(self.domain, self.rows, other.cols, _FF,
                                _freeze(_ff_mmul(self.domain, self._data, other._data)))
-        if self._backend == _TPOLY and other._backend == _TPOLY:
-            return ExactMatrix(self.domain, self.rows, other.cols, _TPOLY,
-                               _tpoly_convolve(self.domain, self._data, other._data, _ff_mmul))
         return ExactMatrix(self.domain, self.rows, other.cols, _OBJ,
                            _obj_mmul(self.domain, self._obj_rows(), other._obj_rows()))
 
@@ -691,24 +622,6 @@ class ExactMatrix:
             s = self.domain.embed(s) if not isinstance(s, int) else self.domain.from_int(s)
             arr = _ff_scalar(self.domain, self._data, np.array(s.coeffs, dtype=np.int64))
             return ExactMatrix(self.domain, self.rows, self.cols, _FF, _freeze(arr))
-        if self._backend == _TPOLY:
-            ring = self.domain
-            base = ring.base
-            if isinstance(s, int):
-                s = ring.constant(s)
-            if isinstance(s, FFElement):
-                s = ring.constant(s)
-            acc = {}
-            for e1, m in self._data.items():
-                for e2, c in s.coeffs.items():
-                    e = e1 + e2
-                    if e >= ring.q:
-                        continue
-                    prod = _ff_scalar(base, m, np.array(base.embed(c).coeffs, dtype=np.int64))
-                    cur = acc.get(e)
-                    acc[e] = prod if cur is None else (cur + prod) % base.p
-            return ExactMatrix(ring, self.rows, self.cols, _TPOLY,
-                               {e: _freeze(m) for e, m in acc.items() if m.any()})
         if isinstance(s, int):
             s = self.domain.embed_int(s)
         return ExactMatrix(self.domain, self.rows, self.cols, _OBJ,
@@ -719,9 +632,6 @@ class ExactMatrix:
         if self._backend == _FF and other._backend == _FF:
             return ExactMatrix(self.domain, self.rows * other.rows, self.cols * other.cols, _FF,
                                _freeze(_ff_kron(self.domain, self._data, other._data)))
-        if self._backend == _TPOLY and other._backend == _TPOLY:
-            return ExactMatrix(self.domain, self.rows * other.rows, self.cols * other.cols, _TPOLY,
-                               _tpoly_convolve(self.domain, self._data, other._data, _ff_kron))
         a, b = self._obj_rows(), other._obj_rows()
         out = []
         for i in range(self.rows):
@@ -744,10 +654,6 @@ class ExactMatrix:
         if self._backend == _FF and other._backend == _FF:
             return ExactMatrix(*head, _FF, _freeze(
                 _ff_column_kron(self.domain, self._data[:, left], other._data[:, right])))
-        if self._backend == _TPOLY and other._backend == _TPOLY:
-            return ExactMatrix(*head, _TPOLY, _tpoly_convolve(
-                self.domain, {e: m[:, left] for e, m in self._data.items()},
-                {e: m[:, right] for e, m in other._data.items()}, _ff_column_kron))
         a, b = self._obj_rows(), other._obj_rows()
         pairs = list(zip(left.tolist(), right.tolist()))
         return ExactMatrix(*head, _OBJ, tuple(
@@ -757,9 +663,6 @@ class ExactMatrix:
         if self._backend == _FF:
             return ExactMatrix(self.domain, self.cols, self.rows, _FF,
                                _freeze(self._data.transpose(1, 0, 2)))
-        if self._backend == _TPOLY:
-            return ExactMatrix(self.domain, self.cols, self.rows, _TPOLY,
-                               {e: _freeze(m.transpose(1, 0, 2)) for e, m in self._data.items()})
         rows = self._obj_rows()
         return ExactMatrix(self.domain, self.cols, self.rows, _OBJ,
                            tuple(tuple(rows[i][j] for i in range(self.rows)) for j in range(self.cols)))
@@ -783,15 +686,6 @@ class ExactMatrix:
         if self._backend == _FF:
             return ExactMatrix(self.domain, self.rows, self.cols, _FF,
                                _freeze(_ff_frob(self.domain, self._data, e)))
-        if self._backend == _TPOLY:
-            ring = self.domain
-            scale = ring.base.p**e
-            out = {}
-            for exp, m in self._data.items():
-                ne = exp * scale
-                if ne < ring.q:
-                    out[ne] = _freeze(_ff_frob(ring.base, m, e))
-            return ExactMatrix(ring, self.rows, self.cols, _TPOLY, out)
         return ExactMatrix(self.domain, self.rows, self.cols, _OBJ,
                            tuple(tuple(x.frobenius(e) for x in r) for r in self._obj_rows()))
 
@@ -801,26 +695,13 @@ class ExactMatrix:
         """Coefficient of t^e, as a matrix over the base domain."""
         if not isinstance(self.domain, TruncatedCurveRing):
             raise JTCalcError("coefficient extraction needs a truncated curve ring")
-        base = self.domain.base
-        if self._backend == _TPOLY:
-            m = self._data.get(e)
-            if m is None:
-                return ExactMatrix.zeros(base, self.rows, self.cols)
-            return ExactMatrix(base, self.rows, self.cols, _FF, m)
         rows = [[self._data[i][j].coeff(e) for j in range(self.cols)] for i in range(self.rows)]
-        return ExactMatrix.from_rows(base, rows)
+        return ExactMatrix.from_rows(self.domain.base, rows)
 
     def subs_power(self, k):
         """Substitute t -> t^k."""
         if not isinstance(self.domain, TruncatedCurveRing):
             raise JTCalcError("substitution needs a truncated curve ring")
-        if self._backend == _TPOLY:
-            out = {}
-            for e, m in self._data.items():
-                ne = e * k
-                if ne < self.domain.q:
-                    out[ne] = m
-            return ExactMatrix(self.domain, self.rows, self.cols, _TPOLY, out)
         return ExactMatrix(self.domain, self.rows, self.cols, _OBJ,
                            tuple(tuple(x.subs_power(k) for x in r) for r in self._obj_rows()))
 
@@ -829,8 +710,6 @@ class ExactMatrix:
     def is_zero(self):
         if self._backend == _FF:
             return not self._data.any()
-        if self._backend == _TPOLY:
-            return not self._data
         return all(x.is_zero() for r in self._obj_rows() for x in r)
 
     def __eq__(self, other):
@@ -840,15 +719,6 @@ class ExactMatrix:
             return False
         if self._backend == _FF and other._backend == _FF:
             return bool((self._data == other._data).all())
-        if self._backend == _TPOLY and other._backend == _TPOLY:
-            keys = set(self._data) | set(other._data)
-            for e in keys:
-                a, b = self._data.get(e), other._data.get(e)
-                if a is None or b is None:
-                    return False
-                if not (a == b).all():
-                    return False
-            return True
         a, b = self._obj_rows(), other._obj_rows()
         return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 

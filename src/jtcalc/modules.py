@@ -271,22 +271,18 @@ def validate_commuting_tuple(matrices, p):
 # -- truncated exponentials ----------------------------------------------------
 
 
-def texp_matrix(b, ring, check=None, with_inv=True):
+def texp_matrix(b, ring, with_inv=True):
     """Truncated exponential  sum_{i<p} t^i B^i / i!  with its inverse (t -> -t).
 
-    By default B^p = 0 and g * g_inv = 1 are checked over finite fields.  For
-    symbolic entries (polynomial coefficients) both checks are skipped: they
-    hold only modulo the chart's constraint ideal and are re-verified at
-    every evaluated point.  `one_param` and the exponential variant pass
-    check=False for a tuple that `CommutingTuple` already validated over a
-    finite field, since B^p = 0 was checked there and implies g * g_inv = 1.
-    With with_inv=False the inverse is not built (g_inv is None), and only
-    B^p = 0 is checked, which implies the other.
+    B^p = 0 and g * g_inv = 1 are checked over finite fields.  For symbolic
+    entries (polynomial coefficients) both checks are skipped: they hold
+    only modulo the chart's constraint ideal and are re-verified at every
+    evaluated point.  With with_inv=False the inverse is not built (g_inv is
+    None), and only B^p = 0 is checked, which implies the other.
     """
     p = ring.p
     base = b.domain
-    if check is None:
-        check = isinstance(base, FiniteField)
+    check = isinstance(base, FiniteField)
     if check and not b.pow(p).is_zero():
         raise NotNilpotentError("truncated exponential needs a p-nilpotent matrix")
     coeffs = {}
@@ -307,8 +303,6 @@ def texp_matrix(b, ring, check=None, with_inv=True):
 
 
 def _matrix_from_tcoeffs(ring, size, coeffs):
-    if isinstance(ring.base, FiniteField):
-        return ExactMatrix.from_tcoeffs(ring, size, size, coeffs)
     rows = []
     for i in range(size):
         row = []
@@ -342,17 +336,10 @@ def texp_element(c, b):
         term_mat = power.scalar_mul(inv)
         if term_mat.is_zero() or cpow.is_zero():
             continue
-        lifted = _lift_to_ring(term_mat, ring).scalar_mul(cpow)
+        lifted = term_mat.map_entries(ring, ring.embed_scalar).scalar_mul(cpow)
         pos = pos + lifted
         neg = neg + (lifted if i % 2 == 0 else -lifted)
     return UnipotentPair(pos, neg, checked=False)
-
-
-def _lift_to_ring(mat, ring):
-    """View a base-field matrix as a constant matrix over the truncated ring."""
-    if isinstance(ring.base, FiniteField):
-        return ExactMatrix.from_tcoeffs(ring, mat.rows, mat.cols, {0: mat})
-    return mat.map_entries(ring, lambda v: ring.embed_scalar(v))
 
 
 def eval_ga_point(e, c):
@@ -662,50 +649,74 @@ def parse_module_expr(text, loader=None):
 
 
 def load_explicit_file(path, label=None):
-    """Read an Explicit module file: field line, size, height, then matrices."""
+    """Read an Explicit module file: field, size and (optional) height lines, then matrices.
+
+    Each matrix follows a `matrix` line, one row of `size` entries a line.  A
+    malformed file raises a `ParseError` naming the line.
+    """
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh]
-    field = None
-    size = None
-    mats = []
-    current = None
-    for lineno, ln in enumerate(lines, start=1):
+        text = fh.read()
+    field = size = height = None
+    blocks = []  # (line of `matrix`, rows)
+    lineno = 0
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        ln = raw.strip()
         if not ln or ln.startswith("#"):
             continue
-        if ln.startswith("field"):
+        head, _, rest = ln.partition(" ")
+        rest = rest.strip()
+        if blocks and head in ("field", "size", "height"):
+            raise ParseError(f"{head} line after the first matrix", line=lineno)
+        if head == "field":
             from .parsing import parse_field_spec
 
-            field = parse_field_spec(ln.split(None, 1)[1])
-        elif ln.startswith("size"):
-            size = int(ln.split()[1])
-        elif ln.startswith("height"):
-            continue
+            try:
+                field = parse_field_spec(rest)
+            except ParseError as exc:
+                raise ParseError(str(exc), line=lineno) from None
+        elif head == "size":
+            size = _header_int(rest, "size", lineno)
+        elif head == "height":
+            height = _header_int(rest, "height", lineno)
         elif ln == "matrix":
-            if current is not None:
-                mats.append(current)
-            current = []
+            blocks.append((lineno, []))
         else:
-            if current is None or field is None or size is None:
+            if not blocks or field is None or size is None:
                 raise ParseError("matrix data before header", line=lineno)
-            entries = []
-            for chunk in ln.split():
-                entries.append(_parse_entry(chunk, field, lineno))
+            entries = [_parse_entry(chunk, field, lineno) for chunk in ln.split()]
             if len(entries) != size:
                 raise ParseError(f"expected {size} entries", line=lineno)
-            current.append(entries)
-    if current is not None:
-        mats.append(current)
-    if field is None or size is None or not mats:
-        raise ParseError("explicit module file missing field/size/matrix sections")
-    matrices = tuple(ExactMatrix.from_rows(field, m) for m in mats)
+            blocks[-1][1].append(entries)
+    if field is None or size is None or not blocks:
+        raise ParseError("explicit module file missing field/size/matrix sections", line=lineno)
+    for k, (start, rows) in enumerate(blocks):
+        if len(rows) != size:
+            raise ParseError(f"matrix {k} has {len(rows)} rows, expected {size}", line=start)
+    if height is not None and height != len(blocks):
+        raise ParseError(f"height {height} but {len(blocks)} matrices", line=blocks[-1][0])
+    matrices = tuple(ExactMatrix.from_rows(field, rows) for _, rows in blocks)
     return Explicit(matrices, label=label or path)
 
 
-def _parse_entry(chunk, field, lineno):
-    if chunk.startswith("(") and chunk.endswith(")"):
-        coeffs = [int(v) for v in chunk[1:-1].split(",")]
-        return field.element(coeffs + [0] * (field.n - len(coeffs)))
+def _header_int(text, what, lineno):
     try:
-        return field.from_int(int(chunk))
+        value = int(text)
     except ValueError:
-        raise ParseError(f"bad matrix entry {chunk!r}", line=lineno)
+        value = 0
+    if value < 1:
+        raise ParseError(f"{what} must be a positive integer, found {text!r}", line=lineno)
+    return value
+
+
+def _parse_entry(chunk, field, lineno):
+    """A matrix entry: an integer, or the GF(p^n) coordinates (c0,c1,...) of one."""
+    try:
+        if chunk.startswith("(") and chunk.endswith(")"):
+            coeffs = [int(v) for v in chunk[1:-1].split(",")]
+            if len(coeffs) <= field.n:
+                return field.element(coeffs + [0] * (field.n - len(coeffs)))
+        else:
+            return field.from_int(int(chunk))
+    except ValueError:
+        pass
+    raise ParseError(f"bad matrix entry {chunk!r}", line=lineno)

@@ -5,8 +5,8 @@ from __future__ import annotations
 
 import re
 
-from .errors import ParseError
-from .fields import GF, SUPPORTED_PRIMES
+from .errors import JTCalcError, ParseError
+from .fields import GF, MAX_EXT_DEGREE, SUPPORTED_PRIMES
 
 _FIELD_RE = re.compile(r"^GF\(\s*(\d+)(?:\s*\^\s*(\d+))?\s*(?:;\s*modulus\s*=\s*([^)]+))?\s*\)$")
 
@@ -17,6 +17,19 @@ def parse_field_spec(text):
     m = _FIELD_RE.match(text)
     if not m:
         raise ParseError(f"bad field spec {text!r}")
+    try:
+        return _field_of_match(m)
+    except ParseError:
+        raise
+    except JTCalcError as exc:
+        # a degree or modulus that GF refuses
+        raise ParseError(str(exc)) from None
+    except ValueError:
+        # an integer too long to convert
+        raise ParseError(f"bad field spec {text!r}") from None
+
+
+def _field_of_match(m):
     base = int(m.group(1))
     n = int(m.group(2)) if m.group(2) else 1
     if m.group(2) is None and base not in SUPPORTED_PRIMES:
@@ -55,7 +68,11 @@ def parse_modulus(text):
         else:
             exp = 0
         coeffs[exp] = coeffs.get(exp, 0) + (-coeff if neg else coeff)
+    if not coeffs:
+        raise ParseError("empty modulus")
     deg = max(coeffs)
+    if deg > MAX_EXT_DEGREE:
+        raise ParseError(f"modulus degree {deg} above {MAX_EXT_DEGREE}")
     return tuple(coeffs.get(i, 0) for i in range(deg + 1))
 
 
@@ -127,7 +144,7 @@ class _PolyParser:
             tok, col = self.next()
             if not tok.isdigit():
                 raise ParseError("exponent must be an integer", column=col)
-            e = e**int(tok)
+            e = e**_int(tok, col)
         return e
 
     def parse_atom(self):
@@ -139,10 +156,18 @@ class _PolyParser:
                 raise ParseError("expected ')'", column=ccol)
             return e
         if tok.isdigit():
-            return self.ring.constant(int(tok))
+            return self.ring.constant(_int(tok, col))
         if tok in self.ring.variables:
             return self.ring.var(tok)
         raise ParseError(f"unknown variable {tok!r}", column=col)
+
+
+def _int(tok, col):
+    try:
+        return int(tok)
+    except ValueError:
+        # int() refuses numbers longer than its digit limit
+        raise ParseError(f"bad integer {tok!r}", column=col) from None
 
 
 def parse_polynomial(ring, text):

@@ -222,6 +222,7 @@ def parse_chart(text):
     template_rows = []
     constraints_text = []
     current = None
+    field_line = r_line = lineno = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         ln = raw.strip()
         if not ln or ln.startswith("#"):
@@ -231,18 +232,20 @@ def parse_chart(text):
         if head == "name":
             name = rest
         elif head == "field":
-            field = _located(parse_field_spec, rest, lineno)
+            field, field_line = _located(parse_field_spec, rest, lineno), lineno
         elif head == "kind":
             if rest not in (KIND_GL, KIND_GA, KIND_MULTI_GA):
                 raise ChartError(f"unknown chart kind {rest!r} (line {lineno})")
             kind = rest
         elif head == "r":
-            r = _chart_int(rest, "r", lineno)
+            r, r_line = _chart_int(rest, "r", lineno), lineno
         elif head == "N":
             size = _chart_int(rest, "N", lineno)
         elif head == "params":
             for chunk in rest.split():
                 v, _, w = chunk.partition(":")
+                if not v or v in params:
+                    raise ChartError(f"parameter name {v!r} is empty or repeated (line {lineno})")
                 params.append(v)
                 weights.append(_chart_int(w, f"the weight of {v}", lineno) if w else 1)
         elif head == "template":
@@ -255,9 +258,9 @@ def parse_chart(text):
                 raise ChartError(f"unexpected line {lineno}: {raw!r}")
             current.append((lineno, ln.split()))
     if field is None or r is None or size is None or not params:
-        raise ChartError("chart config needs field, r, N and params lines")
+        raise ChartError(f"chart config needs field, r, N and params lines (line {lineno})")
     if field.n != 1:
-        raise ChartError("chart template coefficients live over the prime field")
+        raise ChartError(f"chart template coefficients live over the prime field (line {field_line})")
     ring = PolyRing(field, params, weights)
     poly = partial(parse_polynomial, ring)
     templates = []
@@ -267,16 +270,19 @@ def parse_chart(text):
         templates.append(ExactMatrix.from_rows(
             ring, [[_located(poly, cell, lineno) for cell in row] for lineno, row in rows]))
     if len(templates) != r:
-        raise ChartError(f"expected {r} templates, found {len(templates)}")
+        raise ChartError(f"expected {r} templates, found {len(templates)} (line {r_line})")
     constraints = tuple(_located(poly, c, lineno) for lineno, c in constraints_text)
     return Chart(name, kind, field.p, r, size, ring, tuple(templates), constraints)
 
 
 def _chart_int(text, what, lineno):
     try:
-        return int(text)
+        value = int(text)
     except ValueError:
         raise ChartError(f"{what} must be an integer, found {text!r} (line {lineno})") from None
+    if value < 1:
+        raise ChartError(f"{what} must be positive, found {text!r} (line {lineno})")
+    return value
 
 
 def _located(parse, text, lineno):
@@ -452,7 +458,7 @@ def _pointwise_jordan_types(chart, e, field, variant, budget, seed, samples):
 
 
 def tabulate_jt(chart, e, field, variant="full", budget=EXHAUSTIVE_DEFAULT_BUDGET,
-                seed=0, samples=SAMPLE_DEFAULT, max_reps=4, orbit_dedupe=False):
+                seed=0, samples=SAMPLE_DEFAULT, max_reps=4):
     """Group swept points by Jordan type; the zero tuple is reported separately.
 
     The Jordan type is a function on the projectivized P V_r(G): scaling a
@@ -461,9 +467,6 @@ def tabulate_jt(chart, e, field, variant="full", budget=EXHAUSTIVE_DEFAULT_BUDGE
     its type is counted for every swept point of the orbit, in sweep order.
     GF(p) sweeps of `gl` charts run batched (`jtcalc.batch`); every other
     sweep evaluates `jt_at_point` once per orbit.  Both give the same table.
-
-    `orbit_dedupe` is still accepted and has no effect: every sweep is
-    evaluated once per orbit.
     """
     entries = {}
     zero_count = 0
@@ -646,6 +649,30 @@ def curve_from_coeffs(chart, field, coeff_map, label="curve"):
             poly = poly + term
         subs[v] = poly
     return Curve(chart, subs, label)
+
+
+def parse_curve_coeffs(text, chart):
+    """{param: [c0, c1, ...]} from the `param=c0,c1,...` lines of a curve file.
+
+    Every parameter named must be the chart's, once.  Malformed lines raise
+    `ParseError` or `ChartError` naming the line.
+    """
+    coeffs = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, eq, vals = line.partition("=")
+        key = key.strip()
+        if not eq or not key:
+            raise ParseError(f"expected param=c0,c1,..., found {line!r}", line=lineno)
+        if key not in chart.params or key in coeffs:
+            raise ChartError(f"parameter {key!r} is not one of the chart's or is repeated (line {lineno})")
+        try:
+            coeffs[key] = [int(v) for v in vals.split(",")]
+        except ValueError:
+            raise ParseError(f"bad coefficient list {vals.strip()!r}", line=lineno) from None
+    return coeffs
 
 
 @dataclass

@@ -12,12 +12,31 @@ of the module evaluated on the one-parameter group element
 and the exponential variant is the sum over s of the t^(p^(r-1-s))
 coefficient of the module evaluated on exp(t B_s) alone.  At heights 1 and 2
 the two coincide; from height 3 on they differ by higher product terms.
+
+A point over a finite field is evaluated by `batch`'s module walker on
+integer stacks, the code that runs sweeps and curves: a `gl` point over
+GF(p) as a one-point `_Pointwise` stack, every other point as a constant
+curve (one-coefficient `_Polys` stacks of GF(p^n) coordinates).  Its
+validation is the sweep's too.  Symbolic points (polynomial entries, for
+the rank-locus minors) go through `modules.eval_unipotent` on truncated
+curve rings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .batch import (
+    KIND_GA,
+    KIND_GL,
+    KIND_MULTI_GA,
+    _mpow,
+    _Pointwise,
+    _Polys,
+    _validate,
+    by_variant,
+    curve_operator,
+)
 from .errors import DomainMismatchError, JTCalcError, NotNilpotentError
 from .fields import FiniteField, TruncatedCurveRing, TruncElement
 from .jordan import jt_of_nilpotent, jt_power
@@ -32,12 +51,7 @@ from .modules import (
     eval_unipotent,
     texp_element,
     texp_matrix,
-    validate_commuting_tuple,
 )
-
-KIND_GL = "gl"
-KIND_GA = "ga"
-KIND_MULTI_GA = "multi_ga"
 
 
 @dataclass(frozen=True)
@@ -61,9 +75,7 @@ class CommutingTuple:
         if len(self.mats) != self.height:
             raise JTCalcError("tuple length disagrees with height")
         if self.kind == KIND_GL and self.validated and isinstance(self.domain, FiniteField):
-            report = validate_commuting_tuple(list(self.mats), self.domain.p)
-            if report is not None:
-                raise NotNilpotentError(report)
+            _validate(*_stacks(self))
 
     @staticmethod
     def gl(mats, validated=True):
@@ -187,15 +199,33 @@ def _check_pairing(e, kind, p, height):
             )
 
 
-def _embedded_explicit(leaf, field):
-    if not isinstance(field, FiniteField) or leaf.field == field:
-        return leaf.matrices
-    return tuple(m.embed_into(field) for m in leaf.matrices)
+def _stacks(tup):
+    """The coefficient ring that evaluates a finite-field point, and its matrices as stacks of it.
+
+    The field degree and the kind pick the ring: a `gl` point over GF(p) is
+    a P = 1 `_Pointwise` stack, as in a sweep; every other point is a
+    constant curve, S = 1 `_Polys` stacks of GF(p^n) coordinates.
+    """
+    field = tup.domain
+    if any(m.domain != field for m in tup.mats):
+        raise DomainMismatchError("matrix domains differ")
+    if tup.kind == KIND_GL and field.n == 1:
+        return _Pointwise(field.p, 1), [m._data[None, :, :, 0] for m in tup.mats]
+    return _Polys(field), [m._data[None] for m in tup.mats]
 
 
-def _texp_check(tup):
-    """texp_matrix's check flag: a validated finite-field tuple was checked at construction."""
-    return False if tup.validated and isinstance(tup.domain, FiniteField) else None
+def _stack_operator(e, tup, variant):
+    """The variant's operator at a finite-field point, built by `batch.curve_operator`.
+
+    An unvalidated `gl` tuple is checked as `texp_matrix` checks it: every
+    B_s must be p-nilpotent.
+    """
+    ring, mats = _stacks(tup)
+    if tup.kind == KIND_GL and not tup.validated:
+        if any(ring.nonzero(_mpow(ring, m, tup.p)).any() for m in mats):
+            raise NotNilpotentError("truncated exponential needs a p-nilpotent matrix")
+    op = curve_operator(ring, tup.kind, e, variant, mats)[0]
+    return ExactMatrix.from_coords(tup.domain, op if op.ndim == 3 else op[..., None])
 
 
 def one_param(tup):
@@ -208,10 +238,9 @@ def _one_param(tup, with_inv):
     if tup.kind != KIND_GL:
         raise JTCalcError("one_param needs a matrix tuple")
     ring = _trunc_ring(tup)
-    check = _texp_check(tup)
     pair = None
     for s, b in enumerate(tup.mats):
-        factor = texp_matrix(b, ring, check, with_inv)
+        factor = texp_matrix(b, ring, with_inv=with_inv)
         g_inv = factor.g_inv.subs_power(tup.p**s) if with_inv else None
         twisted = UnipotentPair(factor.g.subs_power(tup.p**s), g_inv, checked=False)
         pair = twisted if pair is None else pair * twisted
@@ -229,22 +258,21 @@ def ga_curve_element(tup):
 
 
 def _rho_full(e, tup):
-    """Module evaluated on the full one-parameter group element."""
+    """Module evaluated on the full one-parameter group element, over a symbolic domain."""
     ring = _trunc_ring(tup)
     if tup.kind == KIND_GL:
         # g^-1 is read only by Dual nodes
         return eval_unipotent(e, _one_param(tup, _contains_dual(e)))
     if tup.kind == KIND_GA:
         c = ga_curve_element(tup)
-        pairs = {leaf: eval_ga_point(_as_explicit(leaf, tup), c) for leaf in _explicit_leaves(e)}
+        pairs = {leaf: eval_ga_point(leaf, c) for leaf in _explicit_leaves(e)}
         return eval_unipotent(e, None, pairs)
     # multi_ga: each additive line contributes exp(t a_i alpha_i) on every leaf
     t = ring.t()
     pairs = {}
     for leaf in _explicit_leaves(e):
-        mats = _embedded_explicit(leaf, tup.domain)
         pair = None
-        for a, alpha in zip(tup.scalars(), mats):
+        for a, alpha in zip(tup.scalars(), leaf.matrices):
             factor = texp_element(t * a, alpha)
             pair = factor if pair is None else pair * factor
         pairs[leaf] = pair
@@ -252,29 +280,21 @@ def _rho_full(e, tup):
 
 
 def _rho_factor(e, tup, s):
-    """Module evaluated on exp(t B_s) alone (untwisted)."""
+    """Module evaluated on exp(t B_s) alone (untwisted), over a symbolic domain.
+
+    The action matrices of Explicit leaves stay over their own prime field;
+    truncated exponentials embed their scalars on the fly.
+    """
     ring = _trunc_ring(tup)
     if tup.kind == KIND_GL:
         # g^-1 is read only by Dual nodes
-        return eval_unipotent(e, texp_matrix(tup.mats[s], ring, _texp_check(tup), _contains_dual(e)))
+        return eval_unipotent(e, texp_matrix(tup.mats[s], ring, with_inv=_contains_dual(e)))
     if tup.kind == KIND_GA:
         a = tup.scalars()[s]
         c = TruncElement(ring, {1: a})
-        pairs = {leaf: eval_ga_point(_as_explicit(leaf, tup), c) for leaf in _explicit_leaves(e)}
+        pairs = {leaf: eval_ga_point(leaf, c) for leaf in _explicit_leaves(e)}
         return eval_unipotent(e, None, pairs)
     raise JTCalcError("per-factor evaluation is undefined for multi_ga points")
-
-
-def _as_explicit(leaf, tup):
-    """Re-express the leaf over the point's field when that is an extension.
-
-    Over non-field point domains (symbolic charts, curves) the action
-    matrices stay over their own prime field; truncated exponentials embed
-    their scalars on the fly.
-    """
-    if not isinstance(tup.domain, FiniteField) or leaf.field == tup.domain:
-        return leaf
-    return Explicit(_embedded_explicit(leaf, tup.domain), label=leaf.label)
 
 
 def _finish(e, tup, matrix, variant, check=None):
@@ -297,6 +317,8 @@ def theta_full(e, tup):
 
 def _theta_full(e, tup, check=None):
     _check_pairing(e, tup.kind, tup.p, tup.height)
+    if isinstance(tup.domain, FiniteField):
+        return _finish(e, tup, _stack_operator(e, tup, "full"), "full", check)
     if tup.kind == KIND_MULTI_GA:
         return _theta_multi(e, tup, "full", check)
     rho = _rho_full(e, tup)
@@ -311,6 +333,8 @@ def theta_exp(e, tup):
 
 def _theta_exp(e, tup, check=None):
     _check_pairing(e, tup.kind, tup.p, tup.height)
+    if isinstance(tup.domain, FiniteField):
+        return _finish(e, tup, _stack_operator(e, tup, "exp"), "exp", check)
     if tup.kind == KIND_MULTI_GA:
         return _theta_multi(e, tup, "exp", check)
     r = tup.height
@@ -325,9 +349,7 @@ def _theta_exp(e, tup, check=None):
 def _theta_multi(e, tup, variant, check=None):
     if isinstance(e, Explicit):
         # bare additive module: the t-coefficient is exactly sum_i a_i alpha_i
-        mats = _embedded_explicit(e, tup.domain)
-        if not isinstance(tup.domain, FiniteField):
-            mats = tuple(m.map_entries(tup.domain, tup.domain.embed_scalar) for m in mats)
+        mats = tuple(m.map_entries(tup.domain, tup.domain.embed_scalar) for m in e.matrices)
         total = None
         for a, alpha in zip(tup.scalars(), mats):
             term = alpha.scalar_mul(a)
@@ -344,7 +366,7 @@ def theta_multi_ga(explicit, scalars):
         raise JTCalcError("theta_multi_ga needs an Explicit module")
     if len(scalars) != explicit.height:
         raise JTCalcError("scalar count does not match the number of action matrices")
-    return _theta_multi(explicit, CommutingTuple.multi_ga(scalars, scalars[0].field), "full")
+    return _theta_full(explicit, CommutingTuple.multi_ga(scalars, scalars[0].field))
 
 
 def homotopy_theta(e, tup, s_val, t_val):
@@ -354,18 +376,6 @@ def homotopy_theta(e, tup, s_val, t_val):
     mat = theta_exp(e, tup).matrix.scalar_mul(s_val) + theta_full(e, tup).matrix.scalar_mul(t_val)
     theta = _finish(e, tup, mat, f"homotopy({s_val}:{t_val})")
     return theta
-
-
-def by_variant(variant, full, exp):
-    """`full` when variant is "full", `exp` when it is "exp"; any other variant is an error.
-
-    The one place that decides which operator a variant names.
-    """
-    if variant == "full":
-        return full
-    if variant == "exp":
-        return exp
-    raise JTCalcError(f"unknown operator variant {variant!r}: expected 'full' or 'exp'")
 
 
 def theta_variant(e, tup, variant):

@@ -215,3 +215,50 @@ def test_malformed_chart_files_name_the_line(tmp_path):
         assert "invalid literal" not in err and "Traceback" not in err
     path.write_text(CHART)
     assert run_cli(["strata", "--p", "3", "--chart-file", str(path), "--module", "Std(2)"])[0] == 0
+
+
+EXPLICIT = "field GF(3)\nsize 2\nheight 1\nmatrix\n0 1\n0 0\n"
+
+
+def test_malformed_explicit_files_name_the_line(tmp_path):
+    cases = [
+        (EXPLICIT.replace("field GF(3)", "field"), "bad field spec '' (line 1)"),
+        (EXPLICIT.replace("size 2", "size"), "size must be a positive integer, found '' (line 2)"),
+        (EXPLICIT.replace("size 2", "size two"), "size must be a positive integer, found 'two' (line 2)"),
+        (EXPLICIT.replace("0 1\n", "(1,x) 1\n"), "bad matrix entry '(1,x)' (line 5)"),
+        (EXPLICIT.replace("field GF(3)", "field GF()"), "bad field spec 'GF()' (line 1)"),
+        (EXPLICIT.replace("0 0\n", ""), "matrix 0 has 1 rows, expected 2 (line 4)"),
+        (EXPLICIT.replace("height 1", "height 2"), "height 2 but 1 matrices (line 4)"),
+        (EXPLICIT + "size 3\n", "size line after the first matrix (line 7)"),
+    ]
+    path = tmp_path / "module.txt"
+    for text, message in cases:
+        path.write_text(text)
+        code, _, err = run_cli(["jt", "--p", "3", "--chart", "ga_r", "--module", f"Explicit(file={path})",
+                                "--point", "1"])
+        assert code == 2 and f"parse error: {message}\n" in err, err
+        assert "Traceback" not in err
+    path.write_text(EXPLICIT)
+    assert run_cli(["jt", "--p", "3", "--chart", "ga_r", "--module", f"Explicit(file={path})",
+                    "--point", "1"])[0] == 0
+
+
+def test_malformed_curve_files_name_the_line(tmp_path):
+    cases = [
+        ("a=0,1\nb=\n", "parse error: bad coefficient list '' (line 2)"),
+        ("a=x\n", "parse error: bad coefficient list 'x' (line 1)"),
+        ("a=0,1\n=1\n", "parse error: expected param=c0,c1,..., found '=1' (line 2)"),
+        ("a=0,1\nl0\n", "parse error: expected param=c0,c1,..., found 'l0' (line 2)"),
+        ("z=1\n", "error: parameter 'z' is not one of the chart's or is repeated (line 1)"),
+        ("a=1\na=0,1\n", "error: parameter 'a' is not one of the chart's or is repeated (line 2)"),
+    ]
+    path = tmp_path / "curve.txt"
+    sweep = ["semicont", "--p", "3", "--chart", "sl2_line", "--r", "1", "--module", "Std(2)",
+             "--curve-file", str(path)]
+    for text, message in cases:
+        path.write_text(text)
+        code, _, err = run_cli(sweep)
+        assert code == 2 and f"{message}\n" in err, err
+        assert "invalid literal" not in err and "Traceback" not in err
+    path.write_text("b=0,1\nl0=1\n")
+    assert run_cli(sweep)[0] == 0

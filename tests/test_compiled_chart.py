@@ -187,3 +187,23 @@ def test_gf9_point_report_matches_golden():
     out = _cli("jt", "--field", "GF(9)", "--chart", "sl2_line", "--r", "2",
                "--module", "Sym(2,Std(2))*Tw(1,Std(2))", "--point", "g,1,2g+2,g+1,2", "--format", "jsonl")
     assert out == (GOLDEN / "jt_gf9_point.jsonl").read_text()
+
+
+CHAIN = "Explicit(file=tests/golden/chain3.txt)"
+# single points of every chart kind, the homotopy operator among them
+POINT_GOLDENS = {
+    "jt_ga_r_gf9_point.jsonl": ["--field", "GF(9)", "--chart", "ga_r", "--r", "2",
+                                "--module", f"Sym(2,{CHAIN})*Tw(1,Dual({CHAIN}))", "--point", "2g,g+2"],
+    "jt_multi_ga_gf9_point.jsonl": ["--field", "GF(9)", "--chart", "multi_ga", "--s-lines", "2",
+                                    "--module", f"{CHAIN}*Tw(1,Dual({CHAIN}))", "--point", "0,g"],
+    "jt_sl2_line_gf3_r3_homotopy.jsonl": ["--p", "3", "--chart", "sl2_line", "--r", "3",
+                                          "--module", "Sym(2,Std(2))*Tw(2,Std(2))", "--point", "0,1,0,1,0,0",
+                                          "--variant", "homotopy", "--hs", "1", "--ht", "1"],
+}
+
+
+@pytest.mark.parametrize("golden", sorted(POINT_GOLDENS))
+def test_point_report_matches_golden(golden, monkeypatch):
+    monkeypatch.chdir(GOLDEN.parent.parent)
+    out = _cli("jt", *POINT_GOLDENS[golden], "--format", "jsonl")
+    assert out == (GOLDEN / golden).read_text()

@@ -6,11 +6,19 @@ rejected inputs so that moving a check can never let one through.
 
 import pytest
 
-from jtcalc.errors import NotNilpotentError
+from jtcalc.errors import DomainMismatchError, NotNilpotentError
 from jtcalc.fields import GF, TruncatedCurveRing
 from jtcalc.jordan import jt_of_nilpotent
 from jtcalc.linalg import ExactMatrix
-from jtcalc.modules import Explicit, Std, Tensor, eval_ga_point, parse_module_expr, texp_matrix
+from jtcalc.modules import (
+    Explicit,
+    Std,
+    Tensor,
+    eval_ga_point,
+    parse_module_expr,
+    texp_matrix,
+    validate_commuting_tuple,
+)
 from jtcalc.strata import curve_from_coeffs, parse_chart, semicontinuity_check
 from jtcalc.theta import (
     CommutingTuple,
@@ -33,18 +41,21 @@ E21_2 = ExactMatrix.from_rows(F2, [[0, 0], [1, 0]])
 def _unvalidated_cases():
     bad_matrix = CommutingTuple.gl([DIAG, E12], validated=False)
     bad_operator = CommutingTuple.gl([E12_2, E21_2], validated=False)
+    # entry point -> the variant whose operator check fires first
     entry_points = {
-        "theta_full": theta_full,
-        "theta_exp": theta_exp,
-        "jt_at_point_full": lambda e, t: jt_at_point(e, t, "full"),
-        "jt_at_point_exp": lambda e, t: jt_at_point(e, t, "exp"),
-        "jt_power_at_point": lambda e, t: jt_power_at_point(e, t, "full", 1),
-        "homotopy_theta": lambda e, t: homotopy_theta(e, t, t.domain.one(), t.domain.one()),
+        "theta_full": (theta_full, "full"),
+        "theta_exp": (theta_exp, "exp"),
+        "jt_at_point_full": (lambda e, t: jt_at_point(e, t, "full"), "full"),
+        "jt_at_point_exp": (lambda e, t: jt_at_point(e, t, "exp"), "exp"),
+        "jt_power_at_point": (lambda e, t: jt_power_at_point(e, t, "full", 1), "full"),
+        "homotopy_theta": (lambda e, t: homotopy_theta(e, t, t.domain.one(), t.domain.one()), "exp"),
     }
     cases = []
-    for name, fn in entry_points.items():
-        cases.append(pytest.param(fn, Std(2), bad_matrix, id=f"{name}-matrix"))
-        cases.append(pytest.param(fn, Tensor(Std(2), Std(2)), bad_operator, id=f"{name}-operator"))
+    for name, (fn, variant) in entry_points.items():
+        cases.append(pytest.param(fn, Std(2), bad_matrix, "truncated exponential needs a p-nilpotent matrix",
+                                  id=f"{name}-matrix"))
+        cases.append(pytest.param(fn, Tensor(Std(2), Std(2)), bad_operator,
+                                  f"{variant} operator is not p-nilpotent", id=f"{name}-operator"))
     return cases
 
 
@@ -53,14 +64,44 @@ def test_gl_tuple_rejects_non_nilpotent_matrix():
         CommutingTuple.gl([E12, DIAG])
 
 
+F9 = GF(3, 2)
+# (matrices, field): each tuple fails a different check of `validate_commuting_tuple`, or two
+# checks whose order decides the report
+INVALID_TUPLES = [
+    ([E12, DIAG], F3),
+    ([DIAG, ExactMatrix.zeros(F3, 3, 3)], F3),
+    ([E12, ExactMatrix.zeros(F3, 3, 3)], F3),
+    ([E12, ExactMatrix.zeros(F3, 2, 3)], F3),
+    ([E12_2, E21_2], F2),
+    ([E12_2, E21_2, ExactMatrix.from_rows(F2, [[1, 0], [0, 0]])], F2),
+    ([E12.embed_into(F9), DIAG.embed_into(F9).scalar_mul(F9.gen())], F9),
+    ([E12.embed_into(F9), E12.embed_into(F9).transpose()], F9),
+    ([E12.embed_into(F9), ExactMatrix.zeros(F9, 1, 1)], F9),
+]
+
+
+@pytest.mark.parametrize("mats, field", INVALID_TUPLES)
+def test_gl_tuple_reports_as_validate_commuting_tuple(mats, field):
+    """`CommutingTuple` validates on integer stacks with the report of the object check."""
+    report = validate_commuting_tuple(mats, field.p)
+    assert report is not None
+    with pytest.raises(NotNilpotentError, match=f"^{report}$"):
+        CommutingTuple.gl(mats)
+
+
+def test_gl_tuple_rejects_mixed_fields():
+    with pytest.raises(DomainMismatchError):
+        CommutingTuple.gl([E12, E12.embed_into(F9)])
+
+
 def test_texp_matrix_rejects_non_nilpotent_matrix():
     with pytest.raises(NotNilpotentError):
         texp_matrix(DIAG, TruncatedCurveRing(F3, 1))
 
 
-@pytest.mark.parametrize("fn, module, tup", _unvalidated_cases())
-def test_unvalidated_tuple_is_rejected(fn, module, tup):
-    with pytest.raises(NotNilpotentError):
+@pytest.mark.parametrize("fn, module, tup, message", _unvalidated_cases())
+def test_unvalidated_tuple_is_rejected(fn, module, tup, message):
+    with pytest.raises(NotNilpotentError, match=f"^{message}$"):
         fn(module, tup)
 
 

@@ -201,7 +201,7 @@ def test_dual_path_over_finite_fields(field, n, d, ext, data):
     _check_pair(UnipotentPair(g, g.inverse()), d, ext)
 
 
-# -- truncated-ring matrices (the pointwise hot layout) --------------------------------
+# -- truncated-ring matrices (tuples of ring elements) --------------------------------
 
 
 @settings(max_examples=40, deadline=None)
