@@ -36,10 +36,12 @@ Products convolve along s, and a twist Tw(i) stretches s by p^i as well as
 t and maps the coordinates by Frobenius.  Explicit leaves act through a
 stack form of `eval_ga_point` and `texp_element`.
 
-A single finite-field point (`theta`) runs on the same code: a `gl` point
-over GF(p) as a P = 1 `_Pointwise` stack through `_gl_operator`, every
-other point as a constant curve, S = 1 `_Polys` stacks through
-`curve_operator`.  `CommutingTuple` validates through `_validate`.
+A single finite-field point (`theta`) runs on the same code: every point,
+of every chart kind, is a P = 1 `_Pointwise` stack through
+`curve_operator`.  Over GF(p^n) that ring holds each entry as its n x n
+GF(p) regular-representation block, so its products, validation
+(`_validate`) and ranks (`_point_type`) are those of GF(p) matrices;
+`_Polys` serves curves only.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ import numpy as np
 from .errors import ChartError, JTCalcError, NotNilpotentError
 from .fields import FiniteField
 from .jordan import RankProfile, jt_from_rank_profile
-from .linalg import _convolve, _px_trim, _regular
+from .linalg import _convolve, _gfp_rref, _px_trim, _regular, _regular_matrix
 from .modules import (
     DirectSum,
     Dual,
@@ -108,7 +110,7 @@ def jordan_types(chart, e, field, variant, budget, seed, samples):
     scaling orbit: on its canonical tuple (`_orbit_reduce`), in the chunk
     that first meets the orbit.
     """
-    sweep = _Sweep(chart, e, field.p, variant)
+    sweep = _Sweep(chart, e, field, variant)
     # the accepted values (a byte per parameter and point) are kept, not drawn again
     accepted = list(sweep.points(budget, seed, samples))
     # canonical tuple as int8 bytes -> Jordan type; the zero tuple has none
@@ -130,7 +132,7 @@ def closed_stratum_points(chart, e, field, variant, budget, seed, samples, polys
     Like `verify_closed_stratum`'s pointwise path, tuples are validated as
     the sweep reaches them.
     """
-    sweep = _Sweep(chart, e, field.p, variant)
+    sweep = _Sweep(chart, e, field, variant)
     minors = _PolySet(polys, len(chart.params), sweep.p)
     for values in _regroup(sweep.points(budget, seed, samples), sweep.chunk):
         mats = sweep.tuples(values)
@@ -210,10 +212,11 @@ def _orbit_reduce(mats, p):
 
 
 class _Sweep:
-    def __init__(self, chart, e, p, variant):
+    def __init__(self, chart, e, field, variant):
         self.chart = chart
         self.e = e
-        self.p = p
+        self.field = field
+        p = self.p = field.p
         self.variant = variant
         k, size = len(chart.params), chart.size
         self.constraints = _PolySet(chart.constraints, k, p)
@@ -233,7 +236,7 @@ class _Sweep:
             raise ChartError("budget must be positive")
         for values in self._accepted(budget, seed, samples):
             mats = self.tuples(values)
-            _validate(_Pointwise(self.p, len(mats)), [mats[:, s] for s in range(mats.shape[1])])
+            _validate(_Pointwise(self.field, len(mats)), [mats[:, s] for s in range(mats.shape[1])])
             yield values
 
     def tuples(self, values):
@@ -277,7 +280,7 @@ class _Sweep:
         return out
 
     def _operator(self, mats):
-        ring = _Pointwise(self.p, len(mats))
+        ring = _Pointwise(self.field, len(mats))
         return _gl_operator(ring, [mats[:, s] for s in range(mats.shape[1])], self.e, self.variant,
                             self.with_inv)
 
@@ -336,8 +339,8 @@ def _validate(ring, mats):
     reports = [f"matrix {s} is not {p}-nilpotent" for s in range(square)]
     if square < r:
         # fails at every point, so no later report can come first
-        failed.append(np.ones_like(failed[0]))
-        reports.append(f"matrix {square} is not square of size {size}")
+        failed.append(np.ones_like(ring.nonzero(mats[square])))
+        reports.append(f"matrix {square} is not square of size {ring.dim(mats[0])}")
     for i, j in itertools.combinations(range(square), 2):
         a, b = mats[i], mats[j]
         failed.append(ring.nonzero(ring.reduce(ring.matmul(a, b) - ring.matmul(b, a))))
@@ -352,29 +355,91 @@ def _validate(ring, mats):
 
 
 class _Pointwise:
-    """GF(p) values at a stack of points: (P, rows, cols) stacks, products point by point."""
+    """Values at a stack of points over GF(q), q = p^n: products point by point.
 
-    def __init__(self, p, count):
-        self.p = p
+    Over GF(p) a matrix is its (P, rows, cols) stack of entries.  Over
+    GF(p^n) it is its (P, rows n, cols n) stack of GF(p) blocks in the
+    layout of `linalg._regular_matrix`: block (i, j) is the n x n matrix of
+    multiplication by M[i, j] on GF(p)-coordinates, so its column 0 holds
+    the coordinates of M[i, j].  That representation is a ring
+    homomorphism, so products, sums, reduction and zero tests are those of
+    GF(p) matrices; only what acts on single entries (`kron`,
+    `outer_columns`, `lmul`, `frobenius`, `transpose`, `columns`) works
+    block by block.
+    """
+
+    def __init__(self, field, count=1):
+        self.field = field
+        self.p = field.p
+        self.n = field.n
         self.count = count
 
     matmul = staticmethod(np.matmul)
 
+    def dim(self, m):
+        """The number of rows of each matrix of the stack, over GF(q)."""
+        return m.shape[1] // self.n
+
+    def lift(self, data):
+        """The one-point stack (1, rows n, cols n) of a (rows, cols, n) coordinate array."""
+        if self.n == 1:
+            return data[None, :, :, 0]
+        return _regular_matrix(self.field, data)[None] % self.p
+
+    def coords(self, m):
+        """The (rows, cols, n) coordinates of one matrix of the stack: column 0 of each block."""
+        n = self.n
+        rows, cols = m.shape[0] // n, m.shape[1] // n
+        return m.reshape(rows, n, cols, n)[:, :, :, 0].transpose(0, 2, 1)
+
+    def _blocks(self, m):
+        """(P, rows, cols, n, n): the block of each entry."""
+        count, rows, cols = m.shape
+        n = self.n
+        return m.reshape(count, rows // n, n, cols // n, n).transpose(0, 1, 3, 2, 4)
+
     @staticmethod
-    def kron(a, b):
+    def _unblocks(b):
+        count, rows, cols, n = b.shape[:4]
+        return b.transpose(0, 1, 3, 2, 4).reshape(count, rows * n, cols * n)
+
+    def kron(self, a, b):
+        if self.n > 1:
+            ba, bb = self._blocks(a), self._blocks(b)
+            count, ra, ca, n = ba.shape[:4]
+            rb, cb = bb.shape[1:3]
+            prod = ba[:, :, None, :, None] @ bb[:, None, :, None, :]
+            return self._unblocks(prod.reshape(count, ra * rb, ca * cb, n, n))
         count, ra, ca = a.shape
         rb, cb = b.shape[1:]
         return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(count, ra * rb, ca * cb)
 
-    @staticmethod
-    def outer_columns(x, y):
+    def outer_columns(self, x, y):
         """Column-wise tensor products: out[:, i*n + v, c] = x[:, i, c] * y[:, v, c]."""
+        if self.n > 1:
+            bx, by = self._blocks(x), self._blocks(y)
+            count, rx, c, n = bx.shape[:4]
+            prod = bx[:, :, None] @ by[:, None]
+            return self._unblocks(prod.reshape(count, rx * by.shape[1], c, n, n))
         count, rx, c = x.shape
         return (x[:, :, None, :] * y[:, None, :, :]).reshape(count, rx * y.shape[1], c)
 
-    @staticmethod
-    def lmul(mu, m):
-        return mu @ m
+    def lmul(self, mu, m):
+        """mu (an integer matrix) times m: mu (x) I_n on the blocks."""
+        count, rows, cols = m.shape
+        return (mu @ m.reshape(count, rows // self.n, self.n * cols)).reshape(count, len(mu) * self.n, cols)
+
+    def columns(self, idx):
+        """The stack columns that hold the columns idx of each matrix: their whole blocks."""
+        if self.n == 1:
+            return idx
+        return (np.asarray(idx)[:, None] * self.n + np.arange(self.n)).ravel()
+
+    def transpose(self, m):
+        """The transposes: blocks swap places, each block stays as it is."""
+        if self.n == 1:
+            return np.swapaxes(m, 1, 2)
+        return self._unblocks(self._blocks(m).swapaxes(1, 2))
 
     @staticmethod
     def add(a, b, into=False):
@@ -387,12 +452,19 @@ class _Pointwise:
     def reduce(self, m):
         return m % self.p
 
-    @staticmethod
-    def frobenius(m, i):
-        # x^p = x on GF(p)
-        return m
+    def frobenius(self, m, i):
+        """Entrywise x -> x^(p^i): each block R(x) goes to F^i R(x) F^(-i), F the Frobenius matrix."""
+        n = self.n
+        if i % n == 0:
+            # x^p = x on GF(p); the Frobenius has order n on GF(p^n)
+            return m
+        count, rows, cols = m.shape
+        p = self.p
+        left = _frobenius_power(self.field, i) @ m.reshape(count, rows // n, n, cols) % p
+        return (left.reshape(count, rows, cols // n, n) @ _frobenius_power(self.field, -i) % p).reshape(m.shape)
 
     def identity(self, d):
+        d *= self.n
         return np.broadcast_to(np.eye(d, dtype=np.int64), (self.count, d, d))
 
     @staticmethod
@@ -421,6 +493,22 @@ class _Polys:
     def _reg(self, b):
         """out[..., a, c]: coordinate c of x^a times each entry of b."""
         return b[..., None] if self.n == 1 else _regular(self.field, b)
+
+    @staticmethod
+    def dim(m):
+        return m.shape[1]
+
+    @staticmethod
+    def lift(data):
+        return data[None]
+
+    @staticmethod
+    def columns(idx):
+        return idx
+
+    @staticmethod
+    def transpose(m):
+        return np.swapaxes(m, 1, 2)
 
     def matmul(self, a, b):
         sa, r, k, n = a.shape
@@ -530,9 +618,8 @@ class _Series:
     def neg(self, a):
         return {d: -m % self.p for d, m in a.items()}
 
-    @staticmethod
-    def transpose(a):
-        return {d: np.swapaxes(m, 1, 2) for d, m in a.items()}
+    def transpose(self, a):
+        return {d: self.ring.transpose(m) for d, m in a.items()}
 
     def twist(self, a, i):
         """The Frobenius twist: t -> t^(p^i), and coefficients to their p^i-th powers."""
@@ -560,10 +647,11 @@ class _Series:
         ring = self.ring
         if d == 0:
             return {0: ring.identity(1)}
-        n = a[0].shape[1]
+        n = ring.dim(a[0])
         out = a
         for k in range(2, d + 1):
             mu, cols, vecs = power_maps(n, k, ext)
+            cols, vecs = ring.columns(cols), ring.columns(vecs)
             left = {e: m[:, :, cols] for e, m in out.items()}
             right = {e: m[:, :, vecs] for e, m in a.items()}
             pairs = self._convolve(left, right, ring.outer_columns)
@@ -579,7 +667,7 @@ class _Series:
 def _texp(ring, b, top, step, with_inv):
     """[exp(t^step B)], with exp(-t^step B) when with_inv: the terms t^(i step) B^i / i!, i < p, up to t^top."""
     p = ring.p
-    power = ring.identity(b.shape[1])
+    power = ring.identity(ring.dim(b))
     g, g_inv = {}, {}
     fact = 1
     for i in range(p):
@@ -632,7 +720,7 @@ def _module(series, e, pair, leaves=None):
 
     def walk(node):
         if isinstance(node, Std):
-            size = pair[0][0].shape[1]
+            size = ring.dim(pair[0][0])
             if node.n != size:
                 raise JTCalcError(f"Std({node.n}) does not match group element size {size}")
             return pair
@@ -689,9 +777,9 @@ def curve_operator(ring, kind, e, variant, mats):
 
     mats holds the tuple along the curve, one `_Polys` stack per matrix
     (1 x 1 for the additive kinds); the module's pairing with the kind is
-    checked by the caller.  A constant curve (S = 1) is a single point; a
-    `gl` point may also come as `_Pointwise` stacks, giving a (P, m, m)
-    stack.  This is `theta_variant` over GF(q)[s], term for term: a `gl`
+    checked by the caller.  A single point comes as P = 1 `_Pointwise`
+    stacks instead, giving a (1, m n, m n) stack.  This is `theta_variant`
+    over GF(q)[s], term for term: a `gl`
     tuple goes through `_gl_operator`; Explicit leaves act through
     `eval_ga_point` (`ga`: c = sum_s a_s t^(p^s), and a_s t alone for
     factor s of the exponential operator) or through the product of
@@ -700,7 +788,8 @@ def curve_operator(ring, kind, e, variant, mats):
     with_inv = _contains_dual(e)
     if kind == KIND_GL:
         return _gl_operator(ring, mats, e, variant, with_inv)
-    leaves = {leaf: _explicit_terms(leaf, ring.field) for leaf in e.leaves() if isinstance(leaf, Explicit)}
+    leaves = {leaf: _explicit_terms(leaf, type(ring), ring.field) for leaf in e.leaves()
+              if isinstance(leaf, Explicit)}
     if not leaves:
         raise JTCalcError("module evaluation needs a group element or additive point")
     p, r = ring.p, len(mats)
@@ -728,14 +817,14 @@ def curve_operator(ring, kind, e, variant, mats):
 
 
 @lru_cache(maxsize=64)
-def _explicit_terms(leaf, field):
-    """alpha^i / i! (i < p) for each action matrix alpha of the leaf, as constant `_Polys` stacks."""
-    ring = _Polys(field)
+def _explicit_terms(leaf, ring_type, field):
+    """alpha^i / i! (i < p) for each action matrix alpha of the leaf, as one-point stacks of the ring."""
+    ring = ring_type(field)
     p = ring.p
     out = []
     for alpha in leaf.matrices:
-        alpha = alpha.embed_into(field)._data[None]
-        power = ring.identity(alpha.shape[1])
+        alpha = ring.lift(alpha.embed_into(field)._data)
+        power = ring.identity(ring.dim(alpha))
         terms = [power]
         fact = 1
         for i in range(1, p):
@@ -778,6 +867,26 @@ def _rank_profiles(op, p, variant):
     if power.any():
         raise NotNilpotentError(f"{variant} operator is not p-nilpotent")
     return ranks
+
+
+def _point_type(ring, op, variant):
+    """Jordan type of one operator op (the matrix of a P = 1 `_Pointwise` stack), as `jt_at_point`.
+
+    Powers are integer products mod p; a GF(p^n) rank is the GF(p) rank of
+    the block matrix over n.  op^p must vanish, the one nilpotency check.
+    """
+    p = ring.p
+    ranks = []
+    power = op
+    for _ in range(1, p):
+        if power.any():
+            ranks.append(len(_gfp_rref(power, p)[1]) // ring.n)
+            power = power @ op % p
+        else:
+            ranks.append(0)
+    if power.any():
+        raise NotNilpotentError(f"{variant} operator is not p-nilpotent")
+    return jt_from_rank_profile(RankProfile(p, len(op) // ring.n, tuple(ranks)))
 
 
 def _ranks(m, p):

@@ -9,6 +9,8 @@ values are safe to share across threads.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .errors import DomainMismatchError, JTCalcError, NotAFieldError
@@ -412,14 +414,27 @@ class Polynomial:
 
     def __mul__(self, other):
         other = self._coerce(other)
-        out = {}
+        # every coefficient lies in the ring's field (`PolyRing.constant` embeds), so
+        # coordinates multiply directly, and their sums stay plain ints until reduced once
+        field = self.ring.field
+        p = field.p
+        acc = {}
+        if field.n == 1:
+            for e1, c1 in self.terms.items():
+                a = c1.coeffs[0]
+                for e2, c2 in other.terms.items():
+                    e = tuple(map(operator.add, e1, e2))
+                    acc[e] = acc.get(e, 0) + a * c2.coeffs[0]
+            return Polynomial(self.ring, {e: FFElement(field, (v % p,)) for e, v in acc.items()})
+        mul = field._mul
         for e1, c1 in self.terms.items():
+            a = c1.coeffs
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                prod = c1 * c2
-                s = out.get(e)
-                out[e] = prod if s is None else s + prod
-        return Polynomial(self.ring, out)
+                e = tuple(map(operator.add, e1, e2))
+                prod = mul(a, c2.coeffs)
+                s = acc.get(e)
+                acc[e] = prod if s is None else tuple(map(operator.add, s, prod))
+        return Polynomial(self.ring, {e: FFElement(field, tuple(v % p for v in c)) for e, c in acc.items()})
 
     __rmul__ = __mul__
 

@@ -150,17 +150,20 @@ def _gfp_rref(M, p, full=False):
             continue
         piv = pr + int(nz[0])
         if piv != pr:
-            M[[pr, piv]] = M[[piv, pr]]
+            row = M[piv].copy()
+            M[piv] = M[pr]
+            M[pr] = row
         v = int(M[pr, col])
         if v != 1:
             M[pr, col:] = M[pr, col:] * pow(v, p - 2, p) % p
-        if full:
-            sel = M[:, col].nonzero()[0]
-            sel = sel[sel != pr]
-        else:
-            sel = pr + 1 + M[pr + 1:, col].nonzero()[0]
-        if sel.size:
-            M[sel, col:] = (M[sel, col:] - np.outer(M[sel, col], M[pr, col:])) % p
+        # the rows to clear, as a view: all but the pivot row, or those below it
+        rest = M[:, col:] if full else M[pr + 1:, col:]
+        if full or nz.size > 1:
+            factors = rest[:, :1].copy()
+            if full:
+                factors[pr] = 0
+            rest -= factors * M[pr, col:]
+            rest %= p
         pivots.append(col)
         pr += 1
     return M, pivots

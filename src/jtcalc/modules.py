@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb
 
 import numpy as np
@@ -73,6 +73,17 @@ class ModuleExpr:
 
     def leaves(self):
         yield self
+
+    @cached_property
+    def _has_dual(self):
+        # nodes are frozen dataclasses holding their children, so this is computed once per node
+        if isinstance(self, Dual):
+            return True
+        if isinstance(self, (Tensor, DirectSum)):
+            return self.left._has_dual or self.right._has_dual
+        if isinstance(self, (Sym, Ext, Twist)):
+            return self.inner._has_dual
+        return False
 
     def __mul__(self, other):
         return Tensor(self, other)
@@ -446,13 +457,8 @@ def power_matrix(a, d, ext):
 
 
 def _contains_dual(e):
-    if isinstance(e, Dual):
-        return True
-    if isinstance(e, (Tensor, DirectSum)):
-        return _contains_dual(e.left) or _contains_dual(e.right)
-    if isinstance(e, (Sym, Ext, Twist)):
-        return _contains_dual(e.inner)
-    return False
+    """Whether the tree has a Dual node (cached on the node)."""
+    return e._has_dual
 
 
 def eval_unipotent(e, gp, explicit_pairs=None):

@@ -781,9 +781,7 @@ def constant_rank_on_strata(table, chart, e, j, field, homotopy_samples=((1, 0),
         audited = []
         for rep in entry.representatives:
             values = _parse_values(rep, field)
-            tup = chart.tuple_at(values)
-            theta = theta_variant(e, tup, table.variant)
-            rk = theta.matrix.pow(j).rank()
+            rk = jt_rank(jt_at_point(e, chart.tuple_at(values), table.variant), j)
             ker = m - rk
             coker = m - rk
             audited.append({"point": rep, "rank": rk, "kernel": ker, "cokernel": coker})

@@ -14,12 +14,12 @@ coefficient of the module evaluated on exp(t B_s) alone.  At heights 1 and 2
 the two coincide; from height 3 on they differ by higher product terms.
 
 A point over a finite field is evaluated by `batch`'s module walker on
-integer stacks, the code that runs sweeps and curves: a `gl` point over
-GF(p) as a one-point `_Pointwise` stack, every other point as a constant
-curve (one-coefficient `_Polys` stacks of GF(p^n) coordinates).  Its
-validation is the sweep's too.  Symbolic points (polynomial entries, for
-the rank-locus minors) go through `modules.eval_unipotent` on truncated
-curve rings.
+integer stacks, the code that runs sweeps and curves: every point, of every
+kind, is a one-point `_Pointwise` stack, over GF(p^n) with each entry its
+n x n GF(p) regular-representation block.  Its validation is the sweep's
+too, and `jt_at_point` ranks the operator on that stack.  Symbolic points
+(polynomial entries, for the rank-locus minors) go through
+`modules.eval_unipotent` on truncated curve rings.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .batch import (
     KIND_MULTI_GA,
     _mpow,
     _Pointwise,
-    _Polys,
+    _point_type,
     _validate,
     by_variant,
     curve_operator,
@@ -200,32 +200,36 @@ def _check_pairing(e, kind, p, height):
 
 
 def _stacks(tup):
-    """The coefficient ring that evaluates a finite-field point, and its matrices as stacks of it.
+    """The one-point `_Pointwise` ring of a finite-field point, and its matrices as stacks of it.
 
-    The field degree and the kind pick the ring: a `gl` point over GF(p) is
-    a P = 1 `_Pointwise` stack, as in a sweep; every other point is a
-    constant curve, S = 1 `_Polys` stacks of GF(p^n) coordinates.
+    Every point of every kind is a P = 1 stack, as in a sweep; over GF(p^n)
+    each entry is its n x n regular-representation block.
     """
     field = tup.domain
     if any(m.domain != field for m in tup.mats):
         raise DomainMismatchError("matrix domains differ")
-    if tup.kind == KIND_GL and field.n == 1:
-        return _Pointwise(field.p, 1), [m._data[None, :, :, 0] for m in tup.mats]
-    return _Polys(field), [m._data[None] for m in tup.mats]
+    ring = _Pointwise(field)
+    return ring, [ring.lift(m._data) for m in tup.mats]
 
 
 def _stack_operator(e, tup, variant):
-    """The variant's operator at a finite-field point, built by `batch.curve_operator`.
+    """(ring, the variant's operator) at a finite-field point, built by `batch.curve_operator`.
 
-    An unvalidated `gl` tuple is checked as `texp_matrix` checks it: every
-    B_s must be p-nilpotent.
+    The operator is the matrix of the one-point stack.  An unvalidated `gl`
+    tuple is checked as `texp_matrix` checks it: every B_s must be
+    p-nilpotent.
     """
     ring, mats = _stacks(tup)
     if tup.kind == KIND_GL and not tup.validated:
         if any(ring.nonzero(_mpow(ring, m, tup.p)).any() for m in mats):
             raise NotNilpotentError("truncated exponential needs a p-nilpotent matrix")
-    op = curve_operator(ring, tup.kind, e, variant, mats)[0]
-    return ExactMatrix.from_coords(tup.domain, op if op.ndim == 3 else op[..., None])
+    return ring, curve_operator(ring, tup.kind, e, variant, mats)[0]
+
+
+def _stack_matrix(e, tup, variant):
+    """The variant's operator at a finite-field point as an `ExactMatrix`."""
+    ring, op = _stack_operator(e, tup, variant)
+    return ExactMatrix.from_coords(tup.domain, ring.coords(op))
 
 
 def one_param(tup):
@@ -318,7 +322,7 @@ def theta_full(e, tup):
 def _theta_full(e, tup, check=None):
     _check_pairing(e, tup.kind, tup.p, tup.height)
     if isinstance(tup.domain, FiniteField):
-        return _finish(e, tup, _stack_operator(e, tup, "full"), "full", check)
+        return _finish(e, tup, _stack_matrix(e, tup, "full"), "full", check)
     if tup.kind == KIND_MULTI_GA:
         return _theta_multi(e, tup, "full", check)
     rho = _rho_full(e, tup)
@@ -334,7 +338,7 @@ def theta_exp(e, tup):
 def _theta_exp(e, tup, check=None):
     _check_pairing(e, tup.kind, tup.p, tup.height)
     if isinstance(tup.domain, FiniteField):
-        return _finish(e, tup, _stack_operator(e, tup, "exp"), "exp", check)
+        return _finish(e, tup, _stack_matrix(e, tup, "exp"), "exp", check)
     if tup.kind == KIND_MULTI_GA:
         return _theta_multi(e, tup, "exp", check)
     r = tup.height
@@ -387,9 +391,13 @@ def jt_at_point(e, tup, variant="full"):
     """Local Jordan type of the selected operator at the point.
 
     The operator's p-nilpotency is checked once, by the final vanishing power
-    of its rank profile.
+    of its rank profile.  Over a finite field the operator is ranked on its
+    one-point stack (`batch._point_type`).
     """
     build = by_variant(variant, _theta_full, _theta_exp)
+    if isinstance(tup.domain, FiniteField):
+        _check_pairing(e, tup.kind, tup.p, tup.height)
+        return _point_type(*_stack_operator(e, tup, variant), variant)
     theta = build(e, tup, check=False)
     try:
         return jt_of_nilpotent(theta.matrix, tup.p)

@@ -1,0 +1,125 @@
+"""The GF(p^n) stack ring against the coordinate kernels of `linalg`.
+
+A one-point `batch._Pointwise` stack over GF(p^n) holds each entry as its
+n x n GF(p) regular-representation block (`linalg._regular_matrix`).  Every
+operation the module walker asks of the ring is compared here with the
+kernel that computes it on (rows, cols, n) coordinates: `_ff_mmul`,
+`_ff_kron`, `_ff_column_kron`, `_ff_frob`, the coordinate transpose, and
+the coordinates read back from the blocks.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from jtcalc.batch import _Pointwise
+from jtcalc.fields import GF
+from jtcalc.linalg import _ff_column_kron, _ff_frob, _ff_kron, _ff_mmul
+from jtcalc.modules import power_maps
+
+# GF(4), GF(8), GF(9), GF(25), GF(27), GF(81), and GF(3) for the entrywise layout
+FIELDS = [GF(2, 2), GF(2, 3), GF(3, 2), GF(5, 2), GF(3, 3), GF(3, 4, modulus=(2, 0, 0, 2, 1)), GF(3)]
+SETTINGS = settings(max_examples=60, deadline=None)
+
+
+@st.composite
+def coords(draw, field, rows, cols):
+    """A (rows, cols, n) array of reduced GF(p^n) coordinates."""
+    cells = draw(st.lists(st.integers(0, field.p - 1), min_size=rows * cols * field.n,
+                          max_size=rows * cols * field.n))
+    return np.array(cells, dtype=np.int64).reshape(rows, cols, field.n)
+
+
+def stack(ring, *mats):
+    """The stack of the coordinate arrays mats, one point each."""
+    return np.concatenate([ring.lift(m) for m in mats])
+
+
+@st.composite
+def pairs(draw, shape):
+    """A field and two stacks of two points each: a (P, ...) pair per operand, shapes from `shape`."""
+    field = draw(st.sampled_from(FIELDS))
+    dims = [draw(st.integers(0, 3)) for _ in range(4)]
+    (ra, ca), (rb, cb) = shape(*dims)
+    a = [draw(coords(field, ra, ca)) for _ in range(2)]
+    b = [draw(coords(field, rb, cb)) for _ in range(2)]
+    return field, a, b
+
+
+@given(pairs(lambda r, k, c, _: ((r, k), (k, c))))
+@SETTINGS
+def test_matmul_is_the_coordinate_product(case):
+    field, a, b = case
+    ring = _Pointwise(field, 2)
+    got = ring.reduce(ring.matmul(stack(ring, *a), stack(ring, *b)))
+    assert np.array_equal(got, stack(ring, *(_ff_mmul(field, x, y) for x, y in zip(a, b))))
+
+
+@given(pairs(lambda ra, ca, rb, cb: ((ra, ca), (rb, cb))))
+@SETTINGS
+def test_kron_is_the_coordinate_kron(case):
+    field, a, b = case
+    ring = _Pointwise(field, 2)
+    got = ring.reduce(ring.kron(stack(ring, *a), stack(ring, *b)))
+    assert np.array_equal(got, stack(ring, *(_ff_kron(field, x, y) for x, y in zip(a, b))))
+
+
+@given(pairs(lambda ra, c, rb, _: ((ra, c), (rb, c))))
+@SETTINGS
+def test_outer_columns_is_the_column_kron(case):
+    field, a, b = case
+    ring = _Pointwise(field, 2)
+    got = ring.reduce(ring.outer_columns(stack(ring, *a), stack(ring, *b)))
+    assert np.array_equal(got, stack(ring, *(_ff_column_kron(field, x, y) for x, y in zip(a, b))))
+
+
+@given(pairs(lambda r, c, _, __: ((r, c), (r, c))), st.integers(0, 9))
+@SETTINGS
+def test_frobenius_is_the_coordinate_frobenius(case, i):
+    field, a, _ = case
+    ring = _Pointwise(field, 2)
+    got = ring.frobenius(stack(ring, *a), i)
+    assert np.array_equal(got, stack(ring, *(_ff_frob(field, x, i) for x in a)))
+
+
+@given(pairs(lambda r, c, _, __: ((r, c), (r, c))))
+@SETTINGS
+def test_transpose_swaps_blocks(case):
+    field, a, _ = case
+    ring = _Pointwise(field, 2)
+    got = ring.transpose(stack(ring, *a))
+    assert np.array_equal(got, stack(ring, *(x.transpose(1, 0, 2) for x in a)))
+
+
+@given(pairs(lambda r, c, _, __: ((r, c), (r, c))))
+@SETTINGS
+def test_blocks_round_trip_to_coordinates(case):
+    field, a, _ = case
+    ring = _Pointwise(field, 2)
+    s = stack(ring, *a)
+    assert ring.dim(s) == a[0].shape[0]
+    for m, x in zip(s, a):
+        assert np.array_equal(ring.coords(m), x)
+
+
+@given(st.sampled_from(FIELDS), st.integers(1, 3), st.integers(2, 3), st.booleans(), st.data())
+@SETTINGS
+def test_power_maps_act_on_blocks(field, n, d, ext, data):
+    """`lmul` is mu (x) I_n and `columns` picks whole block columns: Sym/Ext's two steps."""
+    ring = _Pointwise(field, 1)
+    mu, cols, vecs = power_maps(n, d, ext)
+    a = data.draw(coords(field, mu.shape[1], 2))
+    want = np.einsum("ij,jcn->icn", mu, a) % field.p
+    assert np.array_equal(ring.reduce(ring.lmul(mu, ring.lift(a))), ring.lift(want))
+    # cols index the basis of degree d - 1, vecs that of degree 1
+    for idx, width in ((cols, mu.shape[1] // n), (vecs, n)):
+        b = data.draw(coords(field, 2, width))
+        assert np.array_equal(ring.lift(b)[:, :, ring.columns(idx)], ring.lift(b[:, idx]))
+
+
+def test_identity_is_the_block_identity():
+    for field in FIELDS:
+        ring = _Pointwise(field, 3)
+        one = np.zeros((2, 2, field.n), dtype=np.int64)
+        one[[0, 1], [0, 1], 0] = 1
+        assert np.array_equal(ring.identity(2), np.concatenate([ring.lift(one)] * 3))

@@ -183,6 +183,12 @@ def test_gf9_strata_report_matches_golden():
     assert out == (GOLDEN / "sl2_line_gf9_r1.jsonl").read_text()
 
 
+def test_gf9_upper_gln_strata_report_matches_golden():
+    out = _cli("strata", "--field", "GF(9)", "--chart", "upper_glN", "--N", "3", "--r", "1",
+               "--module", "Dual(Std(3))*Ext(2,Std(3))", "--format", "jsonl")
+    assert out == (GOLDEN / "upper_glN_gf9_r1.jsonl").read_text()
+
+
 def test_gf9_point_report_matches_golden():
     out = _cli("jt", "--field", "GF(9)", "--chart", "sl2_line", "--r", "2",
                "--module", "Sym(2,Std(2))*Tw(1,Std(2))", "--point", "g,1,2g+2,g+1,2", "--format", "jsonl")
@@ -200,6 +206,14 @@ POINT_GOLDENS = {
                                           "--module", "Sym(2,Std(2))*Tw(2,Std(2))", "--point", "0,1,0,1,0,0",
                                           "--variant", "homotopy", "--hs", "1", "--ht", "1"],
 }
+# Dual and Ext over GF(25) and GF(27), both variants
+for _variant in ("full", "exp"):
+    POINT_GOLDENS[f"jt_sl2_line_gf25_{_variant}.jsonl"] = [
+        "--field", "GF(25)", "--chart", "sl2_line", "--r", "2", "--module",
+        "Dual(Sym(2,Std(2)))*Tw(1,Ext(2,Sym(3,Std(2))))", "--point", "g+1,g+3,2,1,g", "--variant", _variant]
+    POINT_GOLDENS[f"jt_sl2_line_gf27_{_variant}.jsonl"] = [
+        "--field", "GF(27)", "--chart", "sl2_line", "--r", "2", "--module",
+        "Ext(2,Sym(2,Std(2)))*Tw(1,Dual(Std(2)))", "--point", "g+1,g^2,g+2,g,g^2+1", "--variant", _variant]
 
 
 @pytest.mark.parametrize("golden", sorted(POINT_GOLDENS))

@@ -205,3 +205,38 @@ def test_equal_elements_of_equal_fields_hash_alike():
     assert len({a, b}) == 1
     g1, g2 = GF(3, 2).gen(), GF(3, 2).gen()
     assert len({g1, g2, GF(3, 2).one()}) == 2
+
+
+def product_oracle(f, g):
+    """`Polynomial.__mul__` as it was: every term pair multiplied and summed as `FFElement`s."""
+    out = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            prod = c1 * c2
+            s = out.get(e)
+            out[e] = prod if s is None else s + prod
+    return {e: c for e, c in out.items() if not c.is_zero()}
+
+
+@st.composite
+def polynomial_pairs(draw):
+    field = draw(st.sampled_from([GF(2), GF(3), GF(7), GF(2, 2), GF(3, 2), GF(5, 2), GF(3, 3)]))
+    ring = PolyRing(field, ("x", "y"))
+
+    def poly():
+        out = ring.zero()
+        for _ in range(draw(st.integers(0, 6))):
+            coeff = field.from_index(draw(st.integers(0, field.order - 1)))
+            out = out + ring.constant(coeff) * ring.var("x") ** draw(st.integers(0, 3)) \
+                * ring.var("y") ** draw(st.integers(0, 3))
+        return out
+
+    return poly(), poly()
+
+
+@given(polynomial_pairs())
+@settings(max_examples=150, deadline=None)
+def test_polynomial_product_matches_termwise_oracle(pair):
+    f, g = pair
+    assert (f * g).terms == product_oracle(f, g)

@@ -1,12 +1,14 @@
 import random
 
+import numpy as np
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jtcalc.errors import JTCalcError, NotAFieldError
 from jtcalc.fields import GF, PolyRing, RationalFunctionField, TruncatedCurveRing
-from jtcalc.linalg import ExactMatrix, block_diag
+from jtcalc.linalg import ExactMatrix, _gfp_rref, block_diag
 
 
 def rand_matrix(field, rows, cols, rng):
@@ -192,3 +194,43 @@ def test_coefficient_extraction_and_subs():
     assert c3.entry(0, 1) == GF(3).one()
     shifted = m.subs_power(3)
     assert shifted.entry(0, 0) == ring.one() + t**3
+
+
+def gfp_rref_oracle(M, p, full=False):
+    """`_gfp_rref` as it was: rows swapped and cleared through fancy indexing."""
+    M = M % p
+    rows, cols = M.shape
+    pivots = []
+    pr = 0
+    for col in range(cols):
+        if pr >= rows:
+            break
+        nz = M[pr:, col].nonzero()[0]
+        if not nz.size:
+            continue
+        piv = pr + int(nz[0])
+        if piv != pr:
+            M[[pr, piv]] = M[[piv, pr]]
+        v = int(M[pr, col])
+        if v != 1:
+            M[pr, col:] = M[pr, col:] * pow(v, p - 2, p) % p
+        if full:
+            sel = M[:, col].nonzero()[0]
+            sel = sel[sel != pr]
+        else:
+            sel = pr + 1 + M[pr + 1:, col].nonzero()[0]
+        if sel.size:
+            M[sel, col:] = (M[sel, col:] - np.outer(M[sel, col], M[pr, col:])) % p
+        pivots.append(col)
+        pr += 1
+    return M, pivots
+
+
+@given(st.sampled_from([2, 3, 5, 31]), st.integers(0, 7), st.integers(0, 7), st.booleans(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_gfp_rref_matches_fancy_index_oracle(p, rows, cols, full, data):
+    cells = data.draw(st.lists(st.integers(0, 3 * p), min_size=rows * cols, max_size=rows * cols))
+    M = np.array(cells, dtype=np.int64).reshape(rows, cols)
+    got, want = _gfp_rref(M, p, full), gfp_rref_oracle(M, p, full)
+    assert got[1] == want[1]
+    assert np.array_equal(got[0], want[0])

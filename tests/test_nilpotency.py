@@ -65,6 +65,15 @@ def test_gl_tuple_rejects_non_nilpotent_matrix():
 
 
 F9 = GF(3, 2)
+F4, F25, F27 = GF(2, 2), GF(5, 2), GF(3, 3)
+
+
+def _over(field, rows, scale=None):
+    """A matrix over field with integer entries, times the field's generator when scale."""
+    m = ExactMatrix.from_rows(field, rows)
+    return m.scalar_mul(field.gen()) if scale else m
+
+
 # (matrices, field): each tuple fails a different check of `validate_commuting_tuple`, or two
 # checks whose order decides the report
 INVALID_TUPLES = [
@@ -77,6 +86,15 @@ INVALID_TUPLES = [
     ([E12.embed_into(F9), DIAG.embed_into(F9).scalar_mul(F9.gen())], F9),
     ([E12.embed_into(F9), E12.embed_into(F9).transpose()], F9),
     ([E12.embed_into(F9), ExactMatrix.zeros(F9, 1, 1)], F9),
+    # over GF(4), GF(25) and GF(27): the reports name element sizes, not block sizes
+    ([_over(F4, [[0, 1], [0, 0]], True), ExactMatrix.zeros(F4, 2, 3)], F4),
+    ([ExactMatrix.zeros(F25, 3, 2), _over(F25, [[0, 1], [0, 0]])], F25),
+    ([_over(F25, [[0, 1, 0], [0, 0, 1], [0, 0, 0]]), _over(F25, [[1, 0, 0], [0, 0, 0], [0, 0, 0]], True)], F25),
+    ([_over(F27, [[0, 1], [0, 0]], True), _over(F27, [[0, 0], [1, 0]])], F27),
+    # a later non-nilpotent matrix outranks an earlier pair that does not commute
+    ([_over(F4, [[0, 1], [0, 0]]), _over(F4, [[0, 0], [1, 0]], True), _over(F4, [[1, 1], [0, 1]])], F4),
+    # a later matrix of the wrong size outranks an earlier pair that does not commute
+    ([_over(F27, [[0, 1], [0, 0]]), _over(F27, [[0, 0], [1, 0]], True), ExactMatrix.zeros(F27, 3, 3)], F27),
 ]
 
 

@@ -5,6 +5,9 @@
 module walker on integer stacks.  The oracle here is the route they took
 before: `modules.eval_unipotent` on `texp_matrix` / `eval_ga_point` pairs of
 `ExactMatrix` objects over GF(q)[t]/t^(p^r), reading off t-coefficients.
+A second oracle is the route GF(p^n) points took before they ran on
+regular-representation blocks: a constant curve, S = 1 `batch._Polys`
+stacks of GF(p^n) coordinates.
 """
 
 import pytest
@@ -13,6 +16,7 @@ from hypothesis import strategies as st
 
 from jtcalc import modules as modules_mod
 from jtcalc import theta as theta_mod
+from jtcalc.batch import _Polys, curve_operator
 from jtcalc.errors import JTCalcError
 from jtcalc.fields import GF, TruncatedCurveRing, TruncElement
 from jtcalc.jordan import jt_of_nilpotent
@@ -48,6 +52,8 @@ from jtcalc.theta import (
 )
 
 FIELDS = [GF(2), GF(3), GF(5), GF(2, 2), GF(3, 2), GF(5, 2), GF(3, 3)]
+# GF(4), GF(8), GF(9), GF(25), GF(27), GF(81)
+EXTENSION_FIELDS = [GF(2, 2), GF(2, 3), GF(3, 2), GF(5, 2), GF(3, 3), GF(3, 4, modulus=(2, 0, 0, 2, 1))]
 NODE_KINDS = ["leaf", "trivial", "dual", "tensor", "sum", "sym", "ext", "tw"]
 
 
@@ -97,6 +103,13 @@ def oracle_operator(e, tup, variant):
         term = rho(pair, c).coefficient(p ** (r - 1 - s))
         total = term if total is None else total + term
     return total
+
+
+def coordinate_route_operator(e, tup, variant):
+    """The variant's operator as a constant curve of S = 1 `_Polys` stacks of GF(p^n) coordinates."""
+    theta_mod._check_pairing(e, tup.kind, tup.p, tup.height)
+    op = curve_operator(_Polys(tup.domain), tup.kind, e, variant, [m._data[None] for m in tup.mats])
+    return ExactMatrix.from_coords(tup.domain, op[0])
 
 
 # -- points and modules -------------------------------------------------------------------
@@ -167,8 +180,8 @@ def module_trees(draw, leaf, depth=2, cap=8):
 
 
 @st.composite
-def points_with_modules(draw):
-    field = draw(st.sampled_from(FIELDS))
+def points_with_modules(draw, fields=FIELDS):
+    field = draw(st.sampled_from(fields))
     kind = draw(st.sampled_from([KIND_GL, KIND_GA, KIND_MULTI_GA]))
     if kind == KIND_GL:
         tup = draw(gl_points(field))
@@ -220,6 +233,25 @@ def test_drawn_points_match_the_object_walker(case):
     assert_point_matches(e, tup)
 
 
+def assert_matches_coordinate_route(e, tup):
+    """Operators and Jordan types on regular-representation blocks equal those on GF(p^n) coordinates."""
+    for variant, build in (("full", theta_full), ("exp", theta_exp)):
+        want = _outcome(coordinate_route_operator, e, tup, variant)
+        if isinstance(want, tuple):
+            assert _outcome(build, e, tup) == want
+            assert _outcome(jt_at_point, e, tup, variant) == want
+            continue
+        assert build(e, tup).matrix == want
+        assert jt_at_point(e, tup, variant) == jt_of_nilpotent(want, tup.p)
+
+
+@given(points_with_modules(EXTENSION_FIELDS))
+@settings(max_examples=100, deadline=None)
+def test_drawn_points_match_the_coordinate_route(case):
+    tup, e = case
+    assert_matches_coordinate_route(e, tup)
+
+
 E3 = ExactMatrix.from_rows(GF(3), [[0, 1, 0], [0, 0, 1], [0, 0, 0]])
 # height-2 and height-3 modules over GF(3): u_0 -> J, u_1 -> J^2 (, u_2 -> 2 J^2)
 CHAINS = {h: Explicit((E3, E3 @ E3, (E3 @ E3).scalar_mul(2))[:h], label=f"chain{h}") for h in (2, 3)}
@@ -253,6 +285,23 @@ def test_additive_points_match_the_object_walker(text, height, kind, field):
     scalars = [g + field.one(), field.from_int(2) * g, g * g][:height]
     tup = (CommutingTuple.ga if kind == KIND_GA else CommutingTuple.multi_ga)(scalars, field)
     assert_point_matches(_module(text, height), tup)
+
+
+@pytest.mark.parametrize("text", GL_MODULES)
+@pytest.mark.parametrize("field", EXTENSION_FIELDS[2:], ids=["gf9", "gf25", "gf27", "gf81"])
+def test_sl2_line_points_match_the_coordinate_route(text, field):
+    g = field.gen()
+    values = [g, field.one(), -(g * g), g + field.one(), field.from_int(2)]
+    assert_matches_coordinate_route(_module(text), builtin_chart("sl2_line", field.p, r=2).tuple_at(values))
+
+
+@pytest.mark.parametrize("text", GA_MODULES)
+@pytest.mark.parametrize("kind", [KIND_GA, KIND_MULTI_GA])
+@pytest.mark.parametrize("field", [EXTENSION_FIELDS[i] for i in (2, 4, 5)], ids=["gf9", "gf27", "gf81"])
+def test_additive_points_match_the_coordinate_route(text, kind, field):
+    g = field.gen()
+    tup = (CommutingTuple.ga if kind == KIND_GA else CommutingTuple.multi_ga)([g + field.one(), g * g], field)
+    assert_matches_coordinate_route(_module(text), tup)
 
 
 def test_finite_field_points_do_not_reach_the_object_walker(monkeypatch):
