@@ -1,47 +1,41 @@
 """
-Evaluation of the universal operator on integer numpy stacks: GF(p) chart
-sweeps, single finite-field points, and the operator along a curve over
-GF(q)[s].  This is the one finite-field evaluator; `modules.eval_unipotent`
-is left for symbolic domains.
+Evaluation of the universal operator on integer numpy stacks: chart sweeps,
+single finite-field points, and the operator along a curve over GF(q)[s].
+This is the one finite-field evaluator; `modules.eval_unipotent` is left for
+symbolic domains.
 
-A sweep of a `gl` chart over GF(p) evaluates the universal operator at
-every accepted point.  Here that pipeline runs on integer numpy stacks, one
-chunk of points at a time:
+A sweep of any chart over GF(q), q = p^n, runs one chunk of points at a
+time:
 
-* chart templates, constraints and rank-locus minors are evaluated as
-  integer polynomials over a (P, k) array of parameter values;
-* a table sweep evaluates the operator once per weighted scaling orbit:
-  each tuple is scaled so its first nonzero entry is 1, and only canonical
-  tuples not met earlier in the sweep go on;
-* the one-parameter group element and the module tree are evaluated on
-  series in t whose coefficients are (P, m, m) stacks mod p, truncated
-  mod t^(D+1), where D is the t-degree the operator reads: p^(r-1) for the
-  full operator, p^(r-1-s) for factor s of the exponential one.  Truncation
-  is a ring homomorphism that commutes with Tw's t -> t^(p^i), so every node
-  may truncate;
+* a point is a row of element indices (`FiniteField.from_index`); chart
+  templates, constraints and rank-locus minors, compiled once
+  (`_CompiledPolys`), are evaluated at a (P, k) array of points: mod p over
+  GF(p), through the field's log tables over GF(p^n);
+* a table sweep evaluates the operator once per weighted scaling orbit, on
+  the tuple scaled so its first nonzero entry is 1 (`_orbit_reduce`);
+* in the `_Pointwise` ring, where a GF(p^n) entry is its n x n GF(p)
+  regular-representation block, the one-parameter group element and the
+  module tree are evaluated on series in t with (P, m n, m n) coefficient
+  stacks mod p, truncated mod t^(D+1) for the t-degree D the operator
+  reads: p^(r-1) for the full operator, p^(r-1-s) for factor s of the
+  exponential one (truncation commutes with Tw's t -> t^(p^i));
 * Sym and Ext follow the equivariant recurrence
   Sym^d(g) = mu_d (Sym^(d-1)(g) (x) g) J_d, with the bases and cached maps
   of `modules.power_maps`, which the pointwise path uses too;
 * rank profiles come from batched GF(p) elimination with a pivot per matrix.
 
 Points, validation errors and Jordan types come out in the order and with
-the messages of the pointwise sweep (`enumerate_points`, `CommutingTuple`,
-`jt_at_point`), which covers every other field, chart kind and module and
-is the reference the tests compare against.
+the messages of the per-point sweep (`enumerate_points`, `CommutingTuple`,
+`jt_at_point`), which the tests keep as the reference.
 
 Along a curve (`curve_operator`) the same series and module walker run on
 a second coefficient ring, `_Polys`: each coefficient is an (S, m, m, n)
 stack of the GF(p^n) coordinates of a polynomial in the curve parameter s.
 Products convolve along s, and a twist Tw(i) stretches s by p^i as well as
 t and maps the coordinates by Frobenius.  Explicit leaves act through a
-stack form of `eval_ga_point` and `texp_element`.
-
-A single finite-field point (`theta`) runs on the same code: every point,
-of every chart kind, is a P = 1 `_Pointwise` stack through
-`curve_operator`.  Over GF(p^n) that ring holds each entry as its n x n
-GF(p) regular-representation block, so its products, validation
-(`_validate`) and ranks (`_point_type`) are those of GF(p) matrices;
-`_Polys` serves curves only.
+stack form of `eval_ga_point` and `texp_element`.  A single finite-field
+point (`theta`) is a P = 1 `_Pointwise` stack, validated by `_validate` and
+ranked by `_point_type`.
 """
 
 from __future__ import annotations
@@ -49,14 +43,13 @@ from __future__ import annotations
 import itertools
 import random
 from functools import lru_cache
-from math import comb
+from math import comb, isqrt
 
 import numpy as np
 
-from .errors import ChartError, JTCalcError, NotNilpotentError
-from .fields import FiniteField
+from .errors import ChartError, DomainMismatchError, JTCalcError, NotNilpotentError
 from .jordan import RankProfile, jt_from_rank_profile
-from .linalg import _convolve, _gfp_rref, _px_trim, _regular, _regular_matrix
+from .linalg import _convolve, _gfp_rref, _px_trim, _regular
 from .modules import (
     DirectSum,
     Dual,
@@ -92,32 +85,38 @@ def by_variant(variant, full, exp):
     raise JTCalcError(f"unknown operator variant {variant!r}: expected 'full' or 'exp'")
 
 
-def supports(chart, e, field):
-    """True when the sweep runs batched: a `gl` chart over GF(p), no Explicit leaf."""
-    return (
-        chart.kind == KIND_GL
-        and isinstance(field, FiniteField)
-        and field.n == 1
-        and not any(isinstance(leaf, Explicit) for leaf in e.leaves())
-    )
+def _check_pairing(e, kind, p, height):
+    """Raise unless the module's leaves pair with points of this kind, characteristic and height."""
+    expl = [leaf for leaf in e.leaves() if isinstance(leaf, Explicit)]
+    if kind == KIND_GL:
+        if expl:
+            raise JTCalcError("Explicit modules pair with additive points, not matrix tuples")
+        return
+    if any(isinstance(leaf, Std) for leaf in e.leaves()):
+        raise JTCalcError("Std leaves pair with matrix tuples, not additive points")
+    for leaf in expl:
+        if leaf.field.p != p:
+            raise DomainMismatchError("module characteristic differs from tuple field")
+        if leaf.height != height:
+            raise JTCalcError(f"Explicit module of height {leaf.height} used with a {height}-parameter point")
 
 
 def jordan_types(chart, e, field, variant, budget, seed, samples):
-    """(values, Jordan type) per swept point, None for the zero tuple.
+    """(values, Jordan type) per swept point, None for the zero tuple; values are element indices.
 
-    Like `tabulate_jt`'s pointwise path, every tuple is validated before any
-    operator is evaluated, and the operator is evaluated once per weighted
-    scaling orbit: on its canonical tuple (`_orbit_reduce`), in the chunk
-    that first meets the orbit.
+    As in the per-point sweep, every tuple is validated before any operator
+    is evaluated, and the operator is evaluated once per weighted scaling
+    orbit: on its canonical tuple (`_orbit_reduce`), in the chunk that first
+    meets the orbit.
     """
     sweep = _Sweep(chart, e, field, variant)
-    # the accepted values (a byte per parameter and point) are kept, not drawn again
-    accepted = list(sweep.points(budget, seed, samples))
-    # canonical tuple as int8 bytes -> Jordan type; the zero tuple has none
-    types = {bytes(chart.r * chart.size**2): None}
-    for values in _regroup(accepted, sweep.chunk):
-        mats = _orbit_reduce(sweep.tuples(values), sweep.p)
-        keys = [row.tobytes() for row in mats.reshape(len(mats), -1).astype(np.int8)]
+    # the accepted values (element indices) are kept, not drawn again
+    accepted = [values for values, _ in sweep.points(budget, seed, samples)]
+    # canonical tuple as bytes -> Jordan type; the zero tuple has none
+    types = {sweep.zero: None}
+    for values in accepted:
+        mats = _orbit_reduce(field, chart.kind, sweep.tuples(values))
+        keys = [row.tobytes() for row in mats.reshape(len(mats), -1).astype(sweep.dtype)]
         new = {}
         for i, key in enumerate(keys):
             if key not in types:
@@ -129,57 +128,139 @@ def jordan_types(chart, e, field, variant, budget, seed, samples):
 def closed_stratum_points(chart, e, field, variant, budget, seed, samples, polys):
     """(values, Jordan type, whether every poly vanishes) per nonzero swept point.
 
-    Like `verify_closed_stratum`'s pointwise path, tuples are validated as
-    the sweep reaches them.
+    As in the per-point sweep, tuples are validated as the sweep reaches them.
     """
     sweep = _Sweep(chart, e, field, variant)
-    minors = _PolySet(polys, len(chart.params), sweep.p)
-    for values in _regroup(sweep.points(budget, seed, samples), sweep.chunk):
-        mats = sweep.tuples(values)
+    minors = _CompiledPolys(polys, len(chart.params), sweep.p)
+    for values, mats in sweep.points(budget, seed, samples):
         nonzero = mats.reshape(len(mats), -1).any(axis=1)
         if not nonzero.any():
             continue
         values, mats = values[nonzero], mats[nonzero]
-        vanish = ~minors(values).any(axis=1)
+        vanish = ~minors.at_points(field, values).any(axis=1)
         yield from zip(values.tolist(), sweep.types(mats), vanish.tolist())
 
 
-# -- points ------------------------------------------------------------------------
+# -- polynomials at points -----------------------------------------------------------
 
 
-class _PolySet:
-    """Polynomials over GF(p) in k variables, evaluated at once over (P, k) value arrays."""
+class _CompiledPolys:
+    """Polynomials with GF(p) coefficients in k variables, compiled once for evaluation.
+
+    The monomials that occur are listed once, each as its (variable,
+    exponent) factors; each polynomial is a row of (monomial, coefficient)
+    pairs, and of `matrix`.  `at_ints` evaluates at one point of GF(p) ints,
+    `at_points` at a stack of points over any GF(q), `at_stacks` along a curve.
+    """
 
     def __init__(self, polys, k, p):
         monomials = {}
-        terms = []
-        for j, poly in enumerate(polys):
-            for exps, c in poly.terms.items():
-                terms.append((monomials.setdefault(exps, len(monomials)), j, c.coeffs[0]))
+        self.rows = tuple(
+            tuple((monomials.setdefault(exps, len(monomials)), c.coeffs[0]) for exps, c in poly.terms.items())
+            for poly in polys
+        )
+        self.monomials = tuple(tuple((v, k) for v, k in enumerate(exps) if k) for exps in monomials)
         self.p = p
         self.exps = np.array(list(monomials), dtype=np.int64).reshape(len(monomials), k)
-        self.coeffs = np.zeros((len(monomials), len(polys)), dtype=np.int64)
-        for i, j, c in terms:
-            self.coeffs[i, j] = c
+        # (variable, its top exponent, its exponent in each monomial), for each variable that occurs
+        self.powers = tuple((v, int(col.max()), col) for v, col in enumerate(self.exps.T) if col.any())
+        self.occurs = self.exps.T > 0
+        self.matrix = np.zeros((len(self.rows), len(monomials)), dtype=np.int64)
+        for j, row in enumerate(self.rows):
+            for i, c in row:
+                self.matrix[j, i] = c
 
-    def __call__(self, values):
-        """(P, len(polys)) values mod p, over row blocks that keep within CHUNK_CELLS."""
-        step = max(1, CHUNK_CELLS // (len(self.exps) + self.coeffs.shape[1] + 1))
-        parts = [self._eval(values[i:i + step]) for i in range(0, len(values), step)]
-        return np.concatenate(parts) if parts else np.zeros((0, self.coeffs.shape[1]), dtype=np.int64)
-
-    def _eval(self, values):
+    def at_ints(self, values):
+        """Values mod p at a point of GF(p) ints."""
         p = self.p
-        mono = np.ones((len(values), len(self.exps)), dtype=np.int64)
-        for v, col in enumerate(self.exps.T):
-            top = int(col.max(initial=0))
-            if not top:
-                continue
-            powers = np.ones((len(values), top + 1), dtype=np.int64)
-            for k in range(1, top + 1):
-                powers[:, k] = powers[:, k - 1] * values[:, v] % p
-            mono = mono * powers[:, col] % p
-        return mono @ self.coeffs % p
+        mono = []
+        for factors in self.monomials:
+            m = 1
+            for v, k in factors:
+                m *= values[v] ** k
+            mono.append(m % p)
+        return [sum(c * mono[i] for i, c in row) % p for row in self.rows]
+
+    def at_points(self, field, values):
+        """(P, len(polys)) values at a (P, k) stack of points, as element indices both ways.
+
+        Evaluated over row blocks that keep within CHUNK_CELLS.
+        """
+        step = max(1, CHUNK_CELLS // ((len(self.monomials) + len(self.rows) + 1) * field.n))
+        if len(values) <= step:
+            return self._eval(field, values)
+        return np.concatenate([self._eval(field, values[i:i + step]) for i in range(0, len(values), step)])
+
+    def _eval(self, field, values):
+        p = self.p
+        if field.n == 1:
+            mono = np.ones((len(values), len(self.monomials)), dtype=np.int64)
+            for v, top, col in self.powers:
+                powers = np.ones((len(values), top + 1), dtype=np.int64)
+                for k in range(1, top + 1):
+                    powers[:, k] = powers[:, k - 1] * values[:, v] % p
+                mono = mono * powers[:, col] % p
+            return mono @ self.matrix.T % p
+        log, exp, digits, weights = _log_tables(field)
+        logs = log[values] @ self.exps.T % (field.order - 1)
+        # a monomial vanishes where a variable it contains does
+        zero = (values == 0) @ self.occurs
+        mono = digits[np.where(zero, 0, exp[logs])]
+        return (self.matrix @ mono % p) @ weights
+
+    def at_stacks(self, ring, values):
+        """Values at a point of polynomials in one variable over GF(p^n), given as
+        `_Polys` stacks (S, 1, 1, n): an (len(polys), S, n) array of coefficients."""
+        mono = []
+        for factors in self.monomials:
+            m = None
+            for v, k in factors:
+                for _ in range(k):
+                    m = values[v] if m is None else ring.reduce(ring.matmul(m, values[v]))
+            mono.append(ring.identity(1) if m is None else m)
+        length = max((len(m) for m in mono), default=1)
+        table = np.zeros((len(mono), length, ring.n), dtype=np.int64)
+        for i, m in enumerate(mono):
+            table[i, :len(m)] = m[:, 0, 0]
+        flat = self.matrix @ table.reshape(len(mono), length * ring.n) % self.p
+        return flat.reshape(len(self.rows), length, ring.n)
+
+
+@lru_cache(maxsize=None)
+def _log_tables(field):
+    """(log, exp, digits, weights): GF(q) arithmetic on element indices (`FiniteField.from_index`).
+
+    exp[k] is the index of g^k (k < q - 1, g the first primitive element) and log[exp[k]] = k;
+    a zero factor is masked, not logged.  digits[i] = coordinates of i; coordinates @ weights = i.
+    """
+    p, n, q = field.p, field.n, field.order
+    weights = p ** np.arange(n)
+    digits = (np.arange(q)[:, None] // weights % p).astype(np.int8)
+    divisors = {d for s in range(1, isqrt(q - 1) + 1) if (q - 1) % s == 0 for d in (s, (q - 1) // s)}
+    g = next(x for x in map(field.from_index, range(1, q))
+             if all(x**d != field.one() for d in divisors - {q - 1}))
+    # g^0, ..., g^(2^j - 1), then those times g^(2^j)
+    powers, x = digits[1:2], np.array(g.coeffs)
+    while len(powers) < q - 1:
+        powers = np.concatenate([powers, powers @ _regular(field, x) % p])
+        x = x @ _regular(field, x) % p
+    exp = powers[:q - 1] @ weights
+    log = np.zeros(q, dtype=np.int64)
+    log[exp] = np.arange(q - 1)
+    for table in (log, exp, digits, weights):
+        table.setflags(write=False)
+    return log, exp, digits, weights
+
+
+def _coords(field, indices):
+    """The coordinates of elements given by their indices: a new last axis of length n."""
+    if field.n == 1:
+        return indices[..., None]
+    return _log_tables(field)[2][indices]
+
+
+def _index_dtype(q):
+    return np.int8 if q <= 128 else np.int32
 
 
 def _regroup(blocks, size):
@@ -197,60 +278,98 @@ def _regroup(blocks, size):
         yield np.concatenate(pending)
 
 
-def _orbit_reduce(mats, p):
-    """`orbit_reduce` over GF(p): scale each tuple so its first nonzero entry is 1.
+def _orbit_reduce(field, kind, mats):
+    """Canonical tuples of the weighted scaling orbits of a (P, r, a, b) stack of element indices.
 
-    alpha^(p^s) = alpha in GF(p), so every matrix of the tuple scales alike.
+    Each tuple is scaled so that its first nonzero entry, beta^-1 in matrix
+    s, becomes 1: B_s' goes to alpha^(p^s') B_s' = beta^(p^(s'-s)) B_s' for
+    alpha = beta^(p^-s).  A `multi_ga` point scales every entry by beta.
     The zero tuple stays zero.
     """
-    flat = mats.reshape(len(mats), -1)
-    lead = flat[np.arange(len(flat)), (flat != 0).argmax(axis=1)]
-    return mats * _inverses(p)[lead][:, None, None, None] % p
+    log, exp = _log_tables(field)[:2]
+    q1 = field.order - 1
+    count, r = mats.shape[:2]
+    flat = mats.reshape(count, r, -1)
+    entries = flat.reshape(count, -1)
+    first = (entries != 0).argmax(axis=1)
+    beta = -log[entries[np.arange(count), first]] % q1
+    shift = 0 if kind == KIND_MULTI_GA else (np.arange(r) - first[:, None] // flat.shape[2]) % field.n
+    scale = beta[:, None] * field.p**shift % q1
+    return np.where(flat == 0, 0, exp[(log[flat] + scale[:, :, None]) % q1]).reshape(mats.shape)
 
 
 # -- the sweep -----------------------------------------------------------------------
 
 
 class _Sweep:
+    """A chart sweep over GF(q), q = p^n, a chunk of points at a time.
+
+    A point is a row of element indices, one per parameter; its tuple is an (r, a, a) array of
+    them, a = N on `gl` charts and 1 on the additive kinds, as `Chart.tuple_at` builds it.
+    """
+
     def __init__(self, chart, e, field, variant):
         self.chart = chart
         self.e = e
         self.field = field
-        p = self.p = field.p
+        self.p, self.n = field.p, field.n
         self.variant = variant
-        k, size = len(chart.params), chart.size
-        self.constraints = _PolySet(chart.constraints, k, p)
-        self.templates = _PolySet(
-            [t.entry(i, j) for t in chart.templates for i in range(size) for j in range(size)], k, p
-        )
-        terms = p ** (chart.r - 1) + 1
-        self.chunk = max(1, CHUNK_CELLS // (terms * max(_cells(e), size * size)))
-        self.with_inv = _contains_dual(e)
+        size = chart.size if chart.kind == KIND_GL else 1
+        self.dtype = _index_dtype(field.order)
+        self.zero = bytes(chart.r * size * size * np.dtype(self.dtype).itemsize)  # the zero tuple's key
+        terms = self.p ** (chart.r - 1) + 1
+        self.chunk = max(1, CHUNK_CELLS // (terms * max(_cells(e), chart.size**2) * self.n**2))
         self.cache = {}
 
     def points(self, budget, seed, samples):
-        """Value blocks of the points `enumerate_points` yields, validated in the same order."""
-        if self.p != self.chart.p:
+        """(values, tuples) chunks of the points `enumerate_points` yields, validated in its order.
+
+        It raises where `enumerate_points` raises: after the chunk cut
+        before the first invalid tuple, or after the last chunk of a sampled
+        sweep that runs out of attempts.
+        """
+        chart, field = self.chart, self.field
+        if field.p != chart.p:
             raise ChartError("field characteristic differs from the chart's")
         if budget <= 0:
             raise ChartError("budget must be positive")
-        for values in self._accepted(budget, seed, samples):
+        total = field.order ** len(chart.params)
+        emitted = 0
+        for values in _regroup(self._accepted(total <= budget, seed, samples), self.chunk):
             mats = self.tuples(values)
-            _validate(_Pointwise(self.field, len(mats)), [mats[:, s] for s in range(mats.shape[1])])
-            yield values
+            if chart.kind == KIND_GL:
+                invalid = _first_invalid(*self._stacks(mats))
+                if invalid is not None:
+                    point, report = invalid
+                    if point:
+                        yield values[:point], mats[:point]
+                    raise NotNilpotentError(report)
+            emitted += len(values)
+            yield values, mats
+        if total > budget and emitted < samples:
+            raise ChartError("rejection sampling failed to find enough chart points")
 
     def tuples(self, values):
+        """The (P, r, a, a) tuples at a (P, k) block of points."""
         chart = self.chart
-        return self.templates(values).reshape(len(values), chart.r, chart.size, chart.size)
+        mats = chart._compiled_templates.at_points(self.field, values)
+        mats = mats.reshape(len(values), chart.r, chart.size, chart.size)
+        return mats if chart.kind == KIND_GL else mats[:, :, :1, :1]
 
-    def _accepted(self, budget, seed, samples):
-        p, k, chunk = self.p, len(self.chart.params), self.chunk
-        total = p**k
-        if total <= budget:
-            digits = p ** np.arange(k - 1, -1, -1)
+    def _accepted(self, exhaustive, seed, samples):
+        field, k, chunk = self.field, len(self.chart.params), self.chunk
+        q = field.order
+        constraints = self.chart._compiled_constraints
+
+        def accepted(values):
+            return values[~constraints.at_points(field, values).any(axis=1)]
+
+        if exhaustive:
+            total = q**k
+            digits = q ** np.arange(k - 1, -1, -1)
             for start in range(0, total, chunk):
-                values = (np.arange(start, min(start + chunk, total))[:, None] // digits % p).astype(np.int8)
-                yield values[~self.constraints(values).any(axis=1)]
+                indices = np.arange(start, min(start + chunk, total))
+                yield accepted((indices[:, None] // digits % q).astype(self.dtype))
             return
         rng = random.Random(seed)
         emitted = attempts = 0
@@ -258,56 +377,60 @@ class _Sweep:
         while emitted < samples and attempts < limit:
             n = min(chunk, limit - attempts)
             attempts += n
-            values = _randrange(rng, p, n * k).reshape(n, k)
-            values = values[~self.constraints(values).any(axis=1)][: samples - emitted]
+            values = accepted(_randrange(rng, q, n * k).reshape(n, k))[: samples - emitted]
             emitted += len(values)
             yield values
-        if emitted < samples:
-            raise ChartError("rejection sampling failed to find enough chart points")
 
     def types(self, mats):
         """Jordan types of the selected operator at a stack of nonzero tuples."""
         if not len(mats):
             return []
+        _check_pairing(self.e, self.chart.kind, self.p, self.chart.r)
         op = self._operator(mats)
-        ranks = _rank_profiles(op, self.p, self.variant)
+        ranks = _rank_profiles(op, self.p, self.variant) // self.n
+        dim = op.shape[1] // self.n
         out = []
         for row in map(tuple, ranks.tolist()):
             jt = self.cache.get(row)
             if jt is None:
-                jt = self.cache[row] = jt_from_rank_profile(RankProfile(self.p, op.shape[1], row))
+                jt = self.cache[row] = jt_from_rank_profile(RankProfile(self.p, dim, row))
             out.append(jt)
         return out
 
     def _operator(self, mats):
+        ring, stacks = self._stacks(mats)
+        return curve_operator(ring, self.chart.kind, self.e, self.variant, stacks)
+
+    def _stacks(self, mats):
+        """The `_Pointwise` ring of a stack of tuples, and their matrices as its stacks."""
         ring = _Pointwise(self.field, len(mats))
-        return _gl_operator(ring, [mats[:, s] for s in range(mats.shape[1])], self.e, self.variant,
-                            self.with_inv)
+        return ring, [ring.lift(_coords(self.field, mats[:, s])) for s in range(mats.shape[1])]
 
 
-def _randrange(rng, p, count):
-    """`count` successive `rng.randrange(p)` draws as int8, leaving rng where they would.
+def _randrange(rng, q, count):
+    """`count` successive `rng.randrange(q)` draws, leaving rng where they would.
 
-    randrange(p) takes 32-bit Mersenne Twister words w until w >> (32 - k),
-    k = p.bit_length(), is below p, and returns that; getrandbits(32 W)
+    randrange(q) takes 32-bit Mersenne Twister words w until w >> (32 - k),
+    k = q.bit_length(), is below q, and returns that; getrandbits(32 W)
     returns W such words, the first as its lowest 32 bits.  So the words are
     drawn in bulk and filtered, and then the generator is restored and moved
-    on by exactly the words the draws used.
+    on by exactly the words the draws used.  The draws are int8 while
+    q <= 128.
     """
     state = rng.getstate()
-    shift = 32 - p.bit_length()
+    shift = 32 - q.bit_length()
     words = np.zeros(0, dtype=np.uint32)
     accepted = np.zeros(0, dtype=np.intp)
     while len(accepted) < count:
-        # at least half the words are accepted, since 2^(k-1) <= p
+        # at least half the words are accepted, since 2^(k-1) <= q
         more = 2 * (count - len(accepted)) + 64
         block = np.frombuffer(rng.getrandbits(32 * more).to_bytes(4 * more, "little"), dtype="<u4")
         words = np.concatenate([words, block >> shift])
-        accepted = np.flatnonzero(words < p)
+        accepted = np.flatnonzero(words < q)
     rng.setstate(state)
     if count:
         rng.getrandbits(32 * (int(accepted[count - 1]) + 1))
-    return words[accepted[:count]].astype(np.int8)
+    return words[accepted[:count]].astype(_index_dtype(q))
 
 
 def _cells(e):
@@ -326,7 +449,14 @@ def _power_dim(n, d, ext):
 
 
 def _validate(ring, mats):
-    """Raise what `CommutingTuple` raises for the first invalid tuple of the stacks mats[s].
+    """Raise what `CommutingTuple` raises for the first invalid tuple of the stacks mats[s]."""
+    invalid = _first_invalid(ring, mats)
+    if invalid is not None:
+        raise NotNilpotentError(invalid[1])
+
+
+def _first_invalid(ring, mats):
+    """(point, report) for the first invalid tuple of the stacks mats[s], None if all are valid.
 
     The reports come in the order of `modules.validate_commuting_tuple`: per
     matrix, a shape other than the first matrix's square, then a nonzero
@@ -346,9 +476,10 @@ def _validate(ring, mats):
         failed.append(ring.nonzero(ring.reduce(ring.matmul(a, b) - ring.matmul(b, a))))
         reports.append(f"matrices {i} and {j} do not commute")
     failed = np.array(failed)
-    if failed.any():
-        point = int(failed.any(axis=0).argmax())
-        raise NotNilpotentError(reports[int(failed[:, point].argmax())])
+    if not failed.any():
+        return None
+    point = int(failed.any(axis=0).argmax())
+    return point, reports[int(failed[:, point].argmax())]
 
 
 # -- coefficient rings: what a series in t holds at each degree ------------------------
@@ -381,10 +512,15 @@ class _Pointwise:
         return m.shape[1] // self.n
 
     def lift(self, data):
-        """The one-point stack (1, rows n, cols n) of a (rows, cols, n) coordinate array."""
+        """The stack (P, rows n, cols n) of a (P, rows, cols, n) coordinate stack; a
+        (rows, cols, n) array gives the one-point stack."""
+        if data.ndim == 3:
+            data = data[None]
         if self.n == 1:
-            return data[None, :, :, 0]
-        return _regular_matrix(self.field, data)[None] % self.p
+            return data[..., 0]
+        count, rows, cols, n = data.shape
+        blocks = _regular(self.field, data).transpose(0, 1, 4, 2, 3)
+        return blocks.reshape(count, rows * n, cols * n) % self.p
 
     def coords(self, m):
         """The (rows, cols, n) coordinates of one matrix of the stack: column 0 of each block."""
@@ -686,10 +822,12 @@ def _texp(ring, b, top, step, with_inv):
 def _scalar_texp(series, c, terms, with_inv):
     """[exp(c alpha)], with exp(-c alpha) when with_inv, for a scalar series c without constant term.
 
-    terms[i] is alpha^i / i! (i < p) as a constant stack; as `texp_element`.
+    terms[i] is alpha^i / i! (i < p) as a one-point stack; as `texp_element`.  They enter as
+    right Kronecker factors of the powers of c, which span every point of the ring's stacks;
+    the constant term is the ring's identity, which does too.
     """
-    g = {0: terms[0]}
-    g_inv = {0: terms[0]}
+    g = {0: series.ring.identity(series.ring.dim(terms[0]))}
+    g_inv = dict(g)
     cpow = None
     for i in range(1, len(terms)):
         cpow = c if cpow is None else series.mul(cpow, c)
@@ -777,13 +915,12 @@ def curve_operator(ring, kind, e, variant, mats):
 
     mats holds the tuple along the curve, one `_Polys` stack per matrix
     (1 x 1 for the additive kinds); the module's pairing with the kind is
-    checked by the caller.  A single point comes as P = 1 `_Pointwise`
-    stacks instead, giving a (1, m n, m n) stack.  This is `theta_variant`
-    over GF(q)[s], term for term: a `gl`
-    tuple goes through `_gl_operator`; Explicit leaves act through
-    `eval_ga_point` (`ga`: c = sum_s a_s t^(p^s), and a_s t alone for
-    factor s of the exponential operator) or through the product of
-    exp(t a_i alpha_i) (`multi_ga`, t^p = 0, both variants).
+    checked by the caller.  Points come as `_Pointwise` stacks instead,
+    giving a (P, m n, m n) stack.  This is `theta_variant` over GF(q)[s],
+    term for term: a `gl` tuple goes through `_gl_operator`; Explicit leaves
+    act through `eval_ga_point` (`ga`: c = sum_s a_s t^(p^s), and a_s t
+    alone for factor s of the exponential operator) or through the product
+    of exp(t a_i alpha_i) (`multi_ga`, t^p = 0, both variants).
     """
     with_inv = _contains_dual(e)
     if kind == KIND_GL:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import batch
 from .errors import CapExceededError, ChartError, JTCalcError, ParseError
-from .fields import FiniteField, GF, PolyRing
+from .fields import GF, PolyRing
 from .jordan import dominance_leq, jt_of_nilpotent, jt_rank
 from .linalg import ExactMatrix, _PolyMatrix
 from .parsing import parse_field_spec, parse_polynomial
@@ -33,7 +33,6 @@ from .theta import (
     by_variant,
     homotopy_theta,
     jt_at_point,
-    scale_tuple,
     theta_variant,
 )
 
@@ -42,80 +41,12 @@ EXHAUSTIVE_DEFAULT_BUDGET = 10**6
 SAMPLE_DEFAULT = 10**4
 
 
-class _CompiledPolys:
-    """Polynomials with GF(p) coefficients, compiled for evaluation at single points.
-
-    The monomials that occur are listed once, each as its (variable,
-    exponent) factors; each polynomial is a row of (monomial, coefficient)
-    pairs.  Values come out flat: one int per polynomial over GF(p), the n
-    coordinates of each polynomial over GF(p^n).
-    """
-
-    def __init__(self, polys, p):
-        monomials = {}
-        self.rows = tuple(
-            tuple((monomials.setdefault(exps, len(monomials)), c.coeffs[0]) for exps, c in poly.terms.items())
-            for poly in polys
-        )
-        self.monomials = tuple(tuple((v, k) for v, k in enumerate(exps) if k) for exps in monomials)
-        self.p = p
-        self.matrix = np.zeros((len(self.rows), len(monomials)), dtype=np.int64)
-        for j, row in enumerate(self.rows):
-            for i, c in row:
-                self.matrix[j, i] = c
-
-    def at_ints(self, values):
-        """Values mod p at a point of GF(p) ints."""
-        p = self.p
-        mono = []
-        for factors in self.monomials:
-            m = 1
-            for v, k in factors:
-                m *= values[v] ** k
-            mono.append(m % p)
-        return [sum(c * mono[i] for i, c in row) % p for row in self.rows]
-
-    def at_coords(self, field, values):
-        """Coordinates at a point of GF(p^n) coordinate tuples, products by `FiniteField._mul`."""
-        p, mul, one = self.p, field._mul, field.one().coeffs
-        mono = []
-        for factors in self.monomials:
-            m = one
-            for v, k in factors:
-                for _ in range(k):
-                    m = mul(m, values[v])
-            mono.append(m)
-        out = []
-        for row in self.rows:
-            acc = [0] * field.n
-            for i, c in row:
-                acc = [a + c * b for a, b in zip(acc, mono[i])]
-            out.extend(a % p for a in acc)
-        return out
-
-    def at_stacks(self, ring, values):
-        """Values at a point of polynomials in one variable over GF(p^n), given as
-        `batch._Polys` stacks (S, 1, 1, n): an (len(polys), S, n) array of coefficients."""
-        mono = []
-        for factors in self.monomials:
-            m = None
-            for v, k in factors:
-                for _ in range(k):
-                    m = values[v] if m is None else ring.reduce(ring.matmul(m, values[v]))
-            mono.append(ring.identity(1) if m is None else m)
-        length = max((len(m) for m in mono), default=1)
-        table = np.zeros((len(mono), length, ring.n), dtype=np.int64)
-        for i, m in enumerate(mono):
-            table[i, :len(m)] = m[:, 0, 0]
-        flat = self.matrix @ table.reshape(len(mono), length * ring.n) % self.p
-        return flat.reshape(len(self.rows), length, ring.n)
-
-
 @dataclass(frozen=True)
 class Chart:
     """Polynomial parametrization of commuting tuples with constraints.
 
-    Templates and constraints are compiled once per chart (`_CompiledPolys`);
+    Templates and constraints are compiled once per chart
+    (`batch._CompiledPolys`), for single points and sweeps alike;
     `satisfies` and `tuple_at` evaluate the compiled form and raise for a bad
     point what `Polynomial.evaluate` raises (`PolyRing.point_field`).
     """
@@ -140,7 +71,7 @@ class Chart:
     def _compile(self, polys):
         if self.ring.field.n != 1:
             raise ChartError("chart template coefficients live over the prime field")
-        return _CompiledPolys(polys, self.p)
+        return batch._CompiledPolys(polys, len(self.params), self.p)
 
     @cached_property
     def _compiled_templates(self):
@@ -152,7 +83,7 @@ class Chart:
         return self._compile(self.constraints)
 
     def _evaluate(self, compiled, values):
-        """(field of the point, flat values of the compiled polynomials there)."""
+        """(field of the point, the element indices of the compiled polynomials there)."""
         values = list(values)
         if not compiled.rows:
             # nothing is evaluated, so the point is not checked
@@ -162,7 +93,8 @@ class Chart:
             field = GF(self.p)
         if field.n == 1:
             return field, compiled.at_ints([v.coeffs[0] for v in values])
-        return field, compiled.at_coords(field, [v.coeffs for v in values])
+        indices = [[sum(c * field.p**i for i, c in enumerate(v.coeffs)) for v in values]]
+        return field, compiled.at_points(field, np.array(indices))[0]
 
     def satisfies(self, values):
         _, flat = self._evaluate(self._compiled_constraints, values)
@@ -170,10 +102,10 @@ class Chart:
 
     def tuple_at(self, values, validated=True):
         field, flat = self._evaluate(self._compiled_templates, values)
-        data = np.array(flat, dtype=np.int64)
+        data = batch._coords(field, np.array(flat, dtype=np.int64))
         mats, start = [], 0
         for tmpl in self.templates:
-            end = start + tmpl.rows * tmpl.cols * field.n
+            end = start + tmpl.rows * tmpl.cols
             block = data[start:end].reshape(tmpl.rows, tmpl.cols, field.n)
             if self.kind != KIND_GL:
                 block = block[0, 0].reshape(1, 1, field.n)
@@ -434,27 +366,8 @@ class StrataTable:
         return lines
 
 
-def _serialize_values(values):
-    return [str(v) for v in values]
-
-
-def _pointwise_jordan_types(chart, e, field, variant, budget, seed, samples):
-    """(values, Jordan type) per swept point, None for the zero tuple.
-
-    Every tuple is validated first; `jt_at_point` then runs once per weighted
-    scaling orbit, on the orbit's canonical tuple (`orbit_reduce`).
-    """
-    points = list(enumerate_points(chart, field, budget, seed, samples))
-    types = {}
-    for values, tup in points:
-        if tup.is_zero():
-            yield values, None
-            continue
-        rep = orbit_reduce(tup)
-        key = str(rep.serialize())
-        if key not in types:
-            types[key] = jt_at_point(e, rep, variant)
-        yield values, types[key]
+def _serialize_values(field, values):
+    return [str(field.from_index(i)) for i in values]
 
 
 def tabulate_jt(chart, e, field, variant="full", budget=EXHAUSTIVE_DEFAULT_BUDGET,
@@ -465,14 +378,13 @@ def tabulate_jt(chart, e, field, variant="full", budget=EXHAUSTIVE_DEFAULT_BUDGE
     tuple by B_s -> alpha^(p^s) B_s (`scale_tuple`) scales the operator by
     alpha^(p^(r-1)).  So each weighted scaling orbit is evaluated once, and
     its type is counted for every swept point of the orbit, in sweep order.
-    GF(p) sweeps of `gl` charts run batched (`jtcalc.batch`); every other
-    sweep evaluates `jt_at_point` once per orbit.  Both give the same table.
+    Every sweep, over any finite field and on every chart kind, runs in
+    chunks of points on integer stacks (`batch.jordan_types`).
     """
     entries = {}
     zero_count = 0
     swept = 0
-    sweep = batch.jordan_types if batch.supports(chart, e, field) else _pointwise_jordan_types
-    for values, jt in sweep(chart, e, field, variant, budget, seed, samples):
+    for values, jt in batch.jordan_types(chart, e, field, variant, budget, seed, samples):
         swept += 1
         if jt is None:
             zero_count += 1
@@ -480,7 +392,7 @@ def tabulate_jt(chart, e, field, variant="full", budget=EXHAUSTIVE_DEFAULT_BUDGE
         entry = entries.setdefault(jt, StratumEntry())
         entry.count += 1
         if len(entry.representatives) < max_reps:
-            entry.representatives.append(_serialize_values(values))
+            entry.representatives.append(_serialize_values(field, values))
     return StrataTable(
         chart_name=chart.name,
         module_text=e.to_text(),
@@ -527,20 +439,13 @@ class ClosedStratumReport:
         return not self.mismatches
 
 
-def _pointwise_closed_points(chart, e, field, variant, budget, seed, samples, polys):
-    """(values, Jordan type, whether every poly vanishes) per nonzero swept point."""
-    for values, tup in enumerate_points(chart, field, budget, seed, samples):
-        if tup.is_zero():
-            continue
-        jt = jt_at_point(e, tup, variant)
-        yield values, jt, all(poly.evaluate(values).is_zero() for poly in polys)
-
-
 def verify_closed_stratum(chart, e, a, field, variant="full",
                           budget=EXHAUSTIVE_DEFAULT_BUDGET, seed=0, samples=SAMPLE_DEFAULT):
     """Check {x : JT(x) <= a} equals the common zero set of the rank-locus minors.
 
-    Sweeps run batched or pointwise as in `tabulate_jt`.
+    The sweep runs in chunks of points, as in `tabulate_jt`
+    (`batch.closed_stratum_points`), with the minors evaluated on the same
+    stacks.
     """
     m = e.dim()
     if a.dim != m:
@@ -550,14 +455,14 @@ def verify_closed_stratum(chart, e, a, field, variant="full",
         polys += rank_locus_minors(chart, e, variant, s, jt_rank(a, s))
     mismatches = []
     checked = 0
-    sweep = batch.closed_stratum_points if batch.supports(chart, e, field) else _pointwise_closed_points
-    for values, jt, rhs in sweep(chart, e, field, variant, budget, seed, samples, polys):
+    points = batch.closed_stratum_points(chart, e, field, variant, budget, seed, samples, polys)
+    for values, jt, rhs in points:
         checked += 1
         lhs = dominance_leq(jt, a)
         if lhs != rhs:
             mismatches.append(
                 {
-                    "point": _serialize_values(values),
+                    "point": _serialize_values(field, values),
                     "jordan_type": jt.to_text(),
                     "in_downset": lhs,
                     "minors_vanish": rhs,
@@ -842,27 +747,3 @@ def _parse_element(text, field):
             exp = 0
         coeffs[exp] += -c if neg else c
     return field.element(coeffs)
-
-
-# -- weighted orbit normalization ----------------------------------------------------------
-
-
-def orbit_reduce(tup):
-    """Canonical representative of the weighted scaling orbit of a nonzero tuple.
-
-    The tuple is scaled (`scale_tuple`) so that its first nonzero entry is 1.
-    """
-    if tup.is_zero():
-        raise JTCalcError("the zero tuple has no projective representative")
-    field = tup.domain
-    if not isinstance(field, FiniteField):
-        raise JTCalcError("orbit reduction works over finite fields")
-    entries = ((s, m.entry(i, j)) for s, m in enumerate(tup.mats)
-               for i in range(m.rows) for j in range(m.cols))
-    s, v = next((s, v) for s, v in entries if not v.is_zero())
-    beta = v.inverse()
-    # solve alpha^(p^s) = beta: invert the Frobenius, which is bijective;
-    # a multi_ga point scales every entry by alpha itself
-    if tup.kind == KIND_MULTI_GA or field.n == 1:
-        return scale_tuple(tup, beta)
-    return scale_tuple(tup, beta.frobenius((-s) % field.n))

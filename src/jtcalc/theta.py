@@ -30,6 +30,7 @@ from .batch import (
     KIND_GA,
     KIND_GL,
     KIND_MULTI_GA,
+    _check_pairing,
     _mpow,
     _Pointwise,
     _point_type,
@@ -44,7 +45,6 @@ from .linalg import ExactMatrix
 from .modules import (
     Explicit,
     ModuleExpr,
-    Std,
     UnipotentPair,
     _contains_dual,
     eval_ga_point,
@@ -173,30 +173,8 @@ def _trunc_ring(tup):
     return TruncatedCurveRing(tup.domain, r_eff)
 
 
-def _has_std(e):
-    return any(isinstance(leaf, Std) for leaf in e.leaves())
-
-
 def _explicit_leaves(e):
     return [leaf for leaf in e.leaves() if isinstance(leaf, Explicit)]
-
-
-def _check_pairing(e, kind, p, height):
-    """Raise unless the module's leaves pair with points of this kind, characteristic and height."""
-    expl = _explicit_leaves(e)
-    if kind == KIND_GL:
-        if expl:
-            raise JTCalcError("Explicit modules pair with additive points, not matrix tuples")
-        return
-    if _has_std(e):
-        raise JTCalcError("Std leaves pair with matrix tuples, not additive points")
-    for leaf in expl:
-        if leaf.field.p != p:
-            raise DomainMismatchError("module characteristic differs from tuple field")
-        if leaf.height != height:
-            raise JTCalcError(
-                f"Explicit module of height {leaf.height} used with a {height}-parameter point"
-            )
 
 
 def _stacks(tup):

@@ -1,29 +1,45 @@
-"""Batched GF(p) sweeps against the pointwise path they replace.
+"""Batched sweeps, over every finite field and chart kind, against the per-point oracle.
 
-`strata` runs a sweep batched whenever `batch.supports` says so; patching it
-to False forces the pointwise path (`jt_at_point` per point), the oracle.
+Every `strata` sweep runs batched (`batch.jordan_types`,
+`batch.closed_stratum_points`); under `sweep_oracles.pointwise()` the same
+report is built from the per-point sweep (`jt_at_point` per point), the
+oracle.
 """
 
 import random
-from unittest import mock
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from jtcalc import batch
-from jtcalc.errors import ChartError, JTCalcError, NotNilpotentError
+from jtcalc.errors import ChartError, DomainMismatchError, JTCalcError, NotNilpotentError
 from jtcalc.fields import GF, SUPPORTED_PRIMES
 from jtcalc.jordan import all_types_of_dim
-from jtcalc.modules import DirectSum, Dual, Ext, Std, Sym, Tensor, Trivial, Twist, parse_module_expr
+from jtcalc.linalg import ExactMatrix
+from jtcalc.modules import (
+    DirectSum,
+    Dual,
+    Explicit,
+    Ext,
+    Std,
+    Sym,
+    Tensor,
+    Trivial,
+    Twist,
+    load_explicit_file,
+    parse_module_expr,
+)
 from jtcalc.strata import builtin_chart, parse_chart, tabulate_jt, verify_closed_stratum
+from sweep_oracles import _pointwise_closed_points, element_indices, pointwise
 
 SETTINGS = settings(max_examples=30, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
 
 
 def both(fn, *args, **kwargs):
-    """fn's outcome on the batched and on the pointwise path: a value or (exception type, message)."""
+    """fn's outcome on the batched sweep and on the per-point oracle: a value or (exception type, message)."""
 
     def run():
         try:
@@ -31,20 +47,10 @@ def both(fn, *args, **kwargs):
         except JTCalcError as exc:
             return type(exc), str(exc)
 
-    chosen = []
-    supports = batch.supports
-
-    def spy(*args):
-        chosen.append(supports(*args))
-        return chosen[-1]
-
-    with mock.patch.object(batch, "supports", spy):
-        batched = run()
-    # a call may fail before it reaches the sweep (bad arguments, symbolic minors)
-    assert chosen == [True] or isinstance(batched, tuple)
-    with mock.patch.object(batch, "supports", return_value=False):
-        pointwise = run()
-    return batched, pointwise
+    batched = run()
+    with pointwise():
+        oracle = run()
+    return batched, oracle
 
 
 def canon_table(table):
@@ -80,21 +86,80 @@ def modules(draw, n, depth=3):
     return Sym(d, inner) if kind == "sym" else Ext(d, inner)
 
 
+def _jordan_block(field, n):
+    return ExactMatrix.from_rows(field, [[int(j == i + 1) for j in range(n)] for i in range(n)])
+
+
+@st.composite
+def explicit_leaves(draw, p, height):
+    """Commuting p-nilpotent matrices over GF(p): polynomials without constant term in
+    one Jordan block of size <= p, beside a square-zero block [[0, X], [0, 0]]."""
+    field = GF(p)
+    n = draw(st.integers(1, min(p, 3)))
+    k = draw(st.integers(0, 1))
+    jordan = _jordan_block(field, n)
+    mats = []
+    for _ in range(height):
+        block = ExactMatrix.zeros(field, n, n)
+        power = jordan
+        for _ in range(1, n):
+            block = block + power.scalar_mul(field.from_int(draw(st.integers(0, p - 1))))
+            power = power @ jordan
+        rows = [[0] * (n + 2 * k) for _ in range(n + 2 * k)]
+        for i in range(n):
+            for j in range(n):
+                rows[i][j] = int(block.entry(i, j).coeffs[0])
+        for i in range(k):
+            for j in range(k):
+                rows[n + i][n + k + j] = draw(st.integers(0, p - 1))
+        mats.append(ExactMatrix.from_rows(field, rows))
+    assume(any(not m.is_zero() for m in mats))
+    return Explicit(tuple(mats), label="drawn")
+
+
+@st.composite
+def explicit_modules(draw, p, height):
+    leaf = draw(explicit_leaves(p, height))
+    shape = draw(st.sampled_from(["leaf", "twist", "tensor", "sum", "sym", "ext", "dual"]))
+    if shape == "twist":
+        return Twist(1, leaf)
+    if shape == "tensor":
+        return Tensor(leaf, Twist(draw(st.integers(0, 1)), leaf))
+    if shape == "sum":
+        return DirectSum(leaf, draw(st.sampled_from([Trivial(1), Twist(1, leaf)])))
+    if shape in ("sym", "ext"):
+        return (Sym if shape == "sym" else Ext)(2, leaf)
+    if shape == "dual":
+        return Dual(leaf)
+    return leaf
+
+
+# GF(p) and GF(p^n) as (p, n)
+FIELDS = [(3, 1), (5, 1), (7, 1), (2, 2), (2, 3), (3, 2), (5, 2), (3, 3)]
+
+
 @st.composite
 def sweeps(draw, max_dim=12):
-    p = draw(st.sampled_from([3, 5, 7]))
-    if draw(st.booleans()):
-        r = draw(st.integers(1, 3 if p == 3 else 2))
-        chart = builtin_chart("sl2_line", p, r=r)
+    """A chart, a module that pairs with it, a field and sweep options: every chart kind over
+    GF(p) and GF(p^n), exhaustive or sampled, in both variants."""
+    p, n = draw(st.sampled_from(FIELDS))
+    field = GF(p, n)
+    # sl2_line needs p >= 3
+    name = draw(st.sampled_from(["sl2_line", "upper_glN", "ga_r", "multi_ga"][p == 2:]))
+    if name == "sl2_line":
+        chart = builtin_chart(name, p, r=draw(st.integers(1, 3 if p == 3 else 2)))
+    elif name == "upper_glN":
+        chart = builtin_chart(name, p, r=draw(st.integers(1, 2)), N=draw(st.integers(2, min(p, 3))))
+    elif name == "ga_r":
+        chart = builtin_chart(name, p, r=draw(st.integers(1, 2)))
     else:
-        r = draw(st.integers(1, 2))
-        chart = builtin_chart("upper_glN", p, r=r, N=draw(st.integers(2, 3)))
-    e = draw(modules(chart.size))
+        chart = builtin_chart(name, p, s=draw(st.integers(1, 3)))
+    e = draw(modules(chart.size) if chart.kind == "gl" else explicit_modules(p, chart.r))
     assume(2 <= e.dim() <= max_dim)
     opts = {"variant": draw(st.sampled_from(["full", "exp"]))}
-    if p ** len(chart.params) > 300 or draw(st.booleans()):
+    if field.order ** len(chart.params) > 300 or draw(st.booleans()):
         opts.update(budget=1, samples=draw(st.integers(1, 25)), seed=draw(st.integers(0, 99)))
-    return chart, e, GF(p), opts
+    return chart, e, field, opts
 
 
 @SETTINGS
@@ -204,3 +269,103 @@ def test_bulk_draws_are_randrange_draws(p):
             assert draws.dtype == "int8"
             assert draws.tolist() == [single.randrange(p) for _ in range(count)]
             assert bulk.getstate() == single.getstate()
+
+
+@pytest.mark.parametrize("q", [3, 9, 125, 625, 961, 923521])
+def test_bulk_draws_of_field_orders_are_randrange_draws(q):
+    # a sampled GF(p^n) sweep draws element indices below q = p^n in bulk,
+    # as field.random_element does one at a time
+    for seed in (0, 5):
+        for count in (0, 1, 3, 1000, 4097):
+            bulk, single = random.Random(seed), random.Random(seed)
+            draws = batch._randrange(bulk, q, count)
+            assert draws.tolist() == [single.randrange(q) for _ in range(count)]
+            assert bulk.getstate() == single.getstate()
+
+
+# -- every rejected input raises alike, at the same first failing point -------------------
+
+GOLDEN = Path(__file__).parent / "golden"
+CHAIN3 = load_explicit_file(GOLDEN / "chain3.txt")
+F9 = GF(3, 2)
+
+ERROR_CASES = {
+    "explicit on gl": (builtin_chart("sl2_line", 3, r=1), CHAIN3, F9, {}, JTCalcError),
+    "std on ga": (builtin_chart("ga_r", 3, r=2), parse_module_expr("Std(2)"), F9, {}, JTCalcError),
+    "std size": (builtin_chart("sl2_line", 3, r=1), parse_module_expr("Std(3)*Std(2)"), F9, {}, JTCalcError),
+    "explicit height": (builtin_chart("ga_r", 3, r=1), CHAIN3, F9, {}, JTCalcError),
+    "explicit characteristic": (builtin_chart("ga_r", 5, r=2), CHAIN3, GF(5, 2), {}, DomainMismatchError),
+    # the first invalid tuple is at a = b = 1, after nine valid nonzero ones
+    "invalid gl": (chart_text(3, ["0 a\nb 0", ZERO]), parse_module_expr("Std(2)*Tw(1,Std(2))"), F9, {},
+                   NotNilpotentError),
+    "invalid gl sampled": (chart_text(3, ["0 a\nb 0", ZERO]), parse_module_expr("Std(2)*Tw(1,Std(2))"), F9,
+                           {"budget": 1, "samples": 30, "seed": 2}, NotNilpotentError),
+    "sampling runs out": (chart_text(3, ["0 a\n0 0", "0 b\n0 0"], ["1"]), parse_module_expr("Std(2)*Tw(1,Std(2))"),
+                          F9, {"budget": 1, "samples": 3}, ChartError),
+    # the 1000 attempts accept a point, and every accepted tuple is invalid
+    "invalid before sampling runs out": (
+        chart_text(3, ["0 a\nb 0", ZERO], ["a*b-1", "c", "d"], "a:1 b:1 c:1 d:1"),
+        parse_module_expr("Std(2)*Tw(1,Std(2))"), F9, {"budget": 1, "samples": 5, "seed": 0}, NotNilpotentError),
+    "characteristic": (builtin_chart("sl2_line", 5, r=1), parse_module_expr("Std(2)"), F9, {}, ChartError),
+    "budget 0": (builtin_chart("ga_r", 3, r=2), CHAIN3, F9, {"budget": 0}, ChartError),
+    # no point is evaluated, so a module that does not fit the chart raises nowhere
+    "all zero": (chart_text(3, [ZERO, ZERO]), parse_module_expr("Std(3)"), F9, {}, None),
+    "all zero explicit": (chart_text(3, [ZERO, ZERO]), CHAIN3, F9, {}, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ERROR_CASES))
+def test_extension_field_errors_raise_alike(case):
+    chart, e, field, opts, error = ERROR_CASES[case]
+    batched, oracle = both(tabulate_jt, chart, e, field, **opts)
+    assert canon_table(batched) == canon_table(oracle)
+    if error is None:
+        assert not batched.entries and batched.zero_count == batched.swept == field.order ** 2
+    else:
+        assert batched[0] is error
+    a = all_types_of_dim(chart.p, e.dim())[0]
+    batched, oracle = both(verify_closed_stratum, chart, e, a, field, **opts)
+    assert canon_report(batched) == canon_report(oracle)
+
+
+def _until_error(points):
+    """The values a closed-stratum sweep yields, and the error it then raises."""
+    seen = []
+    try:
+        for values, *_ in points:
+            seen.append(values)
+    except JTCalcError as exc:
+        return seen, (type(exc), str(exc))
+    return seen, None
+
+
+@pytest.mark.parametrize("case", sorted(ERROR_CASES))
+def test_closed_sweeps_fail_at_the_same_point(case):
+    # a closed-stratum sweep evaluates each point as it reaches it, so the
+    # points before the first failure come out before the error
+    chart, e, field, opts, _ = ERROR_CASES[case]
+    args = (chart, e, field, "full", opts.get("budget", 10**6), opts.get("seed", 0), opts.get("samples", 10**4), [])
+    batched = _until_error(batch.closed_stratum_points(*args))
+    seen, error = _until_error(_pointwise_closed_points(*args))
+    assert batched == ([element_indices(v) for v in seen], error)
+    if case == "invalid gl":
+        assert len(seen) == 9 and error == (NotNilpotentError, "matrix 0 is not 3-nilpotent")
+
+
+@pytest.mark.parametrize("name, kw, text", [
+    ("sl2_line", {"r": 1}, "Sym(2,Std(2))"),
+    ("upper_glN", {"r": 1, "N": 3}, "Std(3)"),
+    ("ga_r", {"r": 2}, "Sym(2,E)"),
+    ("multi_ga", {"s": 2}, "Dual(E)"),
+])
+@pytest.mark.parametrize("variant", ["full", "exp"])
+def test_gf9_closed_strata_match_pointwise(name, kw, text, variant):
+    # every type of the table, checked against the minors of its closed stratum
+    chart = builtin_chart(name, 3, **kw)
+    e = parse_module_expr(text.replace("E", "Explicit(file=chain3)"), loader=lambda path: CHAIN3)
+    table = tabulate_jt(chart, e, F9, variant)
+    assert table.entries
+    for a in table.types():
+        batched, oracle = both(verify_closed_stratum, chart, e, a, F9, variant)
+        assert canon_report(batched) == canon_report(oracle)
+        assert batched.checked == table.swept - table.zero_count

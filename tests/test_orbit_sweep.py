@@ -4,7 +4,8 @@
 (uniform scaling on `multi_ga`) and counts it for every point of the orbit.
 The oracle here evaluates `jt_at_point` at every swept point, as `tabulate_jt`
 did before.  The golden reports under `golden/` were written by that
-per-point code through the CLI and are compared byte for byte.
+per-point code through the CLI and are compared byte for byte; every sweep
+now runs batched, over GF(p) and GF(p^n) and on every chart kind.
 """
 
 import io
@@ -12,6 +13,7 @@ import sys
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
@@ -20,18 +22,18 @@ from jtcalc import batch, strata
 from jtcalc.cli import main
 from jtcalc.fields import GF
 from jtcalc.linalg import ExactMatrix
-from jtcalc.modules import DirectSum, Dual, Explicit, Ext, Sym, Tensor, Trivial, Twist, parse_module_expr
+from jtcalc.modules import Explicit, parse_module_expr
 from jtcalc.strata import (
     StrataTable,
     StratumEntry,
     builtin_chart,
     enumerate_points,
-    orbit_reduce,
     sweep_mode,
     tabulate_jt,
 )
 from jtcalc.theta import jt_at_point
-from test_batch_sweep import canon_table, modules, sweeps
+from sweep_oracles import orbit_reduce
+from test_batch_sweep import canon_table, explicit_modules, modules, sweeps
 
 GOLDEN = Path(__file__).parent / "golden"
 SETTINGS = settings(max_examples=25, deadline=None,
@@ -66,66 +68,17 @@ def assert_matches_oracle(chart, e, field, **opts):
     assert _outcome(tabulate_jt, chart, e, field, **opts) == _outcome(per_point_table, chart, e, field, **opts)
 
 
-# -- GF(p): batched sweeps with every node kind --------------------------------------
+# -- every field and chart kind, every node kind --------------------------------------
 
 
 @SETTINGS
 @given(sweeps(), st.integers(1, 3))
 def test_batched_sweep_matches_per_point_oracle(sweep, max_reps):
     chart, e, field, opts = sweep
-    assert batch.supports(chart, e, field)
     assert_matches_oracle(chart, e, field, max_reps=max_reps, **opts)
 
 
-# -- GF(p^n): pointwise sweeps on ga_r, multi_ga and a small gl chart -----------------
-
-
-def _jordan_block(field, n):
-    return ExactMatrix.from_rows(field, [[int(j == i + 1) for j in range(n)] for i in range(n)])
-
-
-@st.composite
-def explicit_leaves(draw, p, height):
-    """Commuting p-nilpotent matrices over GF(p): polynomials without constant term in
-    one Jordan block of size <= p, beside a square-zero block [[0, X], [0, 0]]."""
-    field = GF(p)
-    n = draw(st.integers(1, min(p, 3)))
-    k = draw(st.integers(0, 1))
-    jordan = _jordan_block(field, n)
-    mats = []
-    for _ in range(height):
-        block = ExactMatrix.zeros(field, n, n)
-        power = jordan
-        for _ in range(1, n):
-            block = block + power.scalar_mul(field.from_int(draw(st.integers(0, p - 1))))
-            power = power @ jordan
-        rows = [[0] * (n + 2 * k) for _ in range(n + 2 * k)]
-        for i in range(n):
-            for j in range(n):
-                rows[i][j] = int(block.entry(i, j).coeffs[0])
-        for i in range(k):
-            for j in range(k):
-                rows[n + i][n + k + j] = draw(st.integers(0, p - 1))
-        mats.append(ExactMatrix.from_rows(field, rows))
-    assume(any(not m.is_zero() for m in mats))
-    return Explicit(tuple(mats), label="drawn")
-
-
-@st.composite
-def explicit_modules(draw, p, height):
-    leaf = draw(explicit_leaves(p, height))
-    shape = draw(st.sampled_from(["leaf", "twist", "tensor", "sum", "sym", "ext", "dual"]))
-    if shape == "twist":
-        return Twist(1, leaf)
-    if shape == "tensor":
-        return Tensor(leaf, Twist(draw(st.integers(0, 1)), leaf))
-    if shape == "sum":
-        return DirectSum(leaf, draw(st.sampled_from([Trivial(1), Twist(1, leaf)])))
-    if shape in ("sym", "ext"):
-        return (Sym if shape == "sym" else Ext)(2, leaf)
-    if shape == "dual":
-        return Dual(leaf)
-    return leaf
+# -- GF(p^n): ga_r, multi_ga and a small gl chart ---------------------------------------
 
 
 EXTENSIONS = [(3, 2), (5, 2)]
@@ -146,7 +99,6 @@ def test_ga_r_sweep_matches_per_point_oracle(pn, r, data):
     chart = builtin_chart("ga_r", p, r=r)
     e = data.draw(explicit_modules(p, r))
     assume(e.dim() <= 12)
-    assert not batch.supports(chart, e, field)
     assert_matches_oracle(chart, e, field, **_sweep_opts(data.draw, chart, field))
 
 
@@ -169,7 +121,6 @@ def test_small_gl_sweep_matches_per_point_oracle(pn, r, data):
     chart = builtin_chart("upper_glN", p, r=r, N=2)
     e = data.draw(modules(2))
     assume(2 <= e.dim() <= 8)
-    assert not batch.supports(chart, e, field)
     assert_matches_oracle(chart, e, field, **_sweep_opts(data.draw, chart, field))
 
 
@@ -194,12 +145,26 @@ def test_multi_ga_orbit_reduce_keeps_the_jordan_type():
     assert canon_table(tabulate_jt(chart, SQUARE4, field)) == oracle
 
 
+@pytest.mark.parametrize("pn", [(2, 3), (3, 2), (5, 2), (3, 3)])
+@pytest.mark.parametrize("name, kw", [("upper_glN", {"r": 2, "N": 2}), ("ga_r", {"r": 3}), ("multi_ga", {"s": 2})])
+def test_stack_orbit_reduce_matches_oracle(pn, name, kw):
+    field = GF(*pn)
+    chart = builtin_chart(name, pn[0], **kw)
+    tuples = [tup for _, tup in enumerate_points(chart, field, budget=1, samples=40, seed=1) if not tup.is_zero()]
+    weights = field.p ** np.arange(field.n)
+
+    def indices(tup):
+        return [m._data @ weights for m in tup.mats]
+
+    reduced = batch._orbit_reduce(field, chart.kind, np.array([indices(tup) for tup in tuples]))
+    assert reduced.tolist() == np.array([indices(orbit_reduce(tup)) for tup in tuples]).tolist()
+
+
 # -- one evaluation per orbit ----------------------------------------------------------
 
 
-def test_gf5_m12_table_evaluates_36_tuples():
-    chart = builtin_chart("sl2_line", 5, r=2)
-    e = parse_module_expr("Sym(2,Std(2))*Tw(1,Sym(3,Std(2)))")
+def evaluated_tuples(*args, **kwargs):
+    """(table, the number of tuples whose operator `tabulate_jt` evaluates)."""
     evaluated = []
     operator = batch._Sweep._operator
 
@@ -208,18 +173,24 @@ def test_gf5_m12_table_evaluates_36_tuples():
         return operator(sweep, mats)
 
     with mock.patch.object(batch._Sweep, "_operator", counted):
-        table = tabulate_jt(chart, e, GF(5))
-    assert sum(evaluated) == 36
+        table = tabulate_jt(*args, **kwargs)
+    return table, sum(evaluated)
+
+
+def test_gf5_m12_table_evaluates_36_tuples():
+    chart = builtin_chart("sl2_line", 5, r=2)
+    e = parse_module_expr("Sym(2,Std(2))*Tw(1,Sym(3,Std(2)))")
+    table, evaluated = evaluated_tuples(chart, e, GF(5))
+    assert evaluated == 36
     assert table.swept - table.zero_count == 576
 
 
 @pytest.mark.parametrize("name, kw", [("ga_r", {"r": 2}), ("multi_ga", {"s": 2})])
 def test_gf9_pointwise_sweep_evaluates_once_per_orbit(name, kw):
     chart = builtin_chart(name, 3, **kw)
-    with mock.patch.object(strata, "jt_at_point", wraps=jt_at_point) as spy:
-        table = tabulate_jt(chart, SQUARE4, GF(3, 2))
+    table, evaluated = evaluated_tuples(chart, SQUARE4, GF(3, 2))
     # 80 nonzero points, 8 to an orbit
-    assert table.swept - table.zero_count == 80 and spy.call_count == 10
+    assert table.swept - table.zero_count == 80 and evaluated == 10
 
 
 # -- reports byte-identical to the per-point code ---------------------------------------
@@ -229,16 +200,26 @@ def _module_file(name):
     return f"Explicit(file={GOLDEN / name})"
 
 
+# command line of each report; the last four were written by the per-point sweeps
 GOLDEN_RUNS = {
-    "sl2_line_gf5_m12.jsonl": ["--p", "5", "--chart", "sl2_line", "--r", "2",
+    "sl2_line_gf5_m12.jsonl": ["strata", "--p", "5", "--chart", "sl2_line", "--r", "2",
                                "--module", "Sym(2,Std(2))*Tw(1,Sym(3,Std(2)))"],
-    "upper_glN_gf5_sampled.jsonl": ["--p", "5", "--chart", "upper_glN", "--r", "2", "--N", "3",
+    "upper_glN_gf5_sampled.jsonl": ["strata", "--p", "5", "--chart", "upper_glN", "--r", "2", "--N", "3",
                                     "--module", "Std(3)*Tw(1,Std(3))",
                                     "--budget", "10000", "--samples", "800", "--seed", "7"],
-    "ga_r_gf9.jsonl": ["--field", "GF(9)", "--chart", "ga_r", "--r", "2", "--module",
+    "ga_r_gf9.jsonl": ["strata", "--field", "GF(9)", "--chart", "ga_r", "--r", "2", "--module",
                        f"{_module_file('square4.txt')}+Tw(1,{_module_file('chain3.txt')})"],
-    "multi_ga_gf9.jsonl": ["--field", "GF(9)", "--chart", "multi_ga", "--s-lines", "2",
+    "multi_ga_gf9.jsonl": ["strata", "--field", "GF(9)", "--chart", "multi_ga", "--s-lines", "2",
                            "--module", _module_file("square4.txt")],
+    "sl2_line_gf9_r2.jsonl": ["strata", "--field", "GF(9)", "--chart", "sl2_line", "--r", "2",
+                              "--module", "Sym(2,Std(2))*Tw(1,Std(2))"],
+    "sl2_line_gf25_sampled.jsonl": ["strata", "--field", "GF(25)", "--chart", "sl2_line", "--r", "2",
+                                    "--module", "Sym(2,Std(2))*Tw(1,Dual(Std(2)))",
+                                    "--budget", "10000", "--samples", "300", "--seed", "11"],
+    "closed_sl2_line_gf9.jsonl": ["closed", "--field", "GF(9)", "--chart", "sl2_line", "--r", "1",
+                                  "--module", "Sym(2,Std(2))", "--type", "[2]+[1]"],
+    "closed_ga_r_gf9.jsonl": ["closed", "--field", "GF(9)", "--chart", "ga_r", "--r", "2",
+                              "--module", f"Sym(2,{_module_file('chain3.txt')})", "--type", "[3]+[2]+[1]"],
 }
 
 
@@ -248,7 +229,7 @@ def test_strata_report_matches_golden(golden):
     saved = sys.stdout, sys.stderr
     sys.stdout, sys.stderr = out, err
     try:
-        code = main(["strata", *GOLDEN_RUNS[golden], "--format", "jsonl"])
+        code = main([*GOLDEN_RUNS[golden], "--format", "jsonl"])
     finally:
         sys.stdout, sys.stderr = saved
     assert code == 0, err.getvalue()

@@ -17,7 +17,6 @@ from jtcalc.strata import (
     constant_rank_on_strata,
     curve_from_coeffs,
     enumerate_points,
-    orbit_reduce,
     parse_chart,
     rank_locus_minors,
     semicontinuity_check,
@@ -25,6 +24,7 @@ from jtcalc.strata import (
     verify_closed_stratum,
 )
 from jtcalc.theta import CommutingTuple, jt_at_point, jt_power_at_point, scale_tuple, theta_full
+from sweep_oracles import orbit_reduce
 
 F3 = GF(3)
 J = JordanType.from_blocks
