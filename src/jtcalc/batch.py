@@ -209,8 +209,9 @@ class _CompiledPolys:
         return (self.matrix @ mono % p) @ weights
 
     def at_stacks(self, ring, values):
-        """Values at a point of polynomials in one variable over GF(p^n), given as
-        `_Polys` stacks (S, 1, 1, n): an (len(polys), S, n) array of coefficients."""
+        """Values at a point of polynomials in one variable over GF(p^n): `values[v]`, for
+        each variable v that occurs, is a `_Polys` stack (S, 1, 1, n).  Returns an
+        (len(polys), S, n) array of coefficients."""
         mono = []
         for factors in self.monomials:
             m = None
@@ -334,6 +335,8 @@ class _Sweep:
         if budget <= 0:
             raise ChartError("budget must be positive")
         total = field.order ** len(chart.params)
+        if total > budget and samples < 0:
+            raise ChartError(f"sample count {samples} is negative")
         emitted = 0
         for values in _regroup(self._accepted(total <= budget, seed, samples), self.chunk):
             mats = self.tuples(values)

@@ -138,7 +138,7 @@ class FFElement:
         return FFElement(self.field, self.field._frob(self.coeffs, e))
 
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def __eq__(self, other):
         if isinstance(other, int):

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import batch
 from .errors import CapExceededError, ChartError, JTCalcError, ParseError
-from .fields import GF, PolyRing
+from .fields import GF, Polynomial, PolyRing
 from .jordan import dominance_leq, jt_of_nilpotent, jt_rank
 from .linalg import ExactMatrix, _PolyMatrix
 from .parsing import parse_field_spec, parse_polynomial
@@ -296,6 +296,8 @@ def enumerate_points(chart, field, budget=EXHAUSTIVE_DEFAULT_BUDGET, seed=0,
         raise ChartError("budget must be positive")
     k = len(chart.params)
     total = field.order**k
+    if total > budget and samples < 0:
+        raise ChartError(f"sample count {samples} is negative")
     if total <= budget:
         for combo in itertools.product(list(field.elements()), repeat=k):
             values = list(combo)
@@ -411,6 +413,12 @@ def tabulate_jt(chart, e, field, variant="full", budget=EXHAUSTIVE_DEFAULT_BUDGE
 
 def rank_locus_minors(chart, e, variant, j, d):
     """Generators of the j-th power rank <= d locus: all (d+1)-minors of theta^j."""
+    return _rank_locus(chart, e, j, d, lambda j: _symbolic_theta(chart, e, variant).pow(j))
+
+
+def _rank_locus(chart, e, j, d, power):
+    """The checks and minors of `rank_locus_minors`; `power(j)` gives theta^j, and is called
+    only when there are minors to take."""
     m = e.dim()
     if m > SYMBOLIC_DIM_CAP:
         raise CapExceededError(f"symbolic dimension {m} exceeds cap {SYMBOLIC_DIM_CAP}")
@@ -420,10 +428,12 @@ def rank_locus_minors(chart, e, variant, j, d):
         raise JTCalcError(f"rank bound {d} outside 0..{m}")
     if d >= m:
         return []
-    tup = chart.symbolic_tuple()
-    theta = theta_variant(e, tup, variant)
-    power = theta.matrix.pow(j)
-    return power.minors(d + 1)
+    return power(j).minors(d + 1)
+
+
+def _symbolic_theta(chart, e, variant):
+    """The variant's operator on the chart's symbolic tuple, over its `PolyRing`."""
+    return theta_variant(e, chart.symbolic_tuple(), variant).matrix
 
 
 @dataclass
@@ -443,16 +453,27 @@ def verify_closed_stratum(chart, e, a, field, variant="full",
                           budget=EXHAUSTIVE_DEFAULT_BUDGET, seed=0, samples=SAMPLE_DEFAULT):
     """Check {x : JT(x) <= a} equals the common zero set of the rank-locus minors.
 
-    The sweep runs in chunks of points, as in `tabulate_jt`
+    The minors are those of `rank_locus_minors` for j = 1, ..., p - 1, with
+    theta built once.  The sweep runs in chunks of points, as in `tabulate_jt`
     (`batch.closed_stratum_points`), with the minors evaluated on the same
     stacks.
     """
     m = e.dim()
     if a.dim != m:
         raise ChartError("stratum type dimension differs from the module dimension")
+    powers = []
+
+    def power(j):
+        # theta is built once, on first use, and its powers multiplied up from it
+        if not powers:
+            powers.append(_symbolic_theta(chart, e, variant))
+        while len(powers) < j:
+            powers.append(powers[-1] @ powers[0])
+        return powers[j - 1]
+
     polys = []
     for s in range(1, chart.p):
-        polys += rank_locus_minors(chart, e, variant, s, jt_rank(a, s))
+        polys += _rank_locus(chart, e, s, jt_rank(a, s), power)
     mismatches = []
     checked = 0
     points = batch.closed_stratum_points(chart, e, field, variant, budget, seed, samples, polys)
@@ -478,9 +499,12 @@ def verify_closed_stratum(chart, e, a, field, variant="full",
 class Curve:
     """A 1-parameter family inside a chart: each parameter becomes a polynomial in t.
 
-    The chart's compiled templates and constraints are substituted on
-    integer GF(q)[t] coefficient stacks (`batch._Polys`): the constraints
-    once, here, and the templates when the curve is first checked.
+    The polynomials are read once into integer arrays, the coordinates of
+    their t-coefficients over the curve's field.  The chart's compiled
+    templates and constraints are substituted on these as GF(q)[t]
+    coefficient stacks (`batch._Polys`), for the parameters they use: the
+    constraints once, here, and the templates when the curve is first
+    checked.
     """
 
     chart: Chart
@@ -493,7 +517,9 @@ class Curve:
                 raise ChartError(f"curve misses a value for parameter {v!r}")
             if len(self.substitution[v].ring.variables) != 1:
                 raise ChartError(f"the value for parameter {v!r} is not a polynomial in one variable")
-        if self._substitute(self.chart._compiled_constraints).any():
+        object.__setattr__(self, "_coefficients", self._read_coefficients())
+        compiled = self.chart._compiled_constraints
+        if compiled.rows and self._substitute(compiled).any():
             raise ChartError("curve violates a chart constraint identically in t")
 
     @property
@@ -504,18 +530,26 @@ class Curve:
     def _ring(self):
         return batch._Polys(self.field)
 
-    def _substitute(self, compiled):
-        """The compiled polynomials along the curve; nothing is kept, since a set-up may build
-        many curves it does not check."""
-        field, ring = self.field, self._ring
-        stacks = []
+    def _read_coefficients(self):
+        """Per parameter, the (degree + 1, n) coordinates of its t^0, t^1, ... coefficients."""
+        field = self.field
+        zero = (0,) * field.n
+        out = []
         for v in self.chart.params:
             poly = self.substitution[v]
-            data = np.zeros((max(poly.degree(), 0) + 1, 1, 1, field.n), dtype=np.int64)
+            own = poly.ring.field == field
+            rows = [zero] * (1 + max((e for (e,) in poly.terms), default=0))
             for (e,), c in poly.terms.items():
-                data[e, 0, 0] = field.embed(c).coeffs
-            stacks.append(ring.reduce(data))
-        return compiled.at_stacks(ring, stacks)
+                rows[e] = c.coeffs if own else field.embed(c).coeffs
+            out.append(np.array(rows, dtype=np.int64))
+        return tuple(out)
+
+    def _substitute(self, compiled):
+        """The compiled polynomials along the curve: each parameter they use enters as a
+        (degree + 1, 1, 1, n) stack."""
+        coeffs = self._coefficients
+        stacks = {v: coeffs[v][:, None, None] for v, _, _ in compiled.powers}
+        return compiled.at_stacks(self._ring, stacks)
 
     @cached_property
     def tuple_stacks(self):
@@ -537,22 +571,31 @@ class Curve:
         return batch.curve_operator(self._ring, chart.kind, e, variant, self.tuple_stacks)
 
     def special_values(self, field):
-        zero = [field.zero()]
-        return [field.embed(self.substitution[v].evaluate(zero)) for v in self.chart.params]
+        """The point t = 0 over `field`: each parameter's t^0 coefficient."""
+        return [field.embed(self.field.element(c[0].tolist())) for c in self._coefficients]
+
+
+def _polynomial(ring, row):
+    """The polynomial row[0] + row[1] t + ... of a one-variable ring, from elements of its field."""
+    return Polynomial(ring, {(i,): c for i, c in enumerate(row)})
 
 
 def curve_from_coeffs(chart, field, coeff_map, label="curve"):
-    """Build a curve from {param: [c0, c1, ...]} integer coefficient lists."""
+    """Build a curve from {param: [c0, c1, ...]} coefficient lists; a parameter not in the
+    map is 0.
+
+    A coefficient is an int, read mod p, or an element of `field` or of a
+    field that embeds into it (`PolyRing.constant`).
+    """
     ring1 = PolyRing(field, ("t",))
-    t = ring1.var("t")
-    subs = {}
-    for v in chart.params:
-        coeffs = coeff_map.get(v, [0])
-        poly = ring1.zero()
-        for i, cv in enumerate(coeffs):
-            term = ring1.constant(cv) * t**i
-            poly = poly + term
-        subs[v] = poly
+    residues = [field.from_int(c) for c in range(field.p)]
+
+    def element(c):
+        if isinstance(c, int):
+            return residues[c % field.p]
+        return c if c.field == field else field.embed(c)
+
+    subs = {v: _polynomial(ring1, [element(c) for c in coeff_map.get(v, [0])]) for v in chart.params}
     return Curve(chart, subs, label)
 
 
@@ -611,45 +654,53 @@ def semicontinuity_check(curve, e, variant="full"):
 
 
 def builtin_curves(chart, seed, count):
-    """Seeded random curves satisfying the chart constraints identically."""
-    field = GF(chart.p)
+    """Seeded random curves satisfying the chart constraints identically.
+
+    The coefficients are `randrange(p)` draws, kept as integer arrays.  Each
+    curve takes the same number of draws, in this order: on `sl2_line`,
+    b, d and each l_i, of degree 2, with a = b*d and c = -b*d^2; on
+    `upper_glN`, one degree-1 polynomial per entry of a strictly upper C(t),
+    then one f_s per matrix, with B_s = f_s*C; on other charts, one of degree
+    2 per parameter.  So all are drawn in one block (`batch._randrange`),
+    the products are convolutions mod p on `batch._Polys`, and each
+    `substitution` polynomial is built from its row of coefficients.
+    """
+    if count < 0:
+        raise JTCalcError(f"curve count {count} is negative")
+    p = chart.p
+    field = GF(p)
     ring1 = PolyRing(field, ("t",))
-    t = ring1.var("t")
-    rng = random.Random(seed)
+    if chart.name == "sl2_line":
+        widths = [3] * (2 + chart.r)
+    elif chart.name == "upper_glN":
+        pairs = [(i, j) for i in range(chart.size) for j in range(i + 1, chart.size)]
+        widths = [2] * (len(pairs) + chart.r)
+    else:
+        widths = [3] * len(chart.params)
+    draws = batch._randrange(random.Random(seed), p, count * sum(widths)).reshape(count, sum(widths))
+    # one (degree + 1, 1, count, 1) stack per drawn polynomial: a row of `count` of them
+    stacks = draws.T.astype(np.int64)[:, None, :, None]
+    drawn = [stacks[end - w:end] for w, end in zip(widths, itertools.accumulate(widths))]
+    ring = batch._Polys(field)
 
-    def rand_poly(max_deg=2):
-        poly = ring1.zero()
-        for i in range(max_deg + 1):
-            poly = poly + ring1.constant(rng.randrange(chart.p)) * t**i
-        return poly
+    def mul(x, y):
+        return ring.outer_columns(x, y) % p
 
-    curves = []
-    for idx in range(count):
-        subs = {}
-        if chart.name == "sl2_line":
-            b = rand_poly()
-            d = rand_poly()
-            subs["a"] = b * d
-            subs["b"] = b
-            subs["c"] = -(b * d * d)
-            for i in range(chart.r):
-                subs[f"l{i}"] = rand_poly()
-        elif chart.name == "upper_glN":
-            # all B_s are polynomial multiples of one strictly upper C(t)
-            n = chart.size
-            centries = {
-                (i, j): rand_poly(1) for i in range(n) for j in range(i + 1, n)
-            }
-            for sidx in range(chart.r):
-                f = rand_poly(1)
-                for i in range(n):
-                    for j in range(i + 1, n):
-                        subs[f"b{sidx}_{i}{j}"] = f * centries[(i, j)]
-        else:
-            for v in chart.params:
-                subs[v] = rand_poly()
-        curves.append(Curve(chart, subs, label=f"{chart.name}-curve-{seed}-{idx}"))
-    return curves
+    if chart.name == "sl2_line":
+        b, d, *ls = drawn
+        bd = mul(b, d)
+        arrays = {"a": bd, "b": b, "c": -mul(bd, d) % p}
+        arrays.update((f"l{i}", l) for i, l in enumerate(ls))
+    elif chart.name == "upper_glN":
+        entries, fs = drawn[:len(pairs)], drawn[len(pairs):]
+        arrays = {f"b{s}_{i}{j}": mul(f, c) for s, f in enumerate(fs) for (i, j), c in zip(pairs, entries)}
+    else:
+        arrays = dict(zip(chart.params, drawn))
+    residues = [field.from_int(c) for c in range(p)]
+    rows = {v: a[:, 0, :, 0].T.tolist() for v, a in arrays.items()}
+    return [Curve(chart, {v: _polynomial(ring1, [residues[c] for c in rows[v][idx]]) for v in rows},
+                  label=f"{chart.name}-curve-{seed}-{idx}")
+            for idx in range(count)]
 
 
 # -- constant rank audits ---------------------------------------------------------------

@@ -262,3 +262,20 @@ def test_malformed_curve_files_name_the_line(tmp_path):
         assert "invalid literal" not in err and "Traceback" not in err
     path.write_text("b=0,1\nl0=1\n")
     assert run_cli(sweep)[0] == 0
+
+
+def test_negative_counts_exit_2_and_zero_stays_valid():
+    sl2 = ["--p", "3", "--chart", "sl2_line", "--r", "2", "--module", "Std(2)*Tw(1,Std(2))"]
+    code, out, err = run_cli(["semicont"] + sl2 + ["--curves", "-2", "--seed", "1"])
+    assert code == 2 and out == "" and "curve count -2 is negative" in err
+    code, out, _ = run_cli(["semicont"] + sl2 + ["--curves", "0", "--seed", "1"])
+    assert code == 0 and out == ""
+    sampled = sl2 + ["--budget", "10", "--seed", "1"]
+    for command in (["strata"], ["closed", "--type", "[3]+[1]"]):
+        code, out, err = run_cli(command + sampled + ["--samples", "-3"])
+        assert code == 2 and out == "" and "sample count -3 is negative" in err
+    code, out, _ = run_cli(["strata"] + sampled + ["--samples", "0"])
+    assert code == 0 and "swept=0" in out
+    # an exhaustive sweep draws no samples, so it ignores the count
+    code, out, _ = run_cli(["strata"] + sl2 + ["--samples", "-3"])
+    assert code == 0 and "mode=exhaustive" in out

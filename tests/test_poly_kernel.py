@@ -659,6 +659,17 @@ GOLDEN_SEMICONT = {
     "semicont_sl2_line_gf9_exp.jsonl": ["--field", "GF(9)", "--chart", "sl2_line", "--r", "2",
                                         "--module", "Sym(2,Std(2))*Tw(1,Std(2))", "--variant", "exp",
                                         "--curve-file", "tests/golden/sl2_line_gf9_curve.txt"],
+    # builtin curves whose parameters are products: a = b*d, c = -b*d^2 and B_s = f_s*C
+    "semicont_sl2_line_gf3_full.jsonl": ["--p", "3", "--chart", "sl2_line", "--r", "2",
+                                         "--module", "Std(2)+Tw(1,Std(2))", "--variant", "full",
+                                         "--curves", "10", "--seed", "5"],
+    "semicont_sl2_line_gf3_exp.jsonl": ["--p", "3", "--chart", "sl2_line", "--r", "2",
+                                        "--module", "Std(2)+Tw(1,Std(2))", "--variant", "exp",
+                                        "--curves", "10", "--seed", "5"],
+    "semicont_sl2_line_gf5.jsonl": ["--p", "5", "--chart", "sl2_line", "--r", "2",
+                                    "--module", "Std(2)*Tw(1,Std(2))", "--curves", "10", "--seed", "7"],
+    "semicont_upper_glN_gf3.jsonl": ["--p", "3", "--chart", "upper_glN", "--N", "3", "--r", "2",
+                                     "--module", "Std(3)", "--curves", "10", "--seed", "2"],
 }
 
 

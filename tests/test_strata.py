@@ -8,7 +8,7 @@ from jtcalc.errors import CapExceededError, ChartError, JTCalcError
 from jtcalc.fields import GF, PolyRing
 from jtcalc.jordan import JordanType, dominance_leq, jt_rank, parse_jordan_type
 from jtcalc.linalg import ExactMatrix
-from jtcalc.modules import Explicit, Std, Sym, Tensor, Twist
+from jtcalc.modules import Explicit, Ext, Std, Sym, Tensor, Twist
 from jtcalc.strata import (
     Chart,
     Curve,
@@ -185,6 +185,72 @@ def test_verify_closed_stratum_cases():
         verify_closed_stratum(chart, mod, parse_jordan_type("[2]", 3), F3)
 
 
+def _count_theta_builds(monkeypatch):
+    """Count the builds of theta over the chart's `PolyRing` by `strata`."""
+    from jtcalc import strata
+
+    builds = []
+    build = strata.theta_variant
+    monkeypatch.setattr(strata, "theta_variant", lambda *args: builds.append(args) or build(*args))
+    return builds
+
+
+def _closed_minors(monkeypatch, *args, **kwargs):
+    """The minors `verify_closed_stratum` sweeps with, and its report."""
+    from jtcalc import batch
+
+    seen = []
+    points = batch.closed_stratum_points
+    monkeypatch.setattr(batch, "closed_stratum_points",
+                        lambda *a: seen.append(a[-1]) or points(*a))
+    report = verify_closed_stratum(*args, **kwargs)
+    return seen[0], report
+
+
+@pytest.mark.parametrize("variant", ["full", "exp"])
+@pytest.mark.parametrize("p, module, types", [
+    (3, "Std(2)*Tw(1,Std(2))", ("[3]+[1]", "2[2]", "[2]+2[1]", "4[1]")),
+    (3, "Sym(2,Std(2))*Tw(1,Std(2))", ("2[3]", "[3]+[2]+[1]", "3[2]")),
+    (5, "Std(2)*Tw(1,Std(2))", ("[3]+[1]", "2[2]")),
+])
+def test_closed_stratum_builds_theta_once(monkeypatch, p, module, types, variant):
+    """One theta per call, and the minors of `rank_locus_minors` for j = 1..p-1, as strings and
+    in order."""
+    from jtcalc.modules import parse_module_expr
+
+    chart = builtin_chart("sl2_line", p, r=2)
+    mod = parse_module_expr(module)
+    builds = _count_theta_builds(monkeypatch)
+    for text in types:
+        a = parse_jordan_type(text, p)
+        want = []
+        for j in range(1, p):
+            del builds[:]
+            want += map(str, rank_locus_minors(chart, mod, variant, j, jt_rank(a, j)))
+            assert len(builds) == (jt_rank(a, j) < mod.dim())
+        del builds[:]
+        polys, report = _closed_minors(monkeypatch, chart, mod, a, GF(p), variant,
+                                       budget=300, seed=1, samples=40)
+        assert len(builds) == 1
+        assert [str(g) for g in polys] == want
+        assert report.ok, report.mismatches
+
+
+def test_closed_stratum_checks_come_before_theta(monkeypatch):
+    chart = e_line_chart()
+    builds = _count_theta_builds(monkeypatch)
+    with pytest.raises(ChartError, match="dimension"):
+        verify_closed_stratum(chart, Std(2), parse_jordan_type("[3]", 3), F3)
+    big = Sym(4, Sym(4, Std(2)))
+    assert big.dim() > 64
+    with pytest.raises(CapExceededError):
+        verify_closed_stratum(chart, big, J(3, [1] * big.dim()), F3)
+    # the zero-dimensional module has no minors, so theta is never built
+    empty = Ext(3, Std(2))
+    assert verify_closed_stratum(chart, empty, J(3, []), F3).ok
+    assert not builds
+
+
 def test_continuity_downsets_are_determinantally_closed():
     chart = e_line_chart()
     mod = Tensor(Std(2), Twist(1, Std(2)))
@@ -299,3 +365,14 @@ def test_chart_is_hashable():
     assert a == b and hash(a) == hash(b)
     assert {a: 1}[b] == 1
     assert len({a, b, builtin_chart("sl2_line", 3, r=1)}) == 2
+
+
+def test_sampled_sweeps_reject_negative_sample_counts():
+    chart = builtin_chart("sl2_line", p=3, r=2)
+    mod = Tensor(Std(2), Twist(1, Std(2)))
+    with pytest.raises(ChartError, match="^sample count -1 is negative$"):
+        tabulate_jt(chart, mod, F3, budget=10, seed=1, samples=-1)
+    with pytest.raises(ChartError, match="^sample count -1 is negative$"):
+        list(enumerate_points(chart, F3, budget=10, seed=1, samples=-1))
+    assert tabulate_jt(chart, mod, F3, budget=10, seed=1, samples=0).swept == 0
+    assert tabulate_jt(chart, mod, F3, samples=-1).mode == "exhaustive"
