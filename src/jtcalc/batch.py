@@ -1,8 +1,8 @@
 """
 Evaluation of the universal operator on integer numpy stacks: chart sweeps,
-single finite-field points, and the operator along a curve over GF(q)[s].
-This is the one finite-field evaluator; `modules.eval_unipotent` is left for
-symbolic domains.
+single finite-field points, the operator along a curve over GF(q)[s], and
+the operator over a polynomial ring in the chart parameters.  This is the
+one module evaluator of the program.
 
 A sweep of any chart over GF(q), q = p^n, runs one chunk of points at a
 time:
@@ -36,6 +36,10 @@ t and maps the coordinates by Frobenius.  Explicit leaves act through a
 stack form of `eval_ga_point` and `texp_element`.  A single finite-field
 point (`theta`) is a P = 1 `_Pointwise` stack, validated by `_validate` and
 ranked by `_point_type`.
+
+A point with entries in a `PolyRing` (the chart's symbolic tuple) runs on
+a third ring, `monomials._Monomials`, whose stacks hold one coefficient
+matrix per monomial.
 """
 
 from __future__ import annotations
@@ -813,7 +817,8 @@ def _texp(ring, b, top, step, with_inv):
         if i * step > top:
             break
         if i:
-            power = ring.reduce(ring.matmul(power, b))
+            # the first power is b itself, not a product with the identity
+            power = b if i == 1 else ring.reduce(ring.matmul(power, b))
             fact = fact * i % p
         term = power * pow(fact, p - 2, p) % p
         g[i * step] = term
@@ -928,7 +933,9 @@ def curve_operator(ring, kind, e, variant, mats):
     with_inv = _contains_dual(e)
     if kind == KIND_GL:
         return _gl_operator(ring, mats, e, variant, with_inv)
-    leaves = {leaf: _explicit_terms(leaf, type(ring), ring.field) for leaf in e.leaves()
+    # constants of `monomials._Monomials` are those of `_Pointwise`, one slice
+    constants = _Polys if isinstance(ring, _Polys) else _Pointwise
+    leaves = {leaf: _explicit_terms(leaf, constants, ring.field) for leaf in e.leaves()
               if isinstance(leaf, Explicit)}
     if not leaves:
         raise JTCalcError("module evaluation needs a group element or additive point")

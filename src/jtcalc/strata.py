@@ -31,9 +31,9 @@ from .theta import (
     CommutingTuple,
     _check_pairing,
     by_variant,
-    homotopy_theta,
+    homotopy_ranks,
     jt_at_point,
-    theta_variant,
+    symbolic_operator,
 )
 
 SYMBOLIC_DIM_CAP = 64
@@ -413,12 +413,13 @@ def tabulate_jt(chart, e, field, variant="full", budget=EXHAUSTIVE_DEFAULT_BUDGE
 
 def rank_locus_minors(chart, e, variant, j, d):
     """Generators of the j-th power rank <= d locus: all (d+1)-minors of theta^j."""
-    return _rank_locus(chart, e, j, d, lambda j: _symbolic_theta(chart, e, variant).pow(j))
+    by_variant(variant, None, None)
+    return _rank_locus(chart, e, j, d, _theta_powers(chart, e, variant))
 
 
 def _rank_locus(chart, e, j, d, power):
-    """The checks and minors of `rank_locus_minors`; `power(j)` gives theta^j, and is called
-    only when there are minors to take."""
+    """The checks and minors of `rank_locus_minors`; `power(j)` gives (ring, theta^j), and is
+    called only when there are minors to take."""
     m = e.dim()
     if m > SYMBOLIC_DIM_CAP:
         raise CapExceededError(f"symbolic dimension {m} exceeds cap {SYMBOLIC_DIM_CAP}")
@@ -428,12 +429,32 @@ def _rank_locus(chart, e, j, d, power):
         raise JTCalcError(f"rank bound {d} outside 0..{m}")
     if d >= m:
         return []
-    return power(j).minors(d + 1)
+    ring, op = power(j)
+    return ring.minors(op, d + 1)
+
+
+def _theta_powers(chart, e, variant):
+    """power(j) = (ring, theta^j) for `_rank_locus`: theta is built on first use, once, and its
+    powers are multiplied up from it."""
+    powers = []
+
+    def power(j):
+        if not powers:
+            powers.append(_symbolic_theta(chart, e, variant))
+        ring, theta = powers[0]
+        while len(powers) < j:
+            powers.append((ring, ring.reduce(ring.matmul(powers[-1][1], theta))))
+        return powers[j - 1]
+
+    return power
 
 
 def _symbolic_theta(chart, e, variant):
-    """The variant's operator on the chart's symbolic tuple, over its `PolyRing`."""
-    return theta_variant(e, chart.symbolic_tuple(), variant).matrix
+    """(ring, theta): the variant's operator on the chart's symbolic tuple, as a stack of
+    monomial coefficients (`theta.symbolic_operator`)."""
+    by_variant(variant, None, None)
+    _check_pairing(e, chart.kind, chart.p, chart.r)
+    return symbolic_operator(e, chart.symbolic_tuple(), variant)
 
 
 @dataclass
@@ -461,25 +482,19 @@ def verify_closed_stratum(chart, e, a, field, variant="full",
     m = e.dim()
     if a.dim != m:
         raise ChartError("stratum type dimension differs from the module dimension")
-    powers = []
-
-    def power(j):
-        # theta is built once, on first use, and its powers multiplied up from it
-        if not powers:
-            powers.append(_symbolic_theta(chart, e, variant))
-        while len(powers) < j:
-            powers.append(powers[-1] @ powers[0])
-        return powers[j - 1]
-
+    power = _theta_powers(chart, e, variant)
     polys = []
     for s in range(1, chart.p):
         polys += _rank_locus(chart, e, s, jt_rank(a, s), power)
     mismatches = []
     checked = 0
     points = batch.closed_stratum_points(chart, e, field, variant, budget, seed, samples, polys)
+    below = {}  # Jordan type -> whether it lies below a; few types occur
     for values, jt, rhs in points:
         checked += 1
-        lhs = dominance_leq(jt, a)
+        lhs = below.get(jt)
+        if lhs is None:
+            lhs = below[jt] = dominance_leq(jt, a)
         if lhs != rhs:
             mismatches.append(
                 {
@@ -570,6 +585,13 @@ class Curve:
         _check_pairing(e, chart.kind, chart.p, chart.r)
         return batch.curve_operator(self._ring, chart.kind, e, variant, self.tuple_stacks)
 
+    def validate(self):
+        """Raise what `CommutingTuple` raises for the tuple along the curve unless it is a point
+        identically in t (`batch._validate`).  A curve that passed is not checked again."""
+        if not self.__dict__.get("_valid"):
+            batch._validate(self._ring, self.tuple_stacks)
+            object.__setattr__(self, "_valid", True)
+
     def special_values(self, field):
         """The point t = 0 over `field`: each parameter's t^0 coefficient."""
         return [field.embed(self.field.element(c[0].tolist())) for c in self._coefficients]
@@ -644,8 +666,7 @@ def semicontinuity_check(curve, e, variant="full"):
     op = curve.operator(e, variant)
     generic_jt = jt_of_nilpotent(_PolyMatrix.of_coefficients(field, op), chart.p)
     if chart.kind == KIND_GL:
-        # as CommutingTuple requires of a point, identically in t
-        batch._validate(curve._ring, curve.tuple_stacks)
+        curve.validate()
     # the special operator's p-th power vanishes, and its tuple is a point,
     # because the generic ones are
     special_jt = jt_of_nilpotent(ExactMatrix.from_coords(field, op[0]), chart.p)
@@ -724,7 +745,9 @@ def constant_rank_on_strata(table, chart, e, j, field, homotopy_samples=((1, 0),
     """Audit rank/kernel/cokernel constancy of theta^j on each stratum.
 
     When the whole table shares one j-rank, additionally verify the
-    homotopy-family operator has that same j-rank at sampled (s:t).
+    homotopy-family operator has that same j-rank at sampled (s:t): at each
+    representative, theta_exp and theta_full are built once and every
+    sample is ranked on the point's stack (`theta.homotopy_ranks`).
     """
     failures = []
     per_stratum = {}
@@ -751,11 +774,8 @@ def constant_rank_on_strata(table, chart, e, j, field, homotopy_samples=((1, 0),
         the_rank = jranks.pop()
         for a, entry in table.entries.items():
             for rep in entry.representatives:
-                values = _parse_values(rep, field)
-                tup = chart.tuple_at(values)
-                for (sv, tv) in homotopy_samples:
-                    hm = homotopy_theta(e, tup, field.from_int(sv), field.from_int(tv))
-                    rk = hm.matrix.pow(j).rank()
+                tup = chart.tuple_at(_parse_values(rep, field))
+                for (sv, tv), rk in zip(homotopy_samples, homotopy_ranks(e, tup, homotopy_samples, j)):
                     homotopy_checked += 1
                     if rk != the_rank:
                         failures.append(

@@ -13,13 +13,16 @@ and the exponential variant is the sum over s of the t^(p^(r-1-s))
 coefficient of the module evaluated on exp(t B_s) alone.  At heights 1 and 2
 the two coincide; from height 3 on they differ by higher product terms.
 
-A point over a finite field is evaluated by `batch`'s module walker on
-integer stacks, the code that runs sweeps and curves: every point, of every
-kind, is a one-point `_Pointwise` stack, over GF(p^n) with each entry its
-n x n GF(p) regular-representation block.  Its validation is the sweep's
-too, and `jt_at_point` ranks the operator on that stack.  Symbolic points
-(polynomial entries, for the rank-locus minors) go through
-`modules.eval_unipotent` on truncated curve rings.
+Every operator is evaluated by `batch`'s module walker on integer stacks,
+the code that runs sweeps and curves.  A point over a finite field, of
+every kind, is a one-point `_Pointwise` stack, over GF(p^n) with each entry
+its n x n GF(p) regular-representation block; its validation is the
+sweep's too, and `jt_at_point` ranks the operator on that stack.  A
+symbolic point, with entries in a `PolyRing` (the chart's symbolic tuple,
+for the rank-locus minors), is a stack of monomial coefficients of the
+`monomials._Monomials` ring (`symbolic_operator`).  `one_param` and
+`ga_curve_element` give the group element itself, on truncated curve
+rings.
 """
 
 from __future__ import annotations
@@ -39,19 +42,10 @@ from .batch import (
     curve_operator,
 )
 from .errors import DomainMismatchError, JTCalcError, NotNilpotentError
-from .fields import FiniteField, TruncatedCurveRing, TruncElement
+from .fields import FiniteField, PolyRing, TruncatedCurveRing, TruncElement
 from .jordan import jt_of_nilpotent, jt_power
-from .linalg import ExactMatrix
-from .modules import (
-    Explicit,
-    ModuleExpr,
-    UnipotentPair,
-    _contains_dual,
-    eval_ga_point,
-    eval_unipotent,
-    texp_element,
-    texp_matrix,
-)
+from .linalg import ExactMatrix, _gfp_rref
+from .modules import Explicit, ModuleExpr, UnipotentPair, texp_matrix
 
 
 @dataclass(frozen=True)
@@ -173,21 +167,40 @@ def _trunc_ring(tup):
     return TruncatedCurveRing(tup.domain, r_eff)
 
 
-def _explicit_leaves(e):
-    return [leaf for leaf in e.leaves() if isinstance(leaf, Explicit)]
-
-
 def _stacks(tup):
     """The one-point `_Pointwise` ring of a finite-field point, and its matrices as stacks of it.
 
     Every point of every kind is a P = 1 stack, as in a sweep; over GF(p^n)
     each entry is its n x n regular-representation block.
     """
-    field = tup.domain
-    if any(m.domain != field for m in tup.mats):
-        raise DomainMismatchError("matrix domains differ")
+    field = _domain(tup)
     ring = _Pointwise(field)
     return ring, [ring.lift(m._data) for m in tup.mats]
+
+
+def _domain(tup):
+    if any(m.domain != tup.domain for m in tup.mats):
+        raise DomainMismatchError("matrix domains differ")
+    return tup.domain
+
+
+def symbolic_operator(e, tup, variant):
+    """(ring, the variant's operator) at a point over a `PolyRing`, on `batch.curve_operator`.
+
+    The ring is the `monomials._Monomials` ring of the point's polynomial
+    ring (`monomials.monomial_ring`), and the operator is an (L, m n, m n)
+    stack of its monomial coefficients.  As over any domain but a finite
+    field, the tuple is not checked: its conditions hold only modulo the
+    chart's constraints.
+    """
+    # imported here, so that only runs that build a symbolic operator compile the module
+    from .monomials import monomial_ring
+
+    domain = _domain(tup)
+    if not isinstance(domain, PolyRing):
+        raise JTCalcError(f"operators are built over finite fields and polynomial rings, not {domain}")
+    ring = monomial_ring(domain)
+    return ring, curve_operator(ring, tup.kind, e, variant, [ring.lift_matrix(m) for m in tup.mats])
 
 
 def _stack_operator(e, tup, variant):
@@ -239,46 +252,6 @@ def ga_curve_element(tup):
     return TruncElement(ring, coeffs)
 
 
-def _rho_full(e, tup):
-    """Module evaluated on the full one-parameter group element, over a symbolic domain."""
-    ring = _trunc_ring(tup)
-    if tup.kind == KIND_GL:
-        # g^-1 is read only by Dual nodes
-        return eval_unipotent(e, _one_param(tup, _contains_dual(e)))
-    if tup.kind == KIND_GA:
-        c = ga_curve_element(tup)
-        pairs = {leaf: eval_ga_point(leaf, c) for leaf in _explicit_leaves(e)}
-        return eval_unipotent(e, None, pairs)
-    # multi_ga: each additive line contributes exp(t a_i alpha_i) on every leaf
-    t = ring.t()
-    pairs = {}
-    for leaf in _explicit_leaves(e):
-        pair = None
-        for a, alpha in zip(tup.scalars(), leaf.matrices):
-            factor = texp_element(t * a, alpha)
-            pair = factor if pair is None else pair * factor
-        pairs[leaf] = pair
-    return eval_unipotent(e, None, pairs)
-
-
-def _rho_factor(e, tup, s):
-    """Module evaluated on exp(t B_s) alone (untwisted), over a symbolic domain.
-
-    The action matrices of Explicit leaves stay over their own prime field;
-    truncated exponentials embed their scalars on the fly.
-    """
-    ring = _trunc_ring(tup)
-    if tup.kind == KIND_GL:
-        # g^-1 is read only by Dual nodes
-        return eval_unipotent(e, texp_matrix(tup.mats[s], ring, with_inv=_contains_dual(e)))
-    if tup.kind == KIND_GA:
-        a = tup.scalars()[s]
-        c = TruncElement(ring, {1: a})
-        pairs = {leaf: eval_ga_point(leaf, c) for leaf in _explicit_leaves(e)}
-        return eval_unipotent(e, None, pairs)
-    raise JTCalcError("per-factor evaluation is undefined for multi_ga points")
-
-
 def _finish(e, tup, matrix, variant, check=None):
     """Wrap the operator, checking that its p-th power vanishes.
 
@@ -294,52 +267,22 @@ def _finish(e, tup, matrix, variant, check=None):
 
 def theta_full(e, tup):
     """Specialization of the universal operator at the point."""
-    return _theta_full(e, tup)
-
-
-def _theta_full(e, tup, check=None):
-    _check_pairing(e, tup.kind, tup.p, tup.height)
-    if isinstance(tup.domain, FiniteField):
-        return _finish(e, tup, _stack_matrix(e, tup, "full"), "full", check)
-    if tup.kind == KIND_MULTI_GA:
-        return _theta_multi(e, tup, "full", check)
-    rho = _rho_full(e, tup)
-    coeff = rho.g.coefficient(tup.p ** (tup.height - 1))
-    return _finish(e, tup, coeff, "full", check)
+    return _theta(e, tup, "full")
 
 
 def theta_exp(e, tup):
     """The linearized (exponential) operator: sum of per-factor coefficients."""
-    return _theta_exp(e, tup)
+    return _theta(e, tup, "exp")
 
 
-def _theta_exp(e, tup, check=None):
+def _theta(e, tup, variant, check=None):
     _check_pairing(e, tup.kind, tup.p, tup.height)
     if isinstance(tup.domain, FiniteField):
-        return _finish(e, tup, _stack_matrix(e, tup, "exp"), "exp", check)
-    if tup.kind == KIND_MULTI_GA:
-        return _theta_multi(e, tup, "exp", check)
-    r = tup.height
-    total = None
-    for s in range(r):
-        rho = _rho_factor(e, tup, s)
-        coeff = rho.g.coefficient(tup.p ** (r - 1 - s))
-        total = coeff if total is None else total + coeff
-    return _finish(e, tup, total, "exp", check)
-
-
-def _theta_multi(e, tup, variant, check=None):
-    if isinstance(e, Explicit):
-        # bare additive module: the t-coefficient is exactly sum_i a_i alpha_i
-        mats = tuple(m.map_entries(tup.domain, tup.domain.embed_scalar) for m in e.matrices)
-        total = None
-        for a, alpha in zip(tup.scalars(), mats):
-            term = alpha.scalar_mul(a)
-            total = term if total is None else total + term
-        return _finish(e, tup, total, variant, check)
-    rho = _rho_full(e, tup)
-    coeff = rho.g.coefficient(1)
-    return _finish(e, tup, coeff, variant, check)
+        matrix = _stack_matrix(e, tup, variant)
+    else:
+        ring, op = symbolic_operator(e, tup, variant)
+        matrix = ring.matrix(op)
+    return _finish(e, tup, matrix, variant, check)
 
 
 def theta_multi_ga(explicit, scalars):
@@ -348,16 +291,54 @@ def theta_multi_ga(explicit, scalars):
         raise JTCalcError("theta_multi_ga needs an Explicit module")
     if len(scalars) != explicit.height:
         raise JTCalcError("scalar count does not match the number of action matrices")
-    return _theta_full(explicit, CommutingTuple.multi_ga(scalars, scalars[0].field))
+    return theta_full(explicit, CommutingTuple.multi_ga(scalars, scalars[0].field))
 
 
 def homotopy_theta(e, tup, s_val, t_val):
     """The projective-line family  s * theta_exp + t * theta_full  at the point."""
-    if s_val.is_zero() and t_val.is_zero():
-        raise JTCalcError("homotopy parameters (0, 0) are excluded")
+    _check_homotopy(s_val, t_val)
     mat = theta_exp(e, tup).matrix.scalar_mul(s_val) + theta_full(e, tup).matrix.scalar_mul(t_val)
     theta = _finish(e, tup, mat, f"homotopy({s_val}:{t_val})")
     return theta
+
+
+def _check_homotopy(s_val, t_val):
+    if s_val.is_zero() and t_val.is_zero():
+        raise JTCalcError("homotopy parameters (0, 0) are excluded")
+
+
+def homotopy_ranks(e, tup, samples, j):
+    """For each (s, t) of integer samples, the rank of (s theta_exp + t theta_full)^j at a
+    finite-field point: `homotopy_theta(e, tup, s, t).matrix.pow(j).rank()`.
+
+    Both operators are built once, on the point's one-point stack, and every
+    sum and rank is taken there.  The checks, and the order in which they
+    raise, are `homotopy_theta`'s: (0, 0) is excluded, then theta_exp,
+    theta_full and the sum must be p-nilpotent.
+    """
+    field, p = tup.domain, tup.p
+    ops = None
+    ranks = []
+    for sv, tv in samples:
+        s_val, t_val = field.from_int(sv), field.from_int(tv)
+        _check_homotopy(s_val, t_val)
+        if ops is None:
+            _check_pairing(e, tup.kind, p, tup.height)
+            ops = []
+            for variant in ("exp", "full"):
+                ring, op = _stack_operator(e, tup, variant)
+                _check_vanishes(ring, op, variant)
+                ops.append(op)
+        op = (sv * ops[0] + tv * ops[1]) % p
+        _check_vanishes(ring, op, f"homotopy({s_val}:{t_val})")
+        ranks.append(len(_gfp_rref(_mpow(ring, op, j), p)[1]) // ring.n)
+    return ranks
+
+
+def _check_vanishes(ring, op, variant):
+    """Raise unless op^p = 0 for an operator of a one-point stack, as `_finish` checks."""
+    if _mpow(ring, op, ring.p).any():
+        raise NotNilpotentError(f"{variant} operator is not p-nilpotent")
 
 
 def theta_variant(e, tup, variant):
@@ -372,11 +353,11 @@ def jt_at_point(e, tup, variant="full"):
     of its rank profile.  Over a finite field the operator is ranked on its
     one-point stack (`batch._point_type`).
     """
-    build = by_variant(variant, _theta_full, _theta_exp)
+    by_variant(variant, None, None)
     if isinstance(tup.domain, FiniteField):
         _check_pairing(e, tup.kind, tup.p, tup.height)
         return _point_type(*_stack_operator(e, tup, variant), variant)
-    theta = build(e, tup, check=False)
+    theta = _theta(e, tup, variant, check=False)
     try:
         return jt_of_nilpotent(theta.matrix, tup.p)
     except NotNilpotentError:

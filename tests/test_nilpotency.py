@@ -6,7 +6,7 @@ rejected inputs so that moving a check can never let one through.
 
 import pytest
 
-from jtcalc.errors import DomainMismatchError, NotNilpotentError
+from jtcalc.errors import DomainMismatchError, JTCalcError, NotNilpotentError
 from jtcalc.fields import GF, TruncatedCurveRing
 from jtcalc.jordan import jt_of_nilpotent
 from jtcalc.linalg import ExactMatrix
@@ -20,8 +20,11 @@ from jtcalc.modules import (
     validate_commuting_tuple,
 )
 from jtcalc.strata import curve_from_coeffs, parse_chart, semicontinuity_check
+from jtcalc import batch
+from jtcalc import theta as theta_mod
 from jtcalc.theta import (
     CommutingTuple,
+    homotopy_ranks,
     homotopy_theta,
     jt_at_point,
     jt_power_at_point,
@@ -49,6 +52,7 @@ def _unvalidated_cases():
         "jt_at_point_exp": (lambda e, t: jt_at_point(e, t, "exp"), "exp"),
         "jt_power_at_point": (lambda e, t: jt_power_at_point(e, t, "full", 1), "full"),
         "homotopy_theta": (lambda e, t: homotopy_theta(e, t, t.domain.one(), t.domain.one()), "exp"),
+        "homotopy_ranks": (lambda e, t: homotopy_ranks(e, t, ((1, 1),), 1), "exp"),
     }
     cases = []
     for name, (fn, variant) in entry_points.items():
@@ -181,3 +185,73 @@ def test_semicontinuity_rejects_an_invalid_generic_tuple(text, module, coeffs, m
     curve = curve_from_coeffs(chart, GF(chart.p), coeffs)
     with pytest.raises(NotNilpotentError, match=f"^{message}$"):
         semicontinuity_check(curve, parse_module_expr(module), variant)
+
+
+# the three p-th-power checks of the homotopy family, in the order they raise: theta_exp,
+# theta_full, then the sum.  At height 3 over GF(2) the full operator of Std(2) x Std(2) at
+# the unvalidated (e12, e21, 0) is not 2-nilpotent while the exponential one is.
+HOMOTOPY_ENTRY_POINTS = {
+    "homotopy_theta": lambda e, t, s, u: homotopy_theta(e, t, t.domain.from_int(s), t.domain.from_int(u)),
+    "homotopy_ranks": lambda e, t, s, u: homotopy_ranks(e, t, ((s, u),), 1),
+}
+
+
+@pytest.mark.parametrize("name", HOMOTOPY_ENTRY_POINTS)
+def test_homotopy_checks_exp_then_full(name):
+    fn = HOMOTOPY_ENTRY_POINTS[name]
+    module = Tensor(Std(2), Std(2))
+    both = CommutingTuple.gl([E12_2, E21_2], validated=False)
+    with pytest.raises(NotNilpotentError, match="^exp operator is not p-nilpotent$"):
+        fn(module, both, 1, 1)
+    full_only = CommutingTuple.gl([E12_2, E21_2, ExactMatrix.zeros(F2, 2, 2)], validated=False)
+    with pytest.raises(NotNilpotentError, match="^full operator is not p-nilpotent$"):
+        fn(module, full_only, 1, 0)
+    with pytest.raises(JTCalcError, match=r"^homotopy parameters \(0, 0\) are excluded$"):
+        fn(module, both, 0, 0)
+
+
+@pytest.mark.parametrize("name", HOMOTOPY_ENTRY_POINTS)
+def test_homotopy_checks_the_sum(monkeypatch, name):
+    """No tuple found makes both operators p-nilpotent and their sum not, so the operators are
+    replaced: e12 and e21 over GF(2), whose sum squares to the identity."""
+    ring = batch._Pointwise(F2)
+    ops = {"exp": E12_2._data[:, :, 0], "full": E21_2._data[:, :, 0]}
+    monkeypatch.setattr(theta_mod, "_stack_operator", lambda e, tup, variant: (ring, ops[variant]))
+    monkeypatch.setattr(theta_mod, "_stack_matrix",
+                        lambda e, tup, variant: ExactMatrix.from_coords(F2, ops[variant][:, :, None]))
+    tup = CommutingTuple.gl([E12_2], validated=False)
+    with pytest.raises(NotNilpotentError, match=r"^homotopy\(1:1\) operator is not p-nilpotent$"):
+        HOMOTOPY_ENTRY_POINTS[name](Std(2), tup, 1, 1)
+
+
+def test_homotopy_ranks_match_homotopy_theta():
+    module = parse_module_expr("Sym(2,Std(2))*Tw(2,Std(2))")
+    tup = CommutingTuple.gl([E12, E12.scalar_mul(F3.from_int(2)), E12])
+    samples = ((1, 0), (0, 1), (1, 1), (1, 2), (2, 1))
+    for j in (1, 2):
+        want = [homotopy_theta(module, tup, F3.from_int(s), F3.from_int(t)).matrix.pow(j).rank()
+                for s, t in samples]
+        assert homotopy_ranks(module, tup, samples, j) == want
+
+
+@pytest.mark.parametrize("text, module, coeffs, message", SEMICONT_CASES + SEMICONT_TUPLE_CASES,
+                         ids=["template", "operator", "commute", "matrix"])
+def test_an_invalid_curve_raises_alike_on_every_check(text, module, coeffs, message):
+    """The generic type, then the tuple's validation, then the special type, on every call."""
+    curve = curve_from_coeffs(parse_chart(text), GF(parse_chart(text).p), coeffs)
+    for variant in ("full", "exp", "full", "exp"):
+        with pytest.raises(NotNilpotentError, match=f"^{message}$"):
+            semicontinuity_check(curve, parse_module_expr(module), variant)
+
+
+def test_a_valid_curve_is_validated_once(monkeypatch):
+    calls = []
+    validate = batch._validate
+    monkeypatch.setattr(batch, "_validate", lambda *args: calls.append(args) or validate(*args))
+    chart = parse_chart("field GF(3)\nkind gl\nr 2\nN 2\nparams a b\ntemplate\n0 a\n0 0\n"
+                        "template\n0 b\n0 0\n")
+    curve = curve_from_coeffs(chart, GF(3), {"a": [0, 1], "b": [1, 1]})
+    module = parse_module_expr("Std(2)*Tw(1,Std(2))")
+    reports = [semicontinuity_check(curve, module, variant) for variant in ("full", "exp", "full")]
+    assert len(calls) == 1
+    assert reports[0] == reports[2] and reports[0].ok

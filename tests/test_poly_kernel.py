@@ -5,9 +5,9 @@ The oracles are the routes these replaced, kept here verbatim:
 `_bareiss_rank_upoly`, the fraction-free elimination on tuples of
 `FFElement` coefficients that `linalg` used before; for semicontinuity, the
 generic operator's powers taken as `RatFunc` matrices and ranked by that
-elimination; and the operator built by `theta_variant` over `PolyRing` on
-the tuple that `generic_tuple` substitutes, with the special type from
-`tuple_at` and `jt_at_point`.
+elimination; and the operator built by the object walker over `PolyRing`
+(`theta_oracles.theta_variant`) on the tuple that `generic_tuple`
+substitutes, with the special type from `tuple_at` and `jt_at_point`.
 """
 
 import itertools
@@ -55,7 +55,8 @@ from jtcalc.strata import (
     parse_chart,
     semicontinuity_check,
 )
-from jtcalc.theta import KIND_GL, CommutingTuple, jt_at_point, theta_variant
+from jtcalc.theta import KIND_GL, CommutingTuple, jt_at_point
+from theta_oracles import theta_variant
 
 FIELDS = [GF(2), GF(3), GF(5), GF(7), GF(2, 2), GF(3, 2), GF(5, 2)]
 
@@ -156,7 +157,7 @@ def polyring_semicontinuity(curve, e, variant):
     generic_tup = generic_tuple(chart, curve.substitution)
     theta = theta_variant(e, generic_tup, variant)
     ring1 = generic_tup.domain
-    generic_jt = jt_of_nilpotent(of_univariate(theta.matrix), chart.p)
+    generic_jt = jt_of_nilpotent(of_univariate(theta), chart.p)
     if chart.kind == KIND_GL:
         mats = [of_univariate(m) for m in generic_tup.mats]
         report = validate_commuting_tuple(mats, chart.p)
@@ -173,7 +174,7 @@ def oracle_semicontinuity(curve, e, variant):
     theta = theta_variant(e, generic_tup, variant)
     ring1 = generic_tup.domain
     ratfield = RationalFunctionField(ring1.field, ring1.variables[0])
-    generic_matrix = theta.matrix.map_entries(ratfield, lambda v: _poly_to_ratfunc(v, ratfield))
+    generic_matrix = theta.map_entries(ratfield, lambda v: _poly_to_ratfunc(v, ratfield))
     generic_jt = _oracle_jt(generic_matrix, chart.p)
     special_jt = jt_at_point(e, chart.tuple_at(curve.special_values(ring1.field)), variant)
     ok = dominance_leq(special_jt, generic_jt)
@@ -416,7 +417,7 @@ def assert_curve_matches(curve, e, variant):
     """The operator entry for entry, the report or its error, and the special type."""
     chart = curve.chart
     want = _outcome(lambda: _coefficients(
-        theta_variant(e, generic_tuple(chart, curve.substitution), variant).matrix))
+        theta_variant(e, generic_tuple(chart, curve.substitution), variant)))
     got = _outcome(lambda: _trimmed(curve.operator(e, variant)))
     if isinstance(want, tuple):
         assert isinstance(got, tuple) and got == want

@@ -159,6 +159,16 @@ def test_rank_locus_examples():
         assert vanish == dominance_leq(jt, bound)
 
 
+def test_rank_locus_rejects_an_unknown_variant_without_minors():
+    """An unknown variant raises even when d >= m leaves no minors to take (it returned [])."""
+    chart = e_line_chart()
+    mod = Tensor(Std(2), Twist(1, Std(2)))
+    for d in (1, 4):
+        with pytest.raises(JTCalcError, match="unknown operator variant 'bogus'"):
+            rank_locus_minors(chart, mod, "bogus", 1, d)
+    assert rank_locus_minors(chart, mod, "exp", 1, 4) == []
+
+
 def test_gamma_j_power_loci():
     chart = builtin_chart("sl2_line", p=3, r=2)
     mod = Tensor(Std(2), Twist(1, Std(2)))
@@ -190,8 +200,8 @@ def _count_theta_builds(monkeypatch):
     from jtcalc import strata
 
     builds = []
-    build = strata.theta_variant
-    monkeypatch.setattr(strata, "theta_variant", lambda *args: builds.append(args) or build(*args))
+    build = strata._symbolic_theta
+    monkeypatch.setattr(strata, "_symbolic_theta", lambda *args: builds.append(args) or build(*args))
     return builds
 
 
