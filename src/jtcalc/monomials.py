@@ -24,9 +24,6 @@ from .errors import JTCalcError
 from .fields import FFElement, Polynomial
 from .linalg import ExactMatrix
 
-# index cells of the product tables, and of their keys, that a ring keeps
-TABLE_CELLS = 1 << 18
-
 
 class _Monomials(_Pointwise):
     """Polynomials over GF(q), q = p^n, in the variables of a `PolyRing`, on a monomial basis.
@@ -37,7 +34,7 @@ class _Monomials(_Pointwise):
     a coefficient's Frobenius) is `_Pointwise`'s.  A product (`matmul`,
     `kron`, `outer_columns`) takes the `_Pointwise` product of every pair of
     nonzero slices and adds it into the slice of their product monomial,
-    through a table of the product monomials' indices; a twist Tw(i) also
+    through the basis indices of the product monomials; a twist Tw(i) also
     raises every monomial to its p^i-th power.
 
     The basis starts at the monomial 1 and grows as products meet new
@@ -45,11 +42,8 @@ class _Monomials(_Pointwise):
     exponents with fixed odd 64-bit multipliers mod 2^64, so the code of a
     product is the sum of the codes; every lookup is checked against the
     exponents, so a collision of codes raises instead of merging two
-    monomials.  `monomial_ring` keeps a ring per `PolyRing`, so its basis
-    and its tables of products are built once across computations; the
-    tables are dropped when they outgrow TABLE_CELLS.  No result depends on
-    that state: the order of the basis never reaches a caller, who gets
-    `Polynomial`s or indices into the basis, which only grows.
+    monomials.  A ring serves one computation (an operator, its powers and
+    their minors) and keeps nothing but its basis.
     """
 
     def __init__(self, ring):
@@ -61,8 +55,6 @@ class _Monomials(_Pointwise):
         self._order = np.zeros(1, dtype=np.intp)  # the basis by increasing code
         self._sorted = self.codes
         self._mult = _code_multipliers(k)
-        self._tables = {}
-        self._cells = 0
         if self.n == 1:
             self._residues = [FFElement(self.field, (c,)) for c in range(self.p)]
 
@@ -83,29 +75,11 @@ class _Monomials(_Pointwise):
             raise JTCalcError("monomial codes collide")
         return index
 
-    def _table(self, key, build):
-        """The index table `build()` under key, built once while the tables and their keys keep
-        within TABLE_CELLS."""
-        index = self._tables.get(key)
-        if index is None:
-            index = build()
-            index.setflags(write=False)
-            cells = index.size + sum(len(k) for k in key if isinstance(k, bytes)) // 8
-            if self._cells + cells > TABLE_CELLS:
-                self._tables.clear()
-                self._cells = 0
-            self._tables[key] = index
-            self._cells += cells
-        return index
-
     def _times(self, a, b):
         """Basis indices of the products of basis monomials a and b (index arrays that broadcast)."""
-        def build():
-            codes = self.codes[a] + self.codes[b]
-            exps = self.exps[a] + self.exps[b]
-            return self._index(codes.ravel(), exps.reshape(codes.size, self.exps.shape[1])).reshape(codes.shape)
-
-        return self._table((a.shape, a.tobytes(), b.shape, b.tobytes()), build)
+        codes = self.codes[a] + self.codes[b]
+        exps = self.exps[a] + self.exps[b]
+        return self._index(codes.ravel(), exps.reshape(codes.size, self.exps.shape[1])).reshape(codes.shape)
 
     @staticmethod
     def _support(m):
@@ -152,8 +126,7 @@ class _Monomials(_Pointwise):
             return m
         m = super().frobenius(m, i)
         support, q = self._support(m), self.p**i
-        index = self._table((q, support.tobytes()), lambda: self._index(self.codes[support] * np.uint64(q),
-                                                                        self.exps[support] * q))
+        index = self._index(self.codes[support] * np.uint64(q), self.exps[support] * q)
         out = np.zeros((index.max() + 1,) + m.shape[1:], dtype=np.int64)
         out[index] = m[support]
         return out
@@ -256,12 +229,6 @@ class _Monomials(_Pointwise):
             prefixes = np.concatenate([prefixes[old], row[:, None]], axis=1)
         bounds = np.searchsorted(s_sid, np.arange(len(prefixes) * comb(k, size) + 1))
         return [self._polynomial(s_mono[a:b], s_val[a:b, None]) for a, b in zip(bounds[:-1], bounds[1:])]
-
-
-@lru_cache(maxsize=8)
-def monomial_ring(poly_ring):
-    """The `_Monomials` ring of a `PolyRing`, kept for the next computation over it."""
-    return _Monomials(poly_ring)
 
 
 @lru_cache(maxsize=None)

@@ -413,7 +413,6 @@ def tabulate_jt(chart, e, field, variant="full", budget=EXHAUSTIVE_DEFAULT_BUDGE
 
 def rank_locus_minors(chart, e, variant, j, d):
     """Generators of the j-th power rank <= d locus: all (d+1)-minors of theta^j."""
-    by_variant(variant, None, None)
     return _rank_locus(chart, e, j, d, _theta_powers(chart, e, variant))
 
 
@@ -435,7 +434,9 @@ def _rank_locus(chart, e, j, d, power):
 
 def _theta_powers(chart, e, variant):
     """power(j) = (ring, theta^j) for `_rank_locus`: theta is built on first use, once, and its
-    powers are multiplied up from it."""
+    powers are multiplied up from it.  The variant is checked at once, before any minors are
+    known to be needed."""
+    by_variant(variant, None, None)
     powers = []
 
     def power(j):
@@ -452,7 +453,6 @@ def _theta_powers(chart, e, variant):
 def _symbolic_theta(chart, e, variant):
     """(ring, theta): the variant's operator on the chart's symbolic tuple, as a stack of
     monomial coefficients (`theta.symbolic_operator`)."""
-    by_variant(variant, None, None)
     _check_pairing(e, chart.kind, chart.p, chart.r)
     return symbolic_operator(e, chart.symbolic_tuple(), variant)
 

@@ -29,6 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .batch import (
     KIND_GA,
     KIND_GL,
@@ -37,6 +39,7 @@ from .batch import (
     _mpow,
     _Pointwise,
     _point_type,
+    _ranks,
     _validate,
     by_variant,
     curve_operator,
@@ -44,7 +47,7 @@ from .batch import (
 from .errors import DomainMismatchError, JTCalcError, NotNilpotentError
 from .fields import FiniteField, PolyRing, TruncatedCurveRing, TruncElement
 from .jordan import jt_of_nilpotent, jt_power
-from .linalg import ExactMatrix, _gfp_rref
+from .linalg import ExactMatrix
 from .modules import Explicit, ModuleExpr, UnipotentPair, texp_matrix
 
 
@@ -149,8 +152,7 @@ class ThetaMatrix:
 
     nilpotency_checked is True when the operator's p-th power was verified
     to vanish before the ThetaMatrix was built.  It is False over domains
-    other than finite fields, and on the operator `jt_at_point` builds
-    internally: there the rank profile's final vanishing power is the check.
+    other than finite fields.
     """
 
     module: ModuleExpr
@@ -187,19 +189,19 @@ def _domain(tup):
 def symbolic_operator(e, tup, variant):
     """(ring, the variant's operator) at a point over a `PolyRing`, on `batch.curve_operator`.
 
-    The ring is the `monomials._Monomials` ring of the point's polynomial
-    ring (`monomials.monomial_ring`), and the operator is an (L, m n, m n)
-    stack of its monomial coefficients.  As over any domain but a finite
+    The ring is a new `monomials._Monomials` ring of the point's polynomial
+    ring, for this computation, and the operator is an (L, m n, m n) stack
+    of its monomial coefficients.  As over any domain but a finite
     field, the tuple is not checked: its conditions hold only modulo the
     chart's constraints.
     """
     # imported here, so that only runs that build a symbolic operator compile the module
-    from .monomials import monomial_ring
+    from .monomials import _Monomials
 
     domain = _domain(tup)
     if not isinstance(domain, PolyRing):
         raise JTCalcError(f"operators are built over finite fields and polynomial rings, not {domain}")
-    ring = monomial_ring(domain)
+    ring = _Monomials(domain)
     return ring, curve_operator(ring, tup.kind, e, variant, [ring.lift_matrix(m) for m in tup.mats])
 
 
@@ -217,9 +219,21 @@ def _stack_operator(e, tup, variant):
     return ring, curve_operator(ring, tup.kind, e, variant, mats)[0]
 
 
-def _stack_matrix(e, tup, variant):
-    """The variant's operator at a finite-field point as an `ExactMatrix`."""
+def _checked_operator(e, tup, variant):
+    """`_stack_operator`, with the operator's p-th power checked to vanish."""
     ring, op = _stack_operator(e, tup, variant)
+    _check_vanishes(ring, op, variant)
+    return ring, op
+
+
+def _check_vanishes(ring, op, name):
+    """Raise unless op^p = 0, for the operator `name` of a one-point stack."""
+    if _mpow(ring, op, ring.p).any():
+        raise NotNilpotentError(f"{name} operator is not p-nilpotent")
+
+
+def _matrix(tup, ring, op):
+    """The `ExactMatrix` of the operator of a one-point stack."""
     return ExactMatrix.from_coords(tup.domain, ring.coords(op))
 
 
@@ -252,19 +266,6 @@ def ga_curve_element(tup):
     return TruncElement(ring, coeffs)
 
 
-def _finish(e, tup, matrix, variant, check=None):
-    """Wrap the operator, checking that its p-th power vanishes.
-
-    The check runs by default over finite fields; `jt_at_point` passes
-    check=False and leaves it to the rank profile's final power.
-    """
-    check = isinstance(tup.domain, FiniteField) if check is None else check
-    if check:
-        if not matrix.pow(tup.p).is_zero():
-            raise NotNilpotentError(f"{variant} operator is not p-nilpotent")
-    return ThetaMatrix(e, matrix, variant, tup, nilpotency_checked=check)
-
-
 def theta_full(e, tup):
     """Specialization of the universal operator at the point."""
     return _theta(e, tup, "full")
@@ -275,14 +276,15 @@ def theta_exp(e, tup):
     return _theta(e, tup, "exp")
 
 
-def _theta(e, tup, variant, check=None):
+def _theta(e, tup, variant):
+    """The variant's operator, checked p-nilpotent over a finite field.  Over other domains
+    the check is left out (nilpotency_checked is False): there the tuple's conditions hold
+    only modulo the chart's constraints."""
     _check_pairing(e, tup.kind, tup.p, tup.height)
     if isinstance(tup.domain, FiniteField):
-        matrix = _stack_matrix(e, tup, variant)
-    else:
-        ring, op = symbolic_operator(e, tup, variant)
-        matrix = ring.matrix(op)
-    return _finish(e, tup, matrix, variant, check)
+        return ThetaMatrix(e, _matrix(tup, *_checked_operator(e, tup, variant)), variant, tup)
+    ring, op = symbolic_operator(e, tup, variant)
+    return ThetaMatrix(e, ring.matrix(op), variant, tup, nilpotency_checked=False)
 
 
 def theta_multi_ga(explicit, scalars):
@@ -296,49 +298,59 @@ def theta_multi_ga(explicit, scalars):
 
 def homotopy_theta(e, tup, s_val, t_val):
     """The projective-line family  s * theta_exp + t * theta_full  at the point."""
+    name = f"homotopy({s_val}:{t_val})"
+    if isinstance(tup.domain, FiniteField):
+        ring, op = _homotopy_family(e, tup)(s_val, t_val)
+        return ThetaMatrix(e, _matrix(tup, ring, op), name, tup)
     _check_homotopy(s_val, t_val)
     mat = theta_exp(e, tup).matrix.scalar_mul(s_val) + theta_full(e, tup).matrix.scalar_mul(t_val)
-    theta = _finish(e, tup, mat, f"homotopy({s_val}:{t_val})")
-    return theta
+    return ThetaMatrix(e, mat, name, tup, nilpotency_checked=False)
+
+
+def homotopy_ranks(e, tup, samples, j):
+    """For each (s, t) of integer samples, the rank of (s theta_exp + t theta_full)^j at a
+    finite-field point, the sums checked as `homotopy_theta` checks them."""
+    field = tup.domain
+    family = _homotopy_family(e, tup)
+    sums = [family(field.from_int(s), field.from_int(t))[1] for s, t in samples]
+    if not sums:
+        return []
+    ring = _Pointwise(field)
+    return (_ranks(_mpow(ring, np.stack(sums), j), ring.p) // ring.n).tolist()
+
+
+def _homotopy_family(e, tup):
+    """sample(s_val, t_val) -> (ring, s theta_exp + t theta_full) at a finite-field point, the
+    operator of its one-point stack.
+
+    theta_exp and theta_full are built once, at the first sample.  The
+    checks raise in this order: (0, 0) is excluded, then theta_exp,
+    theta_full and the sum must be p-nilpotent.
+    """
+    ops = []
+
+    def sample(s_val, t_val):
+        _check_homotopy(s_val, t_val)
+        if not ops:
+            _check_pairing(e, tup.kind, tup.p, tup.height)
+            ops.extend(_checked_operator(e, tup, variant) for variant in ("exp", "full"))
+        (ring, exp_op), (_, full_op) = ops
+        op = (_scaled(ring, s_val, exp_op) + _scaled(ring, t_val, full_op)) % ring.p
+        _check_vanishes(ring, op, f"homotopy({s_val}:{t_val})")
+        return ring, op
+
+    return sample
+
+
+def _scaled(ring, x, op):
+    """x op, for x in the point's field: op's blocks times x's regular-representation block."""
+    block = ring.lift(np.array([[x.coeffs]], dtype=np.int64))[0]
+    return np.kron(np.eye(len(op) // ring.n, dtype=np.int64), block) @ op
 
 
 def _check_homotopy(s_val, t_val):
     if s_val.is_zero() and t_val.is_zero():
         raise JTCalcError("homotopy parameters (0, 0) are excluded")
-
-
-def homotopy_ranks(e, tup, samples, j):
-    """For each (s, t) of integer samples, the rank of (s theta_exp + t theta_full)^j at a
-    finite-field point: `homotopy_theta(e, tup, s, t).matrix.pow(j).rank()`.
-
-    Both operators are built once, on the point's one-point stack, and every
-    sum and rank is taken there.  The checks, and the order in which they
-    raise, are `homotopy_theta`'s: (0, 0) is excluded, then theta_exp,
-    theta_full and the sum must be p-nilpotent.
-    """
-    field, p = tup.domain, tup.p
-    ops = None
-    ranks = []
-    for sv, tv in samples:
-        s_val, t_val = field.from_int(sv), field.from_int(tv)
-        _check_homotopy(s_val, t_val)
-        if ops is None:
-            _check_pairing(e, tup.kind, p, tup.height)
-            ops = []
-            for variant in ("exp", "full"):
-                ring, op = _stack_operator(e, tup, variant)
-                _check_vanishes(ring, op, variant)
-                ops.append(op)
-        op = (sv * ops[0] + tv * ops[1]) % p
-        _check_vanishes(ring, op, f"homotopy({s_val}:{t_val})")
-        ranks.append(len(_gfp_rref(_mpow(ring, op, j), p)[1]) // ring.n)
-    return ranks
-
-
-def _check_vanishes(ring, op, variant):
-    """Raise unless op^p = 0 for an operator of a one-point stack, as `_finish` checks."""
-    if _mpow(ring, op, ring.p).any():
-        raise NotNilpotentError(f"{variant} operator is not p-nilpotent")
 
 
 def theta_variant(e, tup, variant):
@@ -357,7 +369,7 @@ def jt_at_point(e, tup, variant="full"):
     if isinstance(tup.domain, FiniteField):
         _check_pairing(e, tup.kind, tup.p, tup.height)
         return _point_type(*_stack_operator(e, tup, variant), variant)
-    theta = _theta(e, tup, variant, check=False)
+    theta = _theta(e, tup, variant)
     try:
         return jt_of_nilpotent(theta.matrix, tup.p)
     except NotNilpotentError:

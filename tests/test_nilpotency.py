@@ -217,8 +217,6 @@ def test_homotopy_checks_the_sum(monkeypatch, name):
     ring = batch._Pointwise(F2)
     ops = {"exp": E12_2._data[:, :, 0], "full": E21_2._data[:, :, 0]}
     monkeypatch.setattr(theta_mod, "_stack_operator", lambda e, tup, variant: (ring, ops[variant]))
-    monkeypatch.setattr(theta_mod, "_stack_matrix",
-                        lambda e, tup, variant: ExactMatrix.from_coords(F2, ops[variant][:, :, None]))
     tup = CommutingTuple.gl([E12_2], validated=False)
     with pytest.raises(NotNilpotentError, match=r"^homotopy\(1:1\) operator is not p-nilpotent$"):
         HOMOTOPY_ENTRY_POINTS[name](Std(2), tup, 1, 1)

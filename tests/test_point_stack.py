@@ -332,3 +332,16 @@ def test_finite_field_points_do_not_reach_the_object_walker(monkeypatch):
         got = (jt_at_point(e, tup), theta_full(e, tup).matrix, theta_exp(e, tup).matrix,
                homotopy_theta(e, tup, one, one).matrix)
         assert got == expected
+
+
+@pytest.mark.parametrize("field", EXTENSION_FIELDS[:3])
+def test_homotopy_scales_by_elements_outside_the_prime_field(field):
+    """s and t act on the stack through their regular-representation blocks."""
+    g = field.gen()
+    e12 = ExactMatrix.from_rows(field, [[0, 1], [0, 0]])
+    tup = CommutingTuple.gl([e12.scalar_mul(g), e12])
+    e = parse_module_expr("Sym(2,Std(2))*Tw(1,Std(2))")
+    exp, full = oracle_operator(e, tup, "exp"), oracle_operator(e, tup, "full")
+    for s_val, t_val in ((g, field.one()), (g * g + field.one(), g), (field.zero(), g)):
+        want = exp.scalar_mul(s_val) + full.scalar_mul(t_val)
+        assert homotopy_theta(e, tup, s_val, t_val).matrix == want
