@@ -16,13 +16,16 @@ time:
 * in the `_Pointwise` ring, where a GF(p^n) entry is its n x n GF(p)
   regular-representation block, the one-parameter group element and the
   module tree are evaluated on series in t with (P, m n, m n) coefficient
-  stacks mod p, truncated mod t^(D+1) for the t-degree D the operator
-  reads: p^(r-1) for the full operator, p^(r-1-s) for factor s of the
-  exponential one (truncation commutes with Tw's t -> t^(p^i));
+  stacks mod p, at the t-degrees the operator reads: 0 and D = p^(r-1)
+  for the full operator, p^(r-1-s) for factor s of the exponential one.
+  Each product node asks its factors only for the degrees that reach
+  those (`_module`), and the `gl` group element is formed one degree at a
+  time from the base-p digits of the degree (`_GroupElement`);
 * Sym and Ext follow the equivariant recurrence
   Sym^d(g) = mu_d (Sym^(d-1)(g) (x) g) J_d, with the bases and cached maps
   of `modules.power_maps`, which the pointwise path uses too;
-* rank profiles come from batched GF(p) elimination with a pivot per matrix.
+* rank profiles come from batched GF(p) elimination with a pivot per
+  matrix; a single point is ranked by block pivots (`linalg._block_rank`).
 
 Points, validation errors and Jordan types come out in the order and with
 the messages of the per-point sweep (`enumerate_points`, `CommutingTuple`,
@@ -53,7 +56,7 @@ import numpy as np
 
 from .errors import ChartError, DomainMismatchError, JTCalcError, NotNilpotentError
 from .jordan import RankProfile, jt_from_rank_profile
-from .linalg import _convolve, _gfp_rref, _px_trim, _regular
+from .linalg import _block_rank, _convolve, _px_trim, _regular
 from .modules import (
     DirectSum,
     Dual,
@@ -727,30 +730,32 @@ class _Series:
     """Polynomials in t with coefficient stacks of a ring, mod t^(top+1).
 
     A series is a dict {degree: stack}; degree 0 is present in every series
-    a module node returns.
+    a module node returns.  A product computes only the output degrees in
+    `want`; `degrees` holds them all.
     """
 
     def __init__(self, ring, top):
         self.ring = ring
         self.p = ring.p
         self.top = top
+        self.degrees = range(top + 1)
 
-    def _convolve(self, a, b, product):
+    def _convolve(self, a, b, product, want):
         ring = self.ring
         out = {}
         for da, ma in a.items():
             for db, mb in b.items():
                 d = da + db
-                if d <= self.top:
+                if d in want:
                     term = product(ma, mb)
                     out[d] = ring.add(out[d], term, into=True) if d in out else term
         return {d: ring.reduce(m) for d, m in out.items()}
 
-    def mul(self, a, b):
-        return self._convolve(a, b, self.ring.matmul)
+    def mul(self, a, b, want):
+        return self._convolve(a, b, self.ring.matmul, want)
 
-    def kron(self, a, b):
-        return self._convolve(a, b, self.ring.kron)
+    def kron(self, a, b, want):
+        return self._convolve(a, b, self.ring.kron, want)
 
     def add(self, a, b):
         out = dict(a)
@@ -785,21 +790,35 @@ class _Series:
             out[d] = m
         return out
 
-    def power(self, a, d, ext):
-        """Sym^d (or Ext^d) of a series of square stacks, by the recurrence in d."""
+    def power(self, a, d, ext, steps):
+        """Sym^d (or Ext^d) of a series of square stacks, by the recurrence in d.
+
+        steps[k - 2] = (want, left, right) for level k: it gives the degrees
+        want, from the degrees left of level k - 1 and right of a.
+        """
         ring = self.ring
         if d == 0:
             return {0: ring.identity(1)}
         n = ring.dim(a[0])
         out = a
-        for k in range(2, d + 1):
+        for k, (want, left, right) in zip(range(2, d + 1), steps):
             mu, cols, vecs = power_maps(n, k, ext)
             cols, vecs = ring.columns(cols), ring.columns(vecs)
-            left = {e: m[:, :, cols] for e, m in out.items()}
-            right = {e: m[:, :, vecs] for e, m in a.items()}
-            pairs = self._convolve(left, right, ring.outer_columns)
-            out = {e: ring.reduce(ring.lmul(mu, m)) for e, m in pairs.items()}
+            left = {x: out[x][:, :, cols] for x in left if x in out}
+            right = {y: a[y][:, :, vecs] for y in right if y in a}
+            pairs = self._convolve(left, right, ring.outer_columns, want)
+            out = {x: ring.reduce(ring.lmul(mu, m)) for x, m in pairs.items()}
         return out
+
+    def sums(self, a, b):
+        """The degrees x + y up to top, x in a and y in b: the support of a product."""
+        return {x + y for x in a for y in b if x + y <= self.top}
+
+    @staticmethod
+    def shifts(want, other, own):
+        """The degrees d - y in own, d in want and y in other: what a factor with support own
+        gives to the degrees want of its product with a factor of support other."""
+        return {d - y for d in want for y in other if d - y in own}
 
     @staticmethod
     def coefficient(a, degree):
@@ -807,24 +826,64 @@ class _Series:
         return np.zeros_like(a[0]) if m is None else m
 
 
-def _texp(ring, b, top, step, with_inv):
-    """[exp(t^step B)], with exp(-t^step B) when with_inv: the terms t^(i step) B^i / i!, i < p, up to t^top."""
-    p = ring.p
-    power = ring.identity(ring.dim(b))
-    g, g_inv = {}, {}
-    fact = 1
-    for i in range(p):
-        if i * step > top:
-            break
-        if i:
-            # the first power is b itself, not a product with the identity
-            power = b if i == 1 else ring.reduce(ring.matmul(power, b))
-            fact = fact * i % p
-        term = power * pow(fact, p - 2, p) % p
-        g[i * step] = term
-        if with_inv:
-            g_inv[i * step] = term if i % 2 == 0 else -term % p
-    return [g, g_inv] if with_inv else [g]
+class _GroupElement:
+    """g = prod_s exp(t^(p^s) B_s) mod t^(top+1) at the stacks B_s of `mats`, with g^-1 when
+    with_inv, one t-degree at a time.
+
+    Factor s has one term per degree i p^s, i < p: B_s^i / i!.  So the
+    coefficient of t^d is the product, in factor order, of the terms of the
+    base-p digits i_s of d, identity factors left out.  g^-1 is
+    prod_s exp(-t^(p^s) B_s) in reverse factor order: its coefficient is
+    (-1)^(sum i_s) times the product of the same terms in reverse order,
+    which is not -g[d] where the B_s do not commute.
+    """
+
+    def __init__(self, ring, mats, top, with_inv):
+        self.ring = ring
+        self.dim = ring.dim(mats[0])
+        for s, m in enumerate(mats):
+            if m.shape[1:] != mats[0].shape[1:] or m.shape[1] != m.shape[2]:
+                raise JTCalcError(f"matrix {s} is not square of size {self.dim}")
+        self.width = 2 if with_inv else 1
+        self.degrees = range(min(top, ring.p ** len(mats) - 1) + 1)
+        self.terms = [[ring.reduce(b)] for b in mats]  # B_s^i / i! at terms[s][i - 1]
+        one = ring.identity(self.dim)
+        self.coeffs = {0: [one, one]}  # degree -> [g, g^-1] coefficients
+
+    def pair(self, want):
+        """[g] or [g, g^-1] at the degrees of want that g has."""
+        coeffs = self.coeffs
+        for d in want:
+            if d not in coeffs and d in self.degrees:
+                coeffs[d] = self._coefficients(d)
+        return [{d: coeffs[d][w] for d in want if d in coeffs} for w in range(self.width)]
+
+    def _term(self, s, i):
+        ring, p = self.ring, self.ring.p
+        terms = self.terms[s]
+        while len(terms) < i:
+            k = len(terms) + 1
+            terms.append(ring.reduce(ring.matmul(terms[-1], terms[0]) * pow(k, p - 2, p)))
+        return terms[i - 1]
+
+    def _coefficients(self, d):
+        """[g[d]] or [g[d], g^-1[d]], for a degree d > 0."""
+        ring, p = self.ring, self.ring.p
+        terms, odd = [], 0
+        for s in range(len(self.terms)):
+            d, i = divmod(d, p)
+            if i:
+                terms.append(self._term(s, i))
+                odd ^= i & 1
+        g = terms[0]
+        for term in terms[1:]:
+            g = ring.reduce(ring.matmul(g, term))
+        if self.width == 1:
+            return [g]
+        g_inv = terms[-1]
+        for term in terms[-2::-1]:
+            g_inv = ring.reduce(ring.matmul(g_inv, term))
+        return [g, -g_inv % p if odd else g_inv]
 
 
 def _scalar_texp(series, c, terms, with_inv):
@@ -834,14 +893,15 @@ def _scalar_texp(series, c, terms, with_inv):
     right Kronecker factors of the powers of c, which span every point of the ring's stacks;
     the constant term is the ring's identity, which does too.
     """
+    every = series.degrees
     g = {0: series.ring.identity(series.ring.dim(terms[0]))}
     g_inv = dict(g)
     cpow = None
     for i in range(1, len(terms)):
-        cpow = c if cpow is None else series.mul(cpow, c)
+        cpow = c if cpow is None else series.mul(cpow, c, every)
         if not cpow:
             break
-        term = series.kron(cpow, {0: terms[i]})
+        term = series.kron(cpow, {0: terms[i]}, every)
         g = series.add(g, term)
         if with_inv:
             g_inv = series.add(g_inv, term if i % 2 == 0 else series.neg(term))
@@ -849,45 +909,94 @@ def _scalar_texp(series, c, terms, with_inv):
 
 
 def _pair_mul(series, left, right):
-    """(g h, h^-1 g^-1) of two [g] or [g, g^-1] pairs."""
-    out = [series.mul(left[0], right[0])]
+    """(g h, h^-1 g^-1) of two [g] or [g, g^-1] pairs, every degree."""
+    out = [series.mul(left[0], right[0], series.degrees)]
     if len(left) > 1:
-        out.append(series.mul(right[1], left[1]))
+        out.append(series.mul(right[1], left[1], series.degrees))
     return out
 
 
-def _module(series, e, pair, leaves=None):
-    """The module tree on a [g] or [g, g^-1] pair of series; g^-1 is carried only for Dual.
+def _module(series, e, element=None, leaves=None):
+    """The module tree's [g] or [g, g^-1] pair of series at degrees 0 and top, the degrees
+    its operator reads; g^-1 is carried only for Dual.
 
-    Std leaves take `pair`, Explicit leaves their own pair from `leaves`.
+    Std leaves take the pair of `element` (a `_GroupElement`), Explicit
+    leaves theirs from `leaves`.  Each node is asked for a set of degrees
+    and gives at least those of them in its support, the degrees its series
+    can have: a tensor product, and each level of the Sym/Ext recurrence,
+    asks each factor only for the degrees d - y, y in the other factor's
+    support; Tw(i) asks for d / p^i.  Supports follow from the degrees of
+    the leaves' series and are found only below products.
     """
-    ring = series.ring
-    width = len(pair) if pair is not None else len(next(iter(leaves.values())))
+    ring, p = series.ring, series.p
+    width = element.width if element is not None else len(next(iter(leaves.values())))
 
-    def walk(node):
+    def support(node):
         if isinstance(node, Std):
-            size = ring.dim(pair[0][0])
-            if node.n != size:
-                raise JTCalcError(f"Std({node.n}) does not match group element size {size}")
-            return pair
+            return element.degrees
+        if isinstance(node, Explicit):
+            return leaves[node][0].keys()
+        if isinstance(node, Dual):
+            return support(node.inner)
+        if isinstance(node, (Sym, Ext)) and node.d:
+            return levels(node)[-1]
+        if isinstance(node, Tensor):
+            return series.sums(support(node.left), support(node.right))
+        if isinstance(node, DirectSum):
+            return set(support(node.left)) | set(support(node.right))
+        if isinstance(node, Twist):
+            q = p**node.i
+            return {d * q for d in support(node.inner) if d * q <= series.top}
+        # Trivial, Sym^0 and Ext^0 are constant; an unknown node raises when walked
+        return {0}
+
+    def levels(node):
+        """The supports of Sym^k (or Ext^k) of the inner series, k = 1, ..., d."""
+        out = [support(node.inner)]
+        for _ in range(1, node.d):
+            out.append(series.sums(out[-1], out[0]))
+        return out
+
+    def walk(node, want):
+        if isinstance(node, Std):
+            if node.n != element.dim:
+                raise JTCalcError(f"Std({node.n}) does not match group element size {element.dim}")
+            return element.pair(want)
         if isinstance(node, Explicit):
             return leaves[node]
         if isinstance(node, Trivial):
             return [{0: ring.identity(node.d)}] * width
         if isinstance(node, Dual):
-            g, g_inv = walk(node.inner)
+            g, g_inv = walk(node.inner, want)
             return [series.transpose(g_inv), series.transpose(g)]
         if isinstance(node, Tensor):
-            return [series.kron(a, b) for a, b in zip(walk(node.left), walk(node.right))]
+            left, right = support(node.left), support(node.right)
+            a = walk(node.left, series.shifts(want, right, left))
+            b = walk(node.right, series.shifts(want, left, right))
+            return [series.kron(x, y, want) for x, y in zip(a, b)]
         if isinstance(node, DirectSum):
-            return [series.block_diag(a, b) for a, b in zip(walk(node.left), walk(node.right))]
+            return [series.block_diag(a, b) for a, b in zip(walk(node.left, want), walk(node.right, want))]
         if isinstance(node, (Sym, Ext)):
-            return [series.power(a, node.d, isinstance(node, Ext)) for a in walk(node.inner)]
+            # from level d down: the degrees each level gives, and takes of the level below and
+            # of the inner series
+            sup = levels(node)
+            steps, inner = [], {0}
+            for k in range(node.d, 1, -1):
+                below = series.shifts(want, sup[0], sup[k - 2])
+                right = series.shifts(want, sup[k - 2], sup[0])
+                steps.append((want, below, right))
+                inner |= right
+                want = below
+            if node.d:
+                inner |= want
+            ext = isinstance(node, Ext)
+            return [series.power(a, node.d, ext, steps[::-1]) for a in walk(node.inner, inner)]
         if isinstance(node, Twist):
-            return [series.twist(a, node.i) for a in walk(node.inner)]
+            q = p**node.i
+            return [series.twist(a, node.i) for a in walk(node.inner, {d // q for d in want if d % q == 0})]
         raise JTCalcError(f"unknown module node {node!r}")
 
-    return walk(e)
+    return walk(e, {0, series.top})
 
 
 def _gl_operator(ring, mats, e, variant, with_inv):
@@ -901,16 +1010,12 @@ def _gl_operator(ring, mats, e, variant, with_inv):
     if by_variant(variant, True, False):
         top = p ** (r - 1)
         series = _Series(ring, top)
-        pair = None
-        for s, b in enumerate(mats):
-            factor = _texp(ring, b, top, p**s, with_inv)
-            pair = factor if pair is None else _pair_mul(series, pair, factor)
-        return series.coefficient(_module(series, e, pair)[0], top)
+        return series.coefficient(_module(series, e, _GroupElement(ring, mats, top, with_inv))[0], top)
     total = None
     for s, b in enumerate(mats):
         top = p ** (r - 1 - s)
         series = _Series(ring, top)
-        term = series.coefficient(_module(series, e, _texp(ring, b, top, 1, with_inv))[0], top)
+        term = series.coefficient(_module(series, e, _GroupElement(ring, [b], top, with_inv))[0], top)
         total = term if total is None else ring.add(total, term)
     return ring.reduce(total)
 
@@ -958,7 +1063,7 @@ def curve_operator(ring, kind, e, variant, mats):
                 factor = _scalar_texp(series, c_j, terms, with_inv)
                 pair = factor if pair is None else _pair_mul(series, pair, factor)
             pairs[leaf] = pair
-        term = series.coefficient(_module(series, e, None, pairs)[0], top)
+        term = series.coefficient(_module(series, e, leaves=pairs)[0], top)
         total = term if total is None else ring.add(total, term)
     return ring.reduce(total)
 
@@ -1019,15 +1124,16 @@ def _rank_profiles(op, p, variant):
 def _point_type(ring, op, variant):
     """Jordan type of one operator op (the matrix of a P = 1 `_Pointwise` stack), as `jt_at_point`.
 
-    Powers are integer products mod p; a GF(p^n) rank is the GF(p) rank of
-    the block matrix over n.  op^p must vanish, the one nilpotency check.
+    Powers are integer products mod p; a rank is taken by block pivots on the
+    regular-representation blocks (`linalg._block_rank`).  op^p must vanish,
+    the one nilpotency check.
     """
     p = ring.p
     ranks = []
     power = op
     for _ in range(1, p):
         if power.any():
-            ranks.append(len(_gfp_rref(power, p)[1]) // ring.n)
+            ranks.append(_block_rank(power, p, ring.n))
             power = power @ op % p
         else:
             ranks.append(0)

@@ -132,12 +132,9 @@ def _ff_frob(field, A, e):
     return np.tensordot(A, Fe.T, axes=([A.ndim - 1], [0])) % field.p
 
 
-def _gfp_rref(M, p, full=False):
-    """Row-reduce a 2-D integer array over GF(p) (on a copy); returns (matrix, pivot columns).
-
-    With full=False only the rows below each pivot are cleared, which is
-    enough for the pivot columns (and so the rank).
-    """
+def _gfp_rref(M, p):
+    """Reduced row echelon form over GF(p) of a 2-D integer array (on a copy); returns
+    (matrix, pivot columns)."""
     M = M % p
     rows, cols = M.shape
     pivots = []
@@ -156,17 +153,50 @@ def _gfp_rref(M, p, full=False):
         v = int(M[pr, col])
         if v != 1:
             M[pr, col:] = M[pr, col:] * pow(v, p - 2, p) % p
-        # the rows to clear, as a view: all but the pivot row, or those below it
-        rest = M[:, col:] if full else M[pr + 1:, col:]
-        if full or nz.size > 1:
-            factors = rest[:, :1].copy()
-            if full:
-                factors[pr] = 0
-            rest -= factors * M[pr, col:]
-            rest %= p
+        # every row but the pivot row is cleared, as a view
+        rest = M[:, col:]
+        factors = rest[:, :1].copy()
+        factors[pr] = 0
+        rest -= factors * M[pr, col:]
+        rest %= p
         pivots.append(col)
         pr += 1
     return M, pivots
+
+
+def _block_rank(M, p, n):
+    """GF(p^n)-rank of a GF(p) matrix of n x n regular-representation blocks (the layout of
+    `_regular_matrix`), by fraction-free block steps.
+
+    Every block is the matrix of multiplication by an element of GF(p^n),
+    so the blocks commute, a block is zero exactly when its column 0 is,
+    and a nonzero block P is invertible.  With pivot block P in block
+    column j, each block row i below, with block B_i there, becomes
+    P row_i - B_i pivot_row: its block j vanishes, its blocks stay in the
+    image of GF(p^n), and the rank is kept.  n = 1 is plain fraction-free
+    elimination mod p.
+    """
+    rows, cols = M.shape[0] // n, M.shape[1] // n
+    M = M.reshape(rows, n, cols * n) % p
+    rank = 0
+    for j in range(0, cols * n, n):
+        if rank == rows:
+            break
+        # the block rows, from the rank-th on, of the nonzero entries of column j: sorted, with
+        # one entry for each nonzero coordinate of a block's column 0
+        nz = M[rank:, :, j].nonzero()[0]
+        if not nz.size:
+            continue
+        if nz[0]:
+            row = M[rank + nz[0]].copy()
+            M[rank + nz[0]] = M[rank]
+            M[rank] = row
+        rank += 1
+        if nz[-1] != nz[0]:
+            pivot = M[rank - 1, :, j:]
+            below = M[rank:, :, j:]
+            below[:] = (pivot[:, :n] @ below - below[:, :, :n] @ pivot) % p
+    return rank
 
 
 def _regular_matrix(field, M):
@@ -181,8 +211,8 @@ def _regular_matrix(field, M):
 
 
 def _ff_rank(field, M):
-    """GF(p^n)-rank: every GF(p^n)-linear map has GF(p)-rank exactly n times it."""
-    return len(_gfp_rref(_regular_matrix(field, M), field.p)[1]) // field.n
+    """GF(p^n)-rank, by block pivots on the regular representation (`_block_rank`)."""
+    return _block_rank(_regular_matrix(field, M), field.p, field.n)
 
 
 def _ff_rref(field, M):
@@ -195,7 +225,7 @@ def _ff_rref(field, M):
     """
     n = field.n
     rows, cols = M.shape[0], M.shape[1]
-    R, pivots = _gfp_rref(_regular_matrix(field, M), field.p, full=True)
+    R, pivots = _gfp_rref(_regular_matrix(field, M), field.p)
     R = R.reshape(rows, n, cols, n)[:, :, :, 0].transpose(0, 2, 1)
     return R, [c // n for c in pivots[::n]]
 

@@ -30,9 +30,9 @@ from .theta import (
     KIND_MULTI_GA,
     CommutingTuple,
     _check_pairing,
+    _typed_operator,
     by_variant,
     homotopy_ranks,
-    jt_at_point,
     symbolic_operator,
 )
 
@@ -746,21 +746,25 @@ def constant_rank_on_strata(table, chart, e, j, field, homotopy_samples=((1, 0),
 
     When the whole table shares one j-rank, additionally verify the
     homotopy-family operator has that same j-rank at sampled (s:t): at each
-    representative, theta_exp and theta_full are built once and every
-    sample is ranked on the point's stack (`theta.homotopy_ranks`).
+    representative every sample is ranked on the point's stack
+    (`theta.homotopy_ranks`).  Each representative's tuple and the operator
+    of the table's variant are built once, for the audit and the family.
     """
     failures = []
     per_stratum = {}
     m = e.dim()
     jranks = set()
     homotopy_checked = 0
+    points = []  # (stratum, representative, tuple, {table variant: (ring, operator)})
     for a, entry in table.entries.items():
         expected_rank = jt_rank(a, j)
         jranks.add(expected_rank)
         audited = []
         for rep in entry.representatives:
-            values = _parse_values(rep, field)
-            rk = jt_rank(jt_at_point(e, chart.tuple_at(values), table.variant), j)
+            tup = chart.tuple_at(_parse_values(rep, field))
+            jt, ring, op = _typed_operator(e, tup, table.variant)
+            points.append((a, rep, tup, {table.variant: (ring, op)}))
+            rk = jt_rank(jt, j)
             ker = m - rk
             coker = m - rk
             audited.append({"point": rep, "rank": rk, "kernel": ker, "cokernel": coker})
@@ -772,21 +776,19 @@ def constant_rank_on_strata(table, chart, e, j, field, homotopy_samples=((1, 0),
     global_constant = len(jranks) == 1
     if global_constant and jranks:
         the_rank = jranks.pop()
-        for a, entry in table.entries.items():
-            for rep in entry.representatives:
-                tup = chart.tuple_at(_parse_values(rep, field))
-                for (sv, tv), rk in zip(homotopy_samples, homotopy_ranks(e, tup, homotopy_samples, j)):
-                    homotopy_checked += 1
-                    if rk != the_rank:
-                        failures.append(
-                            {
-                                "stratum": a.to_text(),
-                                "point": rep,
-                                "homotopy": f"({sv}:{tv})",
-                                "rank": rk,
-                                "expected": the_rank,
-                            }
-                        )
+        for a, rep, tup, built in points:
+            for (sv, tv), rk in zip(homotopy_samples, homotopy_ranks(e, tup, homotopy_samples, j, built)):
+                homotopy_checked += 1
+                if rk != the_rank:
+                    failures.append(
+                        {
+                            "stratum": a.to_text(),
+                            "point": rep,
+                            "homotopy": f"({sv}:{tv})",
+                            "rank": rk,
+                            "expected": the_rank,
+                        }
+                    )
     return ConstantRankReport(e.to_text(), j, per_stratum, global_constant, homotopy_checked, failures)
 
 

@@ -307,11 +307,15 @@ def homotopy_theta(e, tup, s_val, t_val):
     return ThetaMatrix(e, mat, name, tup, nilpotency_checked=False)
 
 
-def homotopy_ranks(e, tup, samples, j):
+def homotopy_ranks(e, tup, samples, j, built=None):
     """For each (s, t) of integer samples, the rank of (s theta_exp + t theta_full)^j at a
-    finite-field point, the sums checked as `homotopy_theta` checks them."""
+    finite-field point, the sums checked as `homotopy_theta` checks them.
+
+    `built` maps a variant to the (ring, operator) `_typed_operator` gave at
+    the point, which is used instead of building it again.
+    """
     field = tup.domain
-    family = _homotopy_family(e, tup)
+    family = _homotopy_family(e, tup, built)
     sums = [family(field.from_int(s), field.from_int(t))[1] for s, t in samples]
     if not sums:
         return []
@@ -319,21 +323,22 @@ def homotopy_ranks(e, tup, samples, j):
     return (_ranks(_mpow(ring, np.stack(sums), j), ring.p) // ring.n).tolist()
 
 
-def _homotopy_family(e, tup):
+def _homotopy_family(e, tup, built=None):
     """sample(s_val, t_val) -> (ring, s theta_exp + t theta_full) at a finite-field point, the
     operator of its one-point stack.
 
-    theta_exp and theta_full are built once, at the first sample.  The
-    checks raise in this order: (0, 0) is excluded, then theta_exp,
-    theta_full and the sum must be p-nilpotent.
+    theta_exp and theta_full are built once, at the first sample, unless
+    `built` holds them, checked.  The checks raise in this order: (0, 0) is
+    excluded, then theta_exp, theta_full and the sum must be p-nilpotent.
     """
+    built = built or {}
     ops = []
 
     def sample(s_val, t_val):
         _check_homotopy(s_val, t_val)
         if not ops:
             _check_pairing(e, tup.kind, tup.p, tup.height)
-            ops.extend(_checked_operator(e, tup, variant) for variant in ("exp", "full"))
+            ops.extend(built.get(variant) or _checked_operator(e, tup, variant) for variant in ("exp", "full"))
         (ring, exp_op), (_, full_op) = ops
         op = (_scaled(ring, s_val, exp_op) + _scaled(ring, t_val, full_op)) % ring.p
         _check_vanishes(ring, op, f"homotopy({s_val}:{t_val})")
@@ -367,13 +372,20 @@ def jt_at_point(e, tup, variant="full"):
     """
     by_variant(variant, None, None)
     if isinstance(tup.domain, FiniteField):
-        _check_pairing(e, tup.kind, tup.p, tup.height)
-        return _point_type(*_stack_operator(e, tup, variant), variant)
+        return _typed_operator(e, tup, variant)[0]
     theta = _theta(e, tup, variant)
     try:
         return jt_of_nilpotent(theta.matrix, tup.p)
     except NotNilpotentError:
         raise NotNilpotentError(f"{theta.variant} operator is not p-nilpotent") from None
+
+
+def _typed_operator(e, tup, variant):
+    """(Jordan type, ring, operator) of the variant at a finite-field point: `jt_at_point`, with
+    the operator of the point's one-point stack, checked p-nilpotent."""
+    _check_pairing(e, tup.kind, tup.p, tup.height)
+    ring, op = _stack_operator(e, tup, variant)
+    return _point_type(ring, op, variant), ring, op
 
 
 def jt_power_at_point(e, tup, variant, j):

@@ -205,6 +205,9 @@ POINT_GOLDENS = {
     "jt_sl2_line_gf3_r3_homotopy.jsonl": ["--p", "3", "--chart", "sl2_line", "--r", "3",
                                           "--module", "Sym(2,Std(2))*Tw(2,Std(2))", "--point", "0,1,0,1,0,0",
                                           "--variant", "homotopy", "--hs", "1", "--ht", "1"],
+    "jt_sl2_line_gf3_r3_dual.jsonl": ["--p", "3", "--chart", "sl2_line", "--r", "3",
+                                      "--module", "Dual(Std(2))*Std(2)*Tw(1,Std(2))", "--point", "0,1,0,1,1,0",
+                                      "--variant", "full"],
 }
 # Dual and Ext over GF(25) and GF(27), both variants
 for _variant in ("full", "exp"):

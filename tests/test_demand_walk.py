@@ -1,0 +1,216 @@
+"""The demand-driven module walker and block-pivot ranks against the routes they replaced.
+
+`batch._module` asks each node of the module tree only for the t-degrees
+its parent reads, and the `gl` group element is formed degree by degree
+from the base-p digits of the degree.  The oracle is the unrestricted walk
+(`walk_oracles`), which multiplied out every degree up to the truncation
+and built the group element as a product of per-factor exponentials.
+`linalg._block_rank` ranks regular-representation block matrices by
+fraction-free block steps; the oracle is the GF(p) row reduction
+`linalg._gfp_rref` of the same matrix.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import walk_oracles as oracle
+from jtcalc.batch import KIND_GA, KIND_GL, KIND_MULTI_GA, _Pointwise, _Polys, curve_operator
+from jtcalc.errors import JTCalcError
+from jtcalc.fields import GF, Polynomial, PolyRing
+from jtcalc.linalg import ExactMatrix, _block_rank, _gfp_rref, _regular_matrix
+from jtcalc.modules import Dual, Tensor, parse_module_expr
+from jtcalc.monomials import _Monomials
+from jtcalc.theta import CommutingTuple, _stack_operator, theta_exp, theta_full
+from test_point_stack import _commuting_family, explicit_leaves, module_trees
+
+FIELDS = [GF(2), GF(3), GF(5), GF(2, 2), GF(3, 2), GF(5, 2), GF(3, 3)]
+
+
+# -- the order of g^-1 -----------------------------------------------------------------------
+
+F3 = GF(3)
+UPPER = ExactMatrix.from_rows(F3, [[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+LOWER = ExactMatrix.from_rows(F3, [[0, 0, 0], [1, 0, 0], [0, 1, 0]])
+# recorded from the product-of-factors group element: g^-1 = exp(-t^9 B_2) exp(-t^3 B_1) exp(-t B_0)
+PINNED = {
+    "full": [[0, 0, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 2, 0, 0], [0, 0, 0, 1, 0, 0, 0, 2, 0],
+             [2, 0, 0, 0, 2, 0, 0, 0, 2], [0, 0, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 1, 0, 0],
+             [0, 0, 0, 0, 0, 0, 0, 0, 0], [1, 0, 0, 0, 1, 0, 0, 0, 1], [0, 0, 0, 0, 0, 0, 0, 0, 0]],
+    "exp": [[0, 0, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 2, 0, 0], [0, 0, 0, 1, 0, 0, 0, 2, 0],
+            [0, 0, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 1, 0, 0],
+            [0, 0, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0, 0, 0]],
+}
+
+
+@pytest.mark.parametrize("variant, build", [("full", theta_full), ("exp", theta_exp)])
+def test_dual_operator_on_a_non_commuting_tuple_is_pinned(variant, build):
+    """On a tuple that does not commute, g^-1[d] is the reverse-order product of the digits'
+    terms times (-1)^(sum of digits), not g[d] with a sign."""
+    tup = CommutingTuple.gl([UPPER, LOWER, ExactMatrix.zeros(F3, 3, 3)], validated=False)
+    e = parse_module_expr("Dual(Std(3))*Std(3)")
+    assert build(e, tup).matrix == ExactMatrix.from_rows(F3, PINNED[variant])
+
+
+@pytest.mark.parametrize("variant, message", [("full", "matrix 1 is not square of size 2"),
+                                              ("exp", r"Std\(2\) does not match group element size 3")])
+def test_unvalidated_matrices_of_different_sizes_are_rejected(variant, message):
+    """The full group element forms most degrees without a product of two factors, so the sizes
+    are checked where it is built; the exponential one meets each factor alone."""
+    tup = CommutingTuple.gl([ExactMatrix.zeros(F3, 2, 2), UPPER], validated=False)
+    with pytest.raises(JTCalcError, match=f"^{message}$"):
+        _stack_operator(parse_module_expr("Std(2)*Tw(1,Std(2))"), tup, variant)
+
+
+@st.composite
+def unvalidated_dual_points(draw):
+    """A tuple of p-nilpotent matrices that need not commute, and a module tree with a Dual."""
+    field = draw(st.sampled_from(FIELDS))
+    size = draw(st.integers(2, min(3, field.p)))
+    # g^-1[d] multiplies two or more terms only at height 3, where d = i_0 + i_1 p can be read
+    r = draw(st.sampled_from([1, 2, 3, 3, 3]))
+    mats = [_commuting_family(draw, field, size, 1)[0] for _ in range(r)]
+    tup = CommutingTuple.gl(mats, validated=False)
+    std = parse_module_expr(f"Std({size})")
+    e = draw(module_trees(std, depth=1, cap=3))
+    e = draw(st.sampled_from([Dual(e), Tensor(Dual(e), e), Tensor(e, Dual(e)), Dual(Tensor(e, std))]))
+    return tup, e if e.dim() <= 9 else Tensor(Dual(std), std)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except JTCalcError as exc:
+        return type(exc), str(exc)
+
+
+@given(unvalidated_dual_points(), st.sampled_from(["full", "exp"]))
+@settings(max_examples=100, deadline=None)
+def test_unvalidated_points_with_dual_match_the_product_of_factors(case, variant):
+    tup, e = case
+    ring = _Pointwise(tup.domain)
+    want = oracle.curve_operator(ring, KIND_GL, e, variant, [ring.lift(m._data) for m in tup.mats])
+    assert np.array_equal(_stack_operator(e, tup, variant)[1], want[0])
+
+
+# -- the three rings -------------------------------------------------------------------------
+
+
+def _draw_coords(draw, shape, p):
+    cells = int(np.prod(shape))
+    return np.array(draw(st.lists(st.integers(0, p - 1), min_size=cells, max_size=cells)),
+                    dtype=np.int64).reshape(shape)
+
+
+def _pointwise_stacks(draw, field, shapes):
+    """A `_Pointwise` ring of 1 to 3 points, and one stack per (rows, cols) shape."""
+    ring = _Pointwise(field, draw(st.integers(1, 3)))
+    return ring, [ring.lift(_draw_coords(draw, (ring.count, a, b, field.n), field.p)) for a, b in shapes]
+
+
+def _poly_stacks(draw, field, shapes):
+    """A `_Polys` ring, and one reduced stack of degree below 3 in s per shape."""
+    ring = _Polys(field)
+    return ring, [ring.reduce(_draw_coords(draw, (draw(st.integers(1, 3)), a, b, field.n), field.p))
+                  for a, b in shapes]
+
+
+def _monomial_matrices(draw, field, shapes):
+    """Matrices over GF(q)[x, y] with at most two terms of degree below 3 per entry."""
+    poly = PolyRing(field, ("x", "y"))
+    monomials = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    out = []
+    for a, b in shapes:
+        rows = []
+        for _ in range(a):
+            rows.append([])
+            for _ in range(b):
+                terms = {draw(monomials): field.element(list(_draw_coords(draw, (field.n,), field.p)))
+                         for _ in range(draw(st.integers(0, 2)))}
+                rows[-1].append(Polynomial(poly, terms))
+        out.append(ExactMatrix.from_rows(poly, rows))
+    return poly, out
+
+
+RINGS = ["pointwise", "polys", "monomials"]
+
+
+@st.composite
+def trees_on_rings(draw):
+    """(field, point kind, module tree, the shapes of the tuple's matrices), at heights 1 to 3."""
+    field = draw(st.sampled_from(FIELDS))
+    kind = draw(st.sampled_from([KIND_GL, KIND_GA, KIND_MULTI_GA]))
+    r = draw(st.integers(1, 3))
+    if kind == KIND_GL:
+        size = draw(st.integers(1, 3))
+        leaf, shapes = parse_module_expr(f"Std({size})"), [(size, size)] * r
+    else:
+        leaf, shapes = draw(explicit_leaves(field, r)), [(1, 1)] * r
+    return field, kind, draw(module_trees(leaf, depth=3, cap=8)), shapes
+
+
+def _compare(ring_kind, field, kind, e, shapes, variant, draw):
+    if ring_kind == "monomials":
+        poly, matrices = _monomial_matrices(draw, field, shapes)
+        outs = []
+        for build in (curve_operator, oracle.curve_operator):
+            ring = _Monomials(poly)
+            op = _outcome(build, ring, kind, e, variant, [ring.lift_matrix(m) for m in matrices])
+            outs.append(op if isinstance(op, tuple) else ring.matrix(op))
+        assert outs[0] == outs[1]
+        return
+    ring, mats = (_pointwise_stacks if ring_kind == "pointwise" else _poly_stacks)(draw, field, shapes)
+    got = _outcome(curve_operator, ring, kind, e, variant, mats)
+    want = _outcome(oracle.curve_operator, ring, kind, e, variant, mats)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("ring_kind", RINGS)
+@given(trees_on_rings(), st.sampled_from(["full", "exp"]), st.data())
+@settings(max_examples=80, deadline=None)
+def test_drawn_trees_match_the_unrestricted_walk(ring_kind, case, variant, data):
+    field, kind, e, shapes = case
+    _compare(ring_kind, field, kind, e, shapes, variant, data.draw)
+
+
+@pytest.mark.parametrize("text", ["Sym(2,Std(2))*Tw(1,Std(2))", "Ext(2,Std(2)*Tw(1,Std(2)))",
+                                  "Dual(Sym(2,Std(2)))*Tw(2,Sym(2,Std(2)))", "Tw(1,Tw(1,Std(2)))*Std(2)",
+                                  "Sym(3,Std(2)+Tw(1,Dual(Std(2))))", "Sym(4,Std(2))", "Ext(3,Std(2)*Std(2))"])
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("variant", ["full", "exp"])
+def test_named_trees_match_the_unrestricted_walk(text, r, variant):
+    rng = np.random.default_rng(r)
+    # over GF(2) the exponential factors have degrees 0 and 1 only, so the levels of a
+    # recurrence have different supports
+    for field in (GF(2), GF(3), GF(3, 2), GF(5)):
+        ring = _Pointwise(field, 2)
+        mats = [ring.lift(rng.integers(0, field.p, (2, 2, 2, field.n))) for _ in range(r)]
+        e = parse_module_expr(text)
+        want = oracle.curve_operator(ring, KIND_GL, e, variant, mats)
+        assert np.array_equal(curve_operator(ring, KIND_GL, e, variant, mats), want)
+
+
+# -- block-pivot ranks -----------------------------------------------------------------------
+
+
+@st.composite
+def block_matrices(draw):
+    """The GF(p) block matrix of a GF(p^n) matrix; a product through k columns bounds its rank
+    by k, and k = 0 gives the zero matrix."""
+    field = draw(st.sampled_from(FIELDS + [GF(2, 3), GF(7), GF(7, 2)]))
+    rows, cols, k = draw(st.integers(0, 5)), draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    left, right, full = (_regular_matrix(field, _draw_coords(draw, (a, b, field.n), field.p))
+                         for a, b in ((rows, k), (k, cols), (rows, cols)))
+    # the block matrix of a product is the product of the block matrices
+    return field, draw(st.sampled_from([left @ right % field.p, full]))
+
+
+@given(block_matrices())
+@settings(max_examples=300, deadline=None)
+def test_block_rank_matches_the_gfp_row_reduction(case):
+    field, m = case
+    assert _block_rank(m, field.p, field.n) * field.n == len(_gfp_rref(m, field.p)[1])

@@ -4,6 +4,7 @@ Nilpotency is checked once at each trust boundary; this list pins the set of
 rejected inputs so that moving a check can never let one through.
 """
 
+import numpy as np
 import pytest
 
 from jtcalc.errors import DomainMismatchError, JTCalcError, NotNilpotentError
@@ -19,7 +20,14 @@ from jtcalc.modules import (
     texp_matrix,
     validate_commuting_tuple,
 )
-from jtcalc.strata import curve_from_coeffs, parse_chart, semicontinuity_check
+from jtcalc.strata import (
+    builtin_chart,
+    constant_rank_on_strata,
+    curve_from_coeffs,
+    parse_chart,
+    semicontinuity_check,
+    tabulate_jt,
+)
 from jtcalc import batch
 from jtcalc import theta as theta_mod
 from jtcalc.theta import (
@@ -220,6 +228,41 @@ def test_homotopy_checks_the_sum(monkeypatch, name):
     tup = CommutingTuple.gl([E12_2], validated=False)
     with pytest.raises(NotNilpotentError, match=r"^homotopy\(1:1\) operator is not p-nilpotent$"):
         HOMOTOPY_ENTRY_POINTS[name](Std(2), tup, 1, 1)
+
+
+# constant_rank_on_strata with the operators of some variants made not p-nilpotent at every
+# representative: (table variant, those variants, homotopy samples, the error raised).  The
+# per-stratum audit of the table's variant runs over every representative first; then, at each
+# representative, the homotopy family checks (0, 0), theta_exp and theta_full at its first sample.
+NOT_NILPOTENT = "^{} operator is not p-nilpotent$"
+EXCLUDED = r"^homotopy parameters \(0, 0\) are excluded$"
+CONSTANT_RANK_CASES = [
+    ("full", {"exp"}, ((1, 0), (0, 1)), NOT_NILPOTENT.format("exp")),
+    ("full", {"full"}, ((1, 0), (0, 1)), NOT_NILPOTENT.format("full")),
+    ("full", {"exp", "full"}, ((1, 0), (0, 1)), NOT_NILPOTENT.format("full")),
+    ("exp", {"full"}, ((1, 0), (0, 1)), NOT_NILPOTENT.format("full")),
+    ("exp", {"exp"}, ((1, 0), (0, 1)), NOT_NILPOTENT.format("exp")),
+    ("exp", {"exp", "full"}, ((1, 0), (0, 1)), NOT_NILPOTENT.format("exp")),
+    ("full", {"exp"}, ((1, 0), (0, 0)), NOT_NILPOTENT.format("exp")),
+    ("full", {"exp"}, ((0, 0), (1, 0)), EXCLUDED),
+    ("full", {"full"}, ((0, 0), (1, 0)), NOT_NILPOTENT.format("full")),
+]
+
+
+@pytest.mark.parametrize("variant, failing, samples, message", CONSTANT_RANK_CASES)
+def test_constant_rank_raises_the_first_failed_check(monkeypatch, variant, failing, samples, message):
+    chart = builtin_chart("sl2_line", 3, r=1)
+    e = parse_module_expr("Std(2)")
+    table = tabulate_jt(chart, e, F3, variant)
+    build = theta_mod._stack_operator
+
+    def operator(e, tup, variant):
+        ring, op = build(e, tup, variant)
+        return ring, (op + np.eye(len(op), dtype=np.int64)) % ring.p if variant in failing else op
+
+    monkeypatch.setattr(theta_mod, "_stack_operator", operator)
+    with pytest.raises(JTCalcError, match=message):
+        constant_rank_on_strata(table, chart, e, 1, F3, samples)
 
 
 def test_homotopy_ranks_match_homotopy_theta():

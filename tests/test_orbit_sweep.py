@@ -220,6 +220,8 @@ GOLDEN_RUNS = {
                                   "--module", "Sym(2,Std(2))", "--type", "[2]+[1]"],
     "closed_ga_r_gf9.jsonl": ["closed", "--field", "GF(9)", "--chart", "ga_r", "--r", "2",
                               "--module", f"Sym(2,{_module_file('chain3.txt')})", "--type", "[3]+[2]+[1]"],
+    "sl2_line_gf3_r3_dual.jsonl": ["strata", "--p", "3", "--chart", "sl2_line", "--r", "3",
+                                   "--module", "Dual(Std(2))*Std(2)", "--variant", "full"],
 }
 
 

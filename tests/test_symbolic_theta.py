@@ -83,6 +83,8 @@ GOLDENS = {
     "minors_ga_r_gf3.jsonl": ["minors", "--p", "3", "--chart", "ga_r", "--r", "2", "--module",
                               "Sym(2,Explicit(file=tests/golden/chain3.txt))", "--j", "1", "--d", "2"],
     "closed_sl2_line_gf3.jsonl": ["closed", *SL2, "--type", "[3]+[1]"],
+    "minors_sl2_line_gf3_dual_j1_d1.jsonl": ["minors", "--p", "3", "--chart", "sl2_line", "--r", "2", "--module",
+                                             "Dual(Std(2))*Tw(1,Std(2))", "--j", "1", "--d", "1"],
 }
 for _variant in ("full", "exp"):
     for _j, _d in ((1, 2), (2, 1)):
