@@ -611,7 +611,8 @@ class _Pointwise:
 
     def identity(self, d):
         d *= self.n
-        return np.broadcast_to(np.eye(d, dtype=np.int64), (self.count, d, d))
+        # a copy per point: np.broadcast_to costs several times as much on one-point stacks
+        return np.eye(d, dtype=np.int64)[None].repeat(self.count, 0)
 
     @staticmethod
     def nonzero(m):
