@@ -76,7 +76,10 @@ KIND_GA = "ga"
 KIND_MULTI_GA = "multi_ga"
 
 # int64 cells per (P, rows, cols) stack of a chunk: bounds a sweep's memory
-# whatever its number of points.
+# whatever its number of points.  Each stage derives its own chunk from it
+# (`_Sweep`): the point stage (draws, chart evaluation, validation, orbit
+# reduction) from a point's draws and lifted tuple, an operator walk from the
+# largest stack of the module tree at every t-degree it keeps.
 CHUNK_CELLS = 1 << 16
 
 
@@ -109,43 +112,51 @@ def _check_pairing(e, kind, p, height):
 
 
 def jordan_types(chart, e, field, variant, budget, seed, samples):
-    """(values, Jordan type) per swept point, None for the zero tuple; values are element indices.
+    """(values, orbit, types) of a table sweep, as arrays over its points in sweep order.
 
-    As in the per-point sweep, every tuple is validated before any operator
-    is evaluated, and the operator is evaluated once per weighted scaling
-    orbit: on its canonical tuple (`_orbit_reduce`), in the chunk that first
-    meets the orbit.
+    values is the (P, k) array of the swept points' element indices; orbit[i]
+    numbers the weighted scaling orbit of point i, in the order the sweep
+    first meets the orbits (`_Orbits`); types[j] is the Jordan type of orbit
+    j, None for the zero tuple's.  As in the per-point sweep, every tuple is
+    validated before any operator is evaluated.  Then each orbit's operator
+    is evaluated once, on its canonical tuple (`_orbit_reduce`), in walks of
+    `sweep.chunk` orbits.
     """
     sweep = _Sweep(chart, e, field, variant)
-    # the accepted values (element indices) are kept, not drawn again
-    accepted = [values for values, _ in sweep.points(budget, seed, samples)]
-    # canonical tuple as bytes -> Jordan type; the zero tuple has none
-    types = {sweep.zero: None}
-    for values in accepted:
-        mats = _orbit_reduce(field, chart.kind, sweep.tuples(values))
-        keys = [row.tobytes() for row in mats.reshape(len(mats), -1).astype(sweep.dtype)]
-        new = {}
-        for i, key in enumerate(keys):
-            if key not in types:
-                new.setdefault(key, i)
-        types.update(zip(new, sweep.types(mats[list(new.values())])))
-        yield from zip(values.tolist(), map(types.get, keys))
+    orbits = _Orbits(sweep.shape, sweep.dtype)
+    # the tuples go out of scope with each chunk; the points and their orbits are kept
+    chunks = [(values, orbits.add(_orbit_reduce(field, chart.kind, mats)))
+              for values, mats in sweep.points(budget, seed, samples)]
+    values = np.concatenate([np.zeros((0, len(chart.params)), sweep.dtype)] + [v for v, _ in chunks])
+    ids = np.concatenate([np.zeros(0, np.intp)] + [i for _, i in chunks])
+    reps = orbits.representatives()
+    types = [None] * len(reps)
+    live = np.flatnonzero(reps.any(axis=(1, 2, 3)))
+    for start in range(0, len(live), sweep.chunk):
+        part = live[start:start + sweep.chunk]
+        for i, jt in zip(part.tolist(), sweep.types(reps[part])):
+            types[i] = jt
+    return values, ids, types
 
 
 def closed_stratum_points(chart, e, field, variant, budget, seed, samples, polys):
     """(values, Jordan type, whether every poly vanishes) per nonzero swept point.
 
-    As in the per-point sweep, tuples are validated as the sweep reaches them.
+    As in the per-point sweep, tuples are validated as the sweep reaches
+    them.  Each point chunk is cut into operator walks of `sweep.chunk`
+    points, zero tuples left out.
     """
     sweep = _Sweep(chart, e, field, variant)
     minors = _CompiledPolys(polys, len(chart.params), sweep.p)
     for values, mats in sweep.points(budget, seed, samples):
         nonzero = mats.reshape(len(mats), -1).any(axis=1)
-        if not nonzero.any():
-            continue
-        values, mats = values[nonzero], mats[nonzero]
         vanish = ~minors.at_points(field, values).any(axis=1)
-        yield from zip(values.tolist(), sweep.types(mats), vanish.tolist())
+        for start in range(0, len(values), sweep.chunk):
+            part = slice(start, start + sweep.chunk)
+            keep = nonzero[part]
+            if keep.any():
+                types = sweep.types(mats[part][keep])
+                yield from zip(values[part][keep].tolist(), types, vanish[part][keep].tolist())
 
 
 # -- polynomials at points -----------------------------------------------------------
@@ -309,11 +320,66 @@ def _orbit_reduce(field, kind, mats):
 # -- the sweep -----------------------------------------------------------------------
 
 
-class _Sweep:
-    """A chart sweep over GF(q), q = p^n, a chunk of points at a time.
+class _Orbits:
+    """The weighted scaling orbits a sweep has met, numbered in the order it met them.
 
-    A point is a row of element indices, one per parameter; its tuple is an (r, a, a) array of
-    them, a = N on `gl` charts and 1 on the additive kinds, as `Chart.tuple_at` builds it.
+    Orbit j is kept as the bytes of its canonical tuple (`_orbit_reduce`),
+    at keys[j]: one tuple per orbit, none per point.
+    """
+
+    def __init__(self, shape, dtype):
+        self.shape = shape
+        self.dtype = np.dtype(dtype)
+        self.keys = np.zeros(0, dtype=(np.void, int(np.prod(shape)) * self.dtype.itemsize))
+
+    def add(self, reduced):
+        """The orbit number of each canonical tuple of a (P, *shape) stack; orbits not met
+        before are numbered next, in the order of the stack."""
+        known = len(self.keys)
+        keys = np.ascontiguousarray(reduced.reshape(len(reduced), -1), dtype=self.dtype).view(self.keys.dtype)
+        both = np.concatenate([self.keys, keys.ravel()])
+        # equal keys are neighbours in key order: each run of them is one orbit
+        # (np.unique is not used: with numpy 2.4 its first call alone raised
+        # the peak RSS of a sweep run by 0.3 to 1.5 MB)
+        order = np.argsort(both)
+        ranked = both[order]
+        step = np.ones(len(both), dtype=np.intp)
+        step[1:] = ranked[1:] != ranked[:-1]
+        run = np.empty_like(step)
+        run[order] = np.cumsum(step) - 1
+        # each run's first key in sweep order; the known keys are distinct, so
+        # a known orbit's first key is its number
+        first = np.minimum.reduceat(order, np.flatnonzero(step))
+        new = first >= known
+        fresh = np.zeros(len(both), dtype=bool)
+        fresh[first[new]] = True
+        numbers = first.copy()
+        numbers[new] = known - 1 + np.cumsum(fresh)[first[new]]
+        self.keys = np.concatenate([self.keys, both[fresh]])
+        return numbers[run[known:]]
+
+    def representatives(self):
+        """The canonical tuple of every orbit, in orbit order, as int64 element indices."""
+        return self.keys.view(self.dtype).reshape(len(self.keys), *self.shape).astype(np.int64)
+
+
+class _Sweep:
+    """A chart sweep over GF(q), q = p^n.
+
+    A point is a row of element indices, one per parameter; its tuple is an
+    (r, a, a) array of them, a = N on `gl` charts and 1 on the additive
+    kinds, as `Chart.tuple_at` builds it.  Each stage works in the chunk
+    that keeps its stacks within CHUNK_CELLS:
+
+    * `point_chunk` points are drawn (or enumerated), evaluated, validated
+      and orbit-reduced at a time; a point costs about 8 cells per
+      parameter in the draws and r (a n)^2 cells in its lifted tuple, the
+      largest stacks of validation;
+    * `chunk` tuples share one operator walk (`types`), whose stacks hold
+      terms = p^(r-1) + 1 t-degrees of the module tree's largest matrix.
+
+    point_chunk is a multiple of chunk, so that operator walks cut from a
+    point chunk are those of a sweep cut into chunks of `chunk` points.
     """
 
     def __init__(self, chart, e, field, variant):
@@ -323,10 +389,12 @@ class _Sweep:
         self.p, self.n = field.p, field.n
         self.variant = variant
         size = chart.size if chart.kind == KIND_GL else 1
+        self.shape = (chart.r, size, size)
         self.dtype = _index_dtype(field.order)
-        self.zero = bytes(chart.r * size * size * np.dtype(self.dtype).itemsize)  # the zero tuple's key
         terms = self.p ** (chart.r - 1) + 1
         self.chunk = max(1, CHUNK_CELLS // (terms * max(_cells(e), chart.size**2) * self.n**2))
+        points = CHUNK_CELLS // (8 * len(chart.params) + chart.r * size * size * self.n**2)
+        self.point_chunk = max(1, points // self.chunk) * self.chunk
         self.cache = {}
 
     def points(self, budget, seed, samples):
@@ -345,7 +413,7 @@ class _Sweep:
         if total > budget and samples < 0:
             raise ChartError(f"sample count {samples} is negative")
         emitted = 0
-        for values in _regroup(self._accepted(total <= budget, seed, samples), self.chunk):
+        for values in _regroup(self._accepted(total <= budget, seed, samples), self.point_chunk):
             mats = self.tuples(values)
             if chart.kind == KIND_GL:
                 invalid = _first_invalid(*self._stacks(mats))
@@ -367,7 +435,7 @@ class _Sweep:
         return mats if chart.kind == KIND_GL else mats[:, :, :1, :1]
 
     def _accepted(self, exhaustive, seed, samples):
-        field, k, chunk = self.field, len(self.chart.params), self.chunk
+        field, k, chunk = self.field, len(self.chart.params), self.point_chunk
         q = field.order
         constraints = self.chart._compiled_constraints
 
@@ -1144,28 +1212,31 @@ def _point_type(ring, op, variant):
 
 
 def _ranks(m, p):
-    """GF(p) ranks of a (P, rows, cols) stack by Gaussian elimination, one pivot row per matrix."""
+    """GF(p) ranks of a (P, rows, cols) stack by Gaussian elimination, one pivot row per matrix.
+
+    Column by column, the first row with a nonzero entry there is the pivot
+    row; scaled so its pivot is 1, it is subtracted from every row times the
+    row's entry in the column, its own included (factor 1).  That clears the
+    column and the pivot row and lowers the rank by one (rank-one
+    reduction), so no row is swapped and every row left is free.
+    """
     count, rows, cols = m.shape
     rank = np.zeros(count, dtype=np.int64)
     if not rows:
         return rank
-    m = m.copy()
     inv = _inverses(p)
     at = np.arange(count)
-    row_ids = np.arange(rows)
-    for c in range(cols):
-        candidates = (m[:, :, c] != 0) & (row_ids >= rank[:, None])
-        found = candidates.any(axis=1)
-        if not found.any():
-            continue
-        # the pivot row moves to row `rank`; matrices without a pivot swap a row with itself
-        top = np.minimum(rank, rows - 1)
-        piv = np.where(found, candidates.argmax(axis=1), top)
-        pivot_rows = m[at, piv]
-        m[at, piv] = m[at, top]
-        m[at, top] = pivot_rows
-        scale = inv[pivot_rows[:, c]] * found
-        factors = m[:, :, c] * (row_ids > rank[:, None]) * scale[:, None]
-        m[:, :, c:] = (m[:, :, c:] - factors[:, :, None] * pivot_rows[:, None, c:]) % p
-        rank += found
+    for _ in range(cols):
+        col = m[:, :, 0]
+        nonzero = col != 0
+        found = nonzero.any(axis=1)
+        if found.any():
+            piv = nonzero.argmax(axis=1)
+            # a matrix without a pivot has a zero column: its scale inv[0] is 0
+            pivot_rows = m[at, piv, 1:] * inv[col[at, piv]][:, None] % p
+            m = m[:, :, 1:] - col[:, :, None] * pivot_rows[:, None, :]
+            m %= p
+            rank += found
+        else:
+            m = m[:, :, 1:]
     return rank

@@ -453,6 +453,9 @@ def _px_rank(M, p):
         num[:len(scaled)] += scaled
         num[:len(cross)] -= cross
         num = _px_trim(num % p)
+        if not num.any():
+            # the quotient is zero too: no pivot is left
+            break
         M = num if prev is None else _px_trim(_px_exact_div(num, prev, p))
         prev = pivot
     return rank

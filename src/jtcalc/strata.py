@@ -380,21 +380,24 @@ def tabulate_jt(chart, e, field, variant="full", budget=EXHAUSTIVE_DEFAULT_BUDGE
     tuple by B_s -> alpha^(p^s) B_s (`scale_tuple`) scales the operator by
     alpha^(p^(r-1)).  So each weighted scaling orbit is evaluated once, and
     its type is counted for every swept point of the orbit, in sweep order.
-    Every sweep, over any finite field and on every chart kind, runs in
-    chunks of points on integer stacks (`batch.jordan_types`).
+    Every sweep, over any finite field and on every chart kind, runs on
+    integer stacks (`batch.jordan_types`), which gives each point's orbit
+    and each orbit's type.  Counts, the zero count and the first `max_reps`
+    representatives of each type are then taken per type with array
+    operations.  The orbits are numbered in the order the sweep meets them,
+    so the types come in the order of their first point.
     """
+    values, orbit, types = batch.jordan_types(chart, e, field, variant, budget, seed, samples)
+    index = {}  # Jordan type -> its number, in order of first appearance
+    numbers = np.array([-1 if jt is None else index.setdefault(jt, len(index)) for jt in types], dtype=np.intp)
+    point_type = numbers[orbit]
+    counts = np.bincount(point_type[point_type >= 0], minlength=len(index)).tolist()
     entries = {}
-    zero_count = 0
-    swept = 0
-    for values, jt in batch.jordan_types(chart, e, field, variant, budget, seed, samples):
-        swept += 1
-        if jt is None:
-            zero_count += 1
-            continue
-        entry = entries.setdefault(jt, StratumEntry())
-        entry.count += 1
-        if len(entry.representatives) < max_reps:
-            entry.representatives.append(_serialize_values(field, values))
+    for t, jt in enumerate(index):
+        reps = np.flatnonzero(point_type == t)[:max(max_reps, 0)]
+        entries[jt] = StratumEntry(counts[t], [_serialize_values(field, row) for row in values[reps].tolist()])
+    zero_count = len(values) - sum(counts)
+    swept = len(values)
     return StrataTable(
         chart_name=chart.name,
         module_text=e.to_text(),

@@ -51,6 +51,9 @@ from .linalg import ExactMatrix
 from .modules import Explicit, ModuleExpr, UnipotentPair, texp_matrix
 
 
+_LIFTED = "_lifted"  # the attribute that keeps a tuple's `_stacks`
+
+
 @dataclass(frozen=True)
 class CommutingTuple:
     """A point of the height-r commuting nilpotent variety.
@@ -59,6 +62,10 @@ class CommutingTuple:
     kind "ga":        mats are 1 x 1 (scalars a_s); the additive restricted
                       structure is trivial, so no nilpotency is imposed.
     kind "multi_ga":  height-1 point of a product of s additive lines.
+
+    Over a finite field the matrices are lifted to one-point stacks once
+    (`_stacks`), when the tuple is validated or first evaluated, and kept
+    outside the dataclass fields, so hash and equality do not see them.
     """
 
     kind: str
@@ -118,6 +125,7 @@ class CommutingTuple:
         """
         out = object.__new__(CommutingTuple)
         out.__dict__.update(self.__dict__, mats=tuple(mats))
+        out.__dict__.pop(_LIFTED, None)
         return out
 
 
@@ -173,11 +181,17 @@ def _stacks(tup):
     """The one-point `_Pointwise` ring of a finite-field point, and its matrices as stacks of it.
 
     Every point of every kind is a P = 1 stack, as in a sweep; over GF(p^n)
-    each entry is its n x n regular-representation block.
+    each entry is its n x n regular-representation block.  The stacks are
+    built once per tuple, and are read-only.
     """
-    field = _domain(tup)
-    ring = _Pointwise(field)
-    return ring, [ring.lift(m._data) for m in tup.mats]
+    lifted = tup.__dict__.get(_LIFTED)
+    if lifted is None:
+        ring = _Pointwise(_domain(tup))
+        lifted = ring, [ring.lift(m._data) for m in tup.mats]
+        for m in lifted[1]:
+            m.setflags(write=False)
+        object.__setattr__(tup, _LIFTED, lifted)
+    return lifted
 
 
 def _domain(tup):

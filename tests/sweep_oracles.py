@@ -12,6 +12,8 @@ for tables).  Under `pointwise()` they stand in for `batch.jordan_types` and
 import contextlib
 from unittest import mock
 
+import numpy as np
+
 from jtcalc import batch
 from jtcalc.errors import JTCalcError
 from jtcalc.fields import FiniteField
@@ -73,9 +75,11 @@ def element_indices(values):
     return [sum(c * v.field.p**i for i, c in enumerate(v.coeffs)) for v in values]
 
 
-def oracle_jordan_types(*args):
-    for values, jt in _pointwise_jordan_types(*args):
-        yield element_indices(values), jt
+def oracle_jordan_types(chart, *args):
+    """The per-point types in the arrays `batch.jordan_types` returns, each point its own orbit."""
+    points = list(_pointwise_jordan_types(chart, *args))
+    values = np.array([element_indices(values) for values, _ in points], dtype=np.int64)
+    return values.reshape(len(points), len(chart.params)), np.arange(len(points)), [jt for _, jt in points]
 
 
 def oracle_closed_points(*args):

@@ -207,6 +207,11 @@ GOLDEN_RUNS = {
     "upper_glN_gf5_sampled.jsonl": ["strata", "--p", "5", "--chart", "upper_glN", "--r", "2", "--N", "3",
                                     "--module", "Std(3)*Tw(1,Std(3))",
                                     "--budget", "10000", "--samples", "800", "--seed", "7"],
+    # recorded before sweeps cut points and operator walks into chunks of their own sizes; it spans
+    # several point chunks either way
+    "upper_glN_gf5_s3000.jsonl": ["strata", "--p", "5", "--chart", "upper_glN", "--N", "3", "--r", "2",
+                                  "--module", "Std(3)*Tw(1,Std(3))",
+                                  "--budget", "10000", "--samples", "3000", "--seed", "3"],
     "ga_r_gf9.jsonl": ["strata", "--field", "GF(9)", "--chart", "ga_r", "--r", "2", "--module",
                        f"{_module_file('square4.txt')}+Tw(1,{_module_file('chain3.txt')})"],
     "multi_ga_gf9.jsonl": ["strata", "--field", "GF(9)", "--chart", "multi_ga", "--s-lines", "2",
