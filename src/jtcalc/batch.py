@@ -13,8 +13,9 @@ time:
   GF(p), through the field's log tables over GF(p^n);
 * a table sweep evaluates the operator once per weighted scaling orbit, on
   the tuple scaled so its first nonzero entry is 1 (`_orbit_reduce`);
-* in the `_Pointwise` ring, where a GF(p^n) entry is its n x n GF(p)
-  regular-representation block, the one-parameter group element and the
+* in the `_Pointwise` ring of `linalg` (the program's one GF(q) matrix
+  kernel), where a GF(p^n) entry is its n x n GF(p) regular-representation
+  block, the one-parameter group element and the
   module tree are evaluated on series in t with (P, m n, m n) coefficient
   stacks mod p, at the t-degrees the operator reads: 0 and D = p^(r-1)
   for the full operator, p^(r-1-s) for factor s of the exponential one.
@@ -56,7 +57,7 @@ import numpy as np
 
 from .errors import ChartError, DomainMismatchError, JTCalcError, NotNilpotentError
 from .jordan import RankProfile, jt_from_rank_profile
-from .linalg import _block_rank, _convolve, _px_trim, _regular
+from .linalg import _block_rank, _convolve, _frobenius_power, _Pointwise, _px_trim, _regular
 from .modules import (
     DirectSum,
     Dual,
@@ -561,130 +562,9 @@ def _first_invalid(ring, mats):
 
 
 # -- coefficient rings: what a series in t holds at each degree ------------------------
-
-
-class _Pointwise:
-    """Values at a stack of points over GF(q), q = p^n: products point by point.
-
-    Over GF(p) a matrix is its (P, rows, cols) stack of entries.  Over
-    GF(p^n) it is its (P, rows n, cols n) stack of GF(p) blocks in the
-    layout of `linalg._regular_matrix`: block (i, j) is the n x n matrix of
-    multiplication by M[i, j] on GF(p)-coordinates, so its column 0 holds
-    the coordinates of M[i, j].  That representation is a ring
-    homomorphism, so products, sums, reduction and zero tests are those of
-    GF(p) matrices; only what acts on single entries (`kron`,
-    `outer_columns`, `lmul`, `frobenius`, `transpose`, `columns`) works
-    block by block.
-    """
-
-    def __init__(self, field, count=1):
-        self.field = field
-        self.p = field.p
-        self.n = field.n
-        self.count = count
-
-    matmul = staticmethod(np.matmul)
-
-    def dim(self, m):
-        """The number of rows of each matrix of the stack, over GF(q)."""
-        return m.shape[1] // self.n
-
-    def lift(self, data):
-        """The stack (P, rows n, cols n) of a (P, rows, cols, n) coordinate stack; a
-        (rows, cols, n) array gives the one-point stack."""
-        if data.ndim == 3:
-            data = data[None]
-        if self.n == 1:
-            return data[..., 0]
-        count, rows, cols, n = data.shape
-        blocks = _regular(self.field, data).transpose(0, 1, 4, 2, 3)
-        return blocks.reshape(count, rows * n, cols * n) % self.p
-
-    def coords(self, m):
-        """The (rows, cols, n) coordinates of one matrix of the stack: column 0 of each block."""
-        n = self.n
-        rows, cols = m.shape[0] // n, m.shape[1] // n
-        return m.reshape(rows, n, cols, n)[:, :, :, 0].transpose(0, 2, 1)
-
-    def _blocks(self, m):
-        """(P, rows, cols, n, n): the block of each entry."""
-        count, rows, cols = m.shape
-        n = self.n
-        return m.reshape(count, rows // n, n, cols // n, n).transpose(0, 1, 3, 2, 4)
-
-    @staticmethod
-    def _unblocks(b):
-        count, rows, cols, n = b.shape[:4]
-        return b.transpose(0, 1, 3, 2, 4).reshape(count, rows * n, cols * n)
-
-    def kron(self, a, b):
-        if self.n > 1:
-            ba, bb = self._blocks(a), self._blocks(b)
-            count, ra, ca, n = ba.shape[:4]
-            rb, cb = bb.shape[1:3]
-            prod = ba[:, :, None, :, None] @ bb[:, None, :, None, :]
-            return self._unblocks(prod.reshape(count, ra * rb, ca * cb, n, n))
-        count, ra, ca = a.shape
-        rb, cb = b.shape[1:]
-        return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(count, ra * rb, ca * cb)
-
-    def outer_columns(self, x, y):
-        """Column-wise tensor products: out[:, i*n + v, c] = x[:, i, c] * y[:, v, c]."""
-        if self.n > 1:
-            bx, by = self._blocks(x), self._blocks(y)
-            count, rx, c, n = bx.shape[:4]
-            prod = bx[:, :, None] @ by[:, None]
-            return self._unblocks(prod.reshape(count, rx * by.shape[1], c, n, n))
-        count, rx, c = x.shape
-        return (x[:, :, None, :] * y[:, None, :, :]).reshape(count, rx * y.shape[1], c)
-
-    def lmul(self, mu, m):
-        """mu (an integer matrix) times m: mu (x) I_n on the blocks."""
-        count, rows, cols = m.shape
-        return (mu @ m.reshape(count, rows // self.n, self.n * cols)).reshape(count, len(mu) * self.n, cols)
-
-    def columns(self, idx):
-        """The stack columns that hold the columns idx of each matrix: their whole blocks."""
-        if self.n == 1:
-            return idx
-        return (np.asarray(idx)[:, None] * self.n + np.arange(self.n)).ravel()
-
-    def transpose(self, m):
-        """The transposes: blocks swap places, each block stays as it is."""
-        if self.n == 1:
-            return np.swapaxes(m, 1, 2)
-        return self._unblocks(self._blocks(m).swapaxes(1, 2))
-
-    @staticmethod
-    def add(a, b, into=False):
-        """a + b; with `into`, b is added into a, a fresh array of the caller's."""
-        if into:
-            a += b
-            return a
-        return a + b
-
-    def reduce(self, m):
-        return m % self.p
-
-    def frobenius(self, m, i):
-        """Entrywise x -> x^(p^i): each block R(x) goes to F^i R(x) F^(-i), F the Frobenius matrix."""
-        n = self.n
-        if i % n == 0:
-            # x^p = x on GF(p); the Frobenius has order n on GF(p^n)
-            return m
-        count, rows, cols = m.shape
-        p = self.p
-        left = _frobenius_power(self.field, i) @ m.reshape(count, rows // n, n, cols) % p
-        return (left.reshape(count, rows, cols // n, n) @ _frobenius_power(self.field, -i) % p).reshape(m.shape)
-
-    def identity(self, d):
-        d *= self.n
-        # a copy per point: np.broadcast_to costs several times as much on one-point stacks
-        return np.eye(d, dtype=np.int64)[None].repeat(self.count, 0)
-
-    @staticmethod
-    def nonzero(m):
-        return m.any(axis=(1, 2))
+#
+# Points over GF(q) are stacks of `linalg._Pointwise`; this module adds the
+# ring of polynomials along a curve.
 
 
 class _Polys:
@@ -781,15 +661,6 @@ class _Polys:
     @staticmethod
     def nonzero(m):
         return np.array([m.any()])
-
-
-@lru_cache(maxsize=None)
-def _frobenius_power(field, i):
-    out = np.eye(field.n, dtype=np.int64)
-    for _ in range(i % field.n):
-        out = field.frobenius_matrix @ out % field.p
-    out.setflags(write=False)
-    return out
 
 
 # -- series in t over a coefficient ring --------------------------------------------------

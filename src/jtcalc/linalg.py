@@ -1,38 +1,35 @@
 """
-Dense exact matrices over the coefficient domains of `fields`.
+Dense exact matrices over the coefficient domains of `fields`, and the one
+GF(q) matrix kernel of the program.
 
-Two storage layouts sit behind one facade:
+The kernel is `_Pointwise`: a stack of P matrices over GF(q), q = p^n, as
+one integer numpy array.  Over GF(p) it is the (P, rows, cols) stack of
+entries; over GF(p^n) each entry is its n x n GF(p) regular-representation
+block (`_Pointwise.lift`, through the field's multiplication tensor), a
+ring homomorphism, so products, sums and zero tests are integer products
+and sums reduced mod p.  `batch` evaluates the universal operator on
+stacks of many points.  `ExactMatrix` keeps a finite-field matrix as its
+(rows, cols, n) coordinates and runs its products, Kronecker products,
+scalar multiples, Frobenius twists, ranks and echelon forms on one-point
+stacks; over every other domain (polynomial rings, function fields,
+truncated curve rings) a matrix is a tuple of tuples of ring elements.
 
-* finite-field matrices are numpy int arrays of shape (rows, cols, n),
-  carrying GF(p^n) coordinates, with vectorized mod-p kernels;
-* everything else (polynomial rings, function fields, truncated curve
-  rings) is a plain tuple-of-tuples of ring elements.
-
-The universal operator at a finite-field point is built on integer stacks
-by `batch`, not on these matrices; it arrives here as a finite-field
-matrix for its rank profile.
-
-Over GF(p) the kernels are plain integer numpy products reduced mod p.
-Over GF(p^n), n > 1, products, Kronecker products (full or column-paired)
-and scalar multiples are one integer product each: the coordinate slices
-of one factor are stacked against the regular representation of the other
-(x^a times each entry), taken from the field's multiplication tensor.
-
-Rank and kernels are only defined over fields.  Elimination runs over GF(p)
-alone: pivots are inverted by Fermat's little theorem and each pivot step
-is one outer-product update.  A GF(p^n) matrix is eliminated as its
-(rows*n) x (cols*n) GF(p) regular representation; its rank is the GF(p)
-rank divided by n, and its reduced echelon form is read back from the
-blocks.  Over GF(q)(x) elimination clears denominators and runs
-fraction-free (Bareiss) on dense integer coefficient stacks over GF(p)[x],
-through the regular representation when q = p^n, n > 1; the same kernel
-takes the powers and ranks of polynomial operators along a curve.
+Rank and kernels are only defined over fields.  A GF(q) rank comes from
+block pivots on the regular representation (`_block_rank`).  The reduced
+echelon form behind kernels and inverses is the GF(p) one of the regular
+representation (`_gfp_rref`: pivots inverted by Fermat's little theorem,
+one outer-product update per pivot), read back from the blocks.  Over
+GF(q)(x) elimination clears denominators and runs fraction-free (Bareiss)
+on dense integer coefficient stacks over GF(p)[x], through the regular
+representation when n > 1; the same kernel takes the powers and ranks of
+polynomial operators along a curve.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -40,7 +37,6 @@ from .errors import DomainMismatchError, JTCalcError
 from .fields import (
     FFElement,
     FiniteField,
-    RationalFunctionField,
     TruncatedCurveRing,
     _up_divmod,
     _up_mul,
@@ -58,7 +54,7 @@ def _freeze(arr):
     return arr
 
 
-# -- vectorized GF(p^n) kernels ---------------------------------------------
+# -- the GF(q) kernel --------------------------------------------------------
 
 
 def _regular(field, A):
@@ -70,66 +66,6 @@ def _regular(field, A):
     """
     n = field.n
     return (A @ field.mul_tensor.reshape(n, n * n)).reshape(A.shape[:-1] + (n, n))
-
-
-def _ff_mmul(field, A, B):
-    n = field.n
-    if n == 1:
-        return (A[..., 0] @ B[..., 0])[..., None] % field.p
-    rows, inner, cols = A.shape[0], B.shape[0], B.shape[1]
-    if not A[..., 1:].any():
-        # GF(p) entries on the left (a lifted 0/1 map, say) scale every coordinate alike
-        return (A[..., 0] @ B.reshape(inner, cols * n)).reshape(rows, cols, n) % field.p
-    Breg = _regular(field, B).transpose(0, 2, 1, 3).reshape(inner * n, cols * n)
-    return (A.reshape(rows, inner * n) @ Breg).reshape(rows, cols, n) % field.p
-
-
-def _np_kron(Aa, Bb):
-    ra, ca = Aa.shape
-    rb, cb = Bb.shape
-    return (Aa[:, None, :, None] * Bb[None, :, None, :]).reshape(ra * rb, ca * cb)
-
-
-def _ff_kron(field, A, B):
-    n = field.n
-    ra, ca = A.shape[0], A.shape[1]
-    rb, cb = B.shape[0], B.shape[1]
-    if n == 1:
-        return (_np_kron(A[..., 0], B[..., 0]) % field.p)[..., None]
-    Breg = _regular(field, B).transpose(2, 0, 1, 3).reshape(n, rb * cb * n)
-    prod = (A.reshape(ra * ca, n) @ Breg).reshape(ra, ca, rb, cb, n)
-    return prod.transpose(0, 2, 1, 3, 4).reshape(ra * rb, ca * cb, n) % field.p
-
-
-def _ff_column_kron(field, A, B):
-    """Column-paired Kronecker product of (ra, c, n) and (rb, c, n) arrays.
-
-    out[i*rb + v, k] = A[i, k] * B[v, k]; over GF(p^n) one batched integer
-    product of A against the regular representation of B, column by column.
-    """
-    ra, c, n = A.shape
-    rb = B.shape[0]
-    if n == 1:
-        return (A[:, None] * B[None]).reshape(ra * rb, c, 1) % field.p
-    Breg = _regular(field, B).transpose(1, 2, 0, 3).reshape(c, n, rb * n)
-    prod = A.transpose(1, 0, 2) @ Breg
-    return prod.reshape(c, ra, rb, n).transpose(1, 2, 0, 3).reshape(ra * rb, c, n) % field.p
-
-
-def _ff_scalar(field, A, s):
-    if field.n == 1:
-        return A * int(s[0]) % field.p
-    return A @ _regular(field, s) % field.p
-
-
-def _ff_frob(field, A, e):
-    if field.n == 1 or e == 0:
-        return A % field.p
-    F = field.frobenius_matrix
-    Fe = np.eye(field.n, dtype=np.int64)
-    for _ in range(e % field.n):
-        Fe = (F @ Fe) % field.p
-    return np.tensordot(A, Fe.T, axes=([A.ndim - 1], [0])) % field.p
 
 
 def _gfp_rref(M, p):
@@ -165,8 +101,8 @@ def _gfp_rref(M, p):
 
 
 def _block_rank(M, p, n):
-    """GF(p^n)-rank of a GF(p) matrix of n x n regular-representation blocks (the layout of
-    `_regular_matrix`), by fraction-free block steps.
+    """GF(p^n)-rank of a GF(p) matrix of n x n regular-representation blocks (a matrix of a
+    `_Pointwise` stack), by fraction-free block steps.
 
     Every block is the matrix of multiplication by an element of GF(p^n),
     so the blocks commute, a block is zero exactly when its column 0 is,
@@ -199,35 +135,159 @@ def _block_rank(M, p, n):
     return rank
 
 
-def _regular_matrix(field, M):
-    """The (rows*n) x (cols*n) GF(p) matrix of a GF(p^n) matrix acting on GF(p)-coordinates.
+class _Pointwise:
+    """Values at a stack of points over GF(q), q = p^n: products point by point.
 
-    Row (i, c) and column (j, a) hold coefficient c of M[i, j] * x^a.
+    Over GF(p) a matrix is its (P, rows, cols) stack of entries.  Over
+    GF(p^n) it is its (P, rows n, cols n) stack of GF(p) blocks (`lift`):
+    block (i, j) is the n x n matrix of multiplication by M[i, j] on
+    GF(p)-coordinates, so its column 0 holds the coordinates of M[i, j].
+    That representation is a ring homomorphism, so products, sums,
+    reduction and zero tests are those of GF(p) matrices; only what acts on
+    single entries (`kron`, `outer_columns`, `lmul`, `scale`, `frobenius`,
+    `transpose`, `columns`) works block by block.
     """
-    rows, cols, n = M.shape
-    if n == 1:
-        return M[..., 0]
-    return _regular(field, M).transpose(0, 3, 1, 2).reshape(rows * n, cols * n)
+
+    def __init__(self, field, count=1):
+        self.field = field
+        self.p = field.p
+        self.n = field.n
+        self.count = count
+
+    matmul = staticmethod(np.matmul)
+
+    def dim(self, m):
+        """The number of rows of each matrix of the stack, over GF(q)."""
+        return m.shape[1] // self.n
+
+    def lift(self, data):
+        """The stack (P, rows n, cols n) of a (P, rows, cols, n) coordinate stack; a
+        (rows, cols, n) array gives the one-point stack.
+
+        Row (i, c) and column (j, a) of a matrix hold coefficient c of M[i, j] x^a.
+        """
+        if data.ndim == 3:
+            data = data[None]
+        if self.n == 1:
+            return data[..., 0]
+        count, rows, cols, n = data.shape
+        blocks = _regular(self.field, data).transpose(0, 1, 4, 2, 3)
+        return blocks.reshape(count, rows * n, cols * n) % self.p
+
+    def coords(self, m):
+        """The (rows, cols, n) coordinates of one matrix of the stack: column 0 of each block."""
+        n = self.n
+        rows, cols = m.shape[0] // n, m.shape[1] // n
+        return m.reshape(rows, n, cols, n)[:, :, :, 0].transpose(0, 2, 1)
+
+    def _blocks(self, m):
+        """(P, rows, cols, n, n): the block of each entry."""
+        count, rows, cols = m.shape
+        n = self.n
+        return m.reshape(count, rows // n, n, cols // n, n).transpose(0, 1, 3, 2, 4)
+
+    @staticmethod
+    def _unblocks(b):
+        count, rows, cols, n = b.shape[:4]
+        return b.transpose(0, 1, 3, 2, 4).reshape(count, rows * n, cols * n)
+
+    def kron(self, a, b):
+        if self.n > 1:
+            ba, bb = self._blocks(a), self._blocks(b)
+            count, ra, ca, n = ba.shape[:4]
+            rb, cb = bb.shape[1:3]
+            prod = ba[:, :, None, :, None] @ bb[:, None, :, None, :]
+            return self._unblocks(prod.reshape(count, ra * rb, ca * cb, n, n))
+        count, ra, ca = a.shape
+        rb, cb = b.shape[1:]
+        return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(count, ra * rb, ca * cb)
+
+    def outer_columns(self, x, y):
+        """Column-wise tensor products: out[:, i*n + v, c] = x[:, i, c] * y[:, v, c]."""
+        if self.n > 1:
+            bx, by = self._blocks(x), self._blocks(y)
+            count, rx, c, n = bx.shape[:4]
+            prod = bx[:, :, None] @ by[:, None]
+            return self._unblocks(prod.reshape(count, rx * by.shape[1], c, n, n))
+        count, rx, c = x.shape
+        return (x[:, :, None, :] * y[:, None, :, :]).reshape(count, rx * y.shape[1], c)
+
+    def lmul(self, mu, m):
+        """mu (an integer matrix) times m: mu (x) I_n on the blocks."""
+        count, rows, cols = m.shape
+        return (mu @ m.reshape(count, rows // self.n, self.n * cols)).reshape(count, len(mu) * self.n, cols)
+
+    def scale(self, m, x):
+        """x m, reduced, for x in GF(q) and m a stack or one matrix of one: each block R(y)
+        becomes R(x) R(y)."""
+        *lead, rows, cols = m.shape
+        block = self.lift(np.array([[x.coeffs]], dtype=np.int64))[0]
+        return (block @ m.reshape(*lead, rows // self.n, self.n, cols) % self.p).reshape(m.shape)
+
+    def columns(self, idx):
+        """The stack columns that hold the columns idx of each matrix: their whole blocks."""
+        if self.n == 1:
+            return idx
+        return (np.asarray(idx)[:, None] * self.n + np.arange(self.n)).ravel()
+
+    def transpose(self, m):
+        """The transposes: blocks swap places, each block stays as it is."""
+        if self.n == 1:
+            return np.swapaxes(m, 1, 2)
+        return self._unblocks(self._blocks(m).swapaxes(1, 2))
+
+    @staticmethod
+    def add(a, b, into=False):
+        """a + b; with `into`, b is added into a, a fresh array of the caller's."""
+        if into:
+            a += b
+            return a
+        return a + b
+
+    def reduce(self, m):
+        return m % self.p
+
+    def frobenius(self, m, i):
+        """Entrywise x -> x^(p^i): each block R(x) goes to F^i R(x) F^(-i), F the Frobenius matrix."""
+        n = self.n
+        if i % n == 0:
+            # x^p = x on GF(p); the Frobenius has order n on GF(p^n)
+            return m
+        count, rows, cols = m.shape
+        p = self.p
+        left = _frobenius_power(self.field, i) @ m.reshape(count, rows // n, n, cols) % p
+        return (left.reshape(count, rows, cols // n, n) @ _frobenius_power(self.field, -i) % p).reshape(m.shape)
+
+    def identity(self, d):
+        d *= self.n
+        # a copy per point: np.broadcast_to costs several times as much on one-point stacks
+        return np.eye(d, dtype=np.int64)[None].repeat(self.count, 0)
+
+    @staticmethod
+    def nonzero(m):
+        return m.any(axis=(1, 2))
 
 
-def _ff_rank(field, M):
-    """GF(p^n)-rank, by block pivots on the regular representation (`_block_rank`)."""
-    return _block_rank(_regular_matrix(field, M), field.p, field.n)
+@lru_cache(maxsize=None)
+def _frobenius_power(field, i):
+    out = np.eye(field.n, dtype=np.int64)
+    for _ in range(i % field.n):
+        out = field.frobenius_matrix @ out % field.p
+    out.setflags(write=False)
+    return out
 
 
-def _ff_rref(field, M):
-    """Reduced row echelon form over GF(p^n); returns (matrix, pivot column list).
+def _ff_rref(ring, m):
+    """Reduced row echelon form over GF(q) of one matrix of a `_Pointwise` stack; returns (its
+    (rows, cols, n) coordinates, pivot column list).
 
     The GF(p) reduced form of the regular representation is the regular
-    representation of the GF(p^n) reduced form, so column (j, 0) of each
-    block carries the entries back, and each GF(p^n) pivot column j shows
-    up as the n GF(p) pivots (j, 0), ..., (j, n-1).
+    representation of the GF(q) reduced form, so each block carries its
+    entry back (`_Pointwise.coords`), and each GF(q) pivot column j shows up
+    as the n GF(p) pivots (j, 0), ..., (j, n-1).
     """
-    n = field.n
-    rows, cols = M.shape[0], M.shape[1]
-    R, pivots = _gfp_rref(_regular_matrix(field, M), field.p)
-    R = R.reshape(rows, n, cols, n)[:, :, :, 0].transpose(0, 2, 1)
-    return R, [c // n for c in pivots[::n]]
+    R, pivots = _gfp_rref(m, ring.p)
+    return ring.coords(R), [c // ring.n for c in pivots[::ring.n]]
 
 
 # -- generic object-entry kernels -------------------------------------------
@@ -323,7 +383,8 @@ def _det_subset_dp(domain, entries, rows, cols):
 # length L.  Coefficients are kept below p and reduced once per product, which
 # is exact in int64 for any realistic length (Dumas, Giorgi & Pernet,
 # FFLAS/FFPACK, ACM TOMS 2008).  Over GF(p^n), n > 1, a matrix is stacked as
-# its (rows*n) x (cols*n) GF(p)[x] regular representation; GF(p^n)(x) is a
+# its (rows*n) x (cols*n) GF(p)[x] regular representation, each coefficient
+# lifted as a matrix of a `_Pointwise` stack; GF(p^n)(x) is a
 # degree-n extension of GF(p)(x), so ranks divide by n.  The operator along a
 # curve (`batch._Polys`) keeps the same leading coefficient axis, with the
 # GF(p^n) coordinates on a last axis, and multiplies through `_convolve` too.
@@ -470,25 +531,14 @@ def _px_stack(field, rows):
         for j, entry in enumerate(row):
             for e, v in entry.items():
                 data[e, i, j] = field.embed(v).coeffs
-    return _px_of_coefficients(field, data)
-
-
-def _px_of_coefficients(field, data):
-    """GF(p)[x] stack of a GF(p^n)[x] matrix given as an (L, rows, cols, n) array:
-    the coordinates of its x^0, ..., x^(L-1) coefficients."""
-    if field.n == 1:
-        return data[..., 0]
-    length, nr, nc, n = data.shape
-    # row (i, c), column (j, a): coefficient c of entry(i, j) * x^a, as in _regular_matrix
-    reg = _regular(field, data) % field.p
-    return reg.transpose(0, 1, 4, 2, 3).reshape(length, nr * n, nc * n)
+    return _Pointwise(field).lift(data)
 
 
 class _PolyMatrix:
     """A matrix over GF(p^n)[x] as the GF(p)[x] stack of its regular representation.
 
-    It has what `jordan.jt_of_nilpotent` and `modules.validate_commuting_tuple`
-    read: shape, `is_zero`, `@`, `pow`, `==` and the rank over GF(p^n)(x).
+    It has what `jordan.jt_of_nilpotent` reads: shape, `is_zero`, `@` and
+    the rank over GF(p^n)(x).
     """
 
     __slots__ = ("rows", "cols", "n", "p", "_data")
@@ -502,8 +552,9 @@ class _PolyMatrix:
 
     @staticmethod
     def of_coefficients(field, data):
-        """The matrix over GF(p^n)[x] whose x^k coefficient has the coordinates data[k]."""
-        return _PolyMatrix(data.shape[1], data.shape[2], field.n, field.p, _px_of_coefficients(field, data))
+        """The matrix over GF(p^n)[x] whose x^k coefficient has the coordinates data[k]: slice k of
+        its stack is the `_Pointwise` lift of data[k]."""
+        return _PolyMatrix(data.shape[1], data.shape[2], field.n, field.p, _Pointwise(field).lift(data))
 
     def is_zero(self):
         return not self._data.any()
@@ -513,18 +564,6 @@ class _PolyMatrix:
 
     def __matmul__(self, other):
         return _PolyMatrix(self.rows, other.cols, self.n, self.p, _px_mmul(self._data, other._data, self.p))
-
-    def __eq__(self, other):
-        return np.array_equal(_px_trim(self._data), _px_trim(other._data))
-
-    def pow(self, k):
-        """self^k, k >= 1; the products stop at the first power that vanishes."""
-        out = self
-        for _ in range(k - 1):
-            if out.is_zero():
-                break
-            out = out @ self
-        return out
 
 
 class ExactMatrix:
@@ -615,6 +654,17 @@ class ExactMatrix:
             return self._data
         return tuple(tuple(self.entry(i, j) for j in range(self.cols)) for i in range(self.rows))
 
+    def _lifted(self):
+        """(ring, stack): the `_Pointwise` ring of a finite-field matrix's field, and the matrix
+        as a one-point stack of it."""
+        ring = _Pointwise(self.domain)
+        return ring, ring.lift(self._data)
+
+    @staticmethod
+    def _of_stack(ring, m):
+        """The finite-field matrix of the one-point stack m of a `_Pointwise` ring."""
+        return ExactMatrix.from_coords(ring.field, ring.coords(ring.reduce(m[0])))
+
     # -- arithmetic ------------------------------------------------------------
 
     def _check(self, other):
@@ -648,16 +698,16 @@ class ExactMatrix:
         if self.cols != other.rows:
             raise JTCalcError("shape mismatch in matrix product")
         if self._backend == _FF and other._backend == _FF:
-            return ExactMatrix(self.domain, self.rows, other.cols, _FF,
-                               _freeze(_ff_mmul(self.domain, self._data, other._data)))
+            ring, a = self._lifted()
+            return ExactMatrix._of_stack(ring, a @ ring.lift(other._data))
         return ExactMatrix(self.domain, self.rows, other.cols, _OBJ,
                            _obj_mmul(self.domain, self._obj_rows(), other._obj_rows()))
 
     def scalar_mul(self, s):
         if self._backend == _FF:
             s = self.domain.embed(s) if not isinstance(s, int) else self.domain.from_int(s)
-            arr = _ff_scalar(self.domain, self._data, np.array(s.coeffs, dtype=np.int64))
-            return ExactMatrix(self.domain, self.rows, self.cols, _FF, _freeze(arr))
+            ring, a = self._lifted()
+            return ExactMatrix._of_stack(ring, ring.scale(a, s))
         if isinstance(s, int):
             s = self.domain.embed_int(s)
         return ExactMatrix(self.domain, self.rows, self.cols, _OBJ,
@@ -666,8 +716,8 @@ class ExactMatrix:
     def kron(self, other):
         other = self._check(other)
         if self._backend == _FF and other._backend == _FF:
-            return ExactMatrix(self.domain, self.rows * other.rows, self.cols * other.cols, _FF,
-                               _freeze(_ff_kron(self.domain, self._data, other._data)))
+            ring, a = self._lifted()
+            return ExactMatrix._of_stack(ring, ring.kron(a, ring.lift(other._data)))
         a, b = self._obj_rows(), other._obj_rows()
         out = []
         for i in range(self.rows):
@@ -686,13 +736,13 @@ class ExactMatrix:
         right are equal-length integer index arrays.
         """
         other = self._check(other)
-        head = (self.domain, self.rows * other.rows, len(left))
         if self._backend == _FF and other._backend == _FF:
-            return ExactMatrix(*head, _FF, _freeze(
-                _ff_column_kron(self.domain, self._data[:, left], other._data[:, right])))
+            ring = _Pointwise(self.domain)
+            x, y = ring.lift(self._data[:, left]), ring.lift(other._data[:, right])
+            return ExactMatrix._of_stack(ring, ring.outer_columns(x, y))
         a, b = self._obj_rows(), other._obj_rows()
         pairs = list(zip(left.tolist(), right.tolist()))
-        return ExactMatrix(*head, _OBJ, tuple(
+        return ExactMatrix(self.domain, self.rows * other.rows, len(left), _OBJ, tuple(
             tuple(ra[l] * rb[r] for l, r in pairs) for ra in a for rb in b))
 
     def transpose(self):
@@ -720,8 +770,8 @@ class ExactMatrix:
         if e == 0:
             return self
         if self._backend == _FF:
-            return ExactMatrix(self.domain, self.rows, self.cols, _FF,
-                               _freeze(_ff_frob(self.domain, self._data, e)))
+            ring, a = self._lifted()
+            return ExactMatrix._of_stack(ring, ring.frobenius(a, e))
         return ExactMatrix(self.domain, self.rows, self.cols, _OBJ,
                            tuple(tuple(x.frobenius(e) for x in r) for r in self._obj_rows()))
 
@@ -765,16 +815,15 @@ class ExactMatrix:
     # -- rank / kernel / determinants ----------------------------------------------
 
     def rank(self):
-        """Exact rank; requires the coefficient domain to be a field."""
+        """Exact rank; requires the coefficient domain to be a field: a finite field, ranked by
+        block pivots on the one-point stack (`_block_rank`), or a rational function field."""
         if isinstance(self.domain, FiniteField):
-            return _ff_rank(self.domain, self._data)
-        if isinstance(self.domain, RationalFunctionField):
-            field = self.domain.field
-            rows = [[dict(enumerate(v)) for v in row] for row in self._cleared_rows()]
-            return _px_rank(_px_stack(field, rows), field.p) // field.n
+            ring, a = self._lifted()
+            return _block_rank(a[0], ring.p, ring.n)
         require_field(self.domain)
-        _, pivots = _obj_rref(self.domain, self._obj_rows())
-        return len(pivots)
+        field = self.domain.field
+        rows = [[dict(enumerate(v)) for v in row] for row in self._cleared_rows()]
+        return _px_rank(_px_stack(field, rows), field.p) // field.n
 
     def _cleared_rows(self):
         """Clear denominators row-wise; rows of dense coefficient tuples."""
@@ -797,7 +846,8 @@ class ExactMatrix:
     def kernel_basis(self):
         """Exact basis of the right kernel (list of column vectors as element lists)."""
         if isinstance(self.domain, FiniteField):
-            R, pivots = _ff_rref(self.domain, self._data)
+            ring, a = self._lifted()
+            R, pivots = _ff_rref(ring, a[0])
             field = self.domain
             free = [c for c in range(self.cols) if c not in pivots]
             basis = []
@@ -842,11 +892,11 @@ class ExactMatrix:
             raise JTCalcError("inverse needs a square matrix")
         n = self.rows
         if isinstance(self.domain, FiniteField):
-            aug = np.concatenate([self._data, ExactMatrix.identity(self.domain, n)._data], axis=1)
-            R, pivots = _ff_rref(self.domain, aug)
+            ring, a = self._lifted()
+            R, pivots = _ff_rref(ring, np.concatenate([a[0], ring.identity(n)[0]], axis=1))
             if len(pivots) < n or pivots[:n] != list(range(n)):
                 raise JTCalcError("matrix is singular")
-            return ExactMatrix(self.domain, n, n, _FF, _freeze(R[:, n:, :]))
+            return ExactMatrix.from_coords(self.domain, R[:, n:, :])
         require_field(self.domain)
         ident = ExactMatrix.identity(self.domain, n)._obj_rows()
         aug = tuple(ra + rb for ra, rb in zip(self._obj_rows(), ident))

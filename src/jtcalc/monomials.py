@@ -19,10 +19,10 @@ from math import comb
 
 import numpy as np
 
-from .batch import CHUNK_CELLS, _Pointwise, _Polys
+from .batch import CHUNK_CELLS, _Polys
 from .errors import JTCalcError
 from .fields import FFElement, Polynomial
-from .linalg import ExactMatrix
+from .linalg import ExactMatrix, _Pointwise
 
 
 class _Monomials(_Pointwise):

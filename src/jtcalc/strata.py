@@ -22,7 +22,7 @@ from . import batch
 from .errors import CapExceededError, ChartError, JTCalcError, ParseError
 from .fields import GF, Polynomial, PolyRing
 from .jordan import dominance_leq, jt_of_nilpotent, jt_rank
-from .linalg import ExactMatrix, _PolyMatrix
+from .linalg import ExactMatrix, _Pointwise, _PolyMatrix
 from .parsing import parse_field_spec, parse_polynomial
 from .theta import (
     KIND_GA,
@@ -663,7 +663,8 @@ def semicontinuity_check(curve, e, variant="full"):
     The operator is evaluated once along the curve, as a stack of its
     GF(q)[t] coefficients (`Curve.operator`).  The generic type is
     read from the ranks of its powers over GF(q)(t); the special type is the
-    type of its t^0 coefficient, since t -> 0 is a ring map.
+    type of its t^0 coefficient, since t -> 0 is a ring map, ranked on a
+    one-point stack as every single point is (`batch._point_type`).
     """
     chart, field = curve.chart, curve.field
     op = curve.operator(e, variant)
@@ -672,7 +673,8 @@ def semicontinuity_check(curve, e, variant="full"):
         curve.validate()
     # the special operator's p-th power vanishes, and its tuple is a point,
     # because the generic ones are
-    special_jt = jt_of_nilpotent(ExactMatrix.from_coords(field, op[0]), chart.p)
+    ring = _Pointwise(field)
+    special_jt = batch._point_type(ring, ring.lift(op[0])[0], variant)
     ok = dominance_leq(special_jt, generic_jt)
     return SemicontReport(curve.label, variant, generic_jt.to_text(), special_jt.to_text(), ok)
 

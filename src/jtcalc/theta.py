@@ -20,9 +20,8 @@ its n x n GF(p) regular-representation block; its validation is the
 sweep's too, and `jt_at_point` ranks the operator on that stack.  A
 symbolic point, with entries in a `PolyRing` (the chart's symbolic tuple,
 for the rank-locus minors), is a stack of monomial coefficients of the
-`monomials._Monomials` ring (`symbolic_operator`).  `one_param` and
-`ga_curve_element` give the group element itself, on truncated curve
-rings.
+`monomials._Monomials` ring (`symbolic_operator`).  `one_param` gives the
+group element itself, on a truncated curve ring.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ from .batch import (
     KIND_MULTI_GA,
     _check_pairing,
     _mpow,
-    _Pointwise,
     _point_type,
     _ranks,
     _validate,
@@ -45,9 +43,9 @@ from .batch import (
     curve_operator,
 )
 from .errors import DomainMismatchError, JTCalcError, NotNilpotentError
-from .fields import FiniteField, PolyRing, TruncatedCurveRing, TruncElement
+from .fields import FiniteField, PolyRing, TruncatedCurveRing
 from .jordan import jt_of_nilpotent, jt_power
-from .linalg import ExactMatrix
+from .linalg import ExactMatrix, _Pointwise
 from .modules import Explicit, ModuleExpr, UnipotentPair, texp_matrix
 
 
@@ -270,16 +268,6 @@ def _one_param(tup, with_inv):
     return pair
 
 
-def ga_curve_element(tup):
-    """The additive one-parameter point  c(t) = sum_s a_s t^(p^s)."""
-    ring = _trunc_ring(tup)
-    coeffs = {}
-    for s, a in enumerate(tup.scalars()):
-        if not a.is_zero():
-            coeffs[tup.p**s] = a
-    return TruncElement(ring, coeffs)
-
-
 def theta_full(e, tup):
     """Specialization of the universal operator at the point."""
     return _theta(e, tup, "full")
@@ -354,17 +342,11 @@ def _homotopy_family(e, tup, built=None):
             _check_pairing(e, tup.kind, tup.p, tup.height)
             ops.extend(built.get(variant) or _checked_operator(e, tup, variant) for variant in ("exp", "full"))
         (ring, exp_op), (_, full_op) = ops
-        op = (_scaled(ring, s_val, exp_op) + _scaled(ring, t_val, full_op)) % ring.p
+        op = (ring.scale(exp_op, s_val) + ring.scale(full_op, t_val)) % ring.p
         _check_vanishes(ring, op, f"homotopy({s_val}:{t_val})")
         return ring, op
 
     return sample
-
-
-def _scaled(ring, x, op):
-    """x op, for x in the point's field: op's blocks times x's regular-representation block."""
-    block = ring.lift(np.array([[x.coeffs]], dtype=np.int64))[0]
-    return np.kron(np.eye(len(op) // ring.n, dtype=np.int64), block) @ op
 
 
 def _check_homotopy(s_val, t_val):

@@ -1,25 +1,93 @@
-"""The GF(p^n) stack ring against the coordinate kernels of `linalg`.
+"""The GF(q) stack ring of `linalg` against coordinate kernels.
 
-A one-point `batch._Pointwise` stack over GF(p^n) holds each entry as its
-n x n GF(p) regular-representation block (`linalg._regular_matrix`).  Every
-operation the module walker asks of the ring is compared here with the
-kernel that computes it on (rows, cols, n) coordinates: `_ff_mmul`,
-`_ff_kron`, `_ff_column_kron`, `_ff_frob`, the coordinate transpose, and
-the coordinates read back from the blocks.
+A one-point `linalg._Pointwise` stack over GF(p^n) holds each entry as its
+n x n GF(p) regular-representation block (`_Pointwise.lift`).  Every
+operation the module walker and `ExactMatrix` ask of the ring is compared
+here with a kernel that computes it on (rows, cols, n) coordinates:
+`_ff_mmul`, `_ff_kron`, `_ff_column_kron`, `_ff_scalar`, `_ff_frob`, the
+coordinate transpose, and the coordinates read back from the blocks.  Those
+kernels are the ones `linalg` ran on coordinates before every finite-field
+matrix went through the stack ring: each coordinate slice of one factor
+against the regular representation of the other (x^a times each entry).
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jtcalc.batch import _Pointwise
 from jtcalc.fields import GF
-from jtcalc.linalg import _ff_column_kron, _ff_frob, _ff_kron, _ff_mmul
+from jtcalc.linalg import _Pointwise, _regular
 from jtcalc.modules import power_maps
 
 # GF(4), GF(8), GF(9), GF(25), GF(27), GF(81), and GF(3) for the entrywise layout
 FIELDS = [GF(2, 2), GF(2, 3), GF(3, 2), GF(5, 2), GF(3, 3), GF(3, 4, modulus=(2, 0, 0, 2, 1)), GF(3)]
 SETTINGS = settings(max_examples=60, deadline=None)
+
+
+# -- the coordinate kernels: (rows, cols, n) arrays of GF(p^n) coordinates ---------------
+
+
+def _ff_mmul(field, A, B):
+    n = field.n
+    if n == 1:
+        return (A[..., 0] @ B[..., 0])[..., None] % field.p
+    rows, inner, cols = A.shape[0], B.shape[0], B.shape[1]
+    if not A[..., 1:].any():
+        # GF(p) entries on the left (a lifted 0/1 map, say) scale every coordinate alike
+        return (A[..., 0] @ B.reshape(inner, cols * n)).reshape(rows, cols, n) % field.p
+    Breg = _regular(field, B).transpose(0, 2, 1, 3).reshape(inner * n, cols * n)
+    return (A.reshape(rows, inner * n) @ Breg).reshape(rows, cols, n) % field.p
+
+
+def _np_kron(Aa, Bb):
+    ra, ca = Aa.shape
+    rb, cb = Bb.shape
+    return (Aa[:, None, :, None] * Bb[None, :, None, :]).reshape(ra * rb, ca * cb)
+
+
+def _ff_kron(field, A, B):
+    n = field.n
+    ra, ca = A.shape[0], A.shape[1]
+    rb, cb = B.shape[0], B.shape[1]
+    if n == 1:
+        return (_np_kron(A[..., 0], B[..., 0]) % field.p)[..., None]
+    Breg = _regular(field, B).transpose(2, 0, 1, 3).reshape(n, rb * cb * n)
+    prod = (A.reshape(ra * ca, n) @ Breg).reshape(ra, ca, rb, cb, n)
+    return prod.transpose(0, 2, 1, 3, 4).reshape(ra * rb, ca * cb, n) % field.p
+
+
+def _ff_column_kron(field, A, B):
+    """Column-paired Kronecker product of (ra, c, n) and (rb, c, n) arrays.
+
+    out[i*rb + v, k] = A[i, k] * B[v, k]; over GF(p^n) one batched integer
+    product of A against the regular representation of B, column by column.
+    """
+    ra, c, n = A.shape
+    rb = B.shape[0]
+    if n == 1:
+        return (A[:, None] * B[None]).reshape(ra * rb, c, 1) % field.p
+    Breg = _regular(field, B).transpose(1, 2, 0, 3).reshape(c, n, rb * n)
+    prod = A.transpose(1, 0, 2) @ Breg
+    return prod.reshape(c, ra, rb, n).transpose(1, 2, 0, 3).reshape(ra * rb, c, n) % field.p
+
+
+def _ff_scalar(field, A, s):
+    if field.n == 1:
+        return A * int(s[0]) % field.p
+    return A @ _regular(field, s) % field.p
+
+
+def _ff_frob(field, A, e):
+    if field.n == 1 or e == 0:
+        return A % field.p
+    F = field.frobenius_matrix
+    Fe = np.eye(field.n, dtype=np.int64)
+    for _ in range(e % field.n):
+        Fe = (F @ Fe) % field.p
+    return np.tensordot(A, Fe.T, axes=([A.ndim - 1], [0])) % field.p
+
+
+# -- the stack ring against them ----------------------------------------------------------
 
 
 @st.composite
@@ -71,6 +139,18 @@ def test_outer_columns_is_the_column_kron(case):
     ring = _Pointwise(field, 2)
     got = ring.reduce(ring.outer_columns(stack(ring, *a), stack(ring, *b)))
     assert np.array_equal(got, stack(ring, *(_ff_column_kron(field, x, y) for x, y in zip(a, b))))
+
+
+@given(pairs(lambda r, c, _, __: ((r, c), (r, c))), st.data())
+@SETTINGS
+def test_scale_is_the_coordinate_scalar_multiple(case, data):
+    field, a, _ = case
+    ring = _Pointwise(field, 2)
+    x = field.from_index(data.draw(st.integers(0, field.order - 1)))
+    want = stack(ring, *(_ff_scalar(field, m, np.array(x.coeffs)) for m in a))
+    assert np.array_equal(ring.scale(stack(ring, *a), x), want)
+    # one matrix of a stack scales as the stack does
+    assert all(np.array_equal(ring.scale(m, x), w) for m, w in zip(stack(ring, *a), want))
 
 
 @given(pairs(lambda r, c, _, __: ((r, c), (r, c))), st.integers(0, 9))

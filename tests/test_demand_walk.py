@@ -16,10 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import walk_oracles as oracle
-from jtcalc.batch import KIND_GA, KIND_GL, KIND_MULTI_GA, _Pointwise, _Polys, curve_operator
+from jtcalc.batch import KIND_GA, KIND_GL, KIND_MULTI_GA, _Polys, curve_operator
 from jtcalc.errors import JTCalcError
 from jtcalc.fields import GF, Polynomial, PolyRing
-from jtcalc.linalg import ExactMatrix, _block_rank, _gfp_rref, _regular_matrix
+from jtcalc.linalg import ExactMatrix, _block_rank, _gfp_rref, _Pointwise
 from jtcalc.modules import Dual, Tensor, parse_module_expr
 from jtcalc.monomials import _Monomials
 from jtcalc.theta import CommutingTuple, _stack_operator, theta_exp, theta_full
@@ -203,7 +203,7 @@ def block_matrices(draw):
     by k, and k = 0 gives the zero matrix."""
     field = draw(st.sampled_from(FIELDS + [GF(2, 3), GF(7), GF(7, 2)]))
     rows, cols, k = draw(st.integers(0, 5)), draw(st.integers(0, 5)), draw(st.integers(0, 5))
-    left, right, full = (_regular_matrix(field, _draw_coords(draw, (a, b, field.n), field.p))
+    left, right, full = (_Pointwise(field).lift(_draw_coords(draw, (a, b, field.n), field.p))[0]
                          for a, b in ((rows, k), (k, cols), (rows, cols)))
     # the block matrix of a product is the product of the block matrices
     return field, draw(st.sampled_from([left @ right % field.p, full]))

@@ -1,12 +1,14 @@
-"""Differential tests of the finite-field matrix kernels.
+"""Differential tests of the finite-field operations of `ExactMatrix`, which run on
+one-point `linalg._Pointwise` stacks.
 
-Products, Kronecker products and scalar multiples over GF(p^n) are checked
-against entrywise `FFElement` arithmetic, products also with a left factor
-whose entries lie in GF(p), which takes a shortcut.  Rank, reduced row echelon form
-and kernels are checked against row reduction with entrywise products by
-coefficient convolution, reduced modulo the field modulus: the elimination
-`linalg` used before extension fields went through their GF(p) regular
-representation, kept here as the oracle.
+Products, Kronecker products (full and column-paired), scalar multiples
+and Frobenius twists over GF(p) and GF(p^n) are checked against entrywise
+`FFElement` arithmetic, products also with a left factor whose entries lie
+in GF(p).  Rank, reduced row echelon form and kernels are checked against
+row reduction with entrywise products by coefficient convolution, reduced
+modulo the field modulus: the elimination `linalg` used before extension
+fields went through their GF(p) regular representation, kept here as the
+oracle.  Shapes run from 0 to 5 rows and columns.
 """
 
 import random
@@ -87,12 +89,15 @@ def conv_kernel_basis(field, data):
 # -- strategies ------------------------------------------------------------------------
 
 
+dims = st.integers(0, 5)
+
+
 @st.composite
 def field_rows(draw, field, rows=None, cols=None):
-    """Rows of field elements; half the draws are products through a narrow inner
-    dimension, so rank-deficient matrices are common."""
-    rows = rows if rows is not None else draw(st.integers(1, 5))
-    cols = cols if cols is not None else draw(st.integers(1, 5))
+    """Rows of field elements, 0 to 5 of them and of columns unless given; half the draws are
+    products through a narrow inner dimension, so rank-deficient matrices are common."""
+    rows = rows if rows is not None else draw(dims)
+    cols = cols if cols is not None else draw(dims)
     elem = st.one_of(st.just(0), st.integers(0, field.order - 1)).map(field.from_index)
 
     def block(r, c):
@@ -108,6 +113,13 @@ def field_rows(draw, field, rows=None, cols=None):
 
 ext_field = st.sampled_from(EXT_FIELDS)
 prime_field = st.sampled_from(PRIME_FIELDS)
+any_field = st.sampled_from(PRIME_FIELDS + EXT_FIELDS)
+
+
+def matrix(field, rows, cols):
+    """The `ExactMatrix` of a list of rows with `cols` columns; `from_rows` reads the column
+    count off the first row, so an empty list needs it given."""
+    return ExactMatrix.from_rows(field, rows) if rows else ExactMatrix.zeros(field, 0, cols)
 
 
 # -- products --------------------------------------------------------------------------
@@ -117,27 +129,28 @@ prime_field = st.sampled_from(PRIME_FIELDS)
 @settings(max_examples=60, deadline=None)
 def test_matmul_matches_entrywise(data):
     field = data.draw(ext_field)
-    a = data.draw(field_rows(field))
-    b = data.draw(field_rows(field, rows=len(a[0])))
-    got = (ExactMatrix.from_rows(field, a) @ ExactMatrix.from_rows(field, b)).to_rows()
-    assert got == _entrywise_product(a, b, field)
+    r, k, c = (data.draw(dims) for _ in range(3))
+    a, b = data.draw(field_rows(field, r, k)), data.draw(field_rows(field, k, c))
+    got = (matrix(field, a, k) @ matrix(field, b, c)).to_rows()
+    assert got == _entrywise_product(a, b, field, c)
 
 
-def _entrywise_product(a, b, field):
+def _entrywise_product(a, b, field, cols):
     return [[sum((a[i][k] * b[k][j] for k in range(len(b))), field.zero())
-             for j in range(len(b[0]))] for i in range(len(a))]
+             for j in range(cols)] for i in range(len(a))]
 
 
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_matmul_with_prime_field_left_factor_matches_entrywise(data):
-    """A left factor with GF(p) entries only is multiplied coordinate by coordinate."""
+    """A left factor with GF(p) entries only, as the lifted 0/1 maps of Sym and Ext have."""
     field = data.draw(st.sampled_from(SUBFIELD_CASES))
     prime = GF(field.p)
-    a = [[field.embed(x) for x in row] for row in data.draw(field_rows(prime))]
-    b = data.draw(field_rows(field, rows=len(a[0])))
-    got = (ExactMatrix.from_rows(field, a) @ ExactMatrix.from_rows(field, b)).to_rows()
-    assert got == _entrywise_product(a, b, field)
+    r, k, c = (data.draw(dims) for _ in range(3))
+    a = [[field.embed(x) for x in row] for row in data.draw(field_rows(prime, r, k))]
+    b = data.draw(field_rows(field, k, c))
+    got = (matrix(field, a, k) @ matrix(field, b, c)).to_rows()
+    assert got == _entrywise_product(a, b, field, c)
 
 
 @pytest.mark.parametrize("ext", [False, True], ids=["sym", "ext"])
@@ -151,29 +164,59 @@ def test_matmul_with_lifted_mu_matches_entrywise(field, ext):
         mu = _lifted_mu(field, n, d, ext)
         a = mu.to_rows()
         b = [[field.random_element(rng) for _ in range(3)] for _ in range(mu.cols)]
-        assert (mu @ ExactMatrix.from_rows(field, b)).to_rows() == _entrywise_product(a, b, field)
+        assert (mu @ ExactMatrix.from_rows(field, b)).to_rows() == _entrywise_product(a, b, field, 3)
 
 
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_kron_matches_entrywise(data):
     field = data.draw(ext_field)
-    a = data.draw(field_rows(field))
-    b = data.draw(field_rows(field))
-    got = ExactMatrix.from_rows(field, a).kron(ExactMatrix.from_rows(field, b)).to_rows()
-    want = [[a[i][j] * b[k][l] for j in range(len(a[0])) for l in range(len(b[0]))]
-            for i in range(len(a)) for k in range(len(b))]
+    ra, ca, rb, cb = (data.draw(dims) for _ in range(4))
+    a, b = data.draw(field_rows(field, ra, ca)), data.draw(field_rows(field, rb, cb))
+    got = matrix(field, a, ca).kron(matrix(field, b, cb)).to_rows()
+    want = [[a[i][j] * b[k][l] for j in range(ca) for l in range(cb)]
+            for i in range(ra) for k in range(rb)]
     assert got == want
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_column_kron_matches_entrywise(data):
+    """Column k of the product is column left[k] of a (x) column right[k] of b."""
+    field = data.draw(any_field)
+    ra, ca, rb, cb = (data.draw(dims) for _ in range(4))
+    a, b = data.draw(field_rows(field, ra, ca)), data.draw(field_rows(field, rb, cb))
+    c = data.draw(dims) if ca and cb else 0
+    left, right = (np.array(data.draw(st.lists(st.integers(0, max(width - 1, 0)), min_size=c, max_size=c)),
+                            dtype=np.intp) for width in (ca, cb))
+    got = matrix(field, a, ca).column_kron(matrix(field, b, cb), left, right)
+    assert got.shape == (ra * rb, c)
+    assert got.to_rows() == [[a[i][l] * b[v][r] for l, r in zip(left, right)]
+                             for i in range(ra) for v in range(rb)]
 
 
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_scalar_mul_matches_entrywise(data):
     field = data.draw(ext_field)
-    a = data.draw(field_rows(field))
+    a = data.draw(field_rows(field, cols=data.draw(st.integers(1, 5))))
     s = field.from_index(data.draw(st.integers(0, field.order - 1)))
     got = ExactMatrix.from_rows(field, a).scalar_mul(s).to_rows()
     assert got == [[x * s for x in row] for row in a]
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_frobenius_matches_entrywise(data):
+    """frobenius(e) is x -> x^(p^e) on every entry, for e = 0, 1, n and n + 1."""
+    field = data.draw(any_field)
+    rows, cols = data.draw(dims), data.draw(dims)
+    a = data.draw(field_rows(field, rows, cols))
+    m = matrix(field, a, cols)
+    for e in (0, 1, field.n, field.n + 1):
+        got = m.frobenius(e)
+        assert got.shape == (rows, cols)
+        assert got.to_rows() == [[x ** (field.p ** e) for x in row] for row in a]
 
 
 # -- elimination -----------------------------------------------------------------------
@@ -183,7 +226,8 @@ def test_scalar_mul_matches_entrywise(data):
 @settings(max_examples=60, deadline=None)
 def test_extension_rank_and_kernel_match_convolution_elimination(data):
     field = data.draw(ext_field)
-    m = ExactMatrix.from_rows(field, data.draw(field_rows(field)))
+    cols = data.draw(dims)
+    m = matrix(field, data.draw(field_rows(field, cols=cols)), cols)
     _, pivots = conv_rref(field, m._data)
     assert m.rank() == len(pivots)
     assert m.kernel_basis() == conv_kernel_basis(field, m._data)
@@ -193,7 +237,8 @@ def test_extension_rank_and_kernel_match_convolution_elimination(data):
 @settings(max_examples=60, deadline=None)
 def test_prime_rank_and_kernel_match_convolution_elimination(data):
     field = data.draw(prime_field)
-    m = ExactMatrix.from_rows(field, data.draw(field_rows(field, cols=data.draw(st.integers(1, 8)))))
+    cols = data.draw(st.integers(0, 8))
+    m = matrix(field, data.draw(field_rows(field, cols=cols)), cols)
     _, pivots = conv_rref(field, m._data)
     assert m.rank() == len(pivots)
     assert m.kernel_basis() == conv_kernel_basis(field, m._data)

@@ -10,7 +10,7 @@ import pytest
 from jtcalc.errors import DomainMismatchError, JTCalcError, NotNilpotentError
 from jtcalc.fields import GF, TruncatedCurveRing
 from jtcalc.jordan import jt_of_nilpotent
-from jtcalc.linalg import ExactMatrix
+from jtcalc.linalg import ExactMatrix, _Pointwise
 from jtcalc.modules import (
     Explicit,
     Std,
@@ -222,7 +222,7 @@ def test_homotopy_checks_exp_then_full(name):
 def test_homotopy_checks_the_sum(monkeypatch, name):
     """No tuple found makes both operators p-nilpotent and their sum not, so the operators are
     replaced: e12 and e21 over GF(2), whose sum squares to the identity."""
-    ring = batch._Pointwise(F2)
+    ring = _Pointwise(F2)
     ops = {"exp": E12_2._data[:, :, 0], "full": E21_2._data[:, :, 0]}
     monkeypatch.setattr(theta_mod, "_stack_operator", lambda e, tup, variant: (ring, ops[variant]))
     tup = CommutingTuple.gl([E12_2], validated=False)

@@ -159,8 +159,7 @@ def polyring_semicontinuity(curve, e, variant):
     ring1 = generic_tup.domain
     generic_jt = jt_of_nilpotent(of_univariate(theta), chart.p)
     if chart.kind == KIND_GL:
-        mats = [of_univariate(m) for m in generic_tup.mats]
-        report = validate_commuting_tuple(mats, chart.p)
+        report = validate_commuting_tuple(generic_tup.mats, chart.p)
         if report is not None:
             raise NotNilpotentError(report)
     special_jt = jt_at_point(e, chart.tuple_at(curve.special_values(ring1.field)), variant)

@@ -22,7 +22,7 @@ from jtcalc import batch
 from jtcalc import theta as theta_mod
 from jtcalc.errors import ChartError, JTCalcError
 from jtcalc.fields import GF
-from jtcalc.linalg import ExactMatrix, _gfp_rref
+from jtcalc.linalg import ExactMatrix, _gfp_rref, _Pointwise
 from jtcalc.modules import load_explicit_file, parse_module_expr
 from jtcalc.strata import builtin_chart, enumerate_points, parse_chart, tabulate_jt, verify_closed_stratum
 from jtcalc.theta import CommutingTuple, jt_at_point, scale_tuple
@@ -180,8 +180,8 @@ def test_validated_tuple_lifts_its_matrices_once(field):
     values = next(v for v, tup in enumerate_points(chart, field, budget=1, samples=20, seed=1)
                   if all(not m.is_zero() for m in tup.mats))
     lifts = []
-    lift = batch._Pointwise.lift
-    with mock.patch.object(batch._Pointwise, "lift", lambda self, data: lifts.append(1) or lift(self, data)):
+    lift = _Pointwise.lift
+    with mock.patch.object(_Pointwise, "lift", lambda self, data: lifts.append(1) or lift(self, data)):
         tup = chart.tuple_at(values)
         after_validation = len(lifts)
         jt = jt_at_point(e, tup, "full")

@@ -20,7 +20,6 @@ from jtcalc.theta import (
     CommutingTuple,
     _one_param,
     conjugate_tuple,
-    ga_curve_element,
     homotopy_theta,
     jt_at_point,
     jt_exp_infinite,
@@ -32,6 +31,7 @@ from jtcalc.theta import (
     theta_multi_ga,
     theta_variant,
 )
+from theta_oracles import ga_curve_element
 
 F3, F5 = GF(3), GF(5)
 E3 = ExactMatrix.from_rows(F3, [[0, 1], [0, 0]])

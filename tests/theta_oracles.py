@@ -5,7 +5,8 @@
 its minors there.  Before, both went through `modules.eval_unipotent` on truncated
 curve rings over the point's domain, and the minors through
 `ExactMatrix.minors`; that route is kept here verbatim, for any domain the
-object arithmetic supports.
+object arithmetic supports, with the additive curve point it reads
+(`ga_curve_element`).
 """
 
 from jtcalc.batch import _check_pairing, by_variant
@@ -20,7 +21,17 @@ from jtcalc.modules import (
     texp_matrix,
 )
 from jtcalc.strata import SYMBOLIC_DIM_CAP
-from jtcalc.theta import KIND_GA, KIND_GL, KIND_MULTI_GA, _one_param, _trunc_ring, ga_curve_element
+from jtcalc.theta import KIND_GA, KIND_GL, KIND_MULTI_GA, _one_param, _trunc_ring
+
+
+def ga_curve_element(tup):
+    """The additive one-parameter point  c(t) = sum_s a_s t^(p^s)."""
+    ring = _trunc_ring(tup)
+    coeffs = {}
+    for s, a in enumerate(tup.scalars()):
+        if not a.is_zero():
+            coeffs[tup.p**s] = a
+    return TruncElement(ring, coeffs)
 
 
 def _explicit_leaves(e):

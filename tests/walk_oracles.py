@@ -6,13 +6,14 @@ at a time from the base-p digits of the degree.  Before, every node
 multiplied out every t-degree up to the truncation, and the group element
 was the product of the per-factor exponentials (`pair_mul`).  That walk is
 kept here as it was, with its own series arithmetic, for every coefficient
-ring of `batch` (`_Pointwise`, `_Polys`, `monomials._Monomials`).
+ring of the walker (`linalg._Pointwise`, `batch._Polys`, `monomials._Monomials`).
 """
 
 import numpy as np
 
-from jtcalc.batch import KIND_GL, KIND_MULTI_GA, _explicit_terms, _Pointwise, _Polys, by_variant
+from jtcalc.batch import KIND_GL, KIND_MULTI_GA, _explicit_terms, _Polys, by_variant
 from jtcalc.errors import JTCalcError
+from jtcalc.linalg import _Pointwise
 from jtcalc.modules import (
     DirectSum,
     Dual,
