@@ -33,17 +33,20 @@ the messages of the per-point sweep (`enumerate_points`, `CommutingTuple`,
 `jt_at_point`), which the tests keep as the reference.
 
 Along a curve (`curve_operator`) the same series and module walker run on
-a second coefficient ring, `_Polys`: each coefficient is an (S, m, m, n)
-stack of the GF(p^n) coordinates of a polynomial in the curve parameter s.
-Products convolve along s, and a twist Tw(i) stretches s by p^i as well as
-t and maps the coordinates by Frobenius.  Explicit leaves act through a
-stack form of `eval_ga_point` and `texp_element`.  A single finite-field
-point (`theta`) is a P = 1 `_Pointwise` stack, validated by `_validate` and
-ranked by `_point_type`.
+`_Polys`, the `_Pointwise` ring whose point axis is the coefficient axis of
+the curve parameter s: each coefficient is the (S, m n, m n) stack of the
+blocks of a polynomial in s, the layout the GF(p)[x] kernel of `linalg`
+multiplies and ranks.  Products convolve the `_Pointwise` products along
+s, and a twist Tw(i) stretches s by p^i as well as t.  Explicit leaves act
+through a stack form of `eval_ga_point` and `texp_element`, their terms
+one-point `_Pointwise` stacks, constants of every ring.  A single
+finite-field point (`theta`) is a P = 1 `_Pointwise` stack, validated by
+`_validate`; a point and a curve are ranked by the same loop over the
+powers of the operator (`_jordan_type`).
 
 A point with entries in a `PolyRing` (the chart's symbolic tuple) runs on
-a third ring, `monomials._Monomials`, whose stacks hold one coefficient
-matrix per monomial.
+`monomials._Monomials`, a `_Pointwise` ring whose stacks hold one
+coefficient matrix per monomial.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ import numpy as np
 
 from .errors import ChartError, DomainMismatchError, JTCalcError, NotNilpotentError
 from .jordan import RankProfile, jt_from_rank_profile
-from .linalg import _block_rank, _convolve, _frobenius_power, _Pointwise, _px_trim, _regular
+from .linalg import _convolve, _Pointwise, _px_rank, _px_trim, _regular
 from .modules import (
     DirectSum,
     Dual,
@@ -228,9 +231,11 @@ class _CompiledPolys:
         return (self.matrix @ mono % p) @ weights
 
     def at_stacks(self, ring, values):
-        """Values at a point of polynomials in one variable over GF(p^n): `values[v]`, for
-        each variable v that occurs, is a `_Polys` stack (S, 1, 1, n).  Returns an
-        (len(polys), S, n) array of coefficients."""
+        """Values along a curve, on the stacks of a `_Polys` ring: `values[v]`, for each
+        variable v that occurs, is the (S, n, n) stack of a 1 x 1 matrix.  Returns the
+        (len(polys), S, n, n) stacks of the values, padded to one length S.
+
+        A value is a GF(p)-linear combination of monomials, and so is its block."""
         mono = []
         for factors in self.monomials:
             m = None
@@ -239,11 +244,12 @@ class _CompiledPolys:
                     m = values[v] if m is None else ring.reduce(ring.matmul(m, values[v]))
             mono.append(ring.identity(1) if m is None else m)
         length = max((len(m) for m in mono), default=1)
-        table = np.zeros((len(mono), length, ring.n), dtype=np.int64)
+        n = ring.n
+        table = np.zeros((len(mono), length, n, n), dtype=np.int64)
         for i, m in enumerate(mono):
-            table[i, :len(m)] = m[:, 0, 0]
-        flat = self.matrix @ table.reshape(len(mono), length * ring.n) % self.p
-        return flat.reshape(len(self.rows), length, ring.n)
+            table[i, :len(m)] = m
+        flat = self.matrix @ table.reshape(len(mono), length * n * n) % self.p
+        return flat.reshape(len(self.rows), length, n, n)
 
 
 @lru_cache(maxsize=None)
@@ -454,7 +460,9 @@ class _Sweep:
         emitted = attempts = 0
         limit = max(100 * samples, 1000)
         while emitted < samples and attempts < limit:
-            n = min(chunk, limit - attempts)
+            # the attempts that the acceptance so far expects the missing samples to take
+            need = chunk if not emitted else -(-(samples - emitted) * attempts // emitted)
+            n = min(need, chunk, limit - attempts)
             attempts += n
             values = accepted(_randrange(rng, q, n * k).reshape(n, k))[: samples - emitted]
             emitted += len(values)
@@ -564,72 +572,31 @@ def _first_invalid(ring, mats):
 # -- coefficient rings: what a series in t holds at each degree ------------------------
 #
 # Points over GF(q) are stacks of `linalg._Pointwise`; this module adds the
-# ring of polynomials along a curve.
+# ring of polynomials along a curve, the same stacks with the point axis read
+# as the coefficient axis of the curve parameter.
 
 
-class _Polys:
+class _Polys(_Pointwise):
     """Polynomials over GF(q), q = p^n, in a curve parameter s.
 
-    A matrix is an (S, rows, cols, n) stack: the GF(p^n) coordinates of its
-    s^0, ..., s^(S-1) coefficients, reduced mod p; `reduce` also drops
-    trailing zero coefficients, keeping one.  This is the layout of the
-    GF(p)[x] kernel in `linalg` with a coordinate axis added, and every
-    product is its convolution along the s axis (`linalg._convolve`).
-    Over GF(p^n) the right factor enters through its regular representation
-    (`linalg._regular`), so the field's modulus reduces the coordinates;
-    n = 1 is the same code with a 1 x 1 regular representation.
+    A matrix is the (S, rows n, cols n) stack of the `_Pointwise` blocks of
+    its s^0, ..., s^(S-1) coefficients, the layout of the GF(p)[x] kernel
+    of `linalg`; `reduce` also drops trailing zero coefficients, keeping
+    one.  What acts on single coefficients (`lift`, `lmul`, `transpose`,
+    `columns`, `identity`) is `_Pointwise`'s, and every product is the
+    convolution along s of a `_Pointwise` product (`linalg._convolve`).  A
+    twist Tw(i) stretches s by p^i as well as mapping each coefficient by
+    Frobenius.  The rank is the one over GF(q)(s) (`linalg._px_rank`).
     """
 
-    def __init__(self, field):
-        self.field = field
-        self.p = field.p
-        self.n = field.n
-
-    def _reg(self, b):
-        """out[..., a, c]: coordinate c of x^a times each entry of b."""
-        return b[..., None] if self.n == 1 else _regular(self.field, b)
-
-    @staticmethod
-    def dim(m):
-        return m.shape[1]
-
-    @staticmethod
-    def lift(data):
-        return data[None]
-
-    @staticmethod
-    def columns(idx):
-        return idx
-
-    @staticmethod
-    def transpose(m):
-        return np.swapaxes(m, 1, 2)
-
-    def matmul(self, a, b):
-        sa, r, k, n = a.shape
-        sb, c = len(b), b.shape[2]
-        breg = self._reg(b).transpose(0, 1, 3, 2, 4).reshape(sb, k * n, c * n)
-        return _convolve(a.reshape(sa, r, k * n), breg).reshape(sa + sb - 1, r, c, n)
+    matmul = staticmethod(_convolve)
 
     def kron(self, a, b):
-        sa, ra, ca, n = a.shape
-        sb, rb, cb = b.shape[:3]
-        breg = self._reg(b).transpose(0, 3, 1, 2, 4).reshape(sb, n, rb * cb * n)
-        out = _convolve(a.reshape(sa, ra * ca, n), breg).reshape(sa + sb - 1, ra, ca, rb, cb, n)
-        return out.transpose(0, 1, 3, 2, 4, 5).reshape(sa + sb - 1, ra * rb, ca * cb, n)
+        return _convolve(a, b, super().kron, a[0].size * b[0].size // self.n**2)
 
     def outer_columns(self, x, y):
         """Column-wise tensor products: out[:, i*n + v, c] = x[:, i, c] * y[:, v, c]."""
-        sa, rx, c, n = x.shape
-        sb, ry = y.shape[:2]
-        yreg = self._reg(y).transpose(0, 2, 3, 1, 4).reshape(sb, c, n, ry * n)
-        out = _convolve(x.transpose(0, 2, 1, 3), yreg).reshape(sa + sb - 1, c, rx, ry, n)
-        return out.transpose(0, 2, 3, 1, 4).reshape(sa + sb - 1, rx * ry, c, n)
-
-    @staticmethod
-    def lmul(mu, m):
-        s, k, c, n = m.shape
-        return (mu @ m.reshape(s, k, c * n)).reshape(s, len(mu), c, n)
+        return _convolve(x, y, super().outer_columns, x[0].size * y.shape[1] // self.n)
 
     @staticmethod
     def add(a, b, into=False):
@@ -645,22 +612,21 @@ class _Polys:
         return _px_trim(m % self.p)
 
     def frobenius(self, m, i):
-        """Coefficientwise x -> x^(p^i): s is stretched to s^(p^i) and GF(p^n) coordinates map by Frobenius."""
+        """Coefficientwise x -> x^(p^i): s is stretched to s^(p^i) and each coefficient maps by Frobenius."""
         if i == 0:
             return m
         q = self.p**i
         out = np.zeros(((len(m) - 1) * q + 1,) + m.shape[1:], dtype=np.int64)
-        out[::q] = m if self.n == 1 else m @ _frobenius_power(self.field, i).T % self.p
-        return out
-
-    def identity(self, d):
-        out = np.zeros((1, d, d, self.n), dtype=np.int64)
-        out[0, :, :, 0] = np.eye(d, dtype=np.int64)
+        out[::q] = super().frobenius(m, i)
         return out
 
     @staticmethod
     def nonzero(m):
         return np.array([m.any()])
+
+    def rank(self, m):
+        """The rank over GF(q)(s) of a matrix of the ring."""
+        return _px_rank(m, self.p) // self.n
 
 
 # -- series in t over a coefficient ring --------------------------------------------------
@@ -716,13 +682,13 @@ class _Series:
 
     @staticmethod
     def block_diag(a, b):
-        ra, ca = a[0].shape[1:3]
-        rb, cb = b[0].shape[1:3]
+        ra, ca = a[0].shape[1:]
+        rb, cb = b[0].shape[1:]
         out = {}
         for d in sorted(set(a) | set(b)):
             ma, mb = a.get(d), b.get(d)
             lead = max(len(x) for x in (ma, mb) if x is not None)
-            m = np.zeros((lead, ra + rb, ca + cb) + a[0].shape[3:], dtype=np.int64)
+            m = np.zeros((lead, ra + rb, ca + cb), dtype=np.int64)
             if ma is not None:
                 m[:len(ma), :ra, :ca] = ma
             if mb is not None:
@@ -933,7 +899,9 @@ def _module(series, e, element=None, leaves=None):
             return [series.power(a, node.d, ext, steps[::-1]) for a in walk(node.inner, inner)]
         if isinstance(node, Twist):
             q = p**node.i
-            return [series.twist(a, node.i) for a in walk(node.inner, {d // q for d in want if d % q == 0})]
+            # `series.twist`, but every node's degree-0 coefficient is the identity, which a twist keeps
+            return [{d * q: ring.frobenius(m, node.i) if d else m for d, m in a.items() if d * q <= series.top}
+                    for a in walk(node.inner, {d // q for d in want if d % q == 0})]
         raise JTCalcError(f"unknown module node {node!r}")
 
     return walk(e, {0, series.top})
@@ -964,12 +932,14 @@ def _gl_operator(ring, mats, e, variant, with_inv):
 
 
 def curve_operator(ring, kind, e, variant, mats):
-    """The variant's operator along a curve as a `_Polys` stack (S, m, m, n) of s-coefficients.
+    """The variant's operator on the stacks of a `_Pointwise` ring: along a curve, the `_Polys`
+    stack (S, m n, m n) of its s-coefficients.
 
-    mats holds the tuple along the curve, one `_Polys` stack per matrix
-    (1 x 1 for the additive kinds); the module's pairing with the kind is
-    checked by the caller.  Points come as `_Pointwise` stacks instead,
-    giving a (P, m n, m n) stack.  This is `theta_variant` over GF(q)[s],
+    mats holds the tuple, one stack of the ring per matrix (1 x 1 for the
+    additive kinds); the module's pairing with the kind is checked by the
+    caller.  Points come as `_Pointwise` stacks, giving the (P, m n, m n)
+    stack of the operators at the points, and polynomial points as
+    `monomials._Monomials` stacks.  This is `theta_variant` over GF(q)[s],
     term for term: a `gl` tuple goes through `_gl_operator`; Explicit leaves
     act through `eval_ga_point` (`ga`: c = sum_s a_s t^(p^s), and a_s t
     alone for factor s of the exponential operator) or through the product
@@ -978,10 +948,7 @@ def curve_operator(ring, kind, e, variant, mats):
     with_inv = _contains_dual(e)
     if kind == KIND_GL:
         return _gl_operator(ring, mats, e, variant, with_inv)
-    # constants of `monomials._Monomials` are those of `_Pointwise`, one slice
-    constants = _Polys if isinstance(ring, _Polys) else _Pointwise
-    leaves = {leaf: _explicit_terms(leaf, constants, ring.field) for leaf in e.leaves()
-              if isinstance(leaf, Explicit)}
+    leaves = {leaf: _explicit_terms(leaf, ring.field) for leaf in e.leaves() if isinstance(leaf, Explicit)}
     if not leaves:
         raise JTCalcError("module evaluation needs a group element or additive point")
     p, r = ring.p, len(mats)
@@ -1009,9 +976,10 @@ def curve_operator(ring, kind, e, variant, mats):
 
 
 @lru_cache(maxsize=64)
-def _explicit_terms(leaf, ring_type, field):
-    """alpha^i / i! (i < p) for each action matrix alpha of the leaf, as one-point stacks of the ring."""
-    ring = ring_type(field)
+def _explicit_terms(leaf, field):
+    """alpha^i / i! (i < p) for each action matrix alpha of the leaf, as one-point `_Pointwise`
+    stacks: constants of every ring of the walker."""
+    ring = _Pointwise(field)
     p = ring.p
     out = []
     for alpha in leaf.matrices:
@@ -1062,24 +1030,28 @@ def _rank_profiles(op, p, variant):
 
 
 def _point_type(ring, op, variant):
-    """Jordan type of one operator op (the matrix of a P = 1 `_Pointwise` stack), as `jt_at_point`.
+    """Jordan type of one operator op (the matrix of a P = 1 `_Pointwise` stack), as `jt_at_point`."""
+    return _jordan_type(ring, op, f"{variant} operator is not p-nilpotent")
 
-    Powers are integer products mod p; a rank is taken by block pivots on the
-    regular-representation blocks (`linalg._block_rank`).  op^p must vanish,
-    the one nilpotency check.
+
+def _jordan_type(ring, op, report):
+    """Jordan type of one operator op of the ring (a `_Pointwise` matrix, or a `_Polys` one
+    along a curve), from the ranks of its powers (`ring.rank`).
+
+    op^p must vanish, the one nilpotency check; otherwise NotNilpotentError(report).
     """
-    p = ring.p
+    p, rank, matmul, reduce = ring.p, ring.rank, ring.matmul, ring.reduce
     ranks = []
     power = op
     for _ in range(1, p):
         if power.any():
-            ranks.append(_block_rank(power, p, ring.n))
-            power = power @ op % p
+            ranks.append(rank(power))
+            power = reduce(matmul(power, op))
         else:
             ranks.append(0)
     if power.any():
-        raise NotNilpotentError(f"{variant} operator is not p-nilpotent")
-    return jt_from_rank_profile(RankProfile(p, len(op) // ring.n, tuple(ranks)))
+        raise NotNilpotentError(report)
+    return jt_from_rank_profile(RankProfile(p, ring.dim(op), tuple(ranks)))
 
 
 def _ranks(m, p):

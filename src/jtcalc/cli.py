@@ -186,8 +186,6 @@ def _parser():
 
     sp = sub.add_parser("suite", help="run the acceptance/property battery")
     sp.add_argument("--level", default="full", choices=["quick", "full"])
-    sp.add_argument("--p", type=int, default=3)
-    sp.add_argument("--seed", type=int, default=42)
     return ap
 
 
@@ -408,7 +406,7 @@ def _cmd_suite(args, out):
             status = "XPASS (unexpected; investigate)"
             hard_fail += 1
         out.write(f"{status:<28} {r.name}  [{r.elapsed:.2f}s/{r.limit:.0f}s]  {r.details}\n")
-    out.write(f"suite level={args.level} seed={args.seed}: {len(results)} checks, {hard_fail} hard failures\n")
+    out.write(f"suite level={args.level}: {len(results)} checks, {hard_fail} hard failures\n")
     return 0 if hard_fail == 0 else 1
 
 

@@ -18,11 +18,16 @@ Rank and kernels are only defined over fields.  A GF(q) rank comes from
 block pivots on the regular representation (`_block_rank`).  The reduced
 echelon form behind kernels and inverses is the GF(p) one of the regular
 representation (`_gfp_rref`: pivots inverted by Fermat's little theorem,
-one outer-product update per pivot), read back from the blocks.  Over
-GF(q)(x) elimination clears denominators and runs fraction-free (Bareiss)
-on dense integer coefficient stacks over GF(p)[x], through the regular
-representation when n > 1; the same kernel takes the powers and ranks of
-polynomial operators along a curve.
+one outer-product update per pivot), read back from the blocks.
+
+A matrix over GF(q)[x] is the same block layout with the point axis read
+as the coefficient axis: its (L, rows n, cols n) stack holds the lifted
+x^0, ..., x^(L-1) coefficients.  Products convolve along that axis
+(`_convolve`, any `_Pointwise` product on the broadcast grid of coefficient
+pairs), and ranks over GF(q)(x) come from fraction-free (Bareiss)
+elimination on the stack (`_px_rank`).  Over GF(q)(x) a matrix clears its
+denominators into such a stack; the operator along a curve
+(`batch._Polys`) is one.
 """
 
 from __future__ import annotations
@@ -181,36 +186,33 @@ class _Pointwise:
         return m.reshape(rows, n, cols, n)[:, :, :, 0].transpose(0, 2, 1)
 
     def _blocks(self, m):
-        """(P, rows, cols, n, n): the block of each entry."""
-        count, rows, cols = m.shape
-        n = self.n
-        return m.reshape(count, rows // n, n, cols // n, n).transpose(0, 1, 3, 2, 4)
-
-    @staticmethod
-    def _unblocks(b):
-        count, rows, cols, n = b.shape[:4]
-        return b.transpose(0, 1, 3, 2, 4).reshape(count, rows * n, cols * n)
+        """(..., rows, cols, n, n): the block of each entry."""
+        s, n = m.shape, self.n
+        return m.reshape(s[:-2] + (s[-2] // n, n, s[-1] // n, n)).swapaxes(-3, -2)
 
     def kron(self, a, b):
+        """Kronecker products point by point; the leading axes of a and b broadcast."""
         if self.n > 1:
-            ba, bb = self._blocks(a), self._blocks(b)
-            count, ra, ca, n = ba.shape[:4]
-            rb, cb = bb.shape[1:3]
-            prod = ba[:, :, None, :, None] @ bb[:, None, :, None, :]
-            return self._unblocks(prod.reshape(count, ra * rb, ca * cb, n, n))
-        count, ra, ca = a.shape
-        rb, cb = b.shape[1:]
-        return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(count, ra * rb, ca * cb)
+            # (..., ra, rb, ca, cb, n, n) blocks, laid out as rows (ra, rb, n) and columns (ca, cb, n)
+            prod = self._blocks(a)[..., :, None, :, None, :, :] @ self._blocks(b)[..., None, :, None, :, :, :]
+            s = prod.shape
+            rows, cols = s[-6] * s[-5] * s[-2], s[-4] * s[-3] * s[-1]
+            return prod.swapaxes(-4, -2).swapaxes(-3, -2).reshape(s[:-6] + (rows, cols))
+        prod = a[..., :, None, :, None] * b[..., None, :, None, :]
+        s = prod.shape
+        return prod.reshape(s[:-4] + (s[-4] * s[-3], s[-2] * s[-1]))
 
     def outer_columns(self, x, y):
-        """Column-wise tensor products: out[:, i*n + v, c] = x[:, i, c] * y[:, v, c]."""
+        """Column-wise tensor products: out[..., i*n + v, c] = x[..., i, c] * y[..., v, c]; the
+        leading axes of x and y broadcast."""
         if self.n > 1:
-            bx, by = self._blocks(x), self._blocks(y)
-            count, rx, c, n = bx.shape[:4]
-            prod = bx[:, :, None] @ by[:, None]
-            return self._unblocks(prod.reshape(count, rx * by.shape[1], c, n, n))
-        count, rx, c = x.shape
-        return (x[:, :, None, :] * y[:, None, :, :]).reshape(count, rx * y.shape[1], c)
+            # (..., rx, ry, c, n, n) blocks, laid out as rows (rx, ry, n) and columns (c, n)
+            prod = self._blocks(x)[..., :, None, :, :, :] @ self._blocks(y)[..., None, :, :, :, :]
+            s = prod.shape
+            return prod.swapaxes(-3, -2).reshape(s[:-5] + (s[-5] * s[-4] * s[-2], s[-3] * s[-1]))
+        prod = x[..., :, None, :] * y[..., None, :, :]
+        s = prod.shape
+        return prod.reshape(s[:-3] + (s[-3] * s[-2], s[-1]))
 
     def lmul(self, mu, m):
         """mu (an integer matrix) times m: mu (x) I_n on the blocks."""
@@ -234,7 +236,9 @@ class _Pointwise:
         """The transposes: blocks swap places, each block stays as it is."""
         if self.n == 1:
             return np.swapaxes(m, 1, 2)
-        return self._unblocks(self._blocks(m).swapaxes(1, 2))
+        count, rows, cols = m.shape
+        n = self.n
+        return m.reshape(count, rows // n, n, cols // n, n).transpose(0, 3, 2, 1, 4).reshape(count, cols, rows)
 
     @staticmethod
     def add(a, b, into=False):
@@ -266,6 +270,10 @@ class _Pointwise:
     @staticmethod
     def nonzero(m):
         return m.any(axis=(1, 2))
+
+    def rank(self, m):
+        """The GF(q) rank of one matrix of the stack, by block pivots (`_block_rank`)."""
+        return _block_rank(m, self.p, self.n)
 
 
 @lru_cache(maxsize=None)
@@ -385,9 +393,10 @@ def _det_subset_dp(domain, entries, rows, cols):
 # FFLAS/FFPACK, ACM TOMS 2008).  Over GF(p^n), n > 1, a matrix is stacked as
 # its (rows*n) x (cols*n) GF(p)[x] regular representation, each coefficient
 # lifted as a matrix of a `_Pointwise` stack; GF(p^n)(x) is a
-# degree-n extension of GF(p)(x), so ranks divide by n.  The operator along a
-# curve (`batch._Polys`) keeps the same leading coefficient axis, with the
-# GF(p^n) coordinates on a last axis, and multiplies through `_convolve` too.
+# degree-n extension of GF(p)(x), so ranks divide by n.  This is the layout of
+# `batch._Polys`, the `_Pointwise` ring whose point axis is the coefficient
+# axis of a polynomial along a curve: the operator along a curve is built,
+# multiplied (`_convolve`) and ranked (`_px_rank`) in it.
 
 
 def _px_trim(M):
@@ -422,23 +431,30 @@ def _skew_sum(prod):
 _PAIR_CELLS = 1 << 13
 
 
-def _convolve(A, B):
+def _convolve(A, B, product=np.matmul, cells=None):
     """Unreduced product of two polynomials with matrix coefficients: out[k] = sum of
-    A[i] @ B[j] over i + j = k.
+    product(A[i], B[j]) over i + j = k.
 
-    A is (la, ..., r, k) and B is (lb, ..., k, c), with the same batch axes.
-    A block of A's coefficients is multiplied with all of B's in one
-    broadcast integer product of at most `_PAIR_CELLS` cells (one
-    coefficient of A at least), and its pairs are summed along anti-diagonals.
+    product takes leading axes that broadcast, as np.matmul does, and
+    `cells` is the size of its value on one pair of coefficients; by
+    default, that of the matrix product of A's (la, ..., r, k) and B's
+    (lb, ..., k, c) coefficients.  A block of A's coefficients goes
+    against all of B's in one product on the broadcast grid of pairs,
+    product(A[block, None], B[None]), of at most `_PAIR_CELLS` cells (one
+    coefficient of A at least), and its pairs are summed along
+    anti-diagonals.
     """
     la, lb = len(A), len(B)
-    cells = lb * math.prod(A.shape[1:-1]) * B.shape[-1]
-    step = max(1, _PAIR_CELLS // max(cells, 1))
+    if cells is None:
+        cells = math.prod(A.shape[1:-1]) * B.shape[-1]
+    step = max(1, _PAIR_CELLS // max(lb * cells, 1))
     if step >= la:
-        return _skew_sum(A[:, None] @ B[None])
-    out = np.zeros((la + lb - 1,) + A.shape[1:-1] + B.shape[-1:], dtype=np.int64)
+        return _skew_sum(product(A[:, None], B[None]))
+    out = None
     for start in range(0, la, step):
-        part = _skew_sum(A[start:start + step, None] @ B[None])
+        part = _skew_sum(product(A[start:start + step, None], B[None]))
+        if out is None:
+            out = np.zeros((la + lb - 1,) + part.shape[1:], dtype=np.int64)
         out[start:start + len(part)] += part
     return out
 
@@ -532,38 +548,6 @@ def _px_stack(field, rows):
             for e, v in entry.items():
                 data[e, i, j] = field.embed(v).coeffs
     return _Pointwise(field).lift(data)
-
-
-class _PolyMatrix:
-    """A matrix over GF(p^n)[x] as the GF(p)[x] stack of its regular representation.
-
-    It has what `jordan.jt_of_nilpotent` reads: shape, `is_zero`, `@` and
-    the rank over GF(p^n)(x).
-    """
-
-    __slots__ = ("rows", "cols", "n", "p", "_data")
-
-    def __init__(self, rows, cols, n, p, data):
-        self.rows = rows
-        self.cols = cols
-        self.n = n
-        self.p = p
-        self._data = data
-
-    @staticmethod
-    def of_coefficients(field, data):
-        """The matrix over GF(p^n)[x] whose x^k coefficient has the coordinates data[k]: slice k of
-        its stack is the `_Pointwise` lift of data[k]."""
-        return _PolyMatrix(data.shape[1], data.shape[2], field.n, field.p, _Pointwise(field).lift(data))
-
-    def is_zero(self):
-        return not self._data.any()
-
-    def rank(self):
-        return _px_rank(self._data, self.p) // self.n
-
-    def __matmul__(self, other):
-        return _PolyMatrix(self.rows, other.cols, self.n, self.p, _px_mmul(self._data, other._data, self.p))
 
 
 class ExactMatrix:

@@ -89,7 +89,8 @@ class _Monomials(_Pointwise):
 
     def _product(self, op, a, b):
         """op, a `_Pointwise` product, of every pair of nonzero slices, added into their product
-        monomial's slice; over blocks of pairs that keep within CHUNK_CELLS."""
+        monomial's slice; on the broadcast grid of pairs, over blocks of it that keep within
+        CHUNK_CELLS."""
         ia, ib = self._support(a), self._support(b)
         if not ia.any():
             index = ib[None]  # a is a constant: its products keep b's monomials
@@ -98,10 +99,11 @@ class _Monomials(_Pointwise):
         else:
             index = self._times(ia[:, None], ib[None])
         step = max(1, CHUNK_CELLS // max(1, len(ib) * a[0].size * b[0].size))
+        right = b[ib][None]
         out = None
         for start in range(0, len(ia), step):
-            rows = ia[start:start + step]
-            prod = op(np.repeat(a[rows], len(ib), axis=0), np.tile(b[ib], (len(rows), 1, 1)))
+            prod = op(a[ia[start:start + step], None], right)
+            prod = prod.reshape((prod.shape[0] * prod.shape[1],) + prod.shape[2:])
             if out is None:
                 out = np.zeros((index.max() + 1,) + prod.shape[1:], dtype=np.int64)
             np.add.at(out, index[start:start + step].ravel(), prod)

@@ -21,8 +21,8 @@ import numpy as np
 from . import batch
 from .errors import CapExceededError, ChartError, JTCalcError, ParseError
 from .fields import GF, Polynomial, PolyRing
-from .jordan import dominance_leq, jt_of_nilpotent, jt_rank
-from .linalg import ExactMatrix, _Pointwise, _PolyMatrix
+from .jordan import dominance_leq, jt_rank
+from .linalg import ExactMatrix, _Pointwise
 from .parsing import parse_field_spec, parse_polynomial
 from .theta import (
     KIND_GA,
@@ -518,11 +518,12 @@ class Curve:
     """A 1-parameter family inside a chart: each parameter becomes a polynomial in t.
 
     The polynomials are read once into integer arrays, the coordinates of
-    their t-coefficients over the curve's field.  The chart's compiled
-    templates and constraints are substituted on these as GF(q)[t]
-    coefficient stacks (`batch._Polys`), for the parameters they use: the
-    constraints once, here, and the templates when the curve is first
-    checked.
+    their t-coefficients over the curve's field.  Each enters the chart's
+    compiled templates and constraints, for the parameters they use, lifted
+    once to its `batch._Polys` stack: the regular-representation blocks of
+    its t-coefficients, the one layout of the operator along the curve.
+    The constraints are substituted once, here, and the templates when the
+    curve is first checked.
     """
 
     chart: Chart
@@ -563,25 +564,28 @@ class Curve:
         return tuple(out)
 
     def _substitute(self, compiled):
-        """The compiled polynomials along the curve: each parameter they use enters as a
-        (degree + 1, 1, 1, n) stack."""
-        coeffs = self._coefficients
-        stacks = {v: coeffs[v][:, None, None] for v, _, _ in compiled.powers}
-        return compiled.at_stacks(self._ring, stacks)
+        """The (len(polys), S, n, n) stacks of the compiled polynomials along the curve: each
+        parameter they use enters as the lifted (degree + 1, n, n) stack of its coordinates."""
+        ring, coeffs = self._ring, self._coefficients
+        stacks = {v: ring.lift(coeffs[v][:, None, None]) for v, _, _ in compiled.powers}
+        return compiled.at_stacks(ring, stacks)
 
     @cached_property
     def tuple_stacks(self):
-        """The tuple along the curve: one `batch._Polys` stack (S, N, N, n) per matrix, 1 x 1 for
-        the additive kinds."""
+        """The tuple along the curve: one `batch._Polys` stack (S, N n, N n) per matrix, 1 x 1
+        for the additive kinds."""
         chart, ring = self.chart, self._ring
         flat = self._substitute(chart._compiled_templates)
-        mats = flat.reshape(chart.r, chart.size, chart.size, flat.shape[1], ring.n)
+        mats = flat.reshape(chart.r, chart.size, chart.size, *flat.shape[1:])
         if chart.kind != KIND_GL:
             mats = mats[:, :1, :1]
-        return [ring.reduce(m.transpose(2, 0, 1, 3)) for m in mats]
+        r, rows, cols, length, n, _ = mats.shape
+        # each matrix's (rows, cols, S, n, n) blocks as its (S, rows n, cols n) stack
+        stacks = mats.transpose(0, 3, 1, 4, 2, 5).reshape(r, length, rows * n, cols * n)
+        return [ring.reduce(m) for m in stacks]
 
     def operator(self, e, variant):
-        """The variant's operator along the curve: an (S, m, m, n) stack of the coordinates of its
+        """The variant's operator along the curve: the `batch._Polys` stack (S, m n, m n) of its
         t^0, ..., t^(S-1) coefficients (`batch.curve_operator`)."""
         chart = self.chart
         by_variant(variant, None, None)
@@ -661,20 +665,20 @@ def semicontinuity_check(curve, e, variant="full"):
     """JT at the special point t=0 must lie below JT at the generic point of the curve.
 
     The operator is evaluated once along the curve, as a stack of its
-    GF(q)[t] coefficients (`Curve.operator`).  The generic type is
-    read from the ranks of its powers over GF(q)(t); the special type is the
-    type of its t^0 coefficient, since t -> 0 is a ring map, ranked on a
-    one-point stack as every single point is (`batch._point_type`).
+    GF(q)[t] coefficients (`Curve.operator`).  The generic type is read
+    from the ranks of its powers over GF(q)(t), the special type from
+    those of its t^0 coefficient, since t -> 0 is a ring map: that slice is
+    the matrix of a one-point stack, ranked as every single point is.  Both
+    go through the same loop over the powers (`batch._jordan_type`).
     """
     chart, field = curve.chart, curve.field
     op = curve.operator(e, variant)
-    generic_jt = jt_of_nilpotent(_PolyMatrix.of_coefficients(field, op), chart.p)
+    generic_jt = batch._jordan_type(curve._ring, op, f"matrix is not {chart.p}-nilpotent")
     if chart.kind == KIND_GL:
         curve.validate()
     # the special operator's p-th power vanishes, and its tuple is a point,
     # because the generic ones are
-    ring = _Pointwise(field)
-    special_jt = batch._point_type(ring, ring.lift(op[0])[0], variant)
+    special_jt = batch._point_type(_Pointwise(field), op[0], variant)
     ok = dominance_leq(special_jt, generic_jt)
     return SemicontReport(curve.label, variant, generic_jt.to_text(), special_jt.to_text(), ok)
 
@@ -704,10 +708,10 @@ def builtin_curves(chart, seed, count):
     else:
         widths = [3] * len(chart.params)
     draws = batch._randrange(random.Random(seed), p, count * sum(widths)).reshape(count, sum(widths))
-    # one (degree + 1, 1, count, 1) stack per drawn polynomial: a row of `count` of them
-    stacks = draws.T.astype(np.int64)[:, None, :, None]
-    drawn = [stacks[end - w:end] for w, end in zip(widths, itertools.accumulate(widths))]
     ring = batch._Polys(field)
+    # one (degree + 1, 1, count) stack per drawn polynomial: a row of `count` of them
+    stacks = ring.lift(draws.T.astype(np.int64)[:, None, :, None])
+    drawn = [stacks[end - w:end] for w, end in zip(widths, itertools.accumulate(widths))]
 
     def mul(x, y):
         return ring.outer_columns(x, y) % p
@@ -723,7 +727,7 @@ def builtin_curves(chart, seed, count):
     else:
         arrays = dict(zip(chart.params, drawn))
     residues = [field.from_int(c) for c in range(p)]
-    rows = {v: a[:, 0, :, 0].T.tolist() for v, a in arrays.items()}
+    rows = {v: a[:, 0].T.tolist() for v, a in arrays.items()}
     return [Curve(chart, {v: _polynomial(ring1, [residues[c] for c in rows[v][idx]]) for v in rows},
                   label=f"{chart.name}-curve-{seed}-{idx}")
             for idx in range(count)]

@@ -9,6 +9,9 @@ coordinate transpose, and the coordinates read back from the blocks.  Those
 kernels are the ones `linalg` ran on coordinates before every finite-field
 matrix went through the stack ring: each coordinate slice of one factor
 against the regular representation of the other (x^a times each entry).
+`kron` and `outer_columns` also take leading axes that broadcast, the grid
+of coefficient pairs of `batch._Polys` and `monomials._Monomials`; there
+they are checked against the products of one pair of points at a time.
 """
 
 import numpy as np
@@ -203,3 +206,45 @@ def test_identity_is_the_block_identity():
         one = np.zeros((2, 2, field.n), dtype=np.int64)
         one[[0, 1], [0, 1], 0] = 1
         assert np.array_equal(ring.identity(2), np.concatenate([ring.lift(one)] * 3))
+
+
+@st.composite
+def batched(draw, shape):
+    """A field, and two stacks with leading batch axes that broadcast against each other:
+    (2, 3) against (2, 3), (1, 3) or (2, 1), in either order."""
+    field = draw(st.sampled_from(FIELDS))
+    dims = [draw(st.integers(0, 3)) for _ in range(4)]
+    (ra, ca), (rb, cb) = shape(*dims)
+    lead = [(2, 3), draw(st.sampled_from([(2, 3), (1, 3), (2, 1)]))]
+    if draw(st.booleans()):
+        lead.reverse()
+    ring = _Pointwise(field)
+
+    def draw_stack(lead, rows, cols):
+        count = lead[0] * lead[1]
+        m = ring.lift(draw(coords(field, count * rows, cols)).reshape(count, rows, cols, field.n))
+        return m.reshape(lead + m.shape[1:])
+
+    return ring, draw_stack(lead[0], ra, ca), draw_stack(lead[1], rb, cb)
+
+
+def _per_point(product, a, b):
+    """product at each point of the broadcast batch grid, one pair of one-point stacks at a time."""
+    lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    a, b = np.broadcast_to(a, lead + a.shape[-2:]), np.broadcast_to(b, lead + b.shape[-2:])
+    return np.stack([product(a[i][None], b[i][None])[0] for i in np.ndindex(lead)]).reshape(
+        lead + product(a[(0,) * len(lead)][None], b[(0,) * len(lead)][None]).shape[1:])
+
+
+@given(batched(lambda ra, ca, rb, cb: ((ra, ca), (rb, cb))))
+@SETTINGS
+def test_kron_broadcasts_leading_axes(case):
+    ring, a, b = case
+    assert np.array_equal(ring.kron(a, b), _per_point(ring.kron, a, b))
+
+
+@given(batched(lambda ra, c, rb, _: ((ra, c), (rb, c))))
+@SETTINGS
+def test_outer_columns_broadcasts_leading_axes(case):
+    ring, a, b = case
+    assert np.array_equal(ring.outer_columns(a, b), _per_point(ring.outer_columns, a, b))

@@ -2,6 +2,8 @@ import io
 import json
 import sys
 
+import pytest
+
 from jtcalc.cli import main
 
 
@@ -128,10 +130,18 @@ def test_explicit_file_module(tmp_path):
 
 
 def test_suite_quick_level():
-    code, out, _ = run_cli(["suite", "--level", "quick", "--p", "3", "--seed", "42"])
+    code, out, _ = run_cli(["suite", "--level", "quick"])
     assert code == 0
     assert "hard failures" in out
     assert "0 hard failures" in out
+
+
+@pytest.mark.parametrize("option", [["--seed", "1"], ["--p", "3"]])
+def test_suite_takes_no_seed_or_characteristic(option):
+    """Each check of the suite has its own fixed seed and characteristic."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["suite", "--level", "quick", *option])
+    assert exc.value.code == 2
 
 
 def test_usage_without_command():

@@ -4,7 +4,9 @@
 its parent reads, and the `gl` group element is formed degree by degree
 from the base-p digits of the degree.  The oracle is the unrestricted walk
 (`walk_oracles`), which multiplied out every degree up to the truncation
-and built the group element as a product of per-factor exponentials.
+and built the group element as a product of per-factor exponentials.  Along
+a curve the oracle walks the coordinate ring that `batch._Polys` replaced
+(`poly_oracles.CoordinatePolys`), compared through `lift`.
 `linalg._block_rank` ranks regular-representation block matrices by
 fraction-free block steps; the oracle is the GF(p) row reduction
 `linalg._gfp_rref` of the same matrix.
@@ -22,7 +24,9 @@ from jtcalc.fields import GF, Polynomial, PolyRing
 from jtcalc.linalg import ExactMatrix, _block_rank, _gfp_rref, _Pointwise
 from jtcalc.modules import Dual, Tensor, parse_module_expr
 from jtcalc.monomials import _Monomials
+from jtcalc.strata import builtin_chart, enumerate_points
 from jtcalc.theta import CommutingTuple, _stack_operator, theta_exp, theta_full
+from poly_oracles import CoordinatePolys
 from test_point_stack import _commuting_family, explicit_leaves, module_trees
 
 FIELDS = [GF(2), GF(3), GF(5), GF(2, 2), GF(3, 2), GF(5, 2), GF(3, 3)]
@@ -109,9 +113,9 @@ def _pointwise_stacks(draw, field, shapes):
     return ring, [ring.lift(_draw_coords(draw, (ring.count, a, b, field.n), field.p)) for a, b in shapes]
 
 
-def _poly_stacks(draw, field, shapes):
-    """A `_Polys` ring, and one reduced stack of degree below 3 in s per shape."""
-    ring = _Polys(field)
+def _coordinate_stacks(draw, field, shapes):
+    """A `CoordinatePolys` ring, and one reduced stack of degree below 3 in s per shape."""
+    ring = CoordinatePolys(field)
     return ring, [ring.reduce(_draw_coords(draw, (draw(st.integers(1, 3)), a, b, field.n), field.p))
                   for a, b in shapes]
 
@@ -160,9 +164,17 @@ def _compare(ring_kind, field, kind, e, shapes, variant, draw):
             outs.append(op if isinstance(op, tuple) else ring.matrix(op))
         assert outs[0] == outs[1]
         return
-    ring, mats = (_pointwise_stacks if ring_kind == "pointwise" else _poly_stacks)(draw, field, shapes)
-    got = _outcome(curve_operator, ring, kind, e, variant, mats)
-    want = _outcome(oracle.curve_operator, ring, kind, e, variant, mats)
+    if ring_kind == "pointwise":
+        ring, mats = _pointwise_stacks(draw, field, shapes)
+        got = _outcome(curve_operator, ring, kind, e, variant, mats)
+        want = _outcome(oracle.curve_operator, ring, kind, e, variant, mats)
+    else:
+        # the block ring against the coordinate ring it replaced, through `lift`
+        coordinates, mats = _coordinate_stacks(draw, field, shapes)
+        ring = _Polys(field)
+        got = _outcome(curve_operator, ring, kind, e, variant, [ring.lift(m) for m in mats])
+        want = _outcome(oracle.curve_operator, coordinates, kind, e, variant, mats)
+        want = want if isinstance(want, tuple) else ring.lift(want)
     if isinstance(want, tuple):
         assert got == want
     else:
@@ -192,6 +204,25 @@ def test_named_trees_match_the_unrestricted_walk(text, r, variant):
         e = parse_module_expr(text)
         want = oracle.curve_operator(ring, KIND_GL, e, variant, mats)
         assert np.array_equal(curve_operator(ring, KIND_GL, e, variant, mats), want)
+
+
+def test_twists_pass_the_degree_zero_identity_through(monkeypatch):
+    """Every node's degree-0 coefficient is the identity, which Tw keeps: the Frobenius acts
+    only on the other coefficients (here the exp operator at a GF(27) point)."""
+    field = GF(3, 3)
+    chart = builtin_chart("sl2_line", 3, r=2)
+    tup = next(tup for _, tup in enumerate_points(chart, field, budget=1, samples=20, seed=1) if not tup.is_zero())
+    seen = []
+    frobenius = _Pointwise.frobenius
+
+    def recorded(self, m, i):
+        identity = np.broadcast_to(np.eye(m.shape[1], dtype=np.int64), m.shape)
+        seen.append(m.shape[1] == m.shape[2] and np.array_equal(m % self.p, identity))
+        return frobenius(self, m, i)
+
+    monkeypatch.setattr(_Pointwise, "frobenius", recorded)
+    theta_exp(parse_module_expr("Std(2)*Tw(1,Std(2))"), tup)
+    assert seen and not any(seen)
 
 
 # -- block-pivot ranks -----------------------------------------------------------------------

@@ -6,17 +6,18 @@ module walker on integer stacks.  The oracle here is the route they took
 before: `modules.eval_unipotent` on `texp_matrix` / `eval_ga_point` pairs of
 `ExactMatrix` objects over GF(q)[t]/t^(p^r), reading off t-coefficients.
 A second oracle is the route GF(p^n) points took before they ran on
-regular-representation blocks: a constant curve, S = 1 `batch._Polys`
-stacks of GF(p^n) coordinates.
+regular-representation blocks: a constant curve, S = 1 stacks of GF(p^n)
+coordinates of the ring `batch._Polys` replaced
+(`poly_oracles.CoordinatePolys`), walked by `walk_oracles`.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import walk_oracles
 from jtcalc import modules as modules_mod
 from jtcalc import theta as theta_mod
-from jtcalc.batch import _Polys, curve_operator
 from jtcalc.errors import JTCalcError
 from jtcalc.fields import GF, TruncatedCurveRing, TruncElement
 from jtcalc.jordan import jt_of_nilpotent
@@ -50,6 +51,7 @@ from jtcalc.theta import (
     theta_exp,
     theta_full,
 )
+from poly_oracles import CoordinatePolys
 
 FIELDS = [GF(2), GF(3), GF(5), GF(2, 2), GF(3, 2), GF(5, 2), GF(3, 3)]
 # GF(4), GF(8), GF(9), GF(25), GF(27), GF(81)
@@ -106,9 +108,11 @@ def oracle_operator(e, tup, variant):
 
 
 def coordinate_route_operator(e, tup, variant):
-    """The variant's operator as a constant curve of S = 1 `_Polys` stacks of GF(p^n) coordinates."""
+    """The variant's operator as a constant curve of S = 1 `CoordinatePolys` stacks of GF(p^n)
+    coordinates."""
     theta_mod._check_pairing(e, tup.kind, tup.p, tup.height)
-    op = curve_operator(_Polys(tup.domain), tup.kind, e, variant, [m._data[None] for m in tup.mats])
+    ring = CoordinatePolys(tup.domain)
+    op = walk_oracles.curve_operator(ring, tup.kind, e, variant, [m._data[None] for m in tup.mats])
     return ExactMatrix.from_coords(tup.domain, op[0])
 
 

@@ -18,14 +18,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jtcalc.batch import _jordan_type, _Polys
 from jtcalc.cli import main
 from jtcalc.errors import ChartError, JTCalcError, NotNilpotentError
 from jtcalc.fields import GF, PolyRing, RationalFunctionField, _up_divmod, _up_mul, _up_trim
 from jtcalc import linalg
-from jtcalc.jordan import RankProfile, dominance_leq, jt_from_rank_profile, jt_of_nilpotent
+from jtcalc.jordan import RankProfile, dominance_leq, jt_from_rank_profile
 from jtcalc.linalg import (
     ExactMatrix,
-    _PolyMatrix,
+    _Pointwise,
     _px_exact_div,
     _px_mmul,
     _px_rank,
@@ -145,10 +146,10 @@ def generic_tuple(chart, substitution):
 
 
 def of_univariate(matrix):
-    """The matrix over a univariate `PolyRing` (coefficients GF(p^n)) as a `_PolyMatrix`."""
+    """The matrix over a univariate `PolyRing` (coefficients GF(p^n)) as a `_Polys` stack."""
     field = matrix.domain.field
     rows = [[{e[0]: c for e, c in v.terms.items()} for v in row] for row in matrix._obj_rows()]
-    return _PolyMatrix(matrix.rows, matrix.cols, field.n, field.p, _px_stack(field, rows))
+    return _px_stack(field, rows)
 
 
 def polyring_semicontinuity(curve, e, variant):
@@ -157,7 +158,8 @@ def polyring_semicontinuity(curve, e, variant):
     generic_tup = generic_tuple(chart, curve.substitution)
     theta = theta_variant(e, generic_tup, variant)
     ring1 = generic_tup.domain
-    generic_jt = jt_of_nilpotent(of_univariate(theta), chart.p)
+    field = ring1.field
+    generic_jt = _jordan_type(_Polys(field), of_univariate(theta), f"matrix is not {field.p}-nilpotent")
     if chart.kind == KIND_GL:
         report = validate_commuting_tuple(generic_tup.mats, chart.p)
         if report is not None:
@@ -246,13 +248,11 @@ def test_convolution_memory_is_bounded():
     not every coefficient pair at once: on the kernel's stacks and on the curve operator's GF(9) stacks."""
     import tracemalloc
 
-    from jtcalc.batch import _Polys
-
     ring = _Polys(GF(3, 2))
     rng = np.random.default_rng(1)
     a, b = rng.integers(0, 5, (200, 4, 4)), rng.integers(0, 5, (200, 4, 4))
-    x, y = rng.integers(0, 3, (150, 3, 3, 2)), rng.integers(0, 3, (150, 3, 3, 2))
-    # all pairs at once would take 15 MB, 9 MB and 86 MB
+    x, y = (ring.lift(rng.integers(0, 3, (150, 3, 3, 2))) for _ in range(2))
+    # all pairs at once would take 15 MB, 6 MB and 58 MB
     for call in (lambda: linalg._convolve(a, b), lambda: ring.matmul(x, y), lambda: ring.kron(x, y)):
         tracemalloc.start()
         out = call()
@@ -317,7 +317,7 @@ def test_zero_and_empty_matrices(field):
         assert _kernel_rank(field, rows) == _bareiss_rank_upoly(field, rows) == 0
         ff = RationalFunctionField(field, "t")
         assert ExactMatrix.zeros(ff, *shape).rank() == 0
-    assert _PolyMatrix(0, 0, field.n, field.p, _px_stack(field, [])).rank() == 0
+    assert _Polys(field).rank(_px_stack(field, [])) == 0
 
 
 def test_kernel_reports_lost_exactness():
@@ -413,10 +413,11 @@ def _outcome(call):
 
 
 def assert_curve_matches(curve, e, variant):
-    """The operator entry for entry, the report or its error, and the special type."""
+    """The operator block for block (the PolyRing route lifted), the report or its error, and the
+    special type."""
     chart = curve.chart
-    want = _outcome(lambda: _coefficients(
-        theta_variant(e, generic_tuple(chart, curve.substitution), variant)))
+    want = _outcome(lambda: _Pointwise(curve.field).lift(_coefficients(
+        theta_variant(e, generic_tuple(chart, curve.substitution), variant))))
     got = _outcome(lambda: _trimmed(curve.operator(e, variant)))
     if isinstance(want, tuple):
         assert isinstance(got, tuple) and got == want

@@ -5,8 +5,9 @@ orbit reduction) and an operator chunk (one module walk) from
 `batch.CHUNK_CELLS`; `jordan_types` numbers orbits across the whole sweep.
 With CHUNK_CELLS patched down to a few cells every stage runs one or a few
 points at a time, and every report must be byte for byte the default one.
-Also here: the batched GF(p) ranks against `linalg._gfp_rref`, and the
-one lift of a finite-field tuple's matrices.
+Also here: the batched GF(p) ranks against `linalg._gfp_rref`, the one
+lift of a finite-field tuple's matrices, and the attempts a sampled sweep
+draws.
 """
 
 import json
@@ -208,3 +209,25 @@ def test_unvalidated_and_scaled_tuples_lift_their_own_matrices():
     assert [s[0].tolist() for s in stacks] == [[[0, 2], [0, 0]], [[0, 1], [0, 0]]]
     with pytest.raises(ValueError):
         stacks[0][0, 0, 1] = 1
+
+
+def test_sampled_sweeps_draw_about_the_attempts_they_need():
+    """Each step draws about as many attempts as the acceptance so far expects the missing
+    samples to take, not a whole point chunk: `sl2_line` p=7 r=2 with 800 samples (seed 1)
+    needs 5399 attempts, and whole chunks drew 6144.  Its report is the one of a sweep cut
+    into chunks of a few points, which draw almost exactly what they need."""
+    chart, e = builtin_chart("sl2_line", 7, r=2), parse_module_expr("Std(2)*Tw(1,Std(2))")
+    opts = {"budget": 10**4, "samples": 800, "seed": 1}
+    draws = []
+    randrange = batch._randrange
+
+    def counted(rng, q, count):
+        draws.append(count)
+        return randrange(rng, q, count)
+
+    with mock.patch.object(batch, "_randrange", counted):
+        report = _outcome(tabulate_jt, chart, e, GF(7), **opts)
+    assert 5399 <= sum(draws) // len(chart.params) < 6144
+    assert isinstance(report, str) and json.loads(report)[2] == 800
+    with mock.patch.object(batch, "CHUNK_CELLS", SMALL[1]):
+        assert _outcome(tabulate_jt, chart, e, GF(7), **opts) == report

@@ -6,14 +6,16 @@ at a time from the base-p digits of the degree.  Before, every node
 multiplied out every t-degree up to the truncation, and the group element
 was the product of the per-factor exponentials (`pair_mul`).  That walk is
 kept here as it was, with its own series arithmetic, for every coefficient
-ring of the walker (`linalg._Pointwise`, `batch._Polys`, `monomials._Monomials`).
+ring of the walker (`linalg._Pointwise`, `batch._Polys`, `monomials._Monomials`)
+and for the coordinate ring that `batch._Polys` replaced
+(`poly_oracles.CoordinatePolys`), whose Explicit leaves take their terms on
+the ring itself (`explicit_terms`).
 """
 
 import numpy as np
 
-from jtcalc.batch import KIND_GL, KIND_MULTI_GA, _explicit_terms, _Polys, by_variant
+from jtcalc.batch import KIND_GL, KIND_MULTI_GA, by_variant
 from jtcalc.errors import JTCalcError
-from jtcalc.linalg import _Pointwise
 from jtcalc.modules import (
     DirectSum,
     Dual,
@@ -105,6 +107,23 @@ class FullSeries:
     def coefficient(a, degree):
         m = a.get(degree)
         return np.zeros_like(a[0]) if m is None else m
+
+
+def explicit_terms(leaf, ring):
+    """alpha^i / i! (i < p) for each action matrix alpha of the leaf, as constants of the ring."""
+    p = ring.p
+    out = []
+    for alpha in leaf.matrices:
+        alpha = ring.lift(alpha.embed_into(ring.field)._data)
+        power = ring.identity(ring.dim(alpha))
+        terms = [power]
+        fact = 1
+        for i in range(1, p):
+            power = ring.reduce(ring.matmul(power, alpha))
+            fact = fact * i % p
+            terms.append(power * pow(fact, p - 2, p) % p)
+        out.append(tuple(terms))
+    return tuple(out)
 
 
 def texp(ring, b, top, step, with_inv):
@@ -206,9 +225,7 @@ def curve_operator(ring, kind, e, variant, mats):
     with_inv = _contains_dual(e)
     if kind == KIND_GL:
         return gl_operator(ring, mats, e, variant, with_inv)
-    constants = _Polys if isinstance(ring, _Polys) else _Pointwise
-    leaves = {leaf: _explicit_terms(leaf, constants, ring.field) for leaf in e.leaves()
-              if isinstance(leaf, Explicit)}
+    leaves = {leaf: explicit_terms(leaf, ring) for leaf in e.leaves() if isinstance(leaf, Explicit)}
     if not leaves:
         raise JTCalcError("module evaluation needs a group element or additive point")
     p, r = ring.p, len(mats)
