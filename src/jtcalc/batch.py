@@ -676,9 +676,13 @@ class _Series:
         return {d: self.ring.transpose(m) for d, m in a.items()}
 
     def twist(self, a, i):
-        """The Frobenius twist: t -> t^(p^i), and coefficients to their p^i-th powers."""
+        """The Frobenius twist: t -> t^(p^i), and coefficients to their p^i-th powers.
+
+        A degree-0 coefficient passes through untwisted: in every series twisted here it is
+        either absent (the scalar series c) or the identity (a module node), which a twist keeps.
+        """
         q = self.p**i
-        return {d * q: self.ring.frobenius(m, i) for d, m in a.items() if d * q <= self.top}
+        return {d * q: self.ring.frobenius(m, i) if d else m for d, m in a.items() if d * q <= self.top}
 
     @staticmethod
     def block_diag(a, b):
@@ -899,9 +903,7 @@ def _module(series, e, element=None, leaves=None):
             return [series.power(a, node.d, ext, steps[::-1]) for a in walk(node.inner, inner)]
         if isinstance(node, Twist):
             q = p**node.i
-            # `series.twist`, but every node's degree-0 coefficient is the identity, which a twist keeps
-            return [{d * q: ring.frobenius(m, node.i) if d else m for d, m in a.items() if d * q <= series.top}
-                    for a in walk(node.inner, {d // q for d in want if d % q == 0})]
+            return [series.twist(a, node.i) for a in walk(node.inner, {d // q for d in want if d % q == 0})]
         raise JTCalcError(f"unknown module node {node!r}")
 
     return walk(e, {0, series.top})
