@@ -11,8 +11,10 @@ time:
   templates, constraints and rank-locus minors, compiled once
   (`_CompiledPolys`), are evaluated at a (P, k) array of points: mod p over
   GF(p), through the field's log tables over GF(p^n);
-* a table sweep evaluates the operator once per weighted scaling orbit, on
-  the tuple scaled so its first nonzero entry is 1 (`_orbit_reduce`);
+* a sweep evaluates the operator once per weighted scaling orbit, on the
+  tuple scaled so its first nonzero entry is 1 (`_orbit_reduce`), and
+  gives each point its orbit (`jordan_types`): tables and closed strata
+  read the same arrays;
 * in the `_Pointwise` ring of `linalg` (the program's one GF(q) matrix
   kernel), where a GF(p^n) entry is its n x n GF(p) regular-representation
   block, the one-parameter group element and the
@@ -25,8 +27,11 @@ time:
 * Sym and Ext follow the equivariant recurrence
   Sym^d(g) = mu_d (Sym^(d-1)(g) (x) g) J_d, with the bases and cached maps
   of `modules.power_maps`, which the pointwise path uses too;
-* rank profiles come from batched GF(p) elimination with a pivot per
-  matrix; a single point is ranked by block pivots (`linalg._block_rank`).
+* Jordan types come from the ranks of the operator's powers, one loop for
+  sweeps, single points and curves (`_jordan_types`); each ring ranks its
+  stacks (`ranks`): many points by batched GF(p) elimination with a pivot
+  row per matrix (`linalg._ranks`), one point by block pivots
+  (`linalg._block_rank`).
 
 Points, validation errors and Jordan types come out in the order and with
 the messages of the per-point sweep (`enumerate_points`, `CommutingTuple`,
@@ -41,8 +46,8 @@ s, and a twist Tw(i) stretches s by p^i as well as t.  Explicit leaves act
 through a stack form of `eval_ga_point` and `texp_element`, their terms
 one-point `_Pointwise` stacks, constants of every ring.  A single
 finite-field point (`theta`) is a P = 1 `_Pointwise` stack, validated by
-`_validate`; a point and a curve are ranked by the same loop over the
-powers of the operator (`_jordan_type`).
+`_validate`, and ranked by the sweep's loop over the powers of the
+operator (`_jordan_types`), as a curve is over GF(q)(s).
 
 A point with entries in a `PolyRing` (the chart's symbolic tuple) runs on
 `monomials._Monomials`, a `_Pointwise` ring whose stacks hold one
@@ -141,26 +146,6 @@ def jordan_types(chart, e, field, variant, budget, seed, samples):
         for i, jt in zip(part.tolist(), sweep.types(reps[part])):
             types[i] = jt
     return values, ids, types
-
-
-def closed_stratum_points(chart, e, field, variant, budget, seed, samples, polys):
-    """(values, Jordan type, whether every poly vanishes) per nonzero swept point.
-
-    As in the per-point sweep, tuples are validated as the sweep reaches
-    them.  Each point chunk is cut into operator walks of `sweep.chunk`
-    points, zero tuples left out.
-    """
-    sweep = _Sweep(chart, e, field, variant)
-    minors = _CompiledPolys(polys, len(chart.params), sweep.p)
-    for values, mats in sweep.points(budget, seed, samples):
-        nonzero = mats.reshape(len(mats), -1).any(axis=1)
-        vanish = ~minors.at_points(field, values).any(axis=1)
-        for start in range(0, len(values), sweep.chunk):
-            part = slice(start, start + sweep.chunk)
-            keep = nonzero[part]
-            if keep.any():
-                types = sweep.types(mats[part][keep])
-                yield from zip(values[part][keep].tolist(), types, vanish[part][keep].tolist())
 
 
 # -- polynomials at points -----------------------------------------------------------
@@ -402,7 +387,6 @@ class _Sweep:
         self.chunk = max(1, CHUNK_CELLS // (terms * max(_cells(e), chart.size**2) * self.n**2))
         points = CHUNK_CELLS // (8 * len(chart.params) + chart.r * size * size * self.n**2)
         self.point_chunk = max(1, points // self.chunk) * self.chunk
-        self.cache = {}
 
     def points(self, budget, seed, samples):
         """(values, tuples) chunks of the points `enumerate_points` yields, validated in its order.
@@ -473,20 +457,12 @@ class _Sweep:
         if not len(mats):
             return []
         _check_pairing(self.e, self.chart.kind, self.p, self.chart.r)
-        op = self._operator(mats)
-        ranks = _rank_profiles(op, self.p, self.variant) // self.n
-        dim = op.shape[1] // self.n
-        out = []
-        for row in map(tuple, ranks.tolist()):
-            jt = self.cache.get(row)
-            if jt is None:
-                jt = self.cache[row] = jt_from_rank_profile(RankProfile(self.p, dim, row))
-            out.append(jt)
-        return out
+        return _jordan_types(*self._operator(mats), f"{self.variant} operator is not p-nilpotent")
 
     def _operator(self, mats):
+        """The `_Pointwise` ring of a stack of tuples, and the operators at them as its stack."""
         ring, stacks = self._stacks(mats)
-        return curve_operator(ring, self.chart.kind, self.e, self.variant, stacks)
+        return ring, curve_operator(ring, self.chart.kind, self.e, self.variant, stacks)
 
     def _stacks(self, mats):
         """The `_Pointwise` ring of a stack of tuples, and their matrices as its stacks."""
@@ -624,9 +600,10 @@ class _Polys(_Pointwise):
     def nonzero(m):
         return np.array([m.any()])
 
-    def rank(self, m):
-        """The rank over GF(q)(s) of a matrix of the ring."""
-        return _px_rank(m, self.p) // self.n
+    def ranks(self, m):
+        """The rank over GF(q)(s) of a matrix of the ring, as the one entry of an array, as
+        `nonzero` gives its one zero test."""
+        return np.array([_px_rank(m, self.p) // self.n])
 
 
 # -- series in t over a coefficient ring --------------------------------------------------
@@ -1000,13 +977,6 @@ def _explicit_terms(leaf, field):
 # -- rank profiles ----------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _inverses(p):
-    inv = np.array([pow(x, p - 2, p) if x else 0 for x in range(p)], dtype=np.int64)
-    inv.setflags(write=False)
-    return inv
-
-
 def _mpow(ring, a, k):
     result = None
     while k:
@@ -1018,70 +988,28 @@ def _mpow(ring, a, k):
     return result
 
 
-def _rank_profiles(op, p, variant):
-    """Ranks of op, op^2, ..., op^(p-1) per matrix; op^p must vanish, as in `jt_at_point`."""
-    ranks = np.zeros((len(op), p - 1), dtype=np.int64)
+def _jordan_types(ring, op, report):
+    """Jordan types of the operators of a stack of the ring, one per entry of `ring.nonzero(op)`:
+    per point of a `_Pointwise` stack, or the one operator along a curve of a `_Polys` stack.
+
+    The ranks of op, op^2, ..., op^(p-1) come from `ring.ranks`; op^p must vanish, the one
+    nilpotency check, otherwise NotNilpotentError(report).
+    """
+    p = ring.p
+    ranks = np.zeros((len(ring.nonzero(op)), p - 1), dtype=np.int64)
     power = op
     for s in range(p - 1):
-        if power.any():
-            ranks[:, s] = _ranks(power, p)
-        power = power @ op % p
-    if power.any():
-        raise NotNilpotentError(f"{variant} operator is not p-nilpotent")
-    return ranks
-
-
-def _point_type(ring, op, variant):
-    """Jordan type of one operator op (the matrix of a P = 1 `_Pointwise` stack), as `jt_at_point`."""
-    return _jordan_type(ring, op, f"{variant} operator is not p-nilpotent")
-
-
-def _jordan_type(ring, op, report):
-    """Jordan type of one operator op of the ring (a `_Pointwise` matrix, or a `_Polys` one
-    along a curve), from the ranks of its powers (`ring.rank`).
-
-    op^p must vanish, the one nilpotency check; otherwise NotNilpotentError(report).
-    """
-    p, rank, matmul, reduce = ring.p, ring.rank, ring.matmul, ring.reduce
-    ranks = []
-    power = op
-    for _ in range(1, p):
-        if power.any():
-            ranks.append(rank(power))
-            power = reduce(matmul(power, op))
-        else:
-            ranks.append(0)
+        if not power.any():
+            break
+        ranks[:, s] = ring.ranks(power)
+        power = ring.reduce(ring.matmul(power, op))
     if power.any():
         raise NotNilpotentError(report)
-    return jt_from_rank_profile(RankProfile(p, ring.dim(op), tuple(ranks)))
+    dim = ring.dim(op)
+    return [_profile_type(p, dim, row) for row in map(tuple, ranks.tolist())]
 
 
-def _ranks(m, p):
-    """GF(p) ranks of a (P, rows, cols) stack by Gaussian elimination, one pivot row per matrix.
-
-    Column by column, the first row with a nonzero entry there is the pivot
-    row; scaled so its pivot is 1, it is subtracted from every row times the
-    row's entry in the column, its own included (factor 1).  That clears the
-    column and the pivot row and lowers the rank by one (rank-one
-    reduction), so no row is swapped and every row left is free.
-    """
-    count, rows, cols = m.shape
-    rank = np.zeros(count, dtype=np.int64)
-    if not rows:
-        return rank
-    inv = _inverses(p)
-    at = np.arange(count)
-    for _ in range(cols):
-        col = m[:, :, 0]
-        nonzero = col != 0
-        found = nonzero.any(axis=1)
-        if found.any():
-            piv = nonzero.argmax(axis=1)
-            # a matrix without a pivot has a zero column: its scale inv[0] is 0
-            pivot_rows = m[at, piv, 1:] * inv[col[at, piv]][:, None] % p
-            m = m[:, :, 1:] - col[:, :, None] * pivot_rows[:, None, :]
-            m %= p
-            rank += found
-        else:
-            m = m[:, :, 1:]
-    return rank
+@lru_cache(maxsize=4096)
+def _profile_type(p, dim, ranks):
+    """The Jordan type of a rank profile: few profiles occur, so each is read once."""
+    return jt_from_rank_profile(RankProfile(p, dim, ranks))

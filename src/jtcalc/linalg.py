@@ -15,7 +15,9 @@ stacks; over every other domain (polynomial rings, function fields,
 truncated curve rings) a matrix is a tuple of tuples of ring elements.
 
 Rank and kernels are only defined over fields.  A GF(q) rank comes from
-block pivots on the regular representation (`_block_rank`).  The reduced
+block pivots on the regular representation (`_block_rank`), and the ranks
+of a stack of many points from one batched GF(p) elimination with a pivot
+row per matrix (`_ranks`).  The reduced
 echelon form behind kernels and inverses is the GF(p) one of the regular
 representation (`_gfp_rref`: pivots inverted by Fermat's little theorem,
 one outer-product update per pivot), read back from the blocks.
@@ -137,6 +139,44 @@ def _block_rank(M, p, n):
             pivot = M[rank - 1, :, j:]
             below = M[rank:, :, j:]
             below[:] = (pivot[:, :n] @ below - below[:, :, :n] @ pivot) % p
+    return rank
+
+
+@lru_cache(maxsize=None)
+def _inverses(p):
+    inv = np.array([pow(x, p - 2, p) if x else 0 for x in range(p)], dtype=np.int64)
+    inv.setflags(write=False)
+    return inv
+
+
+def _ranks(m, p):
+    """GF(p) ranks of a (P, rows, cols) stack by Gaussian elimination, one pivot row per matrix.
+
+    Column by column, the first row with a nonzero entry there is the pivot
+    row; scaled so its pivot is 1, it is subtracted from every row times the
+    row's entry in the column, its own included (factor 1).  That clears the
+    column and the pivot row and lowers the rank by one (rank-one
+    reduction), so no row is swapped and every row left is free.
+    """
+    count, rows, cols = m.shape
+    rank = np.zeros(count, dtype=np.int64)
+    if not rows:
+        return rank
+    inv = _inverses(p)
+    at = np.arange(count)
+    for _ in range(cols):
+        col = m[:, :, 0]
+        nonzero = col != 0
+        found = nonzero.any(axis=1)
+        if found.any():
+            piv = nonzero.argmax(axis=1)
+            # a matrix without a pivot has a zero column: its scale inv[0] is 0
+            pivot_rows = m[at, piv, 1:] * inv[col[at, piv]][:, None] % p
+            m = m[:, :, 1:] - col[:, :, None] * pivot_rows[:, None, :]
+            m %= p
+            rank += found
+        else:
+            m = m[:, :, 1:]
     return rank
 
 
@@ -271,9 +311,12 @@ class _Pointwise:
     def nonzero(m):
         return m.any(axis=(1, 2))
 
-    def rank(self, m):
-        """The GF(q) rank of one matrix of the stack, by block pivots (`_block_rank`)."""
-        return _block_rank(m, self.p, self.n)
+    def ranks(self, m):
+        """The GF(q) rank of each matrix of a stack: by block pivots (`_block_rank`) on a
+        one-point stack, by batched elimination (`_ranks`) on more."""
+        if len(m) == 1:
+            return np.array([_block_rank(m[0], self.p, self.n)])
+        return _ranks(m, self.p) // self.n
 
 
 @lru_cache(maxsize=None)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property, partial
 
@@ -478,9 +479,14 @@ def verify_closed_stratum(chart, e, a, field, variant="full",
     """Check {x : JT(x) <= a} equals the common zero set of the rank-locus minors.
 
     The minors are those of `rank_locus_minors` for j = 1, ..., p - 1, with
-    theta built once.  The sweep runs in chunks of points, as in `tabulate_jt`
-    (`batch.closed_stratum_points`), with the minors evaluated on the same
-    stacks.
+    theta built once.  Both sides are constant on a weighted scaling orbit:
+    the type is, and a (d+1)-minor of theta^j vanishes at every point of an
+    orbit or at none, since rank theta(x)^j <= d there and theta scales by
+    a nonzero scalar along the orbit.  So the check reads the arrays of the
+    table's sweep (`batch.jordan_types`) and evaluates the minors once per
+    orbit (`_closed_check`); `checked` counts the nonzero swept points,
+    and `mismatches` lists every point of an orbit that disagrees, in sweep
+    order.
     """
     m = e.dim()
     if a.dim != m:
@@ -489,25 +495,35 @@ def verify_closed_stratum(chart, e, a, field, variant="full",
     polys = []
     for s in range(1, chart.p):
         polys += _rank_locus(chart, e, s, jt_rank(a, s), power)
-    mismatches = []
-    checked = 0
-    points = batch.closed_stratum_points(chart, e, field, variant, budget, seed, samples, polys)
-    below = {}  # Jordan type -> whether it lies below a; few types occur
-    for values, jt, rhs in points:
-        checked += 1
-        lhs = below.get(jt)
-        if lhs is None:
-            lhs = below[jt] = dominance_leq(jt, a)
-        if lhs != rhs:
-            mismatches.append(
-                {
-                    "point": _serialize_values(field, values),
-                    "jordan_type": jt.to_text(),
-                    "in_downset": lhs,
-                    "minors_vanish": rhs,
-                }
-            )
+    checked, mismatches = _closed_check(chart, e, a, field, variant, budget, seed, samples, polys)
     return ClosedStratumReport(chart.name, a.to_text(), variant, checked, mismatches)
+
+
+def _closed_check(chart, e, a, field, variant, budget, seed, samples, polys):
+    """(checked, mismatches) of `verify_closed_stratum` for the minors polys.
+
+    Each orbit's minors are evaluated at its first swept point, and its
+    answer (in the down-set of a, minors vanish) is broadcast to its points.
+    """
+    values, orbit, types = batch.jordan_types(chart, e, field, variant, budget, seed, samples)
+    # orbits are numbered as the sweep meets them: orbit j first appears where the running
+    # maximum of the numbers reaches j
+    first = np.flatnonzero(np.diff(np.maximum.accumulate(orbit), prepend=-1))
+    minors = batch._CompiledPolys(polys, len(chart.params), field.p)
+    vanish = (~minors.at_points(field, values[first]).any(axis=1)).tolist()
+    below = {jt: dominance_leq(jt, a) for jt in set(types) - {None}}
+    live = np.array([jt is not None for jt in types], dtype=bool)
+    wrong = np.array([jt is not None and below[jt] != rhs for jt, rhs in zip(types, vanish)], dtype=bool)
+    mismatches = [
+        {
+            "point": _serialize_values(field, values[i].tolist()),
+            "jordan_type": types[j].to_text(),
+            "in_downset": below[types[j]],
+            "minors_vanish": vanish[j],
+        }
+        for i, j in zip(np.flatnonzero(wrong[orbit]).tolist(), orbit[wrong[orbit]].tolist())
+    ]
+    return int(live[orbit].sum()), mismatches
 
 
 # -- curves and semicontinuity --------------------------------------------------------
@@ -669,16 +685,18 @@ def semicontinuity_check(curve, e, variant="full"):
     from the ranks of its powers over GF(q)(t), the special type from
     those of its t^0 coefficient, since t -> 0 is a ring map: that slice is
     the matrix of a one-point stack, ranked as every single point is.  Both
-    go through the same loop over the powers (`batch._jordan_type`).
+    go through the loop over the powers that ranks sweeps and single points
+    (`batch._jordan_types`), on the curve's `_Polys` stack and on that
+    one-point stack.
     """
     chart, field = curve.chart, curve.field
     op = curve.operator(e, variant)
-    generic_jt = batch._jordan_type(curve._ring, op, f"matrix is not {chart.p}-nilpotent")
+    generic_jt, = batch._jordan_types(curve._ring, op, f"matrix is not {chart.p}-nilpotent")
     if chart.kind == KIND_GL:
         curve.validate()
     # the special operator's p-th power vanishes, and its tuple is a point,
     # because the generic ones are
-    special_jt = batch._point_type(_Pointwise(field), op[0], variant)
+    special_jt, = batch._jordan_types(_Pointwise(field), op[:1], f"{variant} operator is not p-nilpotent")
     ok = dominance_leq(special_jt, generic_jt)
     return SemicontReport(curve.label, variant, generic_jt.to_text(), special_jt.to_text(), ok)
 
@@ -802,30 +820,31 @@ def constant_rank_on_strata(table, chart, e, j, field, homotopy_samples=((1, 0),
 
 
 def _parse_values(texts, field):
-    out = []
-    for s in texts:
-        out.append(_parse_element(s, field))
-    return out
+    return [_parse_element(s, field) for s in texts]
+
+
+# a term of an element of GF(p^n) as `FiniteField.element_to_str` writes it: c g^k, c g or c
+_TERM = r"(\d*)g(?:\^(\d+))?|(\d+)"
 
 
 def _parse_element(text, field):
-    text = text.strip()
+    """The field element a text names: an integer over GF(p); over GF(p^n) a signed sum of
+    terms c g^k, c g and c, coefficients c optional on g, k < n ("2g+1", "g^2", "0").
+
+    Anything else raises ParseError naming the text.
+    """
+    s = re.sub(r"\s*([+-])\s*", r"\1", text.strip())
     if field.n == 1:
-        return field.from_int(int(text))
-    # forms like "2g+1", "g^2", "0"
+        if not re.fullmatch(r"[+-]?\d+", s):
+            raise ParseError(f"{text!r} is not an element of {field}")
+        return field.from_int(int(s))
+    if not re.fullmatch(rf"[+-]?(?:{_TERM})(?:[+-](?:{_TERM}))*", s):
+        raise ParseError(f"{text!r} is not an element of {field}")
     coeffs = [0] * field.n
-    for chunk in text.replace("-", "+-").split("+"):
-        if not chunk:
-            continue
-        neg = chunk.startswith("-")
-        if neg:
-            chunk = chunk[1:]
-        if "g" in chunk:
-            head, _, tail = chunk.partition("g")
-            c = int(head) if head else 1
-            exp = int(tail[1:]) if tail.startswith("^") else 1
-        else:
-            c = int(chunk)
-            exp = 0
-        coeffs[exp] += -c if neg else c
+    for sign, head, exp, const in re.findall(rf"([+-]?)(?:{_TERM})", s):
+        k = 0 if const else int(exp or 1)
+        if k >= field.n:
+            raise ParseError(f"{text!r} is not an element of {field}: g^{k} is not a basis power")
+        c = int(const or head or 1)
+        coeffs[k] += -c if sign == "-" else c
     return field.element(coeffs)

@@ -35,9 +35,8 @@ from .batch import (
     KIND_GL,
     KIND_MULTI_GA,
     _check_pairing,
+    _jordan_types,
     _mpow,
-    _point_type,
-    _ranks,
     _validate,
     by_variant,
     curve_operator,
@@ -322,7 +321,7 @@ def homotopy_ranks(e, tup, samples, j, built=None):
     if not sums:
         return []
     ring = _Pointwise(field)
-    return (_ranks(_mpow(ring, np.stack(sums), j), ring.p) // ring.n).tolist()
+    return ring.ranks(_mpow(ring, np.stack(sums), j)).tolist()
 
 
 def _homotopy_family(e, tup, built=None):
@@ -364,7 +363,8 @@ def jt_at_point(e, tup, variant="full"):
 
     The operator's p-nilpotency is checked once, by the final vanishing power
     of its rank profile.  Over a finite field the operator is ranked on its
-    one-point stack (`batch._point_type`).
+    one-point stack by the loop that ranks sweeps and curves
+    (`batch._jordan_types`).
     """
     by_variant(variant, None, None)
     if isinstance(tup.domain, FiniteField):
@@ -381,7 +381,7 @@ def _typed_operator(e, tup, variant):
     the operator of the point's one-point stack, checked p-nilpotent."""
     _check_pairing(e, tup.kind, tup.p, tup.height)
     ring, op = _stack_operator(e, tup, variant)
-    return _point_type(ring, op, variant), ring, op
+    return _jordan_types(ring, op[None], f"{variant} operator is not p-nilpotent")[0], ring, op
 
 
 def jt_power_at_point(e, tup, variant, j):

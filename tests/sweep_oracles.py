@@ -4,8 +4,9 @@
 the per-point sweep code that `strata` ran for every sweep other than a
 `gl` chart over GF(p), unchanged: points come from `enumerate_points`, each
 tuple from `Chart.tuple_at`, and `jt_at_point` runs per point (per orbit
-for tables).  Under `pointwise()` they stand in for `batch.jordan_types` and
-`batch.closed_stratum_points`, so that `tabulate_jt` and
+for tables); a closed stratum's minors are evaluated at every point by
+`Polynomial.evaluate`.  Under `pointwise()` they stand in for
+`batch.jordan_types` and `strata._closed_check`, so that `tabulate_jt` and
 `verify_closed_stratum` build their reports from them.
 """
 
@@ -14,9 +15,10 @@ from unittest import mock
 
 import numpy as np
 
-from jtcalc import batch
+from jtcalc import batch, strata
 from jtcalc.errors import JTCalcError
 from jtcalc.fields import FiniteField
+from jtcalc.jordan import dominance_leq
 from jtcalc.strata import enumerate_points
 from jtcalc.theta import KIND_MULTI_GA, jt_at_point, scale_tuple
 
@@ -82,14 +84,21 @@ def oracle_jordan_types(chart, *args):
     return values.reshape(len(points), len(chart.params)), np.arange(len(points)), [jt for _, jt in points]
 
 
-def oracle_closed_points(*args):
-    for values, jt, vanish in _pointwise_closed_points(*args):
-        yield element_indices(values), jt, vanish
+def oracle_closed_check(chart, e, a, field, variant, budget, seed, samples, polys):
+    """(checked, mismatches) of `verify_closed_stratum`, point by point."""
+    checked, mismatches = 0, []
+    for values, jt, vanish in _pointwise_closed_points(chart, e, field, variant, budget, seed, samples, polys):
+        checked += 1
+        below = dominance_leq(jt, a)
+        if below != vanish:
+            mismatches.append({"point": [str(v) for v in values], "jordan_type": jt.to_text(),
+                               "in_downset": below, "minors_vanish": vanish})
+    return checked, mismatches
 
 
 @contextlib.contextmanager
 def pointwise():
     """Within the block, `strata` sweeps through the per-point oracles."""
     with mock.patch.object(batch, "jordan_types", oracle_jordan_types), \
-            mock.patch.object(batch, "closed_stratum_points", oracle_closed_points):
+            mock.patch.object(strata, "_closed_check", oracle_closed_check):
         yield

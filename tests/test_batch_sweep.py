@@ -1,9 +1,9 @@
 """Batched sweeps, over every finite field and chart kind, against the per-point oracle.
 
-Every `strata` sweep runs batched (`batch.jordan_types`,
-`batch.closed_stratum_points`); under `sweep_oracles.pointwise()` the same
-report is built from the per-point sweep (`jt_at_point` per point), the
-oracle.
+Every `strata` sweep runs batched (`batch.jordan_types`, whose orbits a
+closed stratum reads too); under `sweep_oracles.pointwise()` the same report
+is built from the per-point sweep (`jt_at_point` per point, and each minor
+by `Polynomial.evaluate` at each point), the oracle.
 """
 
 import random
@@ -13,10 +13,10 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from jtcalc import batch
+from jtcalc import batch, strata
 from jtcalc.errors import ChartError, DomainMismatchError, JTCalcError, NotNilpotentError
 from jtcalc.fields import GF, SUPPORTED_PRIMES
-from jtcalc.jordan import all_types_of_dim
+from jtcalc.jordan import all_types_of_dim, jt_rank, parse_jordan_type
 from jtcalc.linalg import ExactMatrix
 from jtcalc.modules import (
     DirectSum,
@@ -31,25 +31,26 @@ from jtcalc.modules import (
     load_explicit_file,
     parse_module_expr,
 )
-from jtcalc.strata import builtin_chart, parse_chart, tabulate_jt, verify_closed_stratum
-from sweep_oracles import _pointwise_closed_points, element_indices, pointwise
+from jtcalc.strata import builtin_chart, parse_chart, rank_locus_minors, tabulate_jt, verify_closed_stratum
+from sweep_oracles import _pointwise_closed_points, oracle_closed_check, pointwise
 
 SETTINGS = settings(max_examples=30, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
 
 
+def outcome(fn, *args, **kwargs):
+    """fn's value, or (exception type, message)."""
+    try:
+        return fn(*args, **kwargs)
+    except JTCalcError as exc:
+        return type(exc), str(exc)
+
+
 def both(fn, *args, **kwargs):
-    """fn's outcome on the batched sweep and on the per-point oracle: a value or (exception type, message)."""
-
-    def run():
-        try:
-            return fn(*args, **kwargs)
-        except JTCalcError as exc:
-            return type(exc), str(exc)
-
-    batched = run()
+    """fn's outcome on the batched sweep and on the per-point oracle."""
+    batched = outcome(fn, *args, **kwargs)
     with pointwise():
-        oracle = run()
+        oracle = outcome(fn, *args, **kwargs)
     return batched, oracle
 
 
@@ -329,7 +330,7 @@ def test_extension_field_errors_raise_alike(case):
 
 
 def _until_error(points):
-    """The values a closed-stratum sweep yields, and the error it then raises."""
+    """The values a per-point closed sweep yields, and the error it then raises."""
     seen = []
     try:
         for values, *_ in points:
@@ -341,13 +342,24 @@ def _until_error(points):
 
 @pytest.mark.parametrize("case", sorted(ERROR_CASES))
 def test_closed_sweeps_fail_at_the_same_point(case):
-    # a closed-stratum sweep evaluates each point as it reaches it, so the
-    # points before the first failure come out before the error
+    # the per-point closed sweep evaluates each point as it reaches it, and
+    # `verify_closed_stratum` validates every tuple before it evaluates any:
+    # both raise the same error, or check the same nonzero points
     chart, e, field, opts, _ = ERROR_CASES[case]
-    args = (chart, e, field, "full", opts.get("budget", 10**6), opts.get("seed", 0), opts.get("samples", 10**4), [])
-    batched = _until_error(batch.closed_stratum_points(*args))
-    seen, error = _until_error(_pointwise_closed_points(*args))
-    assert batched == ([element_indices(v) for v in seen], error)
+    a = all_types_of_dim(chart.p, e.dim())[0]
+    report = outcome(verify_closed_stratum, chart, e, a, field, **opts)
+    minors = outcome(lambda: [g for j in range(1, chart.p)
+                              for g in rank_locus_minors(chart, e, "full", j, jt_rank(a, j))])
+    if isinstance(minors, tuple):
+        # theta over the chart's polynomial ring raises before any point is swept
+        assert report == minors
+        return
+    args = (chart, e, field, "full", opts.get("budget", 10**6), opts.get("seed", 0), opts.get("samples", 10**4))
+    seen, error = _until_error(_pointwise_closed_points(*args, minors))
+    if error is None:
+        assert report.checked == len(seen) and not report.mismatches
+    else:
+        assert report == error
     if case == "invalid gl":
         assert len(seen) == 9 and error == (NotNilpotentError, "matrix 0 is not 3-nilpotent")
 
@@ -369,3 +381,31 @@ def test_gf9_closed_strata_match_pointwise(name, kw, text, variant):
         batched, oracle = both(verify_closed_stratum, chart, e, a, F9, variant)
         assert canon_report(batched) == canon_report(oracle)
         assert batched.checked == table.swept - table.zero_count
+
+
+# (chart, module, type, sweep options): without the j = 1 minors the zero set is larger than the
+# down-set of the type, on the orbits of type 2[2] and [3]+[2]+[1]; the sampled sweep meets some
+# orbits at several points, the exhaustive one every orbit at eight
+FORCED = {
+    "sl2_line sampled": (builtin_chart("sl2_line", 3, r=2), parse_module_expr("Std(2)*Tw(1,Std(2))"),
+                         "[2]+2[1]", {"budget": 1, "samples": 400, "seed": 1}),
+    "ga_r": (builtin_chart("ga_r", 3, r=2), parse_module_expr("Sym(2,Explicit(file=chain3))", loader=lambda _: CHAIN3),
+             "[3]+3[1]", {}),
+}
+
+
+@pytest.mark.parametrize("variant", ["full", "exp"])
+@pytest.mark.parametrize("case", sorted(FORCED))
+def test_forced_mismatches_list_every_point(case, variant, monkeypatch):
+    # minors that disagree with the down-set on whole orbits: each orbit's answer reaches every
+    # one of its points, which the per-point check lists in sweep order
+    chart, e, text, opts = FORCED[case]
+    a = parse_jordan_type(text, 3)
+    dropped = len(rank_locus_minors(chart, e, variant, 1, jt_rank(a, 1)))
+    assert dropped
+    reports = []
+    for check in (strata._closed_check, oracle_closed_check):
+        monkeypatch.setattr(strata, "_closed_check", lambda *args, check=check: check(*args[:-1], args[-1][dropped:]))
+        reports.append(verify_closed_stratum(chart, e, a, F9, variant, **opts))
+    batched, oracle = reports
+    assert batched.mismatches and canon_report(batched) == canon_report(oracle)

@@ -289,3 +289,41 @@ def test_negative_counts_exit_2_and_zero_stays_valid():
     # an exhaustive sweep draws no samples, so it ignores the count
     code, out, _ = run_cli(["strata"] + sl2 + ["--samples", "-3"])
     assert code == 0 and "mode=exhaustive" in out
+
+
+@pytest.mark.parametrize("field, value", [
+    ("GF(9)", "g^2"), ("GF(9)", "gg"), ("GF(9)", "g5"), ("GF(9)", ""), ("GF(9)", "2g+"), ("GF(9)", "1x"),
+    ("GF(27)", "g^3"), ("GF(27)", "g^"), ("GF(9)", "2 g"), ("GF(3)", "1x"), ("GF(3)", ""), ("GF(3)", "g"),
+])
+def test_malformed_point_values_are_parse_errors(field, value):
+    args = ["jt", "--field", field, "--chart", "sl2_line", "--r", "2", "--module", "Std(2)",
+            "--point", f"{value},0,0,0,0"]
+    code, out, err = run_cli(args)
+    assert code == 2 and out == "", err
+    assert f"parse error: {value!r} is not an element of" in err
+    assert "Traceback" not in err and "invalid literal" not in err
+
+
+@pytest.mark.parametrize("p, n", [(3, 2), (5, 2), (3, 3)])
+def test_every_printed_element_parses_back(p, n):
+    from jtcalc.fields import GF
+    from jtcalc.strata import _parse_element
+
+    field = GF(p, n)
+    for a in field.elements():
+        text = field.element_to_str(a)
+        assert _parse_element(text, field) == a
+        assert _parse_element(f" {text.replace('+', ' + ')} ", field) == a
+    assert _parse_element("-g+4", field) == field.element([4, -1] + [0] * (n - 2))
+
+
+def test_zero_dimensional_closed_raises_what_strata_raises(tmp_path):
+    # a module of dimension 0 has no minors, so no theta over the chart's polynomial ring meets
+    # it before the sweep: the first invalid tuple raises, before Ext(4,Std(3)) meets a 2 x 2 point
+    path = tmp_path / "chart.txt"
+    path.write_text("name c\nfield GF(3)\nkind gl\nr 2\nN 2\nparams a:1 b:1\n"
+                    "template\n0 a\nb 0\ntemplate\n0 0\n0 0\n")
+    sweep = ["--field", "GF(9)", "--chart-file", str(path), "--module", "Ext(4,Std(3))", "--format", "jsonl"]
+    for command in (["strata"], ["closed", "--type", "0"]):
+        code, out, err = run_cli(command + sweep)
+        assert code == 2 and out == "" and "error: matrix 0 is not 3-nilpotent\n" in err, err

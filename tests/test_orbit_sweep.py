@@ -227,6 +227,9 @@ GOLDEN_RUNS = {
                               "--module", f"Sym(2,{_module_file('chain3.txt')})", "--type", "[3]+[2]+[1]"],
     "sl2_line_gf3_r3_dual.jsonl": ["strata", "--p", "3", "--chart", "sl2_line", "--r", "3",
                                    "--module", "Dual(Std(2))*Std(2)", "--variant", "full"],
+    # recorded when closed strata walked every nonzero point: 6400 points in 100 orbits
+    "closed_sl2_line_gf9_r2.jsonl": ["closed", "--field", "GF(9)", "--chart", "sl2_line", "--r", "2",
+                                     "--module", "Std(2)*Tw(1,Std(2))", "--type", "2[2]"],
 }
 
 

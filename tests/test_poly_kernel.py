@@ -18,12 +18,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jtcalc.batch import _jordan_type, _Polys
+from jtcalc.batch import _jordan_types, _Polys
 from jtcalc.cli import main
 from jtcalc.errors import ChartError, JTCalcError, NotNilpotentError
 from jtcalc.fields import GF, PolyRing, RationalFunctionField, _up_divmod, _up_mul, _up_trim
 from jtcalc import linalg
-from jtcalc.jordan import RankProfile, dominance_leq, jt_from_rank_profile
+from jtcalc.jordan import RankProfile, dominance_leq, jt_from_rank_profile, jt_of_nilpotent
 from jtcalc.linalg import (
     ExactMatrix,
     _Pointwise,
@@ -159,7 +159,7 @@ def polyring_semicontinuity(curve, e, variant):
     theta = theta_variant(e, generic_tup, variant)
     ring1 = generic_tup.domain
     field = ring1.field
-    generic_jt = _jordan_type(_Polys(field), of_univariate(theta), f"matrix is not {field.p}-nilpotent")
+    generic_jt, = _jordan_types(_Polys(field), of_univariate(theta), f"matrix is not {field.p}-nilpotent")
     if chart.kind == KIND_GL:
         report = validate_commuting_tuple(generic_tup.mats, chart.p)
         if report is not None:
@@ -317,7 +317,27 @@ def test_zero_and_empty_matrices(field):
         assert _kernel_rank(field, rows) == _bareiss_rank_upoly(field, rows) == 0
         ff = RationalFunctionField(field, "t")
         assert ExactMatrix.zeros(ff, *shape).rank() == 0
-    assert _Polys(field).rank(_px_stack(field, [])) == 0
+    assert _Polys(field).ranks(_px_stack(field, [])).tolist() == [0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(FIELDS), st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_one_rank_loop_for_stacks_and_points(field, count, seed):
+    """`_jordan_types` on a stack of p-nilpotent matrices gives, per matrix, the type of its
+    one-point stack (ranked by block pivots, not batched elimination) and `jt_of_nilpotent`'s."""
+    p, m = field.p, 2 * field.p
+    rng = np.random.default_rng(seed)
+    # two strictly upper triangular p x p blocks on the diagonal: N^p = 0
+    mask = np.kron(np.eye(2, dtype=np.int64), np.triu(np.ones((p, p), dtype=np.int64), 1))
+    coords = rng.integers(0, p, (count, m, m, field.n)) * mask[..., None]
+    ring = _Pointwise(field, count)
+    stack = ring.lift(coords)
+    types = _jordan_types(ring, stack, "not nilpotent")
+    assert types == [_jordan_types(_Pointwise(field), stack[i:i + 1], "not nilpotent")[0] for i in range(count)]
+    assert types == [jt_of_nilpotent(ExactMatrix.from_coords(field, c), p) for c in coords]
+    assert ring.ranks(stack).tolist() == [ExactMatrix.from_coords(field, c).rank() for c in coords]
+    with pytest.raises(NotNilpotentError, match="not nilpotent"):
+        _jordan_types(ring, ring.identity(m), "not nilpotent")
 
 
 def test_kernel_reports_lost_exactness():

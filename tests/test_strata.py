@@ -206,13 +206,12 @@ def _count_theta_builds(monkeypatch):
 
 
 def _closed_minors(monkeypatch, *args, **kwargs):
-    """The minors `verify_closed_stratum` sweeps with, and its report."""
-    from jtcalc import batch
+    """The minors `verify_closed_stratum` checks the sweep with, and its report."""
+    from jtcalc import strata
 
     seen = []
-    points = batch.closed_stratum_points
-    monkeypatch.setattr(batch, "closed_stratum_points",
-                        lambda *a: seen.append(a[-1]) or points(*a))
+    check = strata._closed_check
+    monkeypatch.setattr(strata, "_closed_check", lambda *a: seen.append(a[-1]) or check(*a))
     report = verify_closed_stratum(*args, **kwargs)
     return seen[0], report
 

@@ -5,7 +5,8 @@ orbit reduction) and an operator chunk (one module walk) from
 `batch.CHUNK_CELLS`; `jordan_types` numbers orbits across the whole sweep.
 With CHUNK_CELLS patched down to a few cells every stage runs one or a few
 points at a time, and every report must be byte for byte the default one.
-Also here: the batched GF(p) ranks against `linalg._gfp_rref`, the one
+Also here: the batched GF(p) ranks (`linalg._ranks`) against
+`linalg._gfp_rref`, the one
 lift of a finite-field tuple's matrices, and the attempts a sampled sweep
 draws.
 """
@@ -23,7 +24,8 @@ from jtcalc import batch
 from jtcalc import theta as theta_mod
 from jtcalc.errors import ChartError, JTCalcError
 from jtcalc.fields import GF
-from jtcalc.linalg import ExactMatrix, _gfp_rref, _Pointwise
+from jtcalc.jordan import parse_jordan_type
+from jtcalc.linalg import ExactMatrix, _gfp_rref, _Pointwise, _ranks
 from jtcalc.modules import load_explicit_file, parse_module_expr
 from jtcalc.strata import builtin_chart, enumerate_points, parse_chart, tabulate_jt, verify_closed_stratum
 from jtcalc.theta import CommutingTuple, jt_at_point, scale_tuple
@@ -89,30 +91,20 @@ def _rare_chart():
                        "constraint c-1\nconstraint d-1\nconstraint a-b\n")
 
 
-def _until_error(points):
-    seen = []
-    try:
-        for values, *rest in points:
-            seen.append((values, *rest))
-    except JTCalcError as exc:
-        return seen, (type(exc), str(exc))
-    return seen, None
-
-
 def test_sampling_that_runs_out_raises_alike():
     chart, e = _rare_chart(), parse_module_expr("Std(2)*Tw(1,Std(2))")
     opts = {"budget": 1, "samples": 20, "seed": 3}
     tables = _at_sizes(tabulate_jt, chart, e, GF(7), **opts)
     assert tables[0] == (ChartError, "rejection sampling failed to find enough chart points")
     assert tables == [tables[0]] * len(tables)
-    args = (chart, e, GF(7), "full", 1, 3, 20, [])
-    prefixes = [_until_error(batch.closed_stratum_points(*args))]
-    for cells in SMALL:
-        with mock.patch.object(batch, "CHUNK_CELLS", cells):
-            prefixes.append(_until_error(batch.closed_stratum_points(*args)))
-    seen, error = prefixes[0]
-    assert seen and error == tables[0]
-    assert prefixes == [prefixes[0]] * len(prefixes)
+    # points are accepted before sampling runs out, and the closed check raises what the table does
+    seen = []
+    with pytest.raises(ChartError):
+        for point in enumerate_points(chart, GF(7), **opts):
+            seen.append(point)
+    assert seen
+    reports = _at_sizes(verify_closed_stratum, chart, e, parse_jordan_type("[3]+[1]", 7), GF(7), **opts)
+    assert reports == tables
 
 
 def test_no_walk_exceeds_the_operator_chunk():
@@ -133,8 +125,8 @@ def test_no_walk_exceeds_the_operator_chunk():
     assert max(walks) <= sweep.chunk
     # the table evaluates each orbit once: fewer tuples than points
     assert orbits < table.swept - table.zero_count
-    # the closed sweep evaluates every nonzero point, a walk per operator chunk at most
-    assert sum(walks) - orbits == table.swept - table.zero_count
+    # the closed check walks the table's orbits again, not every nonzero point
+    assert sum(walks) - orbits == orbits
 
 
 # -- batched ranks ----------------------------------------------------------------------
@@ -160,15 +152,15 @@ def stacks(draw):
 def test_batched_ranks_match_rref(case):
     p, m = case
     before = m.copy()
-    ranks = batch._ranks(m, p)
+    ranks = _ranks(m, p)
     assert ranks.tolist() == [len(_gfp_rref(x, p)[1]) for x in m]
     assert np.array_equal(m, before)
 
 
 def test_batched_ranks_of_zero_and_empty_stacks():
-    assert batch._ranks(np.zeros((3, 4, 5), dtype=np.int64), 5).tolist() == [0, 0, 0]
-    assert batch._ranks(np.zeros((2, 0, 3), dtype=np.int64), 3).tolist() == [0, 0]
-    assert batch._ranks(np.zeros((2, 3, 0), dtype=np.int64), 3).tolist() == [0, 0]
+    assert _ranks(np.zeros((3, 4, 5), dtype=np.int64), 5).tolist() == [0, 0, 0]
+    assert _ranks(np.zeros((2, 0, 3), dtype=np.int64), 3).tolist() == [0, 0]
+    assert _ranks(np.zeros((2, 3, 0), dtype=np.int64), 3).tolist() == [0, 0]
 
 
 # -- one lift per finite-field tuple ----------------------------------------------------
