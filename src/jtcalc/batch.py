@@ -962,7 +962,7 @@ def _explicit_terms(leaf, field):
     p = ring.p
     out = []
     for alpha in leaf.matrices:
-        alpha = ring.lift(alpha.embed_into(field)._data)
+        alpha = alpha.embed_into(field)._data
         power = ring.identity(ring.dim(alpha))
         terms = [power]
         fact = 1

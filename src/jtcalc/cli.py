@@ -25,7 +25,7 @@ from .jordan import (
     jt_tensor,
     parse_jordan_type,
 )
-from .modules import load_explicit_file, parse_module_expr
+from .modules import load_explicit_file, parse_module_expr, read_tuple_file
 from .parsing import parse_field_spec
 from .strata import (
     builtin_chart,
@@ -112,7 +112,7 @@ _KNOWN_KEYS = {
 _INT_KEYS = {"p", "r", "N", "s_lines", "j", "d", "budget", "samples", "seed", "max_reps", "hs", "ht",
              "curves"}
 _CHOICES = {"variant": ("full", "exp"), "format": ("text", "jsonl", "csv")}
-# `jt` alone reads --hs/--ht, so only it offers the homotopy operator
+# `jt` alone reads --hs/--ht, so only it offers them and the homotopy operator
 _JT_VARIANTS = _CHOICES["variant"] + ("homotopy",)
 # Option defaults, applied after the config file so that only a flag given on
 # the command line overrides a file value.
@@ -124,7 +124,9 @@ def _parser():
     ap = argparse.ArgumentParser(prog="jtcalc", description=__doc__)
     sub = ap.add_subparsers(dest="command")
 
-    def common(sp, *, needs_module=False, needs_chart=False, variants=_CHOICES["variant"]):
+    def common(sp, *, variants=_CHOICES["variant"], seed=False, sweep=False):
+        """The options of the commands that evaluate a module on a chart; a seed and the sweep
+        sizes only for the commands that read them."""
         sp.add_argument("--config", help="flat key=value config file; flags override")
         sp.add_argument("--p", type=int)
         sp.add_argument("--field", help='e.g. "GF(3)", "GF(9)", "GF(3^2; modulus=x^2+2x+2)"')
@@ -132,40 +134,40 @@ def _parser():
         sp.add_argument("--N", type=int, default=None)
         sp.add_argument("--s-lines", type=int, default=None, dest="s_lines",
                         help="number of additive lines for multi_ga")
-        if needs_chart:
-            sp.add_argument("--chart", help="builtin chart name")
-            sp.add_argument("--chart-file", help="chart config file")
-        if needs_module:
-            sp.add_argument("--module", help="module expression")
+        sp.add_argument("--chart", help="builtin chart name")
+        sp.add_argument("--chart-file", help="chart config file")
+        sp.add_argument("--module", help="module expression")
         sp.add_argument("--variant", choices=variants, help="default full")
-        sp.add_argument("--hs", type=int, help="homotopy s (default 1)")
-        sp.add_argument("--ht", type=int, help="homotopy t (default 1)")
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--budget", type=int, help="exhaustive sweep budget (default 10^6)")
-        sp.add_argument("--samples", type=int, help="sampled sweep size (default 10^4)")
+        if seed or sweep:
+            sp.add_argument("--seed", type=int, default=None)
+        if sweep:
+            sp.add_argument("--budget", type=int, help="exhaustive sweep budget (default 10^6)")
+            sp.add_argument("--samples", type=int, help="sampled sweep size (default 10^4)")
         sp.add_argument("--format", choices=_CHOICES["format"], help="default text")
         sp.add_argument("--output", help="output path (default stdout)")
 
     sp = sub.add_parser("jt", help="Jordan type at a point")
-    common(sp, needs_module=True, needs_chart=True, variants=_JT_VARIANTS)
+    common(sp, variants=_JT_VARIANTS)
+    sp.add_argument("--hs", type=int, help="homotopy s (default 1)")
+    sp.add_argument("--ht", type=int, help="homotopy t (default 1)")
     sp.add_argument("--point", help="comma-separated chart parameter values")
     sp.add_argument("--tuple-file", help="explicit tuple file (matrices row-wise)")
 
     sp = sub.add_parser("strata", help="tabulate Jordan types over a chart sweep")
-    common(sp, needs_module=True, needs_chart=True)
+    common(sp, sweep=True)
     sp.add_argument("--max-reps", type=int, help="default 4")
 
     sp = sub.add_parser("minors", help="emit determinantal rank-locus generators")
-    common(sp, needs_module=True, needs_chart=True)
+    common(sp)
     sp.add_argument("--j", type=int, help="default 1")
     sp.add_argument("--d", type=int, required=True)
 
     sp = sub.add_parser("closed", help="verify a closed stratum determinantally")
-    common(sp, needs_module=True, needs_chart=True)
+    common(sp, sweep=True)
     sp.add_argument("--type", required=True, help='Jordan type, e.g. "[3]+[1]"')
 
     sp = sub.add_parser("semicont", help="semicontinuity along curves")
-    common(sp, needs_module=True, needs_chart=True)
+    common(sp, seed=True)
     sp.add_argument("--curves", type=int, help="number of seeded builtin curves (default 10)")
     sp.add_argument("--curve-file", help="file of param=c0,c1,... lines")
 
@@ -255,8 +257,8 @@ def _cmd_jt(args, out):
     field = _resolve_field(args)
     module = _resolve_module(args)
     if getattr(args, "tuple_file", None):
-        explicit = load_explicit_file(args.tuple_file)
-        tup = CommutingTuple.gl(explicit.matrices)
+        # a file over GF(p) is embedded into an extension; any other field is refused
+        tup = CommutingTuple.gl(m.embed_into(field) for m in read_tuple_file(args.tuple_file))
         point_desc = args.tuple_file
     else:
         if not getattr(args, "point", None):

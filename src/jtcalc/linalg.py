@@ -8,19 +8,20 @@ entries; over GF(p^n) each entry is its n x n GF(p) regular-representation
 block (`_Pointwise.lift`, through the field's multiplication tensor), a
 ring homomorphism, so products, sums and zero tests are integer products
 and sums reduced mod p.  `batch` evaluates the universal operator on
-stacks of many points.  `ExactMatrix` keeps a finite-field matrix as its
-(rows, cols, n) coordinates and runs its products, Kronecker products,
-scalar multiples, Frobenius twists, ranks and echelon forms on one-point
-stacks; over every other domain (polynomial rings, function fields,
-truncated curve rings) a matrix is a tuple of tuples of ring elements.
+stacks of many points.  A finite-field `ExactMatrix` is stored as its
+read-only one-point stack, reduced mod p, and each of its operations is
+one operation of the kernel on it; coordinates are read only where
+elements enter (`from_rows`, `from_coords`) or leave (`entry`).  Over
+every other domain (polynomial rings, function fields, truncated curve
+rings) a matrix is a tuple of tuples of ring elements.
 
 Rank and kernels are only defined over fields.  A GF(q) rank comes from
 block pivots on the regular representation (`_block_rank`), and the ranks
 of a stack of many points from one batched GF(p) elimination with a pivot
-row per matrix (`_ranks`).  The reduced
-echelon form behind kernels and inverses is the GF(p) one of the regular
-representation (`_gfp_rref`: pivots inverted by Fermat's little theorem,
-one outer-product update per pivot), read back from the blocks.
+row per matrix (`_ranks`).  Kernels and inverses come from the GF(p)
+reduced echelon form of the regular representation (`_gfp_rref`: pivots
+inverted by Fermat's little theorem, one outer-product update per pivot),
+which is the regular representation of the GF(q) reduced form.
 
 A matrix over GF(q)[x] is the same block layout with the point axis read
 as the coefficient axis: its (L, rows n, cols n) stack holds the lifted
@@ -328,19 +329,6 @@ def _frobenius_power(field, i):
     return out
 
 
-def _ff_rref(ring, m):
-    """Reduced row echelon form over GF(q) of one matrix of a `_Pointwise` stack; returns (its
-    (rows, cols, n) coordinates, pivot column list).
-
-    The GF(p) reduced form of the regular representation is the regular
-    representation of the GF(q) reduced form, so each block carries its
-    entry back (`_Pointwise.coords`), and each GF(q) pivot column j shows up
-    as the n GF(p) pivots (j, 0), ..., (j, n-1).
-    """
-    R, pivots = _gfp_rref(m, ring.p)
-    return ring.coords(R), [c // ring.n for c in pivots[::ring.n]]
-
-
 # -- generic object-entry kernels -------------------------------------------
 
 
@@ -594,7 +582,12 @@ def _px_stack(field, rows):
 
 
 class ExactMatrix:
-    """Immutable dense matrix over a fixed coefficient domain."""
+    """Immutable dense matrix over a fixed coefficient domain.
+
+    Over a finite field `_data` is the matrix as a read-only one-point
+    `_Pointwise` stack (1, rows n, cols n), reduced mod p; over any other
+    domain it is a tuple of rows of elements.
+    """
 
     __slots__ = ("domain", "rows", "cols", "_backend", "_data")
 
@@ -623,7 +616,7 @@ class ExactMatrix:
                     elif v.field != domain:
                         v = domain.embed(v)
                     data[i, j] = v.coeffs
-            return ExactMatrix(domain, nr, nc, _FF, _freeze(data))
+            return ExactMatrix.from_coords(domain, data)
         norm = []
         for row in rows:
             out = []
@@ -639,23 +632,25 @@ class ExactMatrix:
     @staticmethod
     def from_coords(field, data):
         """A finite-field matrix from a (rows, cols, n) integer array of reduced coordinates."""
-        return ExactMatrix(field, data.shape[0], data.shape[1], _FF, _freeze(data))
+        return ExactMatrix._of_stack(field, _Pointwise(field).lift(data))
+
+    @staticmethod
+    def _of_stack(field, m):
+        """The finite-field matrix of a reduced one-point stack m of `_Pointwise(field)`."""
+        n = field.n
+        return ExactMatrix(field, m.shape[1] // n, m.shape[2] // n, _FF, _freeze(m))
 
     @staticmethod
     def zeros(domain, rows, cols):
         if isinstance(domain, FiniteField):
-            return ExactMatrix(domain, rows, cols, _FF, _freeze(np.zeros((rows, cols, domain.n))))
+            return ExactMatrix._of_stack(domain, np.zeros((1, rows * domain.n, cols * domain.n)))
         z = domain.zero()
         return ExactMatrix(domain, rows, cols, _OBJ, tuple(tuple(z for _ in range(cols)) for _ in range(rows)))
 
     @staticmethod
     def identity(domain, n):
         if isinstance(domain, FiniteField):
-            data = np.zeros((n, n, domain.n), dtype=np.int64)
-            one = domain.one().coeffs
-            for i in range(n):
-                data[i, i] = one
-            return ExactMatrix(domain, n, n, _FF, _freeze(data))
+            return ExactMatrix._of_stack(domain, _Pointwise(domain).identity(n))
         one, zero = domain.one(), domain.zero()
         return ExactMatrix(
             domain, n, n, _OBJ,
@@ -670,7 +665,9 @@ class ExactMatrix:
 
     def entry(self, i, j):
         if self._backend == _FF:
-            return FFElement(self.domain, tuple(int(v) for v in self._data[i, j]))
+            # column 0 of the entry's block
+            n = self.domain.n
+            return FFElement(self.domain, tuple(self._data[0, i * n:(i + 1) * n, j * n].tolist()))
         return self._data[i][j]
 
     def to_rows(self):
@@ -680,17 +677,6 @@ class ExactMatrix:
         if self._backend == _OBJ:
             return self._data
         return tuple(tuple(self.entry(i, j) for j in range(self.cols)) for i in range(self.rows))
-
-    def _lifted(self):
-        """(ring, stack): the `_Pointwise` ring of a finite-field matrix's field, and the matrix
-        as a one-point stack of it."""
-        ring = _Pointwise(self.domain)
-        return ring, ring.lift(self._data)
-
-    @staticmethod
-    def _of_stack(ring, m):
-        """The finite-field matrix of the one-point stack m of a `_Pointwise` ring."""
-        return ExactMatrix.from_coords(ring.field, ring.coords(ring.reduce(m[0])))
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -704,16 +690,14 @@ class ExactMatrix:
         if self.shape != other.shape:
             raise JTCalcError("shape mismatch in matrix addition")
         if self._backend == _FF and other._backend == _FF:
-            return ExactMatrix(self.domain, self.rows, self.cols, _FF,
-                               _freeze((self._data + other._data) % self.domain.p))
+            return ExactMatrix._of_stack(self.domain, (self._data + other._data) % self.domain.p)
         a, b = self._obj_rows(), other._obj_rows()
         return ExactMatrix(self.domain, self.rows, self.cols, _OBJ,
                            tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b)))
 
     def __neg__(self):
         if self._backend == _FF:
-            return ExactMatrix(self.domain, self.rows, self.cols, _FF,
-                               _freeze((-self._data) % self.domain.p))
+            return ExactMatrix._of_stack(self.domain, -self._data % self.domain.p)
         return ExactMatrix(self.domain, self.rows, self.cols, _OBJ,
                            tuple(tuple(-x for x in r) for r in self._obj_rows()))
 
@@ -725,16 +709,14 @@ class ExactMatrix:
         if self.cols != other.rows:
             raise JTCalcError("shape mismatch in matrix product")
         if self._backend == _FF and other._backend == _FF:
-            ring, a = self._lifted()
-            return ExactMatrix._of_stack(ring, a @ ring.lift(other._data))
+            return ExactMatrix._of_stack(self.domain, self._data @ other._data % self.domain.p)
         return ExactMatrix(self.domain, self.rows, other.cols, _OBJ,
                            _obj_mmul(self.domain, self._obj_rows(), other._obj_rows()))
 
     def scalar_mul(self, s):
         if self._backend == _FF:
             s = self.domain.embed(s) if not isinstance(s, int) else self.domain.from_int(s)
-            ring, a = self._lifted()
-            return ExactMatrix._of_stack(ring, ring.scale(a, s))
+            return ExactMatrix._of_stack(self.domain, _Pointwise(self.domain).scale(self._data, s))
         if isinstance(s, int):
             s = self.domain.embed_int(s)
         return ExactMatrix(self.domain, self.rows, self.cols, _OBJ,
@@ -743,8 +725,8 @@ class ExactMatrix:
     def kron(self, other):
         other = self._check(other)
         if self._backend == _FF and other._backend == _FF:
-            ring, a = self._lifted()
-            return ExactMatrix._of_stack(ring, ring.kron(a, ring.lift(other._data)))
+            ring = _Pointwise(self.domain)
+            return ExactMatrix._of_stack(self.domain, ring.reduce(ring.kron(self._data, other._data)))
         a, b = self._obj_rows(), other._obj_rows()
         out = []
         for i in range(self.rows):
@@ -765,8 +747,8 @@ class ExactMatrix:
         other = self._check(other)
         if self._backend == _FF and other._backend == _FF:
             ring = _Pointwise(self.domain)
-            x, y = ring.lift(self._data[:, left]), ring.lift(other._data[:, right])
-            return ExactMatrix._of_stack(ring, ring.outer_columns(x, y))
+            x, y = self._data[:, :, ring.columns(left)], other._data[:, :, ring.columns(right)]
+            return ExactMatrix._of_stack(self.domain, ring.reduce(ring.outer_columns(x, y)))
         a, b = self._obj_rows(), other._obj_rows()
         pairs = list(zip(left.tolist(), right.tolist()))
         return ExactMatrix(self.domain, self.rows * other.rows, len(left), _OBJ, tuple(
@@ -774,8 +756,7 @@ class ExactMatrix:
 
     def transpose(self):
         if self._backend == _FF:
-            return ExactMatrix(self.domain, self.cols, self.rows, _FF,
-                               _freeze(self._data.transpose(1, 0, 2)))
+            return ExactMatrix._of_stack(self.domain, _Pointwise(self.domain).transpose(self._data))
         rows = self._obj_rows()
         return ExactMatrix(self.domain, self.cols, self.rows, _OBJ,
                            tuple(tuple(rows[i][j] for i in range(self.rows)) for j in range(self.cols)))
@@ -797,8 +778,7 @@ class ExactMatrix:
         if e == 0:
             return self
         if self._backend == _FF:
-            ring, a = self._lifted()
-            return ExactMatrix._of_stack(ring, ring.frobenius(a, e))
+            return ExactMatrix._of_stack(self.domain, _Pointwise(self.domain).frobenius(self._data, e))
         return ExactMatrix(self.domain, self.rows, self.cols, _OBJ,
                            tuple(tuple(x.frobenius(e) for x in r) for r in self._obj_rows()))
 
@@ -845,8 +825,7 @@ class ExactMatrix:
         """Exact rank; requires the coefficient domain to be a field: a finite field, ranked by
         block pivots on the one-point stack (`_block_rank`), or a rational function field."""
         if isinstance(self.domain, FiniteField):
-            ring, a = self._lifted()
-            return _block_rank(a[0], ring.p, ring.n)
+            return _block_rank(self._data[0], self.domain.p, self.domain.n)
         require_field(self.domain)
         field = self.domain.field
         rows = [[dict(enumerate(v)) for v in row] for row in self._cleared_rows()]
@@ -873,16 +852,19 @@ class ExactMatrix:
     def kernel_basis(self):
         """Exact basis of the right kernel (list of column vectors as element lists)."""
         if isinstance(self.domain, FiniteField):
-            ring, a = self._lifted()
-            R, pivots = _ff_rref(ring, a[0])
+            # the GF(p) reduced form of the blocks is the regular representation of the GF(q) one:
+            # GF(q) pivot column j shows up as the n GF(p) pivots (j, 0), ..., (j, n-1)
             field = self.domain
+            ring = _Pointwise(field)
+            R, gfp_pivots = _gfp_rref(self._data[0], field.p)
+            R, pivots = ring.coords(R), [c // field.n for c in gfp_pivots[::field.n]]
             free = [c for c in range(self.cols) if c not in pivots]
             basis = []
             for f in free:
                 vec = [field.zero()] * self.cols
                 vec[f] = field.one()
                 for pr, pc in enumerate(pivots):
-                    vec[pc] = -FFElement(field, tuple(int(v) for v in R[pr, f]))
+                    vec[pc] = -FFElement(field, tuple(R[pr, f].tolist()))
                 basis.append(vec)
             return basis
         require_field(self.domain)
@@ -919,11 +901,14 @@ class ExactMatrix:
             raise JTCalcError("inverse needs a square matrix")
         n = self.rows
         if isinstance(self.domain, FiniteField):
-            ring, a = self._lifted()
-            R, pivots = _ff_rref(ring, np.concatenate([a[0], ring.identity(n)[0]], axis=1))
-            if len(pivots) < n or pivots[:n] != list(range(n)):
+            # the blocks of the inverse are the GF(p) inverse of the blocks (a ring homomorphism):
+            # the right half of the reduced form of [A | I], when its pivots are A's columns
+            d = n * self.domain.n
+            aug = np.concatenate([self._data[0], np.eye(d, dtype=np.int64)], axis=1)
+            R, pivots = _gfp_rref(aug, self.domain.p)
+            if pivots != list(range(d)):
                 raise JTCalcError("matrix is singular")
-            return ExactMatrix.from_coords(self.domain, R[:, n:, :])
+            return ExactMatrix._of_stack(self.domain, R[None, :, d:])
         require_field(self.domain)
         ident = ExactMatrix.identity(self.domain, n)._obj_rows()
         aug = tuple(ra + rb for ra, rb in zip(self._obj_rows(), ident))
@@ -945,10 +930,9 @@ class ExactMatrix:
         if self.domain == bigger_field:
             return self
         if self.domain.n != 1 or self.domain.p != bigger_field.p:
-            raise DomainMismatchError(f"no embedding of {self.domain} into {bigger_field}")
-        data = np.zeros((self.rows, self.cols, bigger_field.n), dtype=np.int64)
-        data[:, :, 0] = self._data[:, :, 0]
-        return ExactMatrix(bigger_field, self.rows, self.cols, _FF, _freeze(data))
+            raise DomainMismatchError(f"no embedding of {self.domain.descriptor()} into {bigger_field.descriptor()}")
+        # an element x of GF(p) is the block x I of the bigger field
+        return ExactMatrix._of_stack(bigger_field, np.kron(self._data, np.eye(bigger_field.n, dtype=np.int64)))
 
     def serialize(self):
         """Row-major nested list of entry strings."""

@@ -655,10 +655,16 @@ def parse_module_expr(text, loader=None):
 
 
 def load_explicit_file(path, label=None):
-    """Read an Explicit module file: field, size and (optional) height lines, then matrices.
+    """The Explicit module of a tuple file (`read_tuple_file`)."""
+    return Explicit(read_tuple_file(path), label=label or path)
+
+
+def read_tuple_file(path):
+    """The matrices of a tuple file: field, size and (optional) height lines, then matrices.
 
     Each matrix follows a `matrix` line, one row of `size` entries a line.  A
-    malformed file raises a `ParseError` naming the line.
+    malformed file raises a `ParseError` naming the line.  The matrices are
+    not checked to commute or to be p-nilpotent.
     """
     with open(path) as fh:
         text = fh.read()
@@ -700,8 +706,7 @@ def load_explicit_file(path, label=None):
             raise ParseError(f"matrix {k} has {len(rows)} rows, expected {size}", line=start)
     if height is not None and height != len(blocks):
         raise ParseError(f"height {height} but {len(blocks)} matrices", line=blocks[-1][0])
-    matrices = tuple(ExactMatrix.from_rows(field, rows) for _, rows in blocks)
-    return Explicit(matrices, label=label or path)
+    return tuple(ExactMatrix.from_rows(field, rows) for _, rows in blocks)
 
 
 def _header_int(text, what, lineno):

@@ -48,9 +48,6 @@ from .linalg import ExactMatrix, _Pointwise
 from .modules import Explicit, ModuleExpr, UnipotentPair, texp_matrix
 
 
-_LIFTED = "_lifted"  # the attribute that keeps a tuple's `_stacks`
-
-
 @dataclass(frozen=True)
 class CommutingTuple:
     """A point of the height-r commuting nilpotent variety.
@@ -60,9 +57,9 @@ class CommutingTuple:
                       structure is trivial, so no nilpotency is imposed.
     kind "multi_ga":  height-1 point of a product of s additive lines.
 
-    Over a finite field the matrices are lifted to one-point stacks once
-    (`_stacks`), when the tuple is validated or first evaluated, and kept
-    outside the dataclass fields, so hash and equality do not see them.
+    Over a finite field each matrix is stored as its one-point `_Pointwise`
+    stack (`ExactMatrix`), which validation and the walker read as it is
+    (`_stacks`).
     """
 
     kind: str
@@ -122,7 +119,6 @@ class CommutingTuple:
         """
         out = object.__new__(CommutingTuple)
         out.__dict__.update(self.__dict__, mats=tuple(mats))
-        out.__dict__.pop(_LIFTED, None)
         return out
 
 
@@ -153,18 +149,16 @@ def conjugate_tuple(tup, g):
 
 @dataclass(frozen=True)
 class ThetaMatrix:
-    """A realized universal operator: p-nilpotent over the point's domain.
+    """A realized universal operator at a point.
 
-    nilpotency_checked is True when the operator's p-th power was verified
-    to vanish before the ThetaMatrix was built.  It is False over domains
-    other than finite fields.
+    Over a finite field its p-th power was checked to vanish before it was
+    built; over other domains it was not.
     """
 
     module: ModuleExpr
     matrix: ExactMatrix
     variant: str
     point: CommutingTuple
-    nilpotency_checked: bool = True
 
 
 def _trunc_ring(tup):
@@ -179,16 +173,9 @@ def _stacks(tup):
 
     Every point of every kind is a P = 1 stack, as in a sweep; over GF(p^n)
     each entry is its n x n regular-representation block.  The stacks are
-    built once per tuple, and are read-only.
+    the matrices' own read-only storage.
     """
-    lifted = tup.__dict__.get(_LIFTED)
-    if lifted is None:
-        ring = _Pointwise(_domain(tup))
-        lifted = ring, [ring.lift(m._data) for m in tup.mats]
-        for m in lifted[1]:
-            m.setflags(write=False)
-        object.__setattr__(tup, _LIFTED, lifted)
-    return lifted
+    return _Pointwise(_domain(tup)), [m._data for m in tup.mats]
 
 
 def _domain(tup):
@@ -243,11 +230,6 @@ def _check_vanishes(ring, op, name):
         raise NotNilpotentError(f"{name} operator is not p-nilpotent")
 
 
-def _matrix(tup, ring, op):
-    """The `ExactMatrix` of the operator of a one-point stack."""
-    return ExactMatrix.from_coords(tup.domain, ring.coords(op))
-
-
 def one_param(tup):
     """The one-parameter group element  prod_s exp(t^(p^s) B_s)  with inverse."""
     return _one_param(tup, with_inv=True)
@@ -279,13 +261,14 @@ def theta_exp(e, tup):
 
 def _theta(e, tup, variant):
     """The variant's operator, checked p-nilpotent over a finite field.  Over other domains
-    the check is left out (nilpotency_checked is False): there the tuple's conditions hold
-    only modulo the chart's constraints."""
+    the check is left out: there the tuple's conditions hold only modulo the chart's
+    constraints."""
     _check_pairing(e, tup.kind, tup.p, tup.height)
     if isinstance(tup.domain, FiniteField):
-        return ThetaMatrix(e, _matrix(tup, *_checked_operator(e, tup, variant)), variant, tup)
+        op = _checked_operator(e, tup, variant)[1]
+        return ThetaMatrix(e, ExactMatrix._of_stack(tup.domain, op[None]), variant, tup)
     ring, op = symbolic_operator(e, tup, variant)
-    return ThetaMatrix(e, ring.matrix(op), variant, tup, nilpotency_checked=False)
+    return ThetaMatrix(e, ring.matrix(op), variant, tup)
 
 
 def theta_multi_ga(explicit, scalars):
@@ -301,11 +284,11 @@ def homotopy_theta(e, tup, s_val, t_val):
     """The projective-line family  s * theta_exp + t * theta_full  at the point."""
     name = f"homotopy({s_val}:{t_val})"
     if isinstance(tup.domain, FiniteField):
-        ring, op = _homotopy_family(e, tup)(s_val, t_val)
-        return ThetaMatrix(e, _matrix(tup, ring, op), name, tup)
+        op = _homotopy_family(e, tup)(s_val, t_val)[1]
+        return ThetaMatrix(e, ExactMatrix._of_stack(tup.domain, op[None]), name, tup)
     _check_homotopy(s_val, t_val)
     mat = theta_exp(e, tup).matrix.scalar_mul(s_val) + theta_full(e, tup).matrix.scalar_mul(t_val)
-    return ThetaMatrix(e, mat, name, tup, nilpotency_checked=False)
+    return ThetaMatrix(e, mat, name, tup)
 
 
 def homotopy_ranks(e, tup, samples, j, built=None):

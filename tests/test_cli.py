@@ -253,6 +253,72 @@ def test_malformed_explicit_files_name_the_line(tmp_path):
                     "--point", "1"])[0] == 0
 
 
+def _tuple_file_jt(path, *options):
+    return run_cli(["jt", *options, "--module", "Std(2)*Tw(1,Std(2))", "--tuple-file", str(path),
+                    "--format", "jsonl"])
+
+
+@pytest.mark.parametrize("variant", ["full", "exp", "homotopy"])
+def test_tuple_file_over_another_field_is_refused(tmp_path, variant):
+    """A GF(3) tuple is not a point over GF(5): the run names both fields and reports nothing.
+    Over GF(3) and its extension GF(9) it is a point, of the same type."""
+    path = tmp_path / "tuple.txt"
+    path.write_text("field GF(3)\nsize 2\nmatrix\n0 1\n0 0\nmatrix\n0 2\n0 0\n")
+    code, out, err = _tuple_file_jt(path, "--p", "5", "--variant", variant)
+    assert code == 2 and out == "" and "GF(3)" in err and "GF(5)" in err, err
+    reports = [_tuple_file_jt(path, *field, "--variant", variant) for field in (["--p", "3"], ["--field", "GF(9)"])]
+    assert [code for code, _, _ in reports] == [0, 0]
+    assert len({json.loads(out)["jordan_type"] for _, out, _ in reports}) == 1
+    # a field of the same order with another modulus is another field
+    path.write_text("field GF(9)\nsize 2\nmatrix\n0 (0,1)\n0 0\n")
+    code, out, err = _tuple_file_jt(path, "--field", "GF(3^2; modulus=x^2+1)", "--variant", variant)
+    assert code == 2 and out == "" and "GF(3^2; modulus=x^2+2x+2) into GF(3^2; modulus=x^2+1)" in err, err
+
+
+def test_tuple_file_is_checked_once_as_a_commuting_tuple(tmp_path, monkeypatch):
+    """A tuple file is read by the module file parser (a malformed one names the line), then
+    checked once, as a point, not first as an Explicit module."""
+    import jtcalc.modules as modules_mod
+
+    calls = []
+    check = modules_mod.validate_commuting_tuple
+    monkeypatch.setattr(modules_mod, "validate_commuting_tuple", lambda *a: calls.append(1) or check(*a))
+    path = tmp_path / "tuple.txt"
+    path.write_text(EXPLICIT.replace("0 1\n", "1 1\n"))
+    code, out, err = _tuple_file_jt(path, "--p", "3")
+    assert code == 2 and out == "" and "error: matrix 0 is not 3-nilpotent\n" in err, err
+    assert "Explicit" not in err
+    path.write_text(EXPLICIT.replace("0 1\n", "(1,x) 1\n"))
+    code, _, err = _tuple_file_jt(path, "--p", "3")
+    assert code == 2 and "parse error: bad matrix entry '(1,x)' (line 5)\n" in err, err
+    path.write_text(EXPLICIT)
+    assert _tuple_file_jt(path, "--p", "3")[0] == 0
+    assert calls == []
+
+
+# the flags each command used to offer and never read
+UNREAD_FLAGS = [
+    (command, flag)
+    for command, flags in [
+        (["jt", "--point", "0,1,0,1,1"], ["--budget", "--samples", "--seed"]),
+        (["minors", "--d", "1"], ["--budget", "--samples", "--seed", "--hs", "--ht"]),
+        (["semicont", "--seed", "1"], ["--budget", "--samples", "--hs", "--ht"]),
+        (["strata"], ["--hs", "--ht"]),
+        (["closed", "--type", "[3]+[1]"], ["--hs", "--ht"]),
+    ]
+    for flag in flags
+]
+
+
+@pytest.mark.parametrize("command, flag", UNREAD_FLAGS, ids=[f"{c[0]}{f}" for c, f in UNREAD_FLAGS])
+def test_commands_reject_flags_they_do_not_read(command, flag):
+    args = command + ["--p", "3", "--chart", "sl2_line", "--r", "2", "--module", "Std(2)*Tw(1,Std(2))"]
+    assert run_cli(args)[0] in (0, 1)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(args + [flag, "1"])
+    assert exc.value.code == 2
+
+
 def test_malformed_curve_files_name_the_line(tmp_path):
     cases = [
         ("a=0,1\nb=\n", "parse error: bad coefficient list '' (line 2)"),

@@ -208,6 +208,11 @@ POINT_GOLDENS = {
     "jt_sl2_line_gf3_r3_dual.jsonl": ["--p", "3", "--chart", "sl2_line", "--r", "3",
                                       "--module", "Dual(Std(2))*Std(2)*Tw(1,Std(2))", "--point", "0,1,0,1,1,0",
                                       "--variant", "full"],
+    # explicit tuples read from a file, over its field and over an extension of it
+    "jt_tuple_file_gf3.jsonl": ["--p", "3", "--module", "Ext(2,Std(4))*Tw(1,Std(4))",
+                                "--tuple-file", "tests/golden/square4.txt"],
+    "jt_tuple_file_gf9_exp.jsonl": ["--field", "GF(9)", "--module", "Sym(2,Std(4))+Tw(1,Dual(Std(4)))",
+                                    "--tuple-file", "tests/golden/square4.txt", "--variant", "exp"],
 }
 # Dual and Ext over GF(25) and GF(27), both variants
 for _variant in ("full", "exp"):

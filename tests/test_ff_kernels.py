@@ -4,7 +4,8 @@ one-point `linalg._Pointwise` stacks.
 Products, Kronecker products (full and column-paired), scalar multiples
 and Frobenius twists over GF(p) and GF(p^n) are checked against entrywise
 `FFElement` arithmetic, products also with a left factor whose entries lie
-in GF(p).  Rank, reduced row echelon form and kernels are checked against
+in GF(p); so are inverses, transposes, embeddings, the constructors,
+equality and the entry readers of the stored stack.  Rank, reduced row echelon form and kernels are checked against
 row reduction with entrywise products by coefficient convolution, reduced
 modulo the field modulus: the elimination `linalg` used before extension
 fields went through their GF(p) regular representation, kept here as the
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jtcalc.errors import DomainMismatchError, JTCalcError
 from jtcalc.fields import GF, FFElement
 from jtcalc.linalg import ExactMatrix
 from jtcalc.modules import _lifted_mu
@@ -120,6 +122,12 @@ def matrix(field, rows, cols):
     """The `ExactMatrix` of a list of rows with `cols` columns; `from_rows` reads the column
     count off the first row, so an empty list needs it given."""
     return ExactMatrix.from_rows(field, rows) if rows else ExactMatrix.zeros(field, 0, cols)
+
+
+def coords(m):
+    """The (rows, cols, n) coordinates of a finite-field matrix, read entry by entry."""
+    data = [[v.coeffs for v in row] for row in m.to_rows()]
+    return np.array(data, dtype=np.int64).reshape(m.rows, m.cols, m.domain.n)
 
 
 # -- products --------------------------------------------------------------------------
@@ -228,9 +236,9 @@ def test_extension_rank_and_kernel_match_convolution_elimination(data):
     field = data.draw(ext_field)
     cols = data.draw(dims)
     m = matrix(field, data.draw(field_rows(field, cols=cols)), cols)
-    _, pivots = conv_rref(field, m._data)
+    _, pivots = conv_rref(field, coords(m))
     assert m.rank() == len(pivots)
-    assert m.kernel_basis() == conv_kernel_basis(field, m._data)
+    assert m.kernel_basis() == conv_kernel_basis(field, coords(m))
 
 
 @given(st.data())
@@ -239,9 +247,9 @@ def test_prime_rank_and_kernel_match_convolution_elimination(data):
     field = data.draw(prime_field)
     cols = data.draw(st.integers(0, 8))
     m = matrix(field, data.draw(field_rows(field, cols=cols)), cols)
-    _, pivots = conv_rref(field, m._data)
+    _, pivots = conv_rref(field, coords(m))
     assert m.rank() == len(pivots)
-    assert m.kernel_basis() == conv_kernel_basis(field, m._data)
+    assert m.kernel_basis() == conv_kernel_basis(field, coords(m))
 
 
 def test_rank_is_invariant_under_field_extension():
@@ -251,3 +259,110 @@ def test_rank_is_invariant_under_field_extension():
     assert m.rank() == 2
     for ext in (GF(3, 2), GF(3, 3), GF(3, 4, (2, 0, 0, 2, 1))):
         assert m.embed_into(ext).rank() == 2
+
+
+# -- the stored stack: inverses, transposes, embeddings, constructors, readers ---------
+
+
+def _identity_rows(field, n):
+    return [[field.one() if i == j else field.zero() for j in range(n)] for i in range(n)]
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_inverse_matches_entrywise(data):
+    """A A^-1 = A^-1 A = I entrywise when conv elimination finds A invertible; otherwise
+    `inverse` raises."""
+    field = data.draw(any_field)
+    n = data.draw(dims)
+    a = data.draw(field_rows(field, n, n))
+    m = matrix(field, a, n)
+    if len(conv_rref(field, coords(m))[1]) < n:
+        with pytest.raises(JTCalcError, match="^matrix is singular$"):
+            m.inverse()
+        return
+    inv = m.inverse()
+    assert inv.shape == (n, n)
+    b = inv.to_rows()
+    assert _entrywise_product(a, b, field, n) == _identity_rows(field, n)
+    assert _entrywise_product(b, a, field, n) == _identity_rows(field, n)
+
+
+def test_inverse_of_a_non_square_matrix_raises():
+    with pytest.raises(JTCalcError, match="^inverse needs a square matrix$"):
+        ExactMatrix.zeros(GF(3, 2), 2, 3).inverse()
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_transpose_matches_entrywise(data):
+    field = data.draw(any_field)
+    rows, cols = data.draw(dims), data.draw(dims)
+    a = data.draw(field_rows(field, rows, cols))
+    got = matrix(field, a, cols).transpose()
+    assert got.shape == (cols, rows)
+    assert got.to_rows() == [[a[i][j] for i in range(rows)] for j in range(cols)]
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_embed_into_matches_entrywise(data):
+    """A GF(p) matrix embeds into each GF(p^n) entry by entry; into its own field it is itself,
+    and no GF(p^n) matrix embeds into another field."""
+    field = data.draw(st.sampled_from(SUBFIELD_CASES))
+    prime = GF(field.p)
+    rows, cols = data.draw(dims), data.draw(dims)
+    a = data.draw(field_rows(prime, rows, cols))
+    m = matrix(prime, a, cols)
+    got = m.embed_into(field)
+    assert got.domain == field and got.shape == (rows, cols)
+    assert got.to_rows() == [[field.embed(x) for x in row] for row in a]
+    assert got.rank() == m.rank()
+    assert m.embed_into(prime) is m
+    with pytest.raises(DomainMismatchError):
+        got.embed_into(prime)
+
+
+@pytest.mark.parametrize("field", PRIME_FIELDS + EXT_FIELDS, ids=str)
+def test_identity_and_zeros_match_entrywise(field):
+    for n in range(4):
+        ident = ExactMatrix.identity(field, n)
+        assert ident.shape == (n, n) and ident.to_rows() == _identity_rows(field, n)
+        assert ident.is_zero() == (n == 0)
+        for cols in range(3):
+            zero = ExactMatrix.zeros(field, n, cols)
+            assert zero.shape == (n, cols) and zero.is_zero()
+            assert zero.to_rows() == [[field.zero()] * cols for _ in range(n)]
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_equality_and_hash_follow_the_entries(data):
+    field = data.draw(any_field)
+    rows, cols = data.draw(dims), data.draw(dims)
+    a, b = (data.draw(field_rows(field, rows, cols)) for _ in range(2))
+    ma, mb = matrix(field, a, cols), matrix(field, b, cols)
+    assert (ma == mb) == (a == b)
+    # the same matrix built by other routes
+    for same in (ExactMatrix.from_coords(field, coords(ma)), ma.transpose().transpose(),
+                 ma + ExactMatrix.zeros(field, rows, cols), ExactMatrix.identity(field, rows) @ ma):
+        assert same == ma and hash(same) == hash(ma)
+    assert ma != ma.transpose() or rows == cols
+    if field.n > 1:
+        assert ma != ExactMatrix.zeros(GF(field.p), rows, cols)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_entry_and_serialize_read_every_entry(data):
+    field = data.draw(any_field)
+    rows, cols = data.draw(dims), data.draw(dims)
+    a = data.draw(field_rows(field, rows, cols))
+    m = matrix(field, a, cols)
+    for i in range(rows):
+        for j in range(cols):
+            x = m.entry(i, j)
+            assert x == a[i][j] and x.coeffs == a[i][j].coeffs
+            assert all(type(c) is int for c in x.coeffs)
+    assert m.serialize() == [[str(x) for x in row] for row in a]
+    assert str(m) == "[" + "; ".join(", ".join(str(x) for x in row) for row in a) + "]"

@@ -223,7 +223,7 @@ def test_homotopy_checks_the_sum(monkeypatch, name):
     """No tuple found makes both operators p-nilpotent and their sum not, so the operators are
     replaced: e12 and e21 over GF(2), whose sum squares to the identity."""
     ring = _Pointwise(F2)
-    ops = {"exp": E12_2._data[:, :, 0], "full": E21_2._data[:, :, 0]}
+    ops = {"exp": E12_2._data[0], "full": E21_2._data[0]}
     monkeypatch.setattr(theta_mod, "_stack_operator", lambda e, tup, variant: (ring, ops[variant]))
     tup = CommutingTuple.gl([E12_2], validated=False)
     with pytest.raises(NotNilpotentError, match=r"^homotopy\(1:1\) operator is not p-nilpotent$"):

@@ -154,7 +154,7 @@ def test_stack_orbit_reduce_matches_oracle(pn, name, kw):
     weights = field.p ** np.arange(field.n)
 
     def indices(tup):
-        return [m._data @ weights for m in tup.mats]
+        return [np.array([[v.coeffs for v in row] for row in m.to_rows()]) @ weights for m in tup.mats]
 
     reduced = batch._orbit_reduce(field, chart.kind, np.array([indices(tup) for tup in tuples]))
     assert reduced.tolist() == np.array([indices(orbit_reduce(tup)) for tup in tuples]).tolist()

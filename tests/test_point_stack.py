@@ -11,6 +11,7 @@ coordinates of the ring `batch._Polys` replaced
 (`poly_oracles.CoordinatePolys`), walked by `walk_oracles`.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -112,7 +113,7 @@ def coordinate_route_operator(e, tup, variant):
     coordinates."""
     theta_mod._check_pairing(e, tup.kind, tup.p, tup.height)
     ring = CoordinatePolys(tup.domain)
-    op = walk_oracles.curve_operator(ring, tup.kind, e, variant, [m._data[None] for m in tup.mats])
+    op = walk_oracles.curve_operator(ring, tup.kind, e, variant, [np.array([[[v.coeffs for v in row] for row in m.to_rows()]]) for m in tup.mats])
     return ExactMatrix.from_coords(tup.domain, op[0])
 
 

@@ -114,7 +114,7 @@ def explicit_terms(leaf, ring):
     p = ring.p
     out = []
     for alpha in leaf.matrices:
-        alpha = ring.lift(alpha.embed_into(ring.field)._data)
+        alpha = ring.lift(np.array([[v.coeffs for v in row] for row in alpha.embed_into(ring.field).to_rows()]))
         power = ring.identity(ring.dim(alpha))
         terms = [power]
         fact = 1
