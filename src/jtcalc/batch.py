@@ -27,6 +27,13 @@ time:
 * Sym and Ext follow the equivariant recurrence
   Sym^d(g) = mu_d (Sym^(d-1)(g) (x) g) J_d, with the bases and cached maps
   of `modules.power_maps`, which the pointwise path uses too;
+* a sweep finds Jordan types by the module's structure (`_type_plan`,
+  built once per module tree, chart kind, variant, p and r, from the
+  point-independent t-supports of `_supports`): direct sums, and tensor
+  products whose top coefficient is X (x) 1 + 1 (x) Y, split into leaves;
+  one walk per chunk gives every leaf's operator (`_operators`), each leaf
+  is ranked, and the leaf types are folded by `jt_sum` / `jt_tensor`
+  (`_fold`); single points, curves and minors walk the whole module;
 * Jordan types come from the ranks of the operator's powers, one loop for
   sweeps, single points and curves (`_jordan_types`); each ring ranks its
   stacks (`ranks`): many points by batched GF(p) elimination with a pivot
@@ -64,7 +71,7 @@ from math import comb, isqrt
 import numpy as np
 
 from .errors import ChartError, DomainMismatchError, JTCalcError, NotNilpotentError
-from .jordan import RankProfile, jt_from_rank_profile
+from .jordan import TENSOR_DIM_CAP, RankProfile, jt_from_rank_profile, jt_sum, jt_tensor
 from .linalg import _convolve, _Pointwise, _px_rank, _px_trim, _regular
 from .modules import (
     DirectSum,
@@ -129,7 +136,8 @@ def jordan_types(chart, e, field, variant, budget, seed, samples):
     j, None for the zero tuple's.  As in the per-point sweep, every tuple is
     validated before any operator is evaluated.  Then each orbit's operator
     is evaluated once, on its canonical tuple (`_orbit_reduce`), in walks of
-    `sweep.chunk` orbits.
+    `sweep.chunk` orbits: the operators of the leaves of the module's type
+    plan (`_type_plan`), whose types fold into the module's (`_Sweep.types`).
     """
     sweep = _Sweep(chart, e, field, variant)
     orbits = _Orbits(sweep.shape, sweep.dtype)
@@ -369,6 +377,9 @@ class _Sweep:
       largest stacks of validation;
     * `chunk` tuples share one operator walk (`types`), whose stacks hold
       terms = p^(r-1) + 1 t-degrees of the module tree's largest matrix.
+      The walk gives the operators of the leaves of the module's type plan
+      (`_type_plan`), and `types` ranks each and folds their types by the
+      closed forms of direct sums and tensor products.
 
     point_chunk is a multiple of chunk, so that operator walks cut from a
     point chunk are those of a sweep cut into chunks of `chunk` points.
@@ -453,21 +464,111 @@ class _Sweep:
             yield values
 
     def types(self, mats):
-        """Jordan types of the selected operator at a stack of nonzero tuples."""
+        """Jordan types of the selected operator at a stack of nonzero tuples.
+
+        Each leaf of the module's type plan (`_type_plan`) is ranked, and
+        the leaf types are folded by the closed forms of tensor products
+        and direct sums.  A leaf's operator need not be p-nilpotent where
+        the module's is (X (x) 1 + 1 (x) Y is when X^p = -Y^p is a nonzero
+        scalar), so a leaf that is not sends the stack to the walk of the
+        whole module, which answers or raises as a sweep without a plan.
+        """
         if not len(mats):
             return []
-        _check_pairing(self.e, self.chart.kind, self.p, self.chart.r)
-        return _jordan_types(*self._operator(mats), f"{self.variant} operator is not p-nilpotent")
+        kind = self.chart.kind
+        _check_pairing(self.e, kind, self.p, self.chart.r)
+        report = f"{self.variant} operator is not p-nilpotent"
+        ring, ops = self._operator(mats)
+        try:
+            leaf_types = [_jordan_types(ring, op, report) for op in ops]
+        except NotNilpotentError:
+            ring, stacks = self._stacks(mats)
+            return _jordan_types(ring, curve_operator(ring, kind, self.e, self.variant, stacks), report)
+        tree = _type_plan(self.e, kind, self.variant, self.p, self.chart.r)[1]
+        return [_fold(tree, types) for types in zip(*leaf_types)]
 
     def _operator(self, mats):
-        """The `_Pointwise` ring of a stack of tuples, and the operators at them as its stack."""
+        """The `_Pointwise` ring of a stack of tuples, and the operators of the type plan's
+        leaves at them as its stacks: one walk of the module's group elements."""
         ring, stacks = self._stacks(mats)
-        return ring, curve_operator(ring, self.chart.kind, self.e, self.variant, stacks)
+        leaves = _type_plan(self.e, self.chart.kind, self.variant, self.p, self.chart.r)[0]
+        return ring, _operators(ring, self.chart.kind, self.e, self.variant, stacks, leaves)
 
     def _stacks(self, mats):
         """The `_Pointwise` ring of a stack of tuples, and their matrices as its stacks."""
         ring = _Pointwise(self.field, len(mats))
         return ring, [ring.lift(_coords(self.field, mats[:, s])) for s in range(mats.shape[1])]
+
+
+@lru_cache(maxsize=64)
+def _type_plan(e, kind, variant, p, r):
+    """(leaves, tree): how a sweep finds the Jordan types of module e, from its structure.
+
+    At a point, the operator of a direct sum is the block sum of its
+    summands' operators, and that of a tensor product is X (x) 1 + 1 (x) Y,
+    X and Y its factors', when the t^D coefficient of the product's series
+    has no cross terms: no degrees 0 < i < D of the left factor's support
+    and j of the right's (`_supports`) with i + j = D, for the top degree D
+    of every operator term (`_terms`), the degree-0 coefficients being
+    identities.  Then the type is jt_sum or jt_tensor of the factors' types
+    (Carlson, Friedlander & Pevtsova, "Modules of constant Jordan type",
+    2008, for the tensor rule).  So a DirectSum node always splits, a Tensor
+    node splits when it passes that test and its type stays within
+    TENSOR_DIM_CAP, and every other node is a leaf, whose operator is
+    walked and ranked.  The supports of Std leaves are those of the group
+    element, of Explicit leaves every degree up to top: supersets of theirs
+    at any point, so a split found here holds at every point.
+
+    leaves lists the leaf nodes in walk order; tree is a leaf's index into
+    them, or ("tensor" | "sum", left tree, right tree).  An unknown variant
+    gives the one leaf e, whose walk raises the variant's error.
+    """
+    try:
+        terms = _terms(kind, variant, p, r)
+    except JTCalcError:
+        return (e,), 0
+    explicit = [leaf for leaf in e.leaves() if isinstance(leaf, Explicit)]
+    # Std: the degrees of the `_GroupElement` of matrix s, or of the whole tuple
+    supports = [(top, _supports(top, p, range(min(top, p ** (r if s is None else 1) - 1) + 1),
+                                dict.fromkeys(explicit, range(top + 1)))[0]) for top, s in terms]
+
+    def splits(node):
+        if node.left.dim() * node.right.dim() > TENSOR_DIM_CAP:
+            return False
+        for top, support in supports:
+            right = support(node.right)
+            if any(0 < i < top and top - i in right for i in support(node.left)):
+                return False
+        return True
+
+    leaves = []
+
+    def plan(node):
+        if isinstance(node, DirectSum) or (isinstance(node, Tensor) and splits(node)):
+            return ("sum" if isinstance(node, DirectSum) else "tensor", plan(node.left), plan(node.right))
+        leaves.append(node)
+        return len(leaves) - 1
+
+    tree = plan(e)
+    return tuple(leaves), tree
+
+
+# the closed form of the Jordan type of each kind of split node
+_FOLDS = {"tensor": jt_tensor, "sum": jt_sum}
+
+
+@lru_cache(maxsize=4096)
+def _fold(tree, types):
+    """The Jordan type of a module from the types of its type plan's leaves (`_type_plan`):
+    few combinations of leaf types occur, so each is folded once."""
+
+    def fold(node):
+        if isinstance(node, int):
+            return types[node]
+        op, left, right = node
+        return _FOLDS[op](fold(left), fold(right))
+
+    return fold(tree)
 
 
 def _randrange(rng, q, count):
@@ -697,10 +798,6 @@ class _Series:
             out = {x: ring.reduce(ring.lmul(mu, m)) for x, m in pairs.items()}
         return out
 
-    def sums(self, a, b):
-        """The degrees x + y up to top, x in a and y in b: the support of a product."""
-        return {x + y for x in a for y in b if x + y <= self.top}
-
     @staticmethod
     def shifts(want, other, own):
         """The degrees d - y in own, d in want and y in other: what a factor with support own
@@ -803,46 +900,66 @@ def _pair_mul(series, left, right):
     return out
 
 
+def _supports(top, p, std, explicit):
+    """(support, levels) for series mod t^(top+1): support(node) is the set of degrees a
+    node's series can have, from std, those of the Std leaves' series, and explicit[leaf],
+    those of an Explicit leaf's; levels(node) lists the supports of Sym^k (or Ext^k) of a
+    Sym (Ext) node's inner series, k = 1, ..., d.  A tensor product's support is the sums
+    x + y up to top, x and y in its factors' supports.  Supports depend on the node and the
+    leaves' supports alone, not on any point.
+    """
+
+    def sums(a, b):
+        return {x + y for x in a for y in b if x + y <= top}
+
+    def support(node):
+        if isinstance(node, Std):
+            return std
+        if isinstance(node, Explicit):
+            return explicit[node]
+        if isinstance(node, Dual):
+            return support(node.inner)
+        if isinstance(node, (Sym, Ext)) and node.d:
+            return levels(node)[-1]
+        if isinstance(node, Tensor):
+            return sums(support(node.left), support(node.right))
+        if isinstance(node, DirectSum):
+            return set(support(node.left)) | set(support(node.right))
+        if isinstance(node, Twist):
+            q = p**node.i
+            return {d * q for d in support(node.inner) if d * q <= top}
+        # Trivial, Sym^0 and Ext^0 are constant; an unknown node raises when walked
+        return {0}
+
+    def levels(node):
+        out = [support(node.inner)]
+        for _ in range(1, node.d):
+            out.append(sums(out[-1], out[0]))
+        return out
+
+    return support, levels
+
+
 def _module(series, e, element=None, leaves=None):
     """The module tree's [g] or [g, g^-1] pair of series at degrees 0 and top, the degrees
     its operator reads; g^-1 is carried only for Dual.
 
     Std leaves take the pair of `element` (a `_GroupElement`), Explicit
     leaves theirs from `leaves`.  Each node is asked for a set of degrees
-    and gives at least those of them in its support, the degrees its series
-    can have: a tensor product, and each level of the Sym/Ext recurrence,
-    asks each factor only for the degrees d - y, y in the other factor's
-    support; Tw(i) asks for d / p^i.  Supports follow from the degrees of
-    the leaves' series and are found only below products.
+    and gives at least those of them in its support (`_supports`), the
+    degrees its series can have: a tensor product, and each level of the
+    Sym/Ext recurrence, asks each factor only for the degrees d - y, y in
+    the other factor's support; Tw(i) asks for d / p^i.  Supports follow
+    from the degrees of the leaves' series and are found only below
+    products.  Every node's series is the identity at degree 0, so a tensor
+    product's degree-0 coefficient is the identity, not a Kronecker product.
     """
     ring, p = series.ring, series.p
     width = element.width if element is not None else len(next(iter(leaves.values())))
-
-    def support(node):
-        if isinstance(node, Std):
-            return element.degrees
-        if isinstance(node, Explicit):
-            return leaves[node][0].keys()
-        if isinstance(node, Dual):
-            return support(node.inner)
-        if isinstance(node, (Sym, Ext)) and node.d:
-            return levels(node)[-1]
-        if isinstance(node, Tensor):
-            return series.sums(support(node.left), support(node.right))
-        if isinstance(node, DirectSum):
-            return set(support(node.left)) | set(support(node.right))
-        if isinstance(node, Twist):
-            q = p**node.i
-            return {d * q for d in support(node.inner) if d * q <= series.top}
-        # Trivial, Sym^0 and Ext^0 are constant; an unknown node raises when walked
-        return {0}
-
-    def levels(node):
-        """The supports of Sym^k (or Ext^k) of the inner series, k = 1, ..., d."""
-        out = [support(node.inner)]
-        for _ in range(1, node.d):
-            out.append(series.sums(out[-1], out[0]))
-        return out
+    if element is not None:
+        support, levels = _supports(series.top, p, element.degrees, {})
+    else:
+        support, levels = _supports(series.top, p, None, {leaf: pair[0].keys() for leaf, pair in leaves.items()})
 
     def walk(node, want):
         if isinstance(node, Std):
@@ -860,7 +977,12 @@ def _module(series, e, element=None, leaves=None):
             left, right = support(node.left), support(node.right)
             a = walk(node.left, series.shifts(want, right, left))
             b = walk(node.right, series.shifts(want, left, right))
-            return [series.kron(x, y, want) for x, y in zip(a, b)]
+            out = [series.kron(x, y, want - {0}) for x, y in zip(a, b)]
+            if 0 in want:
+                one = ring.identity(ring.dim(a[0][0]) * ring.dim(b[0][0]))
+                for g in out:
+                    g[0] = one
+            return out
         if isinstance(node, DirectSum):
             return [series.block_diag(a, b) for a, b in zip(walk(node.left, want), walk(node.right, want))]
         if isinstance(node, (Sym, Ext)):
@@ -886,25 +1008,41 @@ def _module(series, e, element=None, leaves=None):
     return walk(e, {0, series.top})
 
 
-def _gl_operator(ring, mats, e, variant, with_inv):
-    """The variant's operator at the tuple of stacks mats[s], as `theta_full` / `theta_exp` build it.
+def _terms(kind, variant, p, r):
+    """The terms of the variant's operator on a tuple of r matrices, as (top, s) pairs: the
+    operator sums, over its terms, the t^top coefficient of the module on the group element
+    of matrix s alone, or of the whole tuple where s is None.
 
-    The full operator is the t^(p^(r-1)) coefficient of e on
-    prod_s exp(t^(p^s) B_s); the exponential one sums the t^(p^(r-1-s))
-    coefficients of e on exp(t B_s).
+    The full operator is the t^(p^(r-1)) coefficient of e on prod_s exp(t^(p^s) B_s)
+    (`ga`: on exp(c) for c = sum_s a_s t^(p^s)); the exponential one sums the t^(p^(r-1-s))
+    coefficients of e on exp(t B_s) (`ga`: exp(a_s t)).  A `multi_ga` point has one term of
+    both variants, the t coefficient on the product of exp(t a_i alpha_i), t^p = 0.
     """
-    p, r = ring.p, len(mats)
-    if by_variant(variant, True, False):
-        top = p ** (r - 1)
-        series = _Series(ring, top)
-        return series.coefficient(_module(series, e, _GroupElement(ring, mats, top, with_inv))[0], top)
-    total = None
-    for s, b in enumerate(mats):
-        top = p ** (r - 1 - s)
-        series = _Series(ring, top)
-        term = series.coefficient(_module(series, e, _GroupElement(ring, [b], top, with_inv))[0], top)
-        total = term if total is None else ring.add(total, term)
-    return ring.reduce(total)
+    if kind == KIND_MULTI_GA:
+        return [(1, None)]
+    return by_variant(variant, [(p ** (r - 1), None)], [(p ** (r - 1 - s), s) for s in range(r)])
+
+
+def _leaf_pairs(series, kind, mats, s, leaves, with_inv):
+    """The [g] or [g, g^-1] pair of series of each Explicit leaf at the additive point mats,
+    for the operator term of matrix s (`_terms`), as `eval_ga_point` builds it on `ga` and
+    the product of exp(t a_i alpha_i) on `multi_ga`.  leaves maps each leaf to the terms
+    alpha^i / i! of its matrices (`_explicit_terms`)."""
+    p, r = series.p, len(mats)
+    # leaf matrix j goes with t a_j on multi_ga, with c^(p^j) on ga
+    if kind == KIND_MULTI_GA:
+        scalars = [{1: a} for a in mats]
+    else:
+        c = {p**j: a for j, a in enumerate(mats) if a.any()} if s is None else {1: mats[s]}
+        scalars = [series.twist(c, j) for j in range(r)]
+    pairs = {}
+    for leaf, powers in leaves.items():
+        pair = None
+        for c_j, terms in zip(scalars, powers):
+            factor = _scalar_texp(series, c_j, terms, with_inv)
+            pair = factor if pair is None else _pair_mul(series, pair, factor)
+        pairs[leaf] = pair
+    return pairs
 
 
 # -- operators along a curve ------------------------------------------------------------
@@ -919,39 +1057,34 @@ def curve_operator(ring, kind, e, variant, mats):
     caller.  Points come as `_Pointwise` stacks, giving the (P, m n, m n)
     stack of the operators at the points, and polynomial points as
     `monomials._Monomials` stacks.  This is `theta_variant` over GF(q)[s],
-    term for term: a `gl` tuple goes through `_gl_operator`; Explicit leaves
-    act through `eval_ga_point` (`ga`: c = sum_s a_s t^(p^s), and a_s t
-    alone for factor s of the exponential operator) or through the product
-    of exp(t a_i alpha_i) (`multi_ga`, t^p = 0, both variants).
+    term for term (`_terms`): Std leaves act through the group element of a
+    `gl` tuple, Explicit leaves through `eval_ga_point` (`ga`) or through
+    the product of exp(t a_i alpha_i) (`multi_ga`).
     """
+    return _operators(ring, kind, e, variant, mats, (e,))[0]
+
+
+def _operators(ring, kind, e, variant, mats, nodes):
+    """The variant's operator of each subtree in `nodes` of the module tree e, at the tuple
+    of stacks mats: what `curve_operator` gives for that subtree.  Each term's group element
+    on a `gl` tuple, or its Explicit leaves' series on an additive point, is built once, for
+    e, and every node is walked on it; a term is built after the one before it is walked."""
     with_inv = _contains_dual(e)
-    if kind == KIND_GL:
-        return _gl_operator(ring, mats, e, variant, with_inv)
-    leaves = {leaf: _explicit_terms(leaf, ring.field) for leaf in e.leaves() if isinstance(leaf, Explicit)}
-    if not leaves:
-        raise JTCalcError("module evaluation needs a group element or additive point")
-    p, r = ring.p, len(mats)
-    if kind == KIND_MULTI_GA:
-        parts = [(1, None)]
-    elif by_variant(variant, True, False):
-        parts = [(p ** (r - 1), {p**s: a for s, a in enumerate(mats) if a.any()})]
-    else:
-        parts = [(p ** (r - 1 - s), {1: a}) for s, a in enumerate(mats)]
-    total = None
-    for top, c in parts:
+    leaves = None
+    if kind != KIND_GL:
+        leaves = {leaf: _explicit_terms(leaf, ring.field) for leaf in e.leaves() if isinstance(leaf, Explicit)}
+        if not leaves:
+            raise JTCalcError("module evaluation needs a group element or additive point")
+    totals = None
+    for top, s in _terms(kind, variant, ring.p, len(mats)):
         series = _Series(ring, top)
-        # leaf matrix j goes with t a_j on multi_ga, with c^(p^j) on ga
-        scalars = [{1: a} for a in mats] if c is None else [series.twist(c, j) for j in range(r)]
-        pairs = {}
-        for leaf, powers in leaves.items():
-            pair = None
-            for c_j, terms in zip(scalars, powers):
-                factor = _scalar_texp(series, c_j, terms, with_inv)
-                pair = factor if pair is None else _pair_mul(series, pair, factor)
-            pairs[leaf] = pair
-        term = series.coefficient(_module(series, e, leaves=pairs)[0], top)
-        total = term if total is None else ring.add(total, term)
-    return ring.reduce(total)
+        if leaves is None:
+            element, pairs = _GroupElement(ring, mats if s is None else [mats[s]], top, with_inv), None
+        else:
+            element, pairs = None, _leaf_pairs(series, kind, mats, s, leaves, with_inv)
+        terms = [series.coefficient(_module(series, node, element, pairs)[0], top) for node in nodes]
+        totals = terms if totals is None else [ring.reduce(ring.add(a, b)) for a, b in zip(totals, terms)]
+    return totals
 
 
 @lru_cache(maxsize=64)

@@ -304,9 +304,8 @@ class _Pointwise:
         return (left.reshape(count, rows, cols // n, n) @ _frobenius_power(self.field, -i) % p).reshape(m.shape)
 
     def identity(self, d):
-        d *= self.n
         # a copy per point: np.broadcast_to costs several times as much on one-point stacks
-        return np.eye(d, dtype=np.int64)[None].repeat(self.count, 0)
+        return _eye(d * self.n)[None].repeat(self.count, 0)
 
     @staticmethod
     def nonzero(m):
@@ -318,6 +317,14 @@ class _Pointwise:
         if len(m) == 1:
             return np.array([_block_rank(m[0], self.p, self.n)])
         return _ranks(m, self.p) // self.n
+
+
+@lru_cache(maxsize=256)
+def _eye(d):
+    """The d x d identity, read-only: `_Pointwise.identity` copies it, once per point."""
+    out = np.eye(d, dtype=np.int64)
+    out.setflags(write=False)
+    return out
 
 
 @lru_cache(maxsize=None)

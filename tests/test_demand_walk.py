@@ -18,11 +18,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import walk_oracles as oracle
-from jtcalc.batch import KIND_GA, KIND_GL, KIND_MULTI_GA, _Polys, curve_operator
+from jtcalc.batch import (
+    KIND_GA,
+    KIND_GL,
+    KIND_MULTI_GA,
+    _explicit_terms,
+    _GroupElement,
+    _leaf_pairs,
+    _module,
+    _Polys,
+    _Series,
+    _terms,
+    curve_operator,
+)
 from jtcalc.errors import JTCalcError
 from jtcalc.fields import GF, Polynomial, PolyRing
 from jtcalc.linalg import ExactMatrix, _block_rank, _gfp_rref, _Pointwise
-from jtcalc.modules import Dual, Tensor, parse_module_expr
+from jtcalc.modules import Dual, Explicit, Tensor, parse_module_expr
 from jtcalc.monomials import _Monomials
 from jtcalc.strata import builtin_chart, enumerate_points
 from jtcalc.theta import CommutingTuple, _stack_operator, theta_exp, theta_full
@@ -223,6 +235,44 @@ def test_twists_pass_the_degree_zero_identity_through(monkeypatch):
     monkeypatch.setattr(_Pointwise, "frobenius", recorded)
     theta_exp(parse_module_expr("Std(2)*Tw(1,Std(2))"), tup)
     assert seen and not any(seen)
+
+
+def _subtrees(e):
+    yield e
+    for name in ("inner", "left", "right"):
+        if hasattr(e, name):
+            yield from _subtrees(getattr(e, name))
+
+
+@pytest.mark.parametrize("ring_kind", RINGS)
+@given(trees_on_rings(), st.sampled_from(["full", "exp"]), st.data())
+@settings(max_examples=40, deadline=None)
+def test_every_walked_series_is_the_identity_at_degree_zero(ring_kind, case, variant, data):
+    """What lets a tensor product take its degree-0 coefficient as the identity: every node of
+    the tree, on every ring and at every operator term, gives it as g[0] and g^-1[0]."""
+    field, kind, e, shapes = case
+    if ring_kind == "monomials":
+        poly, matrices = _monomial_matrices(data.draw, field, shapes)
+        ring = _Monomials(poly)
+        mats = [ring.lift_matrix(m) for m in matrices]
+    elif ring_kind == "pointwise":
+        ring, mats = _pointwise_stacks(data.draw, field, shapes)
+    else:
+        ring = _Polys(field)
+        mats = [ring.lift(m) for m in _coordinate_stacks(data.draw, field, shapes)[1]]
+    leaves = {leaf: _explicit_terms(leaf, field) for leaf in e.leaves() if isinstance(leaf, Explicit)}
+    for top, s in _terms(kind, variant, field.p, len(mats)):
+        # each operator term's group element, or Explicit leaf series, with g^-1 for every tree
+        series = _Series(ring, top)
+        if kind == KIND_GL:
+            element, pairs = _GroupElement(ring, mats if s is None else [mats[s]], top, True), None
+        elif leaves:
+            element, pairs = None, _leaf_pairs(series, kind, mats, s, leaves, True)
+        else:
+            continue
+        for node in _subtrees(e):
+            for g in _module(series, node, element, pairs):
+                assert np.array_equal(g[0], ring.identity(node.dim()))
 
 
 # -- block-pivot ranks -----------------------------------------------------------------------

@@ -204,6 +204,9 @@ def _module_file(name):
 GOLDEN_RUNS = {
     "sl2_line_gf5_m12.jsonl": ["strata", "--p", "5", "--chart", "sl2_line", "--r", "2",
                                "--module", "Sym(2,Std(2))*Tw(1,Sym(3,Std(2)))"],
+    # a tensor product whose operator is not X (x) 1 + 1 (x) Y: its factors' t-supports meet
+    "sl2_line_gf5_sym_sym.jsonl": ["strata", "--p", "5", "--chart", "sl2_line", "--r", "2",
+                                   "--module", "Sym(2,Std(2))*Sym(3,Std(2))"],
     "upper_glN_gf5_sampled.jsonl": ["strata", "--p", "5", "--chart", "upper_glN", "--r", "2", "--N", "3",
                                     "--module", "Std(3)*Tw(1,Std(3))",
                                     "--budget", "10000", "--samples", "800", "--seed", "7"],
