@@ -177,8 +177,6 @@ class _CompiledPolys:
         self.monomials = tuple(tuple((v, k) for v, k in enumerate(exps) if k) for exps in monomials)
         self.p = p
         self.exps = np.array(list(monomials), dtype=np.int64).reshape(len(monomials), k)
-        # (variable, its top exponent, its exponent in each monomial), for each variable that occurs
-        self.powers = tuple((v, int(col.max()), col) for v, col in enumerate(self.exps.T) if col.any())
         self.occurs = self.exps.T > 0
         self.matrix = np.zeros((len(self.rows), len(monomials)), dtype=np.int64)
         for j, row in enumerate(self.rows):
@@ -207,21 +205,14 @@ class _CompiledPolys:
         return np.concatenate([self._eval(field, values[i:i + step]) for i in range(0, len(values), step)])
 
     def _eval(self, field, values):
-        p = self.p
-        if field.n == 1:
-            mono = np.ones((len(values), len(self.monomials)), dtype=np.int64)
-            for v, top, col in self.powers:
-                powers = np.ones((len(values), top + 1), dtype=np.int64)
-                for k in range(1, top + 1):
-                    powers[:, k] = powers[:, k - 1] * values[:, v] % p
-                mono = mono * powers[:, col] % p
-            return mono @ self.matrix.T % p
+        """The values at a block of points, on the field's log tables: a monomial's log is the
+        exponents times the variables' logs, mod q - 1."""
         log, exp, digits, weights = _log_tables(field)
         logs = log[values] @ self.exps.T % (field.order - 1)
         # a monomial vanishes where a variable it contains does
         zero = (values == 0) @ self.occurs
         mono = digits[np.where(zero, 0, exp[logs])]
-        return (self.matrix @ mono % p) @ weights
+        return (self.matrix @ mono % self.p) @ weights
 
     def at_stacks(self, ring, values):
         """Values along a curve, on the stacks of a `_Polys` ring: `values[v]`, for each

@@ -14,7 +14,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field as dc_field
 
 from .errors import JTCalcError, ParseError
 from .fields import GF
@@ -44,21 +43,11 @@ from .theta import CommutingTuple, homotopy_theta, jt_at_point, jt_of_nilpotent
 SCHEMA_VERSION = 1
 
 
-@dataclass
-class RunConfig:
-    """Validated view of a run: the command plus its merged option set
-    (config-file values overridden by flags)."""
-
-    command: str
-    options: dict = dc_field(default_factory=dict)
-
-    def get(self, key, default=None):
-        return self.options.get(key, default)
-
-    def echo(self):
-        skip = {"config", "output", "format"}
-        shown = {k: v for k, v in sorted(self.options.items()) if v is not None and k not in skip}
-        return {"command": self.command, **{k: str(v) for k, v in shown.items()}}
+def _echo(args):
+    """The run's command and options, as the `config:` line shows them: every option that is
+    set, as a string, but the config, output and format."""
+    skip = {"config", "output", "format"}
+    return {k: str(v) for k, v in vars(args).items() if v is not None and k not in skip}
 
 
 def _emit(records, fmt, out, echo):
@@ -91,6 +80,7 @@ def _plain(v):
 
 
 def _load_config_file(path):
+    """{key: (value, line number)} of a flat key=value file; a later line of a key wins."""
     options = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -100,7 +90,7 @@ def _load_config_file(path):
             if "=" not in line:
                 raise ParseError(f"expected key=value, got {line!r}", line=lineno, column=1)
             key, _, value = line.partition("=")
-            options[key.strip()] = value.strip()
+            options[key.strip()] = (value.strip(), lineno)
     return options
 
 
@@ -231,14 +221,17 @@ def _apply_config(args):
     if unknown:
         raise ParseError(f"unknown config keys: {sorted(unknown)}")
     renames = {"s": "hs", "t": "ht"}
-    for key, value in options.items():
+    for key, (value, line) in options.items():
         attr = renames.get(key, key)
         if getattr(args, attr, None) in (None, ""):
             if attr in _INT_KEYS:
-                value = int(value)
+                try:
+                    value = int(value)
+                except ValueError:
+                    raise ParseError(f"config key {key}: {value!r} is not an integer", line=line) from None
             choices = _JT_VARIANTS if attr == "variant" and args.command == "jt" else _CHOICES.get(attr)
             if value not in (choices or (value,)):
-                raise ParseError(f"config key {key}: {value!r} is not one of {list(choices)}")
+                raise ParseError(f"config key {key}: {value!r} is not one of {list(choices)}", line=line)
             setattr(args, attr, value)
     for attr, value in _DEFAULTS.items():
         if attr in vars(args) and getattr(args, attr) is None:
@@ -423,8 +416,7 @@ def main(argv=None):
     close = False
     try:
         args = _apply_config(args)
-        config = RunConfig(args.command, {k: v for k, v in vars(args).items() if v is not None})
-        sys.stderr.write(f"config: {json.dumps(config.echo(), sort_keys=True)}\n")
+        sys.stderr.write(f"config: {json.dumps(_echo(args), sort_keys=True)}\n")
         if getattr(args, "output", None):
             out = open(args.output, "w")
             close = True

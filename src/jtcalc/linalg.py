@@ -15,13 +15,16 @@ elements enter (`from_rows`, `from_coords`) or leave (`entry`).  Over
 every other domain (polynomial rings, function fields, truncated curve
 rings) a matrix is a tuple of tuples of ring elements.
 
-Rank and kernels are only defined over fields.  A GF(q) rank comes from
+Ranks are taken over finite fields and over GF(q)(x); kernels and inverses
+over finite fields only (a ring that is not a field raises
+`NotAFieldError`, GF(q)(x) a `JTCalcError`).  A GF(q) rank comes from
 block pivots on the regular representation (`_block_rank`), and the ranks
 of a stack of many points from one batched GF(p) elimination with a pivot
 row per matrix (`_ranks`).  Kernels and inverses come from the GF(p)
 reduced echelon form of the regular representation (`_gfp_rref`: pivots
 inverted by Fermat's little theorem, one outer-product update per pivot),
-which is the regular representation of the GF(q) reduced form.
+which is the regular representation of the GF(q) reduced form.  Minors,
+over any ring, are subset-DP determinants (`_det_subset_dp`).
 
 A matrix over GF(q)[x] is the same block layout with the point axis read
 as the coefficient axis: its (L, rows n, cols n) stack holds the lifted
@@ -355,36 +358,6 @@ def _obj_mmul(domain, A, B):
             row.append(acc)
         out.append(tuple(row))
     return tuple(out)
-
-
-def _obj_rref(domain, A, full=False):
-    M = [list(r) for r in A]
-    rows = len(M)
-    cols = len(M[0]) if rows else 0
-    pivots = []
-    pr = 0
-    for col in range(cols):
-        if pr >= rows:
-            break
-        piv = -1
-        for r in range(pr, rows):
-            if not M[r][col].is_zero():
-                piv = r
-                break
-        if piv == -1:
-            continue
-        M[pr], M[piv] = M[piv], M[pr]
-        inv = M[pr][col].inverse()
-        M[pr] = [v * inv for v in M[pr]]
-        targets = range(rows) if full else range(pr + 1, rows)
-        for r in targets:
-            if r == pr or M[r][col].is_zero():
-                continue
-            f = M[r][col]
-            M[r] = [a - f * b for a, b in zip(M[r], M[pr])]
-        pivots.append(col)
-        pr += 1
-    return tuple(tuple(r) for r in M), pivots
 
 
 def _det_subset_dp(domain, entries, rows, cols):
@@ -826,7 +799,7 @@ class ExactMatrix:
         # equal matrices share domain and shape; hashing only those keeps it consistent with ==
         return hash((self.domain, self.rows, self.cols))
 
-    # -- rank / kernel / determinants ----------------------------------------------
+    # -- rank / kernel / minors ----------------------------------------------------
 
     def rank(self):
         """Exact rank; requires the coefficient domain to be a field: a finite field, ranked by
@@ -856,41 +829,34 @@ class ExactMatrix:
             out.append(row)
         return out
 
+    def _finite_field(self, what):
+        """The matrix's finite field: `what` (kernels, inverses) is computed over no other domain.
+        A domain that is not a field raises `NotAFieldError`, GF(q)(x) a `JTCalcError`."""
+        if not isinstance(self.domain, FiniteField):
+            require_field(self.domain)
+            raise JTCalcError(f"{what} are computed over finite fields, not over {self.domain}")
+        return self.domain
+
     def kernel_basis(self):
-        """Exact basis of the right kernel (list of column vectors as element lists)."""
-        if isinstance(self.domain, FiniteField):
-            # the GF(p) reduced form of the blocks is the regular representation of the GF(q) one:
-            # GF(q) pivot column j shows up as the n GF(p) pivots (j, 0), ..., (j, n-1)
-            field = self.domain
-            ring = _Pointwise(field)
-            R, gfp_pivots = _gfp_rref(self._data[0], field.p)
-            R, pivots = ring.coords(R), [c // field.n for c in gfp_pivots[::field.n]]
-            free = [c for c in range(self.cols) if c not in pivots]
-            basis = []
-            for f in free:
-                vec = [field.zero()] * self.cols
-                vec[f] = field.one()
-                for pr, pc in enumerate(pivots):
-                    vec[pc] = -FFElement(field, tuple(R[pr, f].tolist()))
-                basis.append(vec)
-            return basis
-        require_field(self.domain)
-        R, pivots = _obj_rref(self.domain, self._obj_rows(), full=True)
+        """Exact basis of the right kernel (list of column vectors as element lists), over a
+        finite field.
+
+        The GF(p) reduced form of the blocks is the regular representation of
+        the GF(q) one: GF(q) pivot column j shows up as the n GF(p) pivots
+        (j, 0), ..., (j, n-1).
+        """
+        field = self._finite_field("kernels")
+        R, gfp_pivots = _gfp_rref(self._data[0], field.p)
+        R, pivots = _Pointwise(field).coords(R), [c // field.n for c in gfp_pivots[::field.n]]
         free = [c for c in range(self.cols) if c not in pivots]
         basis = []
         for f in free:
-            vec = [self.domain.zero()] * self.cols
-            vec[f] = self.domain.one()
+            vec = [field.zero()] * self.cols
+            vec[f] = field.one()
             for pr, pc in enumerate(pivots):
-                vec[pc] = -R[pr][f]
+                vec[pc] = -FFElement(field, tuple(R[pr, f].tolist()))
             basis.append(vec)
         return basis
-
-    def det(self):
-        if self.rows != self.cols:
-            raise JTCalcError("determinant needs a square matrix")
-        return _det_subset_dp(self.domain, self._obj_rows(),
-                              tuple(range(self.rows)), tuple(range(self.cols)))
 
     def minors(self, size):
         """All size x size minors, row-major over (row subset, column subset) pairs."""
@@ -904,25 +870,18 @@ class ExactMatrix:
         return out
 
     def inverse(self):
+        """The inverse over a finite field.  Its blocks are the GF(p) inverse of the blocks (a
+        ring homomorphism): the right half of the reduced form of [A | I], when its pivots are
+        A's columns."""
         if self.rows != self.cols:
             raise JTCalcError("inverse needs a square matrix")
-        n = self.rows
-        if isinstance(self.domain, FiniteField):
-            # the blocks of the inverse are the GF(p) inverse of the blocks (a ring homomorphism):
-            # the right half of the reduced form of [A | I], when its pivots are A's columns
-            d = n * self.domain.n
-            aug = np.concatenate([self._data[0], np.eye(d, dtype=np.int64)], axis=1)
-            R, pivots = _gfp_rref(aug, self.domain.p)
-            if pivots != list(range(d)):
-                raise JTCalcError("matrix is singular")
-            return ExactMatrix._of_stack(self.domain, R[None, :, d:])
-        require_field(self.domain)
-        ident = ExactMatrix.identity(self.domain, n)._obj_rows()
-        aug = tuple(ra + rb for ra, rb in zip(self._obj_rows(), ident))
-        R, pivots = _obj_rref(self.domain, aug, full=True)
-        if len(pivots) < n or pivots[:n] != list(range(n)):
+        field = self._finite_field("inverses")
+        d = self.rows * field.n
+        aug = np.concatenate([self._data[0], np.eye(d, dtype=np.int64)], axis=1)
+        R, pivots = _gfp_rref(aug, field.p)
+        if pivots != list(range(d)):
             raise JTCalcError("matrix is singular")
-        return ExactMatrix(self.domain, n, n, _OBJ, tuple(r[n:] for r in R))
+        return ExactMatrix._of_stack(field, R[None, :, d:])
 
     # -- structure -------------------------------------------------------------------
 

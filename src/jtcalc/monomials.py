@@ -20,9 +20,13 @@ from math import comb
 import numpy as np
 
 from .batch import CHUNK_CELLS, _Polys
-from .errors import JTCalcError
+from .errors import CapExceededError, JTCalcError
 from .fields import FFElement, Polynomial
 from .linalg import ExactMatrix, _Pointwise
+
+# products of monomial terms one step of `_Monomials.minors` may take: a step's peak memory
+# is about 200 bytes per product
+MINOR_PRODUCTS_CAP = 1 << 21
 
 
 class _Monomials(_Pointwise):
@@ -183,7 +187,8 @@ class _Monomials(_Pointwise):
         along row r, det(S) = sum_t (-1)^(i+t) m[r, S_t] det(S - S_t).  Only
         prefixes that still extend to `size` rows are kept.  A level's
         states are sparse, (state, monomial, coefficient) triples sorted by
-        state, and all its products are taken at once.
+        state, and all its products are taken at once: more than
+        `MINOR_PRODUCTS_CAP` of them raise `CapExceededError` before any is.
         """
         if self.n != 1:
             raise JTCalcError("minors are taken over GF(p)")
@@ -214,6 +219,9 @@ class _Monomials(_Pointwise):
             o_start = np.cumsum(o_count) - o_count
             left_n, right_n = o_count[job_old], e_count[job_entry]
             pairs = left_n * right_n
+            total = int(pairs.sum())
+            if total > MINOR_PRODUCTS_CAP:
+                raise CapExceededError(f"{total} products of the {i + 1}-minors exceed cap {MINOR_PRODUCTS_CAP}")
             jobs = np.repeat(np.arange(len(pairs)), pairs)
             w = np.arange(len(jobs)) - np.repeat(np.cumsum(pairs) - pairs, pairs)
             left = o_start[job_old[jobs]] + w // right_n[jobs]

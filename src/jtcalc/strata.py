@@ -16,6 +16,7 @@ import random
 import re
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property, partial
+from math import comb
 
 import numpy as np
 
@@ -38,6 +39,8 @@ from .theta import (
 )
 
 SYMBOLIC_DIM_CAP = 64
+# minors the expansion of a rank locus may take (`_minor_count`)
+MINORS_CAP = 500_000
 EXHAUSTIVE_DEFAULT_BUDGET = 10**6
 SAMPLE_DEFAULT = 10**4
 
@@ -417,27 +420,45 @@ def tabulate_jt(chart, e, field, variant="full", budget=EXHAUSTIVE_DEFAULT_BUDGE
 
 def rank_locus_minors(chart, e, variant, j, d):
     """Generators of the j-th power rank <= d locus: all (d+1)-minors of theta^j."""
-    return _rank_locus(chart, e, j, d, _theta_powers(chart, e, variant))
+    return _rank_loci(chart, e, [(j, d)], _theta_powers(chart, e, variant))
 
 
-def _rank_locus(chart, e, j, d, power):
-    """The checks and minors of `rank_locus_minors`; `power(j)` gives (ring, theta^j), and is
-    called only when there are minors to take."""
+def _rank_loci(chart, e, bounds, power):
+    """The minors of `rank_locus_minors` for each (j, d) of bounds, one list after the other.
+
+    Every bound is checked, and the minors are counted (`_minor_count`),
+    before `power(j)`, which gives (ring, theta^j), is called; it is called
+    only for a bound that has minors to take.
+    """
     m = e.dim()
     if m > SYMBOLIC_DIM_CAP:
         raise CapExceededError(f"symbolic dimension {m} exceeds cap {SYMBOLIC_DIM_CAP}")
-    if not 1 <= j < chart.p:
-        raise JTCalcError(f"power {j} outside 1..p-1")
-    if not 0 <= d <= m:
-        raise JTCalcError(f"rank bound {d} outside 0..{m}")
-    if d >= m:
-        return []
-    ring, op = power(j)
-    return ring.minors(op, d + 1)
+    for j, d in bounds:
+        if not 1 <= j < chart.p:
+            raise JTCalcError(f"power {j} outside 1..p-1")
+        if not 0 <= d <= m:
+            raise JTCalcError(f"rank bound {d} outside 0..{m}")
+    count = sum(_minor_count(m, d + 1) for _, d in bounds)
+    if count > MINORS_CAP:
+        raise CapExceededError(f"{count} rank-locus minors exceed cap {MINORS_CAP}")
+    polys = []
+    for j, d in bounds:
+        if d < m:
+            ring, op = power(j)
+            polys += ring.minors(op, d + 1)
+    return polys
+
+
+def _minor_count(m, size):
+    """The minors `monomials._Monomials.minors` takes for the size x size minors of an m x m
+    matrix: at step i, the i-minors of each i-row prefix that still extends to `size` rows,
+    C(m - size + i, i) C(m, i) of them.  The last step's are the C(m, size)^2 it returns;
+    there are none for size > m."""
+    return sum(comb(m - size + i, i) * comb(m, i) for i in range(1, size + 1)) if size <= m else 0
 
 
 def _theta_powers(chart, e, variant):
-    """power(j) = (ring, theta^j) for `_rank_locus`: theta is built on first use, once, and its
+    """power(j) = (ring, theta^j) for `_rank_loci`: theta is built on first use, once, and its
     powers are multiplied up from it.  The variant is checked at once, before any minors are
     known to be needed."""
     by_variant(variant, None, None)
@@ -492,9 +513,7 @@ def verify_closed_stratum(chart, e, a, field, variant="full",
     if a.dim != m:
         raise ChartError("stratum type dimension differs from the module dimension")
     power = _theta_powers(chart, e, variant)
-    polys = []
-    for s in range(1, chart.p):
-        polys += _rank_locus(chart, e, s, jt_rank(a, s), power)
+    polys = _rank_loci(chart, e, [(s, jt_rank(a, s)) for s in range(1, chart.p)], power)
     checked, mismatches = _closed_check(chart, e, a, field, variant, budget, seed, samples, polys)
     return ClosedStratumReport(chart.name, a.to_text(), variant, checked, mismatches)
 
@@ -583,7 +602,8 @@ class Curve:
         """The (len(polys), S, n, n) stacks of the compiled polynomials along the curve: each
         parameter they use enters as the lifted (degree + 1, n, n) stack of its coordinates."""
         ring, coeffs = self._ring, self._coefficients
-        stacks = {v: ring.lift(coeffs[v][:, None, None]) for v, _, _ in compiled.powers}
+        used = np.flatnonzero(compiled.occurs.any(axis=1)).tolist()
+        stacks = {v: ring.lift(coeffs[v][:, None, None]) for v in used}
         return compiled.at_stacks(ring, stacks)
 
     @cached_property

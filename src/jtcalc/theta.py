@@ -45,7 +45,7 @@ from .errors import DomainMismatchError, JTCalcError, NotNilpotentError
 from .fields import FiniteField, PolyRing, TruncatedCurveRing
 from .jordan import jt_of_nilpotent, jt_power
 from .linalg import ExactMatrix, _Pointwise
-from .modules import Explicit, ModuleExpr, UnipotentPair, texp_matrix
+from .modules import ModuleExpr, UnipotentPair, texp_matrix
 
 
 @dataclass(frozen=True)
@@ -271,15 +271,6 @@ def _theta(e, tup, variant):
     return ThetaMatrix(e, ring.matrix(op), variant, tup)
 
 
-def theta_multi_ga(explicit, scalars):
-    """Height-1 product-of-lines operator  sum_i a_i alpha_i  on an Explicit module."""
-    if not isinstance(explicit, Explicit):
-        raise JTCalcError("theta_multi_ga needs an Explicit module")
-    if len(scalars) != explicit.height:
-        raise JTCalcError("scalar count does not match the number of action matrices")
-    return theta_full(explicit, CommutingTuple.multi_ga(scalars, scalars[0].field))
-
-
 def homotopy_theta(e, tup, s_val, t_val):
     """The projective-line family  s * theta_exp + t * theta_full  at the point."""
     name = f"homotopy({s_val}:{t_val})"
@@ -347,16 +338,14 @@ def jt_at_point(e, tup, variant="full"):
     The operator's p-nilpotency is checked once, by the final vanishing power
     of its rank profile.  Over a finite field the operator is ranked on its
     one-point stack by the loop that ranks sweeps and curves
-    (`batch._jordan_types`).
+    (`batch._jordan_types`).  Off a finite field only a polynomial-ring
+    point has an operator (`_theta`), and only a zero one has a type:
+    ranking a nonzero one raises `NotAFieldError`.
     """
     by_variant(variant, None, None)
     if isinstance(tup.domain, FiniteField):
         return _typed_operator(e, tup, variant)[0]
-    theta = _theta(e, tup, variant)
-    try:
-        return jt_of_nilpotent(theta.matrix, tup.p)
-    except NotNilpotentError:
-        raise NotNilpotentError(f"{theta.variant} operator is not p-nilpotent") from None
+    return jt_of_nilpotent(_theta(e, tup, variant).matrix, tup.p)
 
 
 def _typed_operator(e, tup, variant):

@@ -183,6 +183,38 @@ def test_config_file_rejects_a_bad_choice(tmp_path):
     assert code == 2 and "variant" in err
 
 
+def test_config_file_values_that_do_not_parse_name_their_key_and_line(tmp_path):
+    """A non-integer value, or a value that is not one of the key's choices, is a parse error
+    (exit 2) naming the key and the line it is on."""
+    cfg = tmp_path / "run.cfg"
+    base = "p=3\nchart=sl2_line\nr=1\nmodule=Std(2)\n"
+    for bad, key in (("budget=1e3", "budget"), ("seed=two", "seed"), ("samples=", "samples"),
+                     ("format=yaml", "format"), ("variant=sideways", "variant")):
+        cfg.write_text(base + "# a comment\n\n" + bad + "\n")
+        code, out, err = run_cli(["strata", "--config", str(cfg)])
+        assert code == 2 and out == "", bad
+        assert f"parse error: config key {key}: " in err and "(line 7)" in err, err
+        assert "Traceback" not in err
+    cfg.write_text(base + "budget=1e3\n")
+    code, _, err = run_cli(["strata", "--config", str(cfg)])
+    assert "parse error: config key budget: '1e3' is not an integer (line 5)" in err
+    # a flag given on the command line wins, so the file value is not read
+    code, out, _ = run_cli(["strata", "--config", str(cfg), "--budget", "100", "--seed", "0",
+                            "--format", "jsonl"])
+    assert code == 0 and json.loads(out.splitlines()[-1])["swept"] > 0
+
+
+def test_config_line_echoes_the_set_options(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("p=3\nchart=sl2_line\nr=1\nmodule=Std(2)\n")
+    code, _, err = run_cli(["strata", "--config", str(cfg), "--format", "jsonl", "--seed", "2"])
+    assert code == 0
+    echo = json.loads(err.splitlines()[0].removeprefix("config: "))
+    assert echo == {"budget": "1000000", "chart": "sl2_line", "command": "strata", "max_reps": "4",
+                    "module": "Std(2)", "p": "3", "r": "1", "samples": "10000", "seed": "2",
+                    "variant": "full"}
+
+
 def test_homotopy_is_accepted_only_by_jt(tmp_path):
     """Only `jt` reads --hs/--ht; every other command rejects the homotopy variant."""
     sweep = ["--p", "3", "--chart", "sl2_line", "--r", "2", "--module", "Sym(2,Std(2))"]

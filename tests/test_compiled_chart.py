@@ -11,14 +11,17 @@ the CLI and are compared byte for byte.
 import io
 import sys
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from jtcalc import batch
 from jtcalc.cli import main
 from jtcalc.errors import JTCalcError
-from jtcalc.fields import GF
+from jtcalc.fields import GF, Polynomial, PolyRing
 from jtcalc.linalg import ExactMatrix
 from jtcalc.strata import builtin_chart, parse_chart
 from jtcalc.theta import KIND_GL, CommutingTuple
@@ -129,6 +132,39 @@ def points(draw, chart):
 @given(st.data(), st.one_of(builtin_charts(), custom_charts()))
 def test_compiled_chart_matches_polynomial_evaluate(data, chart):
     assert_same(chart, data.draw(points(chart)))
+
+
+@st.composite
+def prime_field_polys(draw):
+    """(field, k, polynomials, a stack of points): up to four polynomials over GF(p) in k
+    variables, with exponents up to 2p (so at and past q - 1), then a nonzero constant
+    and the zero polynomial; and element indices of at least four points."""
+    field = GF(draw(st.sampled_from([2, 3, 5, 7])))
+    p, k = field.p, draw(st.integers(1, 3))
+    ring = PolyRing(field, ("a", "b", "c")[:k])
+    exps = st.tuples(*[st.integers(0, 2 * p) for _ in range(k)])
+    terms = st.dictionaries(exps, st.integers(1, p - 1).map(field.from_int), max_size=4)
+    polys = [Polynomial(ring, t) for t in draw(st.lists(terms, max_size=4))]
+    polys += [Polynomial(ring, {(0,) * k: field.from_int(draw(st.integers(1, p - 1)))}), Polynomial(ring, {})]
+    point = st.lists(st.integers(0, p - 1), min_size=k, max_size=k)
+    dtype = draw(st.sampled_from([np.int8, np.int64]))
+    values = np.array(draw(st.lists(point, min_size=4, max_size=40)), dtype=dtype)
+    return field, k, polys, values
+
+
+@SETTINGS
+@given(prime_field_polys(), st.integers(1, 3))
+def test_at_points_matches_polynomial_evaluate_over_prime_fields(case, step):
+    """`_CompiledPolys.at_points` over GF(p), on the log tables, in one row block and in
+    blocks of `step` points."""
+    field, k, polys, values = case
+    compiled = batch._CompiledPolys(polys, k, field.p)
+    want = [[poly.evaluate([field.from_int(v) for v in point]).coeffs[0] for poly in polys]
+            for point in values.tolist()]
+    assert compiled.at_points(field, values).tolist() == want
+    cells = (len(compiled.monomials) + len(compiled.rows) + 1) * step
+    with mock.patch.object(batch, "CHUNK_CELLS", cells):
+        assert compiled.at_points(field, values).tolist() == want
 
 
 CHARTS = [builtin_chart("sl2_line", 3, r=2), builtin_chart("upper_glN", 5, r=2, N=3),

@@ -13,6 +13,7 @@ from jtcalc.fields import GF, PolyRing, RationalFunctionField
 from jtcalc.linalg import ExactMatrix
 from jtcalc.modules import Explicit, Std, Tensor, Twist, power_matrix
 from jtcalc.theta import CommutingTuple, theta_exp, theta_full
+from linalg_oracles import det
 
 F3, F5 = GF(3), GF(5)
 
@@ -27,10 +28,10 @@ def test_sym_determinant_identity():
     for _ in range(10):
         rows = [[F5.random_element(rng) for _ in range(2)] for _ in range(2)]
         a = ExactMatrix.from_rows(F5, rows)
-        det_a = a.det()
+        det_a = det(a)
         for d in (2, 3, 4):
             s = power_matrix(a, d, False)
-            assert s.det() == det_a ** (d * (d + 1) // 2), d
+            assert det(s) == det_a ** (d * (d + 1) // 2), d
 
 
 def test_ext_determinant_identity():
@@ -40,7 +41,7 @@ def test_ext_determinant_identity():
         rows = [[F5.random_element(rng) for _ in range(3)] for _ in range(3)]
         a = ExactMatrix.from_rows(F5, rows)
         e = power_matrix(a, 2, True)
-        assert e.det() == a.det() ** 2
+        assert det(e) == det(a) ** 2
 
 
 def test_ext_top_power_is_determinant():
@@ -49,7 +50,7 @@ def test_ext_top_power_is_determinant():
         rows = [[F3.random_element(rng) for _ in range(3)] for _ in range(3)]
         a = ExactMatrix.from_rows(F3, rows)
         top = power_matrix(a, 3, True)
-        assert top.shape == (1, 1) and top.entry(0, 0) == a.det()
+        assert top.shape == (1, 1) and top.entry(0, 0) == det(a)
 
 
 def test_r3_cross_terms_closed_form():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from jtcalc.errors import JTCalcError, NotAFieldError
 from jtcalc.fields import GF, PolyRing, RationalFunctionField, TruncatedCurveRing
 from jtcalc.linalg import ExactMatrix, _gfp_rref, block_diag
+from linalg_oracles import obj_rref
 
 
 def rand_matrix(field, rows, cols, rng):
@@ -35,6 +36,27 @@ def test_rank_requires_field():
     tr = TruncatedCurveRing(GF(3), 1)
     with pytest.raises(NotAFieldError):
         ExactMatrix.identity(tr, 2).rank()
+
+
+def test_kernels_and_inverses_need_a_finite_field():
+    """A ring that is not a field raises `NotAFieldError`; GF(q)(x), a field, raises a
+    `JTCalcError` naming it."""
+    ring = PolyRing(GF(3), ("x",))
+    tr = TruncatedCurveRing(GF(3), 1)
+    for m in (ExactMatrix.from_rows(ring, [[ring.var("x")]]), ExactMatrix.identity(tr, 2)):
+        with pytest.raises(NotAFieldError):
+            m.kernel_basis()
+        with pytest.raises(NotAFieldError):
+            m.inverse()
+    FF = RationalFunctionField(GF(3), "t")
+    m = ExactMatrix.identity(FF, 2)
+    with pytest.raises(JTCalcError, match=r"^kernels are computed over finite fields, not over GF\(3\)\(t\)$"):
+        m.kernel_basis()
+    with pytest.raises(JTCalcError, match=r"^inverses are computed over finite fields, not over GF\(3\)\(t\)$"):
+        m.inverse()
+    # the shape is checked first, as over a finite field
+    with pytest.raises(JTCalcError, match="^inverse needs a square matrix$"):
+        ExactMatrix.zeros(ring, 2, 3).inverse()
 
 
 def test_kernel_examples():
@@ -118,9 +140,7 @@ def test_ratfunc_rank_matches_generic_elimination():
         m = ExactMatrix.from_rows(FF, rows)
         bareiss = m.rank()
         # generic field elimination over the fraction field as the second route
-        from jtcalc.linalg import _obj_rref
-
-        _, pivots = _obj_rref(FF, m._obj_rows())
+        _, pivots = obj_rref(FF, m._obj_rows())
         assert bareiss == len(pivots)
 
 

@@ -1,6 +1,8 @@
+import itertools
 import json
 import os
 import random
+from math import comb
 
 import pytest
 
@@ -354,6 +356,61 @@ def test_symbolic_cap():
     big = Tensor(Sym(4, Std(5)), Sym(3, Std(5)))  # 70 x 35 > 64 cap
     with pytest.raises(CapExceededError):
         rank_locus_minors(chart, big, "full", 1, 0)
+
+
+FOUR_STD = Tensor(Tensor(Std(2), Std(2)), Tensor(Std(2), Std(2)))
+
+
+def test_minor_count_is_the_expansion_of_every_prefix():
+    """`_minor_count` counts the (row prefix, column subset) pairs of each step of the
+    expansion; the last step's are the C(m, size)^2 minors returned."""
+    from jtcalc.strata import _minor_count
+
+    for m in range(7):
+        for size in range(1, m + 2):
+            want = 0
+            for i in range(1, size + 1):
+                prefixes = [rows for rows in itertools.combinations(range(m), i) if rows[-1] < m - size + i]
+                want += len(prefixes) * comb(m, i)
+            assert _minor_count(m, size) == want, (m, size)
+    # a 15 x 15 minor of a 16 x 16 matrix: 256 minors, but 589806 taken on the way
+    assert _minor_count(16, 15) == 589806
+
+
+def test_too_many_minors_are_refused_before_theta(monkeypatch):
+    """The m = 16 closed stratum 5[3]+[1] over sl2_line p = 3 r = 1 has 8.3e7 (d+1)-minors; it is
+    refused by their count before any operator is built."""
+    from jtcalc import strata
+
+    def no_theta(*args):
+        raise AssertionError("the operator was built")
+
+    monkeypatch.setattr(strata, "symbolic_operator", no_theta)
+    chart = builtin_chart("sl2_line", p=3, r=1)
+    assert FOUR_STD.dim() == 16
+    with pytest.raises(CapExceededError, match=r"^175953470 rank-locus minors exceed cap 500000$"):
+        verify_closed_stratum(chart, FOUR_STD, parse_jordan_type("5[3]+[1]", 3), F3)
+    with pytest.raises(CapExceededError, match=r"^96718226 rank-locus minors exceed cap 500000$"):
+        rank_locus_minors(chart, FOUR_STD, "full", 1, 10)
+    # the counts of the bounds add up: each alone is under the cap, both are not
+    assert strata._minor_count(16, 3) <= strata.MINORS_CAP < 2 * strata._minor_count(16, 3)
+    with pytest.raises(CapExceededError, match=r"^652848 rank-locus minors"):
+        strata._rank_loci(chart, FOUR_STD, [(1, 2), (2, 2)], no_theta)
+
+
+def test_minor_expansion_refuses_a_step_of_too_many_products(monkeypatch):
+    """A step of the expansion whose products of monomial terms exceed the cap raises before
+    they are taken; under a cap above every step the minors are as before."""
+    from jtcalc import monomials
+
+    chart = builtin_chart("sl2_line", p=3, r=2)
+    mod = Tensor(Std(2), Twist(1, Std(2)))
+    want = [str(g) for g in rank_locus_minors(chart, mod, "full", 1, 1)]
+    monkeypatch.setattr(monomials, "MINOR_PRODUCTS_CAP", 10)
+    with pytest.raises(CapExceededError, match=r"products of the [12]-minors exceed cap 10$"):
+        rank_locus_minors(chart, mod, "full", 1, 1)
+    monkeypatch.setattr(monomials, "MINOR_PRODUCTS_CAP", 1000)
+    assert [str(g) for g in rank_locus_minors(chart, mod, "full", 1, 1)] == want
 
 
 def test_thread_determinism(monkeypatch):

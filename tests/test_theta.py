@@ -28,7 +28,6 @@ from jtcalc.theta import (
     scale_tuple,
     theta_exp,
     theta_full,
-    theta_multi_ga,
     theta_variant,
 )
 from theta_oracles import ga_curve_element
@@ -130,21 +129,26 @@ def test_theta_exp_examples():
 
 
 def test_theta_multi_ga_examples():
+    """The height-1 product-of-lines operator sum_i a_i alpha_i on an Explicit module."""
     j2 = ExactMatrix.from_rows(F3, [[0, 1], [0, 0]])
     i2 = ExactMatrix.identity(F3, 2)
     alpha0, alpha1 = j2.kron(i2), i2.kron(j2)
     emod = Explicit((alpha0, alpha1))
-    zero = theta_multi_ga(emod, [F3.zero(), F3.zero()])
+
+    def multi_ga(scalars):
+        return theta_full(emod, CommutingTuple.multi_ga(scalars, F3))
+
+    zero = multi_ga([F3.zero(), F3.zero()])
     assert zero.matrix.is_zero()
-    unit = theta_multi_ga(emod, [F3.one(), F3.zero()])
+    unit = multi_ga([F3.one(), F3.zero()])
     assert unit.matrix == alpha0
-    both = theta_multi_ga(emod, [F3.one(), F3.one()])
+    both = multi_ga([F3.one(), F3.one()])
     assert jt_of_nilpotent(both.matrix, 3) == J(3, [3, 1])
-    # agrees with the module-tree evaluation route
-    tup = CommutingTuple.multi_ga([F3.one(), F3.one()], F3)
-    assert theta_full(emod, tup).matrix == both.matrix
-    with pytest.raises(JTCalcError):
-        theta_multi_ga(emod, [F3.one()])
+    # the sum of the scaled action matrices
+    assert both.matrix == alpha0 + alpha1
+    # a scalar count other than the number of action matrices is refused at the pairing
+    with pytest.raises(JTCalcError, match="Explicit module of height 2 used with a 1-parameter point"):
+        multi_ga([F3.one()])
 
 
 def test_jt_at_point_sl2_regimes():
