@@ -34,11 +34,11 @@ time:
   one walk per chunk gives every leaf's operator (`_operators`), each leaf
   is ranked, and the leaf types are folded by `jt_sum` / `jt_tensor`
   (`_fold`); single points, curves and minors walk the whole module;
-* Jordan types come from the ranks of the operator's powers, one loop for
-  sweeps, single points and curves (`_jordan_types`); each ring ranks its
-  stacks (`ranks`): many points by batched GF(p) elimination with a pivot
-  row per matrix (`linalg._ranks`), one point by block pivots
-  (`linalg._block_rank`).
+* Jordan types come from the ranks of the operator's powers, by the one
+  loop for sweeps, single points and curves (`jordan._jordan_types`); each
+  ring ranks its stacks (`ranks`): many points by batched GF(p)
+  elimination with a pivot row per matrix (`linalg._ranks`), one point by
+  block pivots (`linalg._block_rank`).
 
 Points, validation errors and Jordan types come out in the order and with
 the messages of the per-point sweep (`enumerate_points`, `CommutingTuple`,
@@ -52,9 +52,10 @@ multiplies and ranks.  Products convolve the `_Pointwise` products along
 s, and a twist Tw(i) stretches s by p^i as well as t.  Explicit leaves act
 through a stack form of `eval_ga_point` and `texp_element`, their terms
 one-point `_Pointwise` stacks, constants of every ring.  A single
-finite-field point (`theta`) is a P = 1 `_Pointwise` stack, validated by
-`_validate`, and ranked by the sweep's loop over the powers of the
-operator (`_jordan_types`), as a curve is over GF(q)(s).
+finite-field point (`theta`) is a P = 1 `_Pointwise` stack, checked by
+`_validate` when its tuple is built, and ranked by the sweep's loop over
+the powers of the operator (`jordan._jordan_types`), as a curve is over
+GF(q)(s).
 
 A point with entries in a `PolyRing` (the chart's symbolic tuple) runs on
 `monomials._Monomials`, a `_Pointwise` ring whose stacks hold one
@@ -71,7 +72,7 @@ from math import comb, isqrt
 import numpy as np
 
 from .errors import ChartError, DomainMismatchError, JTCalcError, NotNilpotentError
-from .jordan import TENSOR_DIM_CAP, RankProfile, jt_from_rank_profile, jt_sum, jt_tensor
+from .jordan import TENSOR_DIM_CAP, _jordan_types, jt_sum, jt_tensor
 from .linalg import _convolve, _Pointwise, _px_rank, _px_trim, _regular
 from .modules import (
     DirectSum,
@@ -134,7 +135,7 @@ def jordan_types(chart, e, field, variant, budget, seed, samples):
     numbers the weighted scaling orbit of point i, in the order the sweep
     first meets the orbits (`_Orbits`); types[j] is the Jordan type of orbit
     j, None for the zero tuple's.  As in the per-point sweep, every tuple is
-    validated before any operator is evaluated.  Then each orbit's operator
+    checked before any operator is evaluated.  Then each orbit's operator
     is evaluated once, on its canonical tuple (`_orbit_reduce`), in walks of
     `sweep.chunk` orbits: the operators of the leaves of the module's type
     plan (`_type_plan`), whose types fold into the module's (`_Sweep.types`).
@@ -362,7 +363,7 @@ class _Sweep:
     kinds, as `Chart.tuple_at` builds it.  Each stage works in the chunk
     that keeps its stacks within CHUNK_CELLS:
 
-    * `point_chunk` points are drawn (or enumerated), evaluated, validated
+    * `point_chunk` points are drawn (or enumerated), evaluated, checked
       and orbit-reduced at a time; a point costs about 8 cells per
       parameter in the draws and r (a n)^2 cells in its lifted tuple, the
       largest stacks of validation;
@@ -391,7 +392,7 @@ class _Sweep:
         self.point_chunk = max(1, points // self.chunk) * self.chunk
 
     def points(self, budget, seed, samples):
-        """(values, tuples) chunks of the points `enumerate_points` yields, validated in its order.
+        """(values, tuples) chunks of the points `enumerate_points` yields, checked in its order.
 
         It raises where `enumerate_points` raises: after the chunk cut
         before the first invalid tuple, or after the last chunk of a sampled
@@ -1098,7 +1099,7 @@ def _explicit_terms(leaf, field):
     return tuple(out)
 
 
-# -- rank profiles ----------------------------------------------------------------------
+# -- matrix powers ----------------------------------------------------------------------
 
 
 def _mpow(ring, a, k):
@@ -1110,30 +1111,3 @@ def _mpow(ring, a, k):
         if k:
             a = ring.reduce(ring.matmul(a, a))
     return result
-
-
-def _jordan_types(ring, op, report):
-    """Jordan types of the operators of a stack of the ring, one per entry of `ring.nonzero(op)`:
-    per point of a `_Pointwise` stack, or the one operator along a curve of a `_Polys` stack.
-
-    The ranks of op, op^2, ..., op^(p-1) come from `ring.ranks`; op^p must vanish, the one
-    nilpotency check, otherwise NotNilpotentError(report).
-    """
-    p = ring.p
-    ranks = np.zeros((len(ring.nonzero(op)), p - 1), dtype=np.int64)
-    power = op
-    for s in range(p - 1):
-        if not power.any():
-            break
-        ranks[:, s] = ring.ranks(power)
-        power = ring.reduce(ring.matmul(power, op))
-    if power.any():
-        raise NotNilpotentError(report)
-    dim = ring.dim(op)
-    return [_profile_type(p, dim, row) for row in map(tuple, ranks.tolist())]
-
-
-@lru_cache(maxsize=4096)
-def _profile_type(p, dim, ranks):
-    """The Jordan type of a rank profile: few profiles occur, so each is read once."""
-    return jt_from_rank_profile(RankProfile(p, dim, ranks))

@@ -19,6 +19,7 @@ from .errors import JTCalcError, ParseError
 from .fields import GF
 from .jordan import (
     dominance_leq_checked,
+    jt_of_nilpotent,
     jt_perp,
     jt_power,
     jt_tensor,
@@ -38,7 +39,7 @@ from .strata import (
     verify_closed_stratum,
 )
 from .suite import run_suite
-from .theta import CommutingTuple, homotopy_theta, jt_at_point, jt_of_nilpotent
+from .theta import CommutingTuple, homotopy_theta, jt_at_point
 
 SCHEMA_VERSION = 1
 

@@ -1080,15 +1080,6 @@ class TruncatedCurveRing:
     __repr__ = __str__
 
 
-def frobenius_power(a, e):
-    """a^(p^e) for an element of any supported coefficient domain."""
-    if e == 0:
-        return a
-    if isinstance(a, (FFElement, Polynomial, RatFunc, TruncElement)):
-        return a.frobenius(e)
-    raise JTCalcError(f"unsupported element {a!r}")
-
-
 def require_field(domain):
     if not getattr(domain, "is_field", False):
         raise NotAFieldError(f"{domain} is not a field")

@@ -4,7 +4,10 @@ The value space of Jordan types: Young diagrams with at most p columns.
 A Jordan type records how many blocks of each size 1..p a p-nilpotent
 operator has.  The dominance order, sums, tensor products, perp, powers and
 rank profiles all live here; every combinatorial formula has a brute-force
-matrix oracle next to it in the test suite.
+matrix oracle next to it in the test suite.  The program's one loop from
+operator powers to Jordan types lives here too (`_jordan_types`): it ranks
+sweeps, single points and matrices over finite fields, and curves over
+GF(q)(s).
 """
 
 from __future__ import annotations
@@ -12,12 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import CapExceededError, JTCalcError, NotNilpotentError
+import numpy as np
+
+from .errors import CapExceededError, DomainMismatchError, JTCalcError, NotNilpotentError
 from .fields import GF
-from .linalg import ExactMatrix
+from .linalg import ExactMatrix, _Pointwise
 
 TENSOR_DIM_CAP = 4096
-DOWN_SET_BOX_CAP = 30
 
 
 @dataclass(frozen=True)
@@ -118,26 +122,42 @@ def jt_from_rank_profile(rp):
     return jt
 
 
-def _power_ranks(n, p):
-    """Ranks of n, n^2, ..., n^(p-1); once a power vanishes the rest are 0."""
-    ranks = []
-    power = n
-    for _ in range(1, p):
-        if power.is_zero():
-            ranks.append(0)
-            continue
-        ranks.append(power.rank())
-        power = power @ n
-    if not power.is_zero():
-        raise NotNilpotentError(f"matrix is not {p}-nilpotent")
-    return tuple(ranks)
-
-
 def jt_of_nilpotent(n, p):
-    """Jordan type of a p-nilpotent matrix over a field, via ranks of its powers."""
+    """Jordan type of a p-nilpotent matrix over a finite field of characteristic p, ranked on
+    its one-point stack by the loop that ranks sweeps, points and curves (`_jordan_types`)."""
     if n.rows != n.cols:
         raise JTCalcError("operator matrix must be square")
-    return jt_from_rank_profile(RankProfile(p, n.rows, _power_ranks(n, p)))
+    field = n._finite_field("Jordan types")
+    if p != field.p:
+        raise DomainMismatchError(f"p={p} is not the characteristic of {field}")
+    return _jordan_types(_Pointwise(field), n._data, f"matrix is not {p}-nilpotent")[0]
+
+
+def _jordan_types(ring, op, report):
+    """Jordan types of the operators of a stack of the ring, one per entry of `ring.nonzero(op)`:
+    per point of a `_Pointwise` stack, or the one operator along a curve of a `_Polys` stack.
+
+    The ranks of op, op^2, ..., op^(p-1) come from `ring.ranks`; op^p must vanish, the one
+    nilpotency check, otherwise NotNilpotentError(report).
+    """
+    p = ring.p
+    ranks = np.zeros((len(ring.nonzero(op)), p - 1), dtype=np.int64)
+    power = op
+    for s in range(p - 1):
+        if not power.any():
+            break
+        ranks[:, s] = ring.ranks(power)
+        power = ring.reduce(ring.matmul(power, op))
+    if power.any():
+        raise NotNilpotentError(report)
+    dim = ring.dim(op)
+    return [_profile_type(p, dim, row) for row in map(tuple, ranks.tolist())]
+
+
+@lru_cache(maxsize=4096)
+def _profile_type(p, dim, ranks):
+    """The Jordan type of a rank profile: few profiles occur, so each is read once."""
+    return jt_from_rank_profile(RankProfile(p, dim, ranks))
 
 
 def jt_rank(a, s):
@@ -262,57 +282,6 @@ def _partitions_capped(m, cap):
 def all_types_of_dim(p, m):
     """Every Jordan type of dimension m in characteristic p."""
     return [JordanType.from_blocks(p, blocks) for blocks in _partitions_capped(m, p)]
-
-
-def down_set(a):
-    """All types of the same dimension below a: the Alexandrov closure of {a}."""
-    if a.dim > DOWN_SET_BOX_CAP:
-        raise CapExceededError(f"{a.dim} boxes exceed the down-set cap {DOWN_SET_BOX_CAP}")
-    return {b for b in all_types_of_dim(a.p, a.dim) if dominance_leq(b, a)}
-
-
-def is_max_type(a):
-    """True iff a = (m/p)[p], the type of an injective module of dimension m."""
-    return all(c == 0 for c in a.counts[: a.p - 1])
-
-
-def induced_quotient_jt(n, subspace_basis, p):
-    """Jordan type of the operator induced on the quotient by an invariant subspace.
-
-    subspace_basis: list of column vectors (lists of field elements).
-    """
-    field = n.domain
-    m = n.rows
-    if not subspace_basis:
-        return jt_of_nilpotent(n, p)
-    w_cols = [list(v) for v in subspace_basis]
-    w = ExactMatrix.from_rows(field, [[w_cols[k][i] for k in range(len(w_cols))] for i in range(m)])
-    k = w.rank()
-    if k != len(w_cols):
-        raise JTCalcError("subspace basis is linearly dependent")
-    # invariance: rank [W | nW] must equal rank W
-    nw = n @ w
-    stacked = ExactMatrix.from_rows(
-        field,
-        [[w.entry(i, j) for j in range(k)] + [nw.entry(i, j) for j in range(k)] for i in range(m)],
-    )
-    if stacked.rank() != k:
-        raise JTCalcError("subspace is not invariant under the operator")
-    if k == m:
-        return JordanType(p, (0,) * p)
-    # complete W to a basis with standard vectors, greedily
-    cols = [[w.entry(i, j) for i in range(m)] for j in range(k)]
-    for idx in range(m):
-        if len(cols) == m:
-            break
-        cand = [field.one() if i == idx else field.zero() for i in range(m)]
-        trial = ExactMatrix.from_rows(field, [[col[i] for col in cols + [cand]] for i in range(m)])
-        if trial.rank() == len(cols) + 1:
-            cols.append(cand)
-    pmat = ExactMatrix.from_rows(field, [[col[i] for col in cols] for i in range(m)])
-    conj = pmat.inverse() @ n @ pmat
-    quot_rows = [[conj.entry(i, j) for j in range(k, m)] for i in range(k, m)]
-    return jt_of_nilpotent(ExactMatrix.from_rows(field, quot_rows), p)
 
 
 def parse_jordan_type(text, p):

@@ -15,25 +15,24 @@ elements enter (`from_rows`, `from_coords`) or leave (`entry`).  Over
 every other domain (polynomial rings, function fields, truncated curve
 rings) a matrix is a tuple of tuples of ring elements.
 
-Ranks are taken over finite fields and over GF(q)(x); kernels and inverses
-over finite fields only (a ring that is not a field raises
-`NotAFieldError`, GF(q)(x) a `JTCalcError`).  A GF(q) rank comes from
-block pivots on the regular representation (`_block_rank`), and the ranks
-of a stack of many points from one batched GF(p) elimination with a pivot
-row per matrix (`_ranks`).  Kernels and inverses come from the GF(p)
-reduced echelon form of the regular representation (`_gfp_rref`: pivots
-inverted by Fermat's little theorem, one outer-product update per pivot),
-which is the regular representation of the GF(q) reduced form.  Minors,
-over any ring, are subset-DP determinants (`_det_subset_dp`).
+Ranks, kernels and inverses are taken over finite fields only (a ring that
+is not a field raises `NotAFieldError`, GF(q)(x) a `JTCalcError`).  A
+GF(q) rank comes from block pivots on the regular representation
+(`_block_rank`), and the ranks of a stack of many points from one batched
+GF(p) elimination with a pivot row per matrix (`_ranks`).  Kernels and
+inverses come from the GF(p) reduced echelon form of the regular
+representation (`_gfp_rref`: pivots inverted by Fermat's little theorem,
+one outer-product update per pivot), which is the regular representation
+of the GF(q) reduced form.  Minors, over any ring, are subset-DP
+determinants (`_det_subset_dp`).
 
 A matrix over GF(q)[x] is the same block layout with the point axis read
 as the coefficient axis: its (L, rows n, cols n) stack holds the lifted
 x^0, ..., x^(L-1) coefficients.  Products convolve along that axis
 (`_convolve`, any `_Pointwise` product on the broadcast grid of coefficient
 pairs), and ranks over GF(q)(x) come from fraction-free (Bareiss)
-elimination on the stack (`_px_rank`).  Over GF(q)(x) a matrix clears its
-denominators into such a stack; the operator along a curve
-(`batch._Polys`) is one.
+elimination on the stack (`_px_rank`).  The operator along a curve
+(`batch._Polys`) is such a stack, and the one matrix ranked over GF(q)(x).
 """
 
 from __future__ import annotations
@@ -49,9 +48,6 @@ from .fields import (
     FFElement,
     FiniteField,
     TruncatedCurveRing,
-    _up_divmod,
-    _up_mul,
-    _up_trim,
     require_field,
 )
 
@@ -549,18 +545,6 @@ def _px_rank(M, p):
     return rank
 
 
-def _px_stack(field, rows):
-    """GF(p)[x] stack of a GF(p^n)[x] matrix given as rows of {exponent: FFElement} maps."""
-    nr, nc = len(rows), len(rows[0]) if rows else 0
-    length = 1 + max((e for row in rows for entry in row for e in entry), default=0)
-    data = np.zeros((length, nr, nc, field.n), dtype=np.int64)
-    for i, row in enumerate(rows):
-        for j, entry in enumerate(row):
-            for e, v in entry.items():
-                data[e, i, j] = field.embed(v).coeffs
-    return _Pointwise(field).lift(data)
-
-
 class ExactMatrix:
     """Immutable dense matrix over a fixed coefficient domain.
 
@@ -802,35 +786,13 @@ class ExactMatrix:
     # -- rank / kernel / minors ----------------------------------------------------
 
     def rank(self):
-        """Exact rank; requires the coefficient domain to be a field: a finite field, ranked by
-        block pivots on the one-point stack (`_block_rank`), or a rational function field."""
-        if isinstance(self.domain, FiniteField):
-            return _block_rank(self._data[0], self.domain.p, self.domain.n)
-        require_field(self.domain)
-        field = self.domain.field
-        rows = [[dict(enumerate(v)) for v in row] for row in self._cleared_rows()]
-        return _px_rank(_px_stack(field, rows), field.p) // field.n
-
-    def _cleared_rows(self):
-        """Clear denominators row-wise; rows of dense coefficient tuples."""
-        field = self.domain.field
-        out = []
-        for i in range(self.rows):
-            entries = [self.entry(i, j) for j in range(self.cols)]
-            row_den = (field.one(),)
-            for v in entries:
-                row_den = _up_mul(row_den, v.den, field)
-            row = []
-            for v in entries:
-                quot, rem = _up_divmod(row_den, v.den, field)
-                if _up_trim(rem):
-                    raise JTCalcError("denominator clearing failed")
-                row.append(_up_mul(v.num, quot, field))
-            out.append(row)
-        return out
+        """Exact rank over a finite field, by block pivots on the one-point stack (`_block_rank`).
+        Other domains raise as `_finite_field` says."""
+        field = self._finite_field("ranks")
+        return _block_rank(self._data[0], field.p, field.n)
 
     def _finite_field(self, what):
-        """The matrix's finite field: `what` (kernels, inverses) is computed over no other domain.
+        """The matrix's finite field: `what` (ranks, kernels, inverses) is computed over no other domain.
         A domain that is not a field raises `NotAFieldError`, GF(q)(x) a `JTCalcError`."""
         if not isinstance(self.domain, FiniteField):
             require_field(self.domain)

@@ -23,7 +23,7 @@ import numpy as np
 from . import batch
 from .errors import CapExceededError, ChartError, JTCalcError, ParseError
 from .fields import GF, Polynomial, PolyRing
-from .jordan import dominance_leq, jt_rank
+from .jordan import _jordan_types, dominance_leq, jt_rank
 from .linalg import ExactMatrix, _Pointwise
 from .parsing import parse_field_spec, parse_polynomial
 from .theta import (
@@ -104,7 +104,7 @@ class Chart:
         _, flat = self._evaluate(self._compiled_constraints, values)
         return not any(flat)
 
-    def tuple_at(self, values, validated=True):
+    def tuple_at(self, values):
         field, flat = self._evaluate(self._compiled_templates, values)
         data = batch._coords(field, np.array(flat, dtype=np.int64))
         mats, start = [], 0
@@ -116,12 +116,12 @@ class Chart:
             mats.append(ExactMatrix.from_coords(field, block))
             start = end
         if self.kind == KIND_GL:
-            return CommutingTuple.gl(mats, validated=validated)
+            return CommutingTuple.gl(mats)
         return CommutingTuple(self.kind, field, len(mats), 1, tuple(mats))
 
     def symbolic_tuple(self):
         if self.kind == KIND_GL:
-            return CommutingTuple(KIND_GL, self.ring, self.r, self.size, self.templates, False)
+            return CommutingTuple(KIND_GL, self.ring, self.r, self.size, self.templates)
         scalars = [t.entry(0, 0) for t in self.templates]
         return CommutingTuple._scalar_tuple(self.kind, scalars, self.ring)
 
@@ -362,14 +362,6 @@ class StrataTable:
                 }
             )
         return recs
-
-    def to_csv_lines(self):
-        lines = ["type,count,representatives"]
-        for a in self.types():
-            entry = self.entries[a]
-            reps = ";".join("|".join(rep) for rep in entry.representatives)
-            lines.append(f"\"{a.to_text()}\",{entry.count},\"{reps}\"")
-        return lines
 
 
 def _serialize_values(field, values):
@@ -706,17 +698,17 @@ def semicontinuity_check(curve, e, variant="full"):
     those of its t^0 coefficient, since t -> 0 is a ring map: that slice is
     the matrix of a one-point stack, ranked as every single point is.  Both
     go through the loop over the powers that ranks sweeps and single points
-    (`batch._jordan_types`), on the curve's `_Polys` stack and on that
+    (`jordan._jordan_types`), on the curve's `_Polys` stack and on that
     one-point stack.
     """
     chart, field = curve.chart, curve.field
     op = curve.operator(e, variant)
-    generic_jt, = batch._jordan_types(curve._ring, op, f"matrix is not {chart.p}-nilpotent")
+    generic_jt, = _jordan_types(curve._ring, op, f"matrix is not {chart.p}-nilpotent")
     if chart.kind == KIND_GL:
         curve.validate()
     # the special operator's p-th power vanishes, and its tuple is a point,
     # because the generic ones are
-    special_jt, = batch._jordan_types(_Pointwise(field), op[:1], f"{variant} operator is not p-nilpotent")
+    special_jt, = _jordan_types(_Pointwise(field), op[:1], f"{variant} operator is not p-nilpotent")
     ok = dominance_leq(special_jt, generic_jt)
     return SemicontReport(curve.label, variant, generic_jt.to_text(), special_jt.to_text(), ok)
 

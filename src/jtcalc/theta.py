@@ -16,8 +16,9 @@ the two coincide; from height 3 on they differ by higher product terms.
 Every operator is evaluated by `batch`'s module walker on integer stacks,
 the code that runs sweeps and curves.  A point over a finite field, of
 every kind, is a one-point `_Pointwise` stack, over GF(p^n) with each entry
-its n x n GF(p) regular-representation block; its validation is the
-sweep's too, and `jt_at_point` ranks the operator on that stack.  A
+its n x n GF(p) regular-representation block; its validation, when a
+`gl` tuple is built, is the sweep's too, and `jt_at_point` ranks the
+operator on that stack.  Jordan types are taken only at such points.  A
 symbolic point, with entries in a `PolyRing` (the chart's symbolic tuple,
 for the rank-locus minors), is a stack of monomial coefficients of the
 `monomials._Monomials` ring (`symbolic_operator`).  `one_param` gives the
@@ -35,7 +36,6 @@ from .batch import (
     KIND_GL,
     KIND_MULTI_GA,
     _check_pairing,
-    _jordan_types,
     _mpow,
     _validate,
     by_variant,
@@ -43,7 +43,7 @@ from .batch import (
 )
 from .errors import DomainMismatchError, JTCalcError, NotNilpotentError
 from .fields import FiniteField, PolyRing, TruncatedCurveRing
-from .jordan import jt_of_nilpotent, jt_power
+from .jordan import _jordan_types, jt_power
 from .linalg import ExactMatrix, _Pointwise
 from .modules import ModuleExpr, UnipotentPair, texp_matrix
 
@@ -52,7 +52,8 @@ from .modules import ModuleExpr, UnipotentPair, texp_matrix
 class CommutingTuple:
     """A point of the height-r commuting nilpotent variety.
 
-    kind "gl":        mats are N x N matrices, validated commuting p-nilpotent.
+    kind "gl":        mats are N x N matrices; over a finite field they are
+                      checked commuting p-nilpotent when the tuple is built.
     kind "ga":        mats are 1 x 1 (scalars a_s); the additive restricted
                       structure is trivial, so no nilpotency is imposed.
     kind "multi_ga":  height-1 point of a product of s additive lines.
@@ -67,18 +68,17 @@ class CommutingTuple:
     height: int
     size: int
     mats: tuple
-    validated: bool = True
 
     def __post_init__(self):
         if len(self.mats) != self.height:
             raise JTCalcError("tuple length disagrees with height")
-        if self.kind == KIND_GL and self.validated and isinstance(self.domain, FiniteField):
+        if self.kind == KIND_GL and isinstance(self.domain, FiniteField):
             _validate(*_stacks(self))
 
     @staticmethod
-    def gl(mats, validated=True):
+    def gl(mats):
         mats = tuple(mats)
-        return CommutingTuple(KIND_GL, mats[0].domain, len(mats), mats[0].rows, mats, validated)
+        return CommutingTuple(KIND_GL, mats[0].domain, len(mats), mats[0].rows, mats)
 
     @staticmethod
     def _scalar_tuple(kind, scalars, domain):
@@ -113,7 +113,7 @@ class CommutingTuple:
         return [m.serialize() for m in self.mats]
 
     def _with_mats(self, mats):
-        """This point with other matrices of the same shapes, not validated again.
+        """This point with other matrices of the same shapes, not checked again.
 
         For scaling and conjugation, which keep a commuting p-nilpotent tuple so.
         """
@@ -206,14 +206,10 @@ def symbolic_operator(e, tup, variant):
 def _stack_operator(e, tup, variant):
     """(ring, the variant's operator) at a finite-field point, built by `batch.curve_operator`.
 
-    The operator is the matrix of the one-point stack.  An unvalidated `gl`
-    tuple is checked as `texp_matrix` checks it: every B_s must be
-    p-nilpotent.
+    The operator is the matrix of the one-point stack; a `gl` tuple was
+    checked when it was built.
     """
     ring, mats = _stacks(tup)
-    if tup.kind == KIND_GL and not tup.validated:
-        if any(ring.nonzero(_mpow(ring, m, tup.p)).any() for m in mats):
-            raise NotNilpotentError("truncated exponential needs a p-nilpotent matrix")
     return ring, curve_operator(ring, tup.kind, e, variant, mats)[0]
 
 
@@ -333,19 +329,18 @@ def theta_variant(e, tup, variant):
 
 
 def jt_at_point(e, tup, variant="full"):
-    """Local Jordan type of the selected operator at the point.
+    """Local Jordan type of the selected operator at a point over a finite field.
 
-    The operator's p-nilpotency is checked once, by the final vanishing power
-    of its rank profile.  Over a finite field the operator is ranked on its
-    one-point stack by the loop that ranks sweeps and curves
-    (`batch._jordan_types`).  Off a finite field only a polynomial-ring
-    point has an operator (`_theta`), and only a zero one has a type:
-    ranking a nonzero one raises `NotAFieldError`.
+    The operator is ranked on the point's one-point stack by the loop that
+    ranks sweeps and curves (`jordan._jordan_types`), and its p-nilpotency
+    is checked once, by the final vanishing power of its rank profile.  A
+    point over any other domain raises a `JTCalcError` naming its domain,
+    even a `PolyRing` point, whose operator `_theta` builds.
     """
     by_variant(variant, None, None)
-    if isinstance(tup.domain, FiniteField):
-        return _typed_operator(e, tup, variant)[0]
-    return jt_of_nilpotent(_theta(e, tup, variant).matrix, tup.p)
+    if not isinstance(tup.domain, FiniteField):
+        raise JTCalcError(f"Jordan types are taken at points over finite fields, not over {tup.domain}")
+    return _typed_operator(e, tup, variant)[0]
 
 
 def _typed_operator(e, tup, variant):
@@ -357,19 +352,17 @@ def _typed_operator(e, tup, variant):
 
 
 def jt_power_at_point(e, tup, variant, j):
-    """Jordan type of the j-th power of the selected operator.
+    """Jordan type of the j-th power of the selected operator, at a point over a finite field.
 
-    Over a finite field this is `jt_power` of the type at the point: under
-    N^j a block [i] of N splits into one chain per residue mod j of the
-    position in the block.  So the operator's rank profile is taken once,
-    and its final vanishing power is the one nilpotency check, as in
-    `jt_at_point`.  Other domains rank the j-th power itself.
+    This is `jt_power` of the type at the point: under N^j a block [i] of N
+    splits into one chain per residue mod j of the position in the block.
+    So the operator's rank profile is taken once, and its final vanishing
+    power is the one nilpotency check, as in `jt_at_point`, which rejects a
+    point over any other domain.
     """
     if not 1 <= j < tup.p:
         raise JTCalcError(f"power {j} outside 1..p-1")
-    if isinstance(tup.domain, FiniteField):
-        return jt_power(jt_at_point(e, tup, variant), j)
-    return jt_of_nilpotent(theta_variant(e, tup, variant).matrix.pow(j), tup.p)
+    return jt_power(jt_at_point(e, tup, variant), j)
 
 
 def jt_exp_infinite(blist, e):

@@ -1,10 +1,13 @@
 import io
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
 from jtcalc.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(args, monkeypatch=None, env=None):
@@ -74,6 +77,15 @@ def test_strata_jsonl_deterministic(monkeypatch):
     assert all(r["schema"] == 1 and r["command"] == "strata" for r in records)
     type_rows = [r for r in records if "type" in r]
     assert {r["type"] for r in type_rows} == {"2[2]", "[3]+[1]"}
+
+
+def test_strata_csv_matches_golden():
+    """The one CSV writer (`cli._emit`): representatives, lists of quoted strings with commas,
+    are quoted and their quotes doubled."""
+    code, out, _ = run_cli(["strata", "--p", "3", "--chart", "sl2_line", "--r", "2",
+                            "--module", "Std(2)*Tw(1,Std(2))", "--format", "csv"])
+    assert code == 0
+    assert out == (GOLDEN / "strata_sl2_line_gf3.csv").read_text()
 
 
 def test_closed_command_exit_codes():

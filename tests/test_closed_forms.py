@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from jtcalc.errors import JTCalcError
+from jtcalc.errors import JTCalcError, NotNilpotentError
 from jtcalc.fields import GF
 from jtcalc.jordan import JordanType, all_types_of_dim, jt_of_nilpotent, jt_tensor, realize_nilpotent
 from jtcalc.linalg import ExactMatrix
@@ -112,17 +112,20 @@ def test_power_at_point_matches_rank_profile_on_upper_and_additive_charts():
                         assert_same_power(explicit, tup, variant, j)
 
 
-def test_power_at_point_rejects_what_the_rank_profile_rejected():
+def test_power_at_point_rejects_what_the_rank_profile_rejected(stand_in):
+    """A matrix that is not p-nilpotent makes no tuple: `CommutingTuple.gl` rejects it.  Matrices
+    that do not commute make none either; a point stands in for them (`stand_in`), so that their
+    operator, which is not p-nilpotent, meets both routes."""
     f2, f3 = GF(2), GF(3)
     diag = ExactMatrix.from_rows(f3, [[1, 0], [0, 0]])
     e12 = ExactMatrix.from_rows(f3, [[0, 1], [0, 0]])
-    bad_matrix = CommutingTuple.gl([diag, e12], validated=False)
-    bad_operator = CommutingTuple.gl([ExactMatrix.from_rows(f2, [[0, 1], [0, 0]]),
-                                      ExactMatrix.from_rows(f2, [[0, 0], [1, 0]])], validated=False)
+    with pytest.raises(NotNilpotentError, match="^matrix 0 is not 3-nilpotent$"):
+        CommutingTuple.gl([diag, e12])
+    bad_operator = stand_in([ExactMatrix.from_rows(f2, [[0, 1], [0, 0]]),
+                             ExactMatrix.from_rows(f2, [[0, 0], [1, 0]])])
     good = CommutingTuple.gl([e12, e12])
     square = Tensor(Std(2), Std(2))
-    cases = [(Std(2), bad_matrix, "full", 1), (Std(2), bad_matrix, "exp", 2),
-             (square, bad_operator, "full", 1), (square, bad_operator, "exp", 1),
+    cases = [(square, bad_operator, "full", 1), (square, bad_operator, "exp", 1),
              (Std(2), good, "full", 0), (Std(2), good, "full", 3), (Std(2), good, "both", 1),
              (parse_module_expr("Std(3)"), good, "full", 1)]
     for e, tup, variant, j in cases:

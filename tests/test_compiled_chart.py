@@ -37,7 +37,7 @@ def satisfies_oracle(chart, values):
     return all(c.evaluate(list(values)).is_zero() for c in chart.constraints)
 
 
-def tuple_at_oracle(chart, values, validated=True):
+def tuple_at_oracle(chart, values):
     values = list(values)
     field = values[0].field if values else GF(chart.p)
     mats = []
@@ -45,7 +45,7 @@ def tuple_at_oracle(chart, values, validated=True):
         rows = [[tmpl.entry(i, j).evaluate(values) for j in range(tmpl.cols)] for i in range(tmpl.rows)]
         mats.append(ExactMatrix.from_rows(field, rows))
     if chart.kind == KIND_GL:
-        return CommutingTuple.gl(mats, validated=validated)
+        return CommutingTuple.gl(mats)
     return CommutingTuple._scalar_tuple(chart.kind, [m.entry(0, 0) for m in mats], field)
 
 
@@ -55,16 +55,14 @@ def outcome(fn, *args, **kwargs):
     except JTCalcError as exc:
         return type(exc), str(exc)
     if isinstance(out, CommutingTuple):
-        return (out.kind, out.domain, out.height, out.size, out.validated,
+        return (out.kind, out.domain, out.height, out.size,
                 [(m.domain, m.shape, m._data.dtype, m._data.tolist()) for m in out.mats])
     return out
 
 
 def assert_same(chart, values):
     assert outcome(chart.satisfies, values) == outcome(satisfies_oracle, chart, values)
-    for validated in (True, False):
-        assert (outcome(chart.tuple_at, values, validated=validated)
-                == outcome(tuple_at_oracle, chart, values, validated=validated))
+    assert outcome(chart.tuple_at, values) == outcome(tuple_at_oracle, chart, values)
 
 
 @st.composite

@@ -37,7 +37,7 @@ from jtcalc.linalg import ExactMatrix, _block_rank, _gfp_rref, _Pointwise
 from jtcalc.modules import Dual, Explicit, Tensor, parse_module_expr
 from jtcalc.monomials import _Monomials
 from jtcalc.strata import builtin_chart, enumerate_points
-from jtcalc.theta import CommutingTuple, _stack_operator, theta_exp, theta_full
+from jtcalc.theta import theta_exp
 from poly_oracles import CoordinatePolys
 from test_point_stack import _commuting_family, explicit_leaves, module_trees
 
@@ -60,13 +60,20 @@ PINNED = {
 }
 
 
-@pytest.mark.parametrize("variant, build", [("full", theta_full), ("exp", theta_exp)])
-def test_dual_operator_on_a_non_commuting_tuple_is_pinned(variant, build):
-    """On a tuple that does not commute, g^-1[d] is the reverse-order product of the digits'
+def _walked(e, mats, variant):
+    """The variant's operator on the one-point stacks of mats, which need not make a tuple."""
+    return curve_operator(_Pointwise(mats[0].domain), KIND_GL, e, variant, [m._data for m in mats])
+
+
+# the ids name the operator `theta_full` or `theta_exp` builds at a point
+@pytest.mark.parametrize("variant", [pytest.param("full", id="full-theta_full"),
+                                     pytest.param("exp", id="exp-theta_exp")])
+def test_dual_operator_on_a_non_commuting_tuple_is_pinned(variant):
+    """On matrices that do not commute, g^-1[d] is the reverse-order product of the digits'
     terms times (-1)^(sum of digits), not g[d] with a sign."""
-    tup = CommutingTuple.gl([UPPER, LOWER, ExactMatrix.zeros(F3, 3, 3)], validated=False)
+    mats = [UPPER, LOWER, ExactMatrix.zeros(F3, 3, 3)]
     e = parse_module_expr("Dual(Std(3))*Std(3)")
-    assert build(e, tup).matrix == ExactMatrix.from_rows(F3, PINNED[variant])
+    assert ExactMatrix._of_stack(F3, _walked(e, mats, variant)) == ExactMatrix.from_rows(F3, PINNED[variant])
 
 
 @pytest.mark.parametrize("variant, message", [("full", "matrix 1 is not square of size 2"),
@@ -74,24 +81,23 @@ def test_dual_operator_on_a_non_commuting_tuple_is_pinned(variant, build):
 def test_unvalidated_matrices_of_different_sizes_are_rejected(variant, message):
     """The full group element forms most degrees without a product of two factors, so the sizes
     are checked where it is built; the exponential one meets each factor alone."""
-    tup = CommutingTuple.gl([ExactMatrix.zeros(F3, 2, 2), UPPER], validated=False)
+    mats = [ExactMatrix.zeros(F3, 2, 2), UPPER]
     with pytest.raises(JTCalcError, match=f"^{message}$"):
-        _stack_operator(parse_module_expr("Std(2)*Tw(1,Std(2))"), tup, variant)
+        _walked(parse_module_expr("Std(2)*Tw(1,Std(2))"), mats, variant)
 
 
 @st.composite
 def unvalidated_dual_points(draw):
-    """A tuple of p-nilpotent matrices that need not commute, and a module tree with a Dual."""
+    """p-nilpotent matrices that need not commute, and a module tree with a Dual."""
     field = draw(st.sampled_from(FIELDS))
     size = draw(st.integers(2, min(3, field.p)))
     # g^-1[d] multiplies two or more terms only at height 3, where d = i_0 + i_1 p can be read
     r = draw(st.sampled_from([1, 2, 3, 3, 3]))
     mats = [_commuting_family(draw, field, size, 1)[0] for _ in range(r)]
-    tup = CommutingTuple.gl(mats, validated=False)
     std = parse_module_expr(f"Std({size})")
     e = draw(module_trees(std, depth=1, cap=3))
     e = draw(st.sampled_from([Dual(e), Tensor(Dual(e), e), Tensor(e, Dual(e)), Dual(Tensor(e, std))]))
-    return tup, e if e.dim() <= 9 else Tensor(Dual(std), std)
+    return mats, e if e.dim() <= 9 else Tensor(Dual(std), std)
 
 
 def _outcome(fn, *args):
@@ -104,10 +110,10 @@ def _outcome(fn, *args):
 @given(unvalidated_dual_points(), st.sampled_from(["full", "exp"]))
 @settings(max_examples=100, deadline=None)
 def test_unvalidated_points_with_dual_match_the_product_of_factors(case, variant):
-    tup, e = case
-    ring = _Pointwise(tup.domain)
-    want = oracle.curve_operator(ring, KIND_GL, e, variant, [m._data for m in tup.mats])
-    assert np.array_equal(_stack_operator(e, tup, variant)[1], want[0])
+    mats, e = case
+    ring = _Pointwise(mats[0].domain)
+    want = oracle.curve_operator(ring, KIND_GL, e, variant, [m._data for m in mats])
+    assert np.array_equal(_walked(e, mats, variant), want)
 
 
 # -- the three rings -------------------------------------------------------------------------

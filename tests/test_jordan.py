@@ -12,9 +12,6 @@ from jtcalc.jordan import (
     all_types_of_dim,
     dominance_leq,
     dominance_leq_checked,
-    down_set,
-    induced_quotient_jt,
-    is_max_type,
     jt_from_rank_profile,
     jt_of_nilpotent,
     jt_perp,
@@ -26,6 +23,7 @@ from jtcalc.jordan import (
     realize_nilpotent,
 )
 from jtcalc.linalg import ExactMatrix
+from linalg_oracles import power_ranks
 
 J = JordanType.from_blocks
 
@@ -53,6 +51,41 @@ def test_jt_of_nilpotent_examples():
         jt_of_nilpotent(ExactMatrix.identity(F3, 2), 3)
     with pytest.raises(JTCalcError):
         jt_of_nilpotent(ExactMatrix.zeros(F3, 2, 3), 3)
+
+
+def _by_power_ranks(n, p):
+    """The Jordan type of the ranks of n's powers, taken one by one: the oracle of `jt_of_nilpotent`."""
+    return jt_from_rank_profile(RankProfile(p, n.rows, power_ranks(n, p)))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except JTCalcError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def square_matrices(draw):
+    """A matrix over GF(p) or GF(p^n): a realized Jordan type conjugated by a drawn matrix when that
+    is invertible, plus a drawn multiple of the identity, so that some are not p-nilpotent."""
+    field = draw(st.sampled_from([GF(2), GF(3), GF(5), GF(7), GF(2, 2), GF(3, 2), GF(5, 2), GF(2, 3)]))
+    a = draw(st.sampled_from(all_types_of_dim(field.p, draw(st.integers(1, 6)))))
+    element = st.integers(0, field.order - 1).map(field.from_index)
+    m = a.dim
+    n = realize_nilpotent(a, field)
+    g = ExactMatrix.from_rows(field, [[draw(element) for _ in range(m)] for _ in range(m)])
+    if g.rank() == m:
+        n = g @ n @ g.inverse()
+    shift = draw(element) if draw(st.integers(0, 3)) == 0 else field.zero()
+    return n + ExactMatrix.identity(field, m).scalar_mul(shift)
+
+
+@given(square_matrices())
+@settings(max_examples=150, deadline=None)
+def test_jt_of_nilpotent_matches_power_ranks_oracle(n):
+    p = n.domain.p
+    assert _outcome(jt_of_nilpotent, n, p) == _outcome(_by_power_ranks, n, p)
 
 
 def test_dominance_examples():
@@ -111,73 +144,27 @@ def test_perp_examples():
     assert jt_perp(J(3, [2, 2])) == J(3, [1, 1])
 
 
+def _down_set(a):
+    """All types of the same dimension below a: the Alexandrov closure of {a}."""
+    return {b for b in all_types_of_dim(a.p, a.dim) if dominance_leq(b, a)}
+
+
 def test_down_set_examples():
     m1 = J(3, [1, 1, 1])
-    assert down_set(m1) == {m1}
-    ds = down_set(J(3, [3]))
+    assert _down_set(m1) == {m1}
+    ds = _down_set(J(3, [3]))
     assert ds == {J(3, [3]), J(3, [2, 1]), J(3, [1, 1, 1])}
-    ds2 = down_set(J(2, [2, 2]))
+    ds2 = _down_set(J(2, [2, 2]))
     assert ds2 == {J(2, [2, 2]), J(2, [2, 1, 1]), J(2, [1, 1, 1, 1])}
-    with pytest.raises(CapExceededError):
-        down_set(J(5, [5] * 7))
 
 
 def test_down_set_is_downward_closed():
     for a in all_types_of_dim(3, 6):
-        ds = down_set(a)
+        ds = _down_set(a)
         for b in ds:
             for c in all_types_of_dim(3, 6):
                 if dominance_leq(c, b):
                     assert c in ds
-
-
-def test_is_max_type():
-    assert is_max_type(J(5, [5, 5]))
-    assert not is_max_type(J(5, [5, 1]))
-    assert is_max_type(J(3, [3, 3, 3]))
-
-
-def test_induced_quotient_examples():
-    F3 = GF(3)
-    j3 = realize_nilpotent(J(3, [3]), F3)
-    assert induced_quotient_jt(j3, [], 3) == J(3, [3])
-    full = [[F3.one() if i == k else F3.zero() for i in range(3)] for k in range(3)]
-    assert induced_quotient_jt(j3, full, 3).is_zero()
-    e1 = [[F3.one()], [F3.zero()], [F3.zero()]]
-    w = [[F3.one() if i == 0 else F3.zero() for i in range(3)][k] for k in range(3)]
-    assert induced_quotient_jt(j3, [w], 3) == J(3, [2])
-    not_invariant = [[F3.zero(), F3.one(), F3.zero()][k] for k in range(3)]
-    with pytest.raises(JTCalcError):
-        induced_quotient_jt(j3, [not_invariant], 3)
-
-
-def test_surjection_monotonicity_randomized():
-    """Quotient ranks never exceed the ambient ranks (surjections only shrink
-    the images of operator powers; across dimensions the comparison is by
-    rank profile)."""
-    rng = random.Random(5)
-    for field in (GF(3), GF(5)):
-        p = field.p
-        for _ in range(20):
-            a = rng.choice(all_types_of_dim(p, rng.randrange(2, 7)))
-            n = realize_nilpotent(a, field)
-            m = a.dim
-            # invariant subspace: image of n^k is always invariant
-            k = rng.randrange(1, p)
-            img = n.pow(k)
-            cols = [[img.entry(i, j) for i in range(m)] for j in range(m)]
-            chosen = []
-            for col in cols:
-                trial = ExactMatrix.from_rows(field, [[c[i] for c in chosen + [col]] for i in range(m)])
-                if trial.rank() == len(chosen) + 1:
-                    chosen.append(col)
-            if len(chosen) == m:
-                continue
-            quot = induced_quotient_jt(n, chosen, p)
-            for s in range(1, p):
-                assert jt_rank(quot, s) <= jt_rank(a, s)
-            if not chosen:
-                assert dominance_leq(quot, a)
 
 
 @given(st.integers(0, 10_000))

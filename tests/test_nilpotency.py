@@ -44,15 +44,15 @@ F2, F3 = GF(2), GF(3)
 E12 = ExactMatrix.from_rows(F3, [[0, 1], [0, 0]])
 DIAG = ExactMatrix.from_rows(F3, [[1, 0], [0, 0]])
 # over GF(2), e12 and e21 are each 2-nilpotent but do not commute; the
-# Std(2) x Std(2) operator at the unvalidated pair is not 2-nilpotent
+# Std(2) x Std(2) operator on their stacks is not 2-nilpotent
 E12_2 = ExactMatrix.from_rows(F2, [[0, 1], [0, 0]])
 E21_2 = ExactMatrix.from_rows(F2, [[0, 0], [1, 0]])
 
 
 def _unvalidated_cases():
-    bad_matrix = CommutingTuple.gl([DIAG, E12], validated=False)
-    bad_operator = CommutingTuple.gl([E12_2, E21_2], validated=False)
-    # entry point -> the variant whose operator check fires first
+    """(entry point, module, matrices, their validation report, the report of the entry point's
+    operator check on their stacks).  The entry points once took such matrices in a tuple built
+    unvalidated; the operator check names the variant that an entry point checks first."""
     entry_points = {
         "theta_full": (theta_full, "full"),
         "theta_exp": (theta_exp, "exp"),
@@ -64,9 +64,9 @@ def _unvalidated_cases():
     }
     cases = []
     for name, (fn, variant) in entry_points.items():
-        cases.append(pytest.param(fn, Std(2), bad_matrix, "truncated exponential needs a p-nilpotent matrix",
+        cases.append(pytest.param(fn, Std(2), [DIAG, E12], "matrix 0 is not 3-nilpotent", None,
                                   id=f"{name}-matrix"))
-        cases.append(pytest.param(fn, Tensor(Std(2), Std(2)), bad_operator,
+        cases.append(pytest.param(fn, Tensor(Std(2), Std(2)), [E12_2, E21_2], "matrices 0 and 1 do not commute",
                                   f"{variant} operator is not p-nilpotent", id=f"{name}-operator"))
     return cases
 
@@ -129,10 +129,15 @@ def test_texp_matrix_rejects_non_nilpotent_matrix():
         texp_matrix(DIAG, TruncatedCurveRing(F3, 1))
 
 
-@pytest.mark.parametrize("fn, module, tup, message", _unvalidated_cases())
-def test_unvalidated_tuple_is_rejected(fn, module, tup, message):
-    with pytest.raises(NotNilpotentError, match=f"^{message}$"):
-        fn(module, tup)
+@pytest.mark.parametrize("fn, module, mats, report, message", _unvalidated_cases())
+def test_unvalidated_tuple_is_rejected(stand_in, fn, module, mats, report, message):
+    """Such matrices make no tuple: `CommutingTuple.gl` validates them when it is built.  Where the
+    operator on their stacks is not p-nilpotent either, the entry point's check still says so."""
+    with pytest.raises(NotNilpotentError, match=f"^{report}$"):
+        CommutingTuple.gl(mats)
+    if message is not None:
+        with pytest.raises(NotNilpotentError, match=f"^{message}$"):
+            fn(module, stand_in(mats))
 
 
 def test_jt_of_nilpotent_rejects_non_nilpotent_matrix():
@@ -196,8 +201,9 @@ def test_semicontinuity_rejects_an_invalid_generic_tuple(text, module, coeffs, m
 
 
 # the three p-th-power checks of the homotopy family, in the order they raise: theta_exp,
-# theta_full, then the sum.  At height 3 over GF(2) the full operator of Std(2) x Std(2) at
-# the unvalidated (e12, e21, 0) is not 2-nilpotent while the exponential one is.
+# theta_full, then the sum.  At height 3 over GF(2) the full operator of Std(2) x Std(2) on
+# the stacks of (e12, e21, 0), which do not commute, is not 2-nilpotent while the exponential
+# one is.  No tuple holds them, so a point stands in for them (the `stand_in` fixture).
 HOMOTOPY_ENTRY_POINTS = {
     "homotopy_theta": lambda e, t, s, u: homotopy_theta(e, t, t.domain.from_int(s), t.domain.from_int(u)),
     "homotopy_ranks": lambda e, t, s, u: homotopy_ranks(e, t, ((s, u),), 1),
@@ -205,13 +211,13 @@ HOMOTOPY_ENTRY_POINTS = {
 
 
 @pytest.mark.parametrize("name", HOMOTOPY_ENTRY_POINTS)
-def test_homotopy_checks_exp_then_full(name):
+def test_homotopy_checks_exp_then_full(stand_in, name):
     fn = HOMOTOPY_ENTRY_POINTS[name]
     module = Tensor(Std(2), Std(2))
-    both = CommutingTuple.gl([E12_2, E21_2], validated=False)
+    both = stand_in([E12_2, E21_2])
     with pytest.raises(NotNilpotentError, match="^exp operator is not p-nilpotent$"):
         fn(module, both, 1, 1)
-    full_only = CommutingTuple.gl([E12_2, E21_2, ExactMatrix.zeros(F2, 2, 2)], validated=False)
+    full_only = stand_in([E12_2, E21_2, ExactMatrix.zeros(F2, 2, 2)])
     with pytest.raises(NotNilpotentError, match="^full operator is not p-nilpotent$"):
         fn(module, full_only, 1, 0)
     with pytest.raises(JTCalcError, match=r"^homotopy parameters \(0, 0\) are excluded$"):
@@ -225,7 +231,7 @@ def test_homotopy_checks_the_sum(monkeypatch, name):
     ring = _Pointwise(F2)
     ops = {"exp": E12_2._data[0], "full": E21_2._data[0]}
     monkeypatch.setattr(theta_mod, "_stack_operator", lambda e, tup, variant: (ring, ops[variant]))
-    tup = CommutingTuple.gl([E12_2], validated=False)
+    tup = CommutingTuple.gl([E12_2])
     with pytest.raises(NotNilpotentError, match=r"^homotopy\(1:1\) operator is not p-nilpotent$"):
         HOMOTOPY_ENTRY_POINTS[name](Std(2), tup, 1, 1)
 

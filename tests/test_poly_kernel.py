@@ -18,19 +18,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jtcalc.batch import _jordan_types, _Polys
+from jtcalc.batch import _Polys
 from jtcalc.cli import main
 from jtcalc.errors import ChartError, JTCalcError, NotNilpotentError
 from jtcalc.fields import GF, PolyRing, RationalFunctionField, _up_divmod, _up_mul, _up_trim
 from jtcalc import linalg
-from jtcalc.jordan import RankProfile, dominance_leq, jt_from_rank_profile, jt_of_nilpotent
+from jtcalc.jordan import RankProfile, _jordan_types, dominance_leq, jt_from_rank_profile
 from jtcalc.linalg import (
     ExactMatrix,
     _Pointwise,
     _px_exact_div,
     _px_mmul,
     _px_rank,
-    _px_stack,
     _px_trim,
 )
 from jtcalc.modules import (
@@ -57,6 +56,7 @@ from jtcalc.strata import (
     semicontinuity_check,
 )
 from jtcalc.theta import KIND_GL, CommutingTuple, jt_at_point
+from linalg_oracles import cleared_rows, power_ranks, px_stack, ratfunc_rank
 from theta_oracles import theta_variant
 
 FIELDS = [GF(2), GF(3), GF(5), GF(7), GF(2, 2), GF(3, 2), GF(5, 2)]
@@ -113,7 +113,7 @@ def _oracle_jt(matrix, p):
     ranks = []
     power = matrix
     for _ in range(1, p):
-        ranks.append(0 if power.is_zero() else _bareiss_rank_upoly(field, power._cleared_rows()))
+        ranks.append(0 if power.is_zero() else _bareiss_rank_upoly(field, cleared_rows(power)))
         power = power @ matrix
     assert power.is_zero()
     return jt_from_rank_profile(RankProfile(p, matrix.rows, tuple(ranks)))
@@ -140,7 +140,7 @@ def generic_tuple(chart, substitution):
         ]
         mats.append(ExactMatrix.from_rows(ring1, rows))
     if chart.kind == KIND_GL:
-        return CommutingTuple(KIND_GL, ring1, chart.r, chart.size, tuple(mats), False)
+        return CommutingTuple(KIND_GL, ring1, chart.r, chart.size, tuple(mats))
     scalars = [m.entry(0, 0) for m in mats]
     return CommutingTuple._scalar_tuple(chart.kind, scalars, ring1)
 
@@ -149,7 +149,7 @@ def of_univariate(matrix):
     """The matrix over a univariate `PolyRing` (coefficients GF(p^n)) as a `_Polys` stack."""
     field = matrix.domain.field
     rows = [[{e[0]: c for e, c in v.terms.items()} for v in row] for row in matrix._obj_rows()]
-    return _px_stack(field, rows)
+    return px_stack(field, rows)
 
 
 def polyring_semicontinuity(curve, e, variant):
@@ -207,7 +207,7 @@ def poly_matrix(draw, field, max_deg=8, size=None):
 
 
 def _stack(field, rows):
-    return _px_stack(field, [[dict(enumerate(c)) for c in row] for row in rows])
+    return px_stack(field, [[dict(enumerate(c)) for c in row] for row in rows])
 
 
 @given(st.data())
@@ -289,7 +289,7 @@ def test_kernel_rank_matches_bareiss_oracle(data):
 @settings(max_examples=40, deadline=None)
 def test_ratfunc_matrix_rank_matches_bareiss_oracle(data):
     """Rows and columns scaled by nonzero rational functions keep the rank of the
-    polynomial product; ExactMatrix.rank clears the denominators again."""
+    polynomial product; `ratfunc_rank` clears the denominators again."""
     field = data.draw(st.sampled_from(FIELDS))
     rows = data.draw(poly_matrix(field, max_deg=4))
     m = len(rows)
@@ -306,8 +306,8 @@ def test_ratfunc_matrix_rank_matches_bareiss_oracle(data):
                for i, row in enumerate(rows)]
     matrix = ExactMatrix.from_rows(ff, entries)
     want = _bareiss_rank_upoly(field, rows)
-    assert _bareiss_rank_upoly(field, matrix._cleared_rows()) == want
-    assert matrix.rank() == want
+    assert _bareiss_rank_upoly(field, cleared_rows(matrix)) == want
+    assert ratfunc_rank(matrix) == want
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
@@ -316,15 +316,16 @@ def test_zero_and_empty_matrices(field):
         rows = [[() for _ in range(shape[1])] for _ in range(shape[0])]
         assert _kernel_rank(field, rows) == _bareiss_rank_upoly(field, rows) == 0
         ff = RationalFunctionField(field, "t")
-        assert ExactMatrix.zeros(ff, *shape).rank() == 0
-    assert _Polys(field).ranks(_px_stack(field, [])).tolist() == [0]
+        assert ratfunc_rank(ExactMatrix.zeros(ff, *shape)) == 0
+    assert _Polys(field).ranks(px_stack(field, [])).tolist() == [0]
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(FIELDS), st.integers(1, 5), st.integers(0, 2**32 - 1))
 def test_one_rank_loop_for_stacks_and_points(field, count, seed):
     """`_jordan_types` on a stack of p-nilpotent matrices gives, per matrix, the type of its
-    one-point stack (ranked by block pivots, not batched elimination) and `jt_of_nilpotent`'s."""
+    one-point stack (ranked by block pivots, not batched elimination) and the type of the ranks
+    of its powers, taken one by one (`linalg_oracles.power_ranks`)."""
     p, m = field.p, 2 * field.p
     rng = np.random.default_rng(seed)
     # two strictly upper triangular p x p blocks on the diagonal: N^p = 0
@@ -334,7 +335,8 @@ def test_one_rank_loop_for_stacks_and_points(field, count, seed):
     stack = ring.lift(coords)
     types = _jordan_types(ring, stack, "not nilpotent")
     assert types == [_jordan_types(_Pointwise(field), stack[i:i + 1], "not nilpotent")[0] for i in range(count)]
-    assert types == [jt_of_nilpotent(ExactMatrix.from_coords(field, c), p) for c in coords]
+    assert types == [jt_from_rank_profile(RankProfile(p, m, power_ranks(ExactMatrix.from_coords(field, c), p)))
+                     for c in coords]
     assert ring.ranks(stack).tolist() == [ExactMatrix.from_coords(field, c).rank() for c in coords]
     with pytest.raises(NotNilpotentError, match="not nilpotent"):
         _jordan_types(ring, ring.identity(m), "not nilpotent")

@@ -1,3 +1,4 @@
+import io
 import itertools
 import json
 import os
@@ -6,6 +7,7 @@ from math import comb
 
 import pytest
 
+from jtcalc.cli import _emit
 from jtcalc.errors import CapExceededError, ChartError, JTCalcError
 from jtcalc.fields import GF, PolyRing
 from jtcalc.jordan import JordanType, dominance_leq, jt_rank, parse_jordan_type
@@ -96,8 +98,10 @@ def test_tabulate_strata_partition():
     # JSON/CSV exports
     recs = table.to_jsonl_records()
     assert all(set(r) == {"type", "count", "representatives"} for r in recs)
-    csv = table.to_csv_lines()
-    assert csv[0] == "type,count,representatives"
+    out = io.StringIO()
+    _emit(recs, "csv", out, "strata")
+    csv = out.getvalue().splitlines()
+    assert csv[0] == "count,representatives,type"
     assert len(csv) == len(recs) + 1
 
 

@@ -189,7 +189,7 @@ def test_unvalidated_and_scaled_tuples_lift_their_own_matrices():
     field = GF(5)
     e = parse_module_expr("Std(2)*Tw(1,Std(2))")
     mats = [ExactMatrix.from_rows(field, rows) for rows in ([[0, 1], [0, 0]], [[0, 3], [0, 0]])]
-    tup = CommutingTuple.gl(mats, validated=False)
+    tup = CommutingTuple.gl(mats)
     jt = jt_at_point(e, tup)
     # a scaled tuple does not keep the stacks of the tuple it came from
     scaled = scale_tuple(CommutingTuple.gl(mats), field.from_int(2))

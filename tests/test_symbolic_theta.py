@@ -123,7 +123,7 @@ def test_minors_need_a_prime_field():
 
 def test_other_symbolic_domains_are_rejected():
     ring = TruncatedCurveRing(GF(3), 1)
-    tup = CommutingTuple(KIND_GL, ring, 1, 2, (ExactMatrix.zeros(ring, 2, 2),), False)
+    tup = CommutingTuple(KIND_GL, ring, 1, 2, (ExactMatrix.zeros(ring, 2, 2),))
     with pytest.raises(JTCalcError, match="finite fields and polynomial rings"):
         theta_variant(Std(2), tup, "full")
 
@@ -204,7 +204,7 @@ def extension_tuples(draw):
     r = draw(st.integers(1, 2))
     if kind == KIND_GL:
         mats = [ExactMatrix.from_rows(ring, [[entry() for _ in range(2)] for _ in range(2)]) for _ in range(r)]
-        return CommutingTuple(KIND_GL, ring, r, 2, tuple(mats), False)
+        return CommutingTuple(KIND_GL, ring, r, 2, tuple(mats))
     return CommutingTuple._scalar_tuple(kind, [entry() for _ in range(r)], ring)
 
 

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from jtcalc.errors import JTCalcError, NotNilpotentError
-from jtcalc.fields import GF, PolyRing, TruncatedCurveRing
+from jtcalc.errors import DomainMismatchError, JTCalcError, NotAFieldError, NotNilpotentError
+from jtcalc.fields import GF, PolyRing, RationalFunctionField, TruncatedCurveRing
 from jtcalc.jordan import JordanType, jt_of_nilpotent, jt_tensor, parse_jordan_type
 from jtcalc.linalg import ExactMatrix
 from jtcalc.modules import Explicit, Std, Sym, Tensor, Twist, texp_matrix
@@ -276,7 +276,7 @@ def test_symbolic_and_pointwise_theta_agree():
     zero = ring.zero()
     t0 = ExactMatrix.from_rows(ring, [[zero, ring.var("a0")], [zero, zero]])
     t1 = ExactMatrix.from_rows(ring, [[zero, ring.var("a1")], [zero, zero]])
-    sym_tup = CommutingTuple.gl([t0, t1], validated=False)
+    sym_tup = CommutingTuple.gl([t0, t1])
     mod = Tensor(Std(2), Twist(1, Std(2)))
     sym_theta = theta_full(mod, sym_tup).matrix
     for a0v in range(3):
@@ -353,3 +353,41 @@ def test_unknown_variant_is_rejected():
         ):
             with pytest.raises(JTCalcError, match="unknown operator variant"):
                 call(bogus)
+
+
+def _off_finite_fields():
+    """(call, error type, message): inputs refused because ranks and Jordan types are taken only
+    over finite fields, at tuples checked when they are built."""
+    gf3t = RationalFunctionField(F3, "t")
+    poly = PolyRing(F3, ("a0", "a1"), (1, 3))
+    poly_point = CommutingTuple.gl([ExactMatrix.zeros(poly, 2, 2)])
+    off_field = r"^Jordan types are taken at points over finite fields, not over GF\(3\)\[a0:1,a1:3\]$"
+    diag = ExactMatrix.from_rows(F3, [[1, 0], [0, 0]])
+    cases = {
+        "rank_gf3t": (lambda: ExactMatrix.identity(gf3t, 2).rank(), JTCalcError,
+                      r"^ranks are computed over finite fields, not over GF\(3\)\(t\)$"),
+        "rank_gf3t_zero": (lambda: ExactMatrix.zeros(gf3t, 2, 2).rank(), JTCalcError,
+                           r"^ranks are computed over finite fields, not over GF\(3\)\(t\)$"),
+        # the operator at the zero point over a polynomial ring is zero
+        "jt_at_point_polyring": (lambda: jt_at_point(Std(2), poly_point), JTCalcError, off_field),
+        "jt_power_at_point_polyring": (lambda: jt_power_at_point(Std(2), poly_point, "full", 1), JTCalcError,
+                                       off_field),
+        "gl_not_commuting": (lambda: CommutingTuple.gl([E3, E3.transpose()]), NotNilpotentError,
+                             "^matrices 0 and 1 do not commute$"),
+        "gl_not_nilpotent": (lambda: CommutingTuple.gl([diag, E3]), NotNilpotentError,
+                             "^matrix 0 is not 3-nilpotent$"),
+        "jt_of_nilpotent_p": (lambda: jt_of_nilpotent(E3, 5), DomainMismatchError,
+                              r"^p=5 is not the characteristic of GF\(3\)$"),
+        "jt_of_nilpotent_gf3t": (lambda: jt_of_nilpotent(ExactMatrix.zeros(gf3t, 2, 2), 3), JTCalcError,
+                                 r"^Jordan types are computed over finite fields, not over GF\(3\)\(t\)$"),
+        "jt_of_nilpotent_polyring": (lambda: jt_of_nilpotent(ExactMatrix.zeros(poly, 2, 2), 3), NotAFieldError,
+                                     r"^GF\(3\)\[a0:1,a1:3\] is not a field$"),
+    }
+    return [pytest.param(*case, id=name) for name, case in cases.items()]
+
+
+@pytest.mark.parametrize("call, error, message", _off_finite_fields())
+def test_answers_are_taken_only_over_finite_fields_at_checked_points(call, error, message):
+    with pytest.raises(error, match=message) as raised:
+        call()
+    assert type(raised.value) is error
