@@ -53,18 +53,17 @@ s, and a twist Tw(i) stretches s by p^i as well as t.  Explicit leaves act
 through a stack form of `eval_ga_point` and `texp_element`, their terms
 one-point `_Pointwise` stacks, constants of every ring.  A single
 finite-field point (`theta`) is a P = 1 `_Pointwise` stack, checked by
-`_validate` when its tuple is built, and ranked by the sweep's loop over
-the powers of the operator (`jordan._jordan_types`), as a curve is over
-GF(q)(s).
+`linalg._validate` when its tuple is built, and ranked by the sweep's loop
+over the powers of the operator (`jordan._jordan_types`), as a curve is
+over GF(q)(s).
 
-A point with entries in a `PolyRing` (the chart's symbolic tuple) runs on
-`monomials._Monomials`, a `_Pointwise` ring whose stacks hold one
-coefficient matrix per monomial.
+The operator over the chart's coordinate ring (`strata._symbolic_theta`)
+runs on the chart's templates in `monomials._Monomials`, a `_Pointwise`
+ring whose stacks hold one coefficient matrix per monomial.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from functools import lru_cache
 from math import comb, isqrt
@@ -73,7 +72,7 @@ import numpy as np
 
 from .errors import ChartError, DomainMismatchError, JTCalcError, NotNilpotentError
 from .jordan import TENSOR_DIM_CAP, _jordan_types, jt_sum, jt_tensor
-from .linalg import _convolve, _Pointwise, _px_rank, _px_trim, _regular
+from .linalg import _convolve, _first_invalid, _Pointwise, _px_rank, _px_trim, _regular
 from .modules import (
     DirectSum,
     Dual,
@@ -604,40 +603,6 @@ def _power_dim(n, d, ext):
     return comb(n, d) if ext else comb(n + d - 1, d)
 
 
-def _validate(ring, mats):
-    """Raise what `CommutingTuple` raises for the first invalid tuple of the stacks mats[s]."""
-    invalid = _first_invalid(ring, mats)
-    if invalid is not None:
-        raise NotNilpotentError(invalid[1])
-
-
-def _first_invalid(ring, mats):
-    """(point, report) for the first invalid tuple of the stacks mats[s], None if all are valid.
-
-    The reports come in the order of `modules.validate_commuting_tuple`: per
-    matrix, a shape other than the first matrix's square, then a nonzero
-    p-th power; then every pair that does not commute.
-    """
-    p, r = ring.p, len(mats)
-    size = mats[0].shape[1]
-    square = next((s for s, m in enumerate(mats) if m.shape[1:3] != (size, size)), r)
-    failed = [ring.nonzero(_mpow(ring, m, p)) for m in mats[:square]]
-    reports = [f"matrix {s} is not {p}-nilpotent" for s in range(square)]
-    if square < r:
-        # fails at every point, so no later report can come first
-        failed.append(np.ones_like(ring.nonzero(mats[square])))
-        reports.append(f"matrix {square} is not square of size {ring.dim(mats[0])}")
-    for i, j in itertools.combinations(range(square), 2):
-        a, b = mats[i], mats[j]
-        failed.append(ring.nonzero(ring.reduce(ring.matmul(a, b) - ring.matmul(b, a))))
-        reports.append(f"matrices {i} and {j} do not commute")
-    failed = np.array(failed)
-    if not failed.any():
-        return None
-    point = int(failed.any(axis=0).argmax())
-    return point, reports[int(failed[:, point].argmax())]
-
-
 # -- coefficient rings: what a series in t holds at each degree ------------------------
 #
 # Points over GF(q) are stacks of `linalg._Pointwise`; this module adds the
@@ -1047,11 +1012,11 @@ def curve_operator(ring, kind, e, variant, mats):
     mats holds the tuple, one stack of the ring per matrix (1 x 1 for the
     additive kinds); the module's pairing with the kind is checked by the
     caller.  Points come as `_Pointwise` stacks, giving the (P, m n, m n)
-    stack of the operators at the points, and polynomial points as
-    `monomials._Monomials` stacks.  This is `theta_variant` over GF(q)[s],
-    term for term (`_terms`): Std leaves act through the group element of a
-    `gl` tuple, Explicit leaves through `eval_ga_point` (`ga`) or through
-    the product of exp(t a_i alpha_i) (`multi_ga`).
+    stack of the operators at the points, and the chart's templates as
+    `monomials._Monomials` stacks.  This is `theta_full` or `theta_exp`
+    over GF(q)[s], term for term (`_terms`): Std leaves act through the
+    group element of a `gl` tuple, Explicit leaves through `eval_ga_point`
+    (`ga`) or through the product of exp(t a_i alpha_i) (`multi_ga`).
     """
     return _operators(ring, kind, e, variant, mats, (e,))[0]
 
@@ -1097,17 +1062,3 @@ def _explicit_terms(leaf, field):
             terms.append(power * pow(fact, p - 2, p) % p)
         out.append(tuple(terms))
     return tuple(out)
-
-
-# -- matrix powers ----------------------------------------------------------------------
-
-
-def _mpow(ring, a, k):
-    result = None
-    while k:
-        if k & 1:
-            result = a if result is None else ring.reduce(ring.matmul(result, a))
-        k >>= 1
-        if k:
-            a = ring.reduce(ring.matmul(a, a))
-    return result

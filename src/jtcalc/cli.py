@@ -19,7 +19,6 @@ from .errors import JTCalcError, ParseError
 from .fields import GF
 from .jordan import (
     dominance_leq_checked,
-    jt_of_nilpotent,
     jt_perp,
     jt_power,
     jt_tensor,
@@ -39,7 +38,7 @@ from .strata import (
     verify_closed_stratum,
 )
 from .suite import run_suite
-from .theta import CommutingTuple, homotopy_theta, jt_at_point
+from .theta import CommutingTuple, jt_at_point, jt_homotopy_at_point
 
 SCHEMA_VERSION = 1
 
@@ -242,8 +241,7 @@ def _apply_config(args):
 
 def _jt_of_variant(module, tup, args, field):
     if args.variant == "homotopy":
-        theta = homotopy_theta(module, tup, field.from_int(args.hs), field.from_int(args.ht))
-        return jt_of_nilpotent(theta.matrix, field.p)
+        return jt_homotopy_at_point(module, tup, field.from_int(args.hs), field.from_int(args.ht))
     return jt_at_point(module, tup, args.variant)
 
 

@@ -24,7 +24,9 @@ inverses come from the GF(p) reduced echelon form of the regular
 representation (`_gfp_rref`: pivots inverted by Fermat's little theorem,
 one outer-product update per pivot), which is the regular representation
 of the GF(q) reduced form.  Minors, over any ring, are subset-DP
-determinants (`_det_subset_dp`).
+determinants (`_det_subset_dp`).  A tuple of stacks is checked square,
+p-nilpotent and pairwise commuting by `_first_invalid`, for points,
+sweeps, curves and `Explicit` modules alike.
 
 A matrix over GF(q)[x] is the same block layout with the point axis read
 as the coefficient axis: its (L, rows n, cols n) stack holds the lifted
@@ -43,7 +45,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainMismatchError, JTCalcError
+from .errors import DomainMismatchError, JTCalcError, NotNilpotentError
 from .fields import (
     FFElement,
     FiniteField,
@@ -333,6 +335,56 @@ def _frobenius_power(field, i):
         out = field.frobenius_matrix @ out % field.p
     out.setflags(write=False)
     return out
+
+
+# -- powers and tuple validation on stacks --------------------------------
+
+
+def _mpow(ring, a, k):
+    result = None
+    while k:
+        if k & 1:
+            result = a if result is None else ring.reduce(ring.matmul(result, a))
+        k >>= 1
+        if k:
+            a = ring.reduce(ring.matmul(a, a))
+    return result
+
+
+def _validate(ring, mats):
+    """Raise what `CommutingTuple` raises for the first invalid tuple of the stacks mats[s]."""
+    invalid = _first_invalid(ring, mats)
+    if invalid is not None:
+        raise NotNilpotentError(invalid[1])
+
+
+def _first_invalid(ring, mats):
+    """(point, report) for the first invalid tuple of the stacks mats[s], None if all are valid.
+
+    The reports come in this order: per matrix, a shape other than the
+    first matrix's square, then a nonzero p-th power; then every pair that
+    does not commute.  Points are checked by `CommutingTuple`, sweeps and
+    curves, and `Explicit` modules by `modules.validate_commuting_tuple`,
+    on their one-point stacks.
+    """
+    p, r = ring.p, len(mats)
+    size = mats[0].shape[1]
+    square = next((s for s, m in enumerate(mats) if m.shape[1:3] != (size, size)), r)
+    failed = [ring.nonzero(_mpow(ring, m, p)) for m in mats[:square]]
+    reports = [f"matrix {s} is not {p}-nilpotent" for s in range(square)]
+    if square < r:
+        # fails at every point, so no later report can come first
+        failed.append(np.ones_like(ring.nonzero(mats[square])))
+        reports.append(f"matrix {square} is not square of size {ring.dim(mats[0])}")
+    for i, j in itertools.combinations(range(square), 2):
+        a, b = mats[i], mats[j]
+        failed.append(ring.nonzero(ring.reduce(ring.matmul(a, b) - ring.matmul(b, a))))
+        reports.append(f"matrices {i} and {j} do not commute")
+    failed = np.array(failed)
+    if not failed.any():
+        return None
+    point = int(failed.any(axis=0).argmax())
+    return point, reports[int(failed[:, point].argmax())]
 
 
 # -- generic object-entry kernels -------------------------------------------

@@ -18,9 +18,9 @@ from math import comb
 
 import numpy as np
 
-from .errors import CapExceededError, JTCalcError, NotNilpotentError, ParseError
+from .errors import CapExceededError, DomainMismatchError, JTCalcError, NotNilpotentError, ParseError
 from .fields import FiniteField, TruncElement
-from .linalg import ExactMatrix, block_diag
+from .linalg import ExactMatrix, _first_invalid, _Pointwise, block_diag
 
 SYM_EXT_DIM_CAP = 2000
 
@@ -265,18 +265,19 @@ def dim(e):
 
 
 def validate_commuting_tuple(matrices, p):
-    """None when the tuple is pairwise commuting and p-nilpotent, else a report."""
-    size = matrices[0].rows
-    for idx, m in enumerate(matrices):
-        if m.rows != m.cols or m.rows != size:
-            return f"matrix {idx} is not square of size {size}"
-        if not m.pow(p).is_zero():
-            return f"matrix {idx} is not {p}-nilpotent"
-    for i in range(len(matrices)):
-        for j in range(i + 1, len(matrices)):
-            if matrices[i] @ matrices[j] != matrices[j] @ matrices[i]:
-                return f"matrices {i} and {j} do not commute"
-    return None
+    """None when the tuple is pairwise commuting and p-nilpotent, else a report.
+
+    The matrices' own one-point stacks are checked by `linalg._first_invalid`,
+    the check of every sweep.  Matrices over different fields, or a p other
+    than their characteristic, raise a `DomainMismatchError`.
+    """
+    field = matrices[0]._finite_field("tuple checks")
+    if any(m.domain != field for m in matrices):
+        raise DomainMismatchError("matrix domains differ")
+    if p != field.p:
+        raise DomainMismatchError(f"p={p} is not the characteristic of {field}")
+    invalid = _first_invalid(_Pointwise(field), [m._data for m in matrices])
+    return None if invalid is None else invalid[1]
 
 
 # -- truncated exponentials ----------------------------------------------------

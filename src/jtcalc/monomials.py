@@ -1,14 +1,14 @@
 """
-The operator over a polynomial ring in the chart parameters, on `batch`'s
-module walker, and the minors of its powers.
+The operator over the chart's coordinate ring, on `batch`'s module walker,
+and the minors of its powers.
 
-A point with entries in a `PolyRing` (the chart's symbolic tuple, whose
-operator's minors cut out the closed strata) is evaluated by
-`batch.curve_operator` on the `_Monomials` ring: a matrix is a stack of
+`strata._symbolic_theta` lifts the chart's templates into the `_Monomials`
+ring and evaluates them by `batch.curve_operator`: a matrix is a stack of
 integer coefficient matrices, one per monomial of a basis that grows as
-products meet new monomials.  `_Monomials.minors` takes all minors of one
-size by a subset DP over row prefixes, and the results become `Polynomial`s
-only at the end.
+products meet new monomials.  The minors of the operator's powers cut out
+the closed strata.  `_Monomials.minors` takes all minors of one size by a
+subset DP over row prefixes, and the results become `Polynomial`s only at
+the end.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 from .batch import CHUNK_CELLS, _Polys
 from .errors import CapExceededError, JTCalcError
 from .fields import FFElement, Polynomial
-from .linalg import ExactMatrix, _Pointwise
+from .linalg import _Pointwise
 
 # products of monomial terms one step of `_Monomials.minors` may take: a step's peak memory
 # is about 200 bytes per product
@@ -163,19 +163,6 @@ class _Monomials(_Pointwise):
         else:
             coeffs = (FFElement(self.field, tuple(c)) for c in coords.tolist())
         return Polynomial(self.poly_ring, dict(zip(exps, coeffs)))
-
-    def matrix(self, m):
-        """The `ExactMatrix` over the polynomial ring of a stack."""
-        n = self.n
-        count, rows, cols = m.shape
-        data = m.reshape(count, rows // n, n, cols // n, n)[..., 0].transpose(1, 3, 0, 2)
-        out = []
-        for row in data:
-            out.append([])
-            for entry in row:
-                monomials = np.flatnonzero(entry.any(axis=1))
-                out[-1].append(self._polynomial(monomials, entry[monomials]))
-        return ExactMatrix.from_rows(self.poly_ring, out)
 
     def minors(self, m, size):
         """All size x size minors of one (L, k, k) matrix over GF(p), as polynomials, row-major

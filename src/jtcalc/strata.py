@@ -24,7 +24,7 @@ from . import batch
 from .errors import CapExceededError, ChartError, JTCalcError, ParseError
 from .fields import GF, Polynomial, PolyRing
 from .jordan import _jordan_types, dominance_leq, jt_rank
-from .linalg import ExactMatrix, _Pointwise
+from .linalg import ExactMatrix, _Pointwise, _validate
 from .parsing import parse_field_spec, parse_polynomial
 from .theta import (
     KIND_GA,
@@ -35,7 +35,6 @@ from .theta import (
     _typed_operator,
     by_variant,
     homotopy_ranks,
-    symbolic_operator,
 )
 
 SYMBOLIC_DIM_CAP = 64
@@ -118,12 +117,6 @@ class Chart:
         if self.kind == KIND_GL:
             return CommutingTuple.gl(mats)
         return CommutingTuple(self.kind, field, len(mats), 1, tuple(mats))
-
-    def symbolic_tuple(self):
-        if self.kind == KIND_GL:
-            return CommutingTuple(KIND_GL, self.ring, self.r, self.size, self.templates)
-        scalars = [t.entry(0, 0) for t in self.templates]
-        return CommutingTuple._scalar_tuple(self.kind, scalars, self.ring)
 
     def to_text(self):
         lines = [
@@ -468,10 +461,20 @@ def _theta_powers(chart, e, variant):
 
 
 def _symbolic_theta(chart, e, variant):
-    """(ring, theta): the variant's operator on the chart's symbolic tuple, as a stack of
-    monomial coefficients (`theta.symbolic_operator`)."""
+    """(ring, theta): the variant's operator over the chart's coordinate ring, built by
+    `batch.curve_operator` on the chart's templates, as an (L, m n, m n) stack of the monomial
+    coefficients of a new `monomials._Monomials` ring, for this computation.  An additive
+    chart's scalars are its templates' (0, 0) entries.  The templates are not checked: their
+    conditions hold only modulo the chart's constraints."""
+    # imported here, so that only runs that build a symbolic operator compile the module
+    from .monomials import _Monomials
+
     _check_pairing(e, chart.kind, chart.p, chart.r)
-    return symbolic_operator(e, chart.symbolic_tuple(), variant)
+    ring = _Monomials(chart.ring)
+    mats = chart.templates
+    if chart.kind != KIND_GL:
+        mats = [ExactMatrix.from_rows(chart.ring, [[t.entry(0, 0)]]) for t in mats]
+    return ring, batch.curve_operator(ring, chart.kind, e, variant, [ring.lift_matrix(m) for m in mats])
 
 
 @dataclass
@@ -622,9 +625,9 @@ class Curve:
 
     def validate(self):
         """Raise what `CommutingTuple` raises for the tuple along the curve unless it is a point
-        identically in t (`batch._validate`).  A curve that passed is not checked again."""
+        identically in t (`linalg._validate`).  A curve that passed is not checked again."""
         if not self.__dict__.get("_valid"):
-            batch._validate(self._ring, self.tuple_stacks)
+            _validate(self._ring, self.tuple_stacks)
             object.__setattr__(self, "_valid", True)
 
     def special_values(self, field):

@@ -14,15 +14,16 @@ coefficient of the module evaluated on exp(t B_s) alone.  At heights 1 and 2
 the two coincide; from height 3 on they differ by higher product terms.
 
 Every operator is evaluated by `batch`'s module walker on integer stacks,
-the code that runs sweeps and curves.  A point over a finite field, of
-every kind, is a one-point `_Pointwise` stack, over GF(p^n) with each entry
-its n x n GF(p) regular-representation block; its validation, when a
-`gl` tuple is built, is the sweep's too, and `jt_at_point` ranks the
-operator on that stack.  Jordan types are taken only at such points.  A
-symbolic point, with entries in a `PolyRing` (the chart's symbolic tuple,
-for the rank-locus minors), is a stack of monomial coefficients of the
-`monomials._Monomials` ring (`symbolic_operator`).  `one_param` gives the
-group element itself, on a truncated curve ring.
+the code that runs sweeps and curves.  A point is a tuple over a finite
+field, checked once when its `CommutingTuple` is built: a point over any
+other domain, or with matrices over different fields, is refused there,
+and a `gl` tuple is validated as a sweep validates its points.  Every
+point, of every kind, is a one-point `_Pointwise` stack, over GF(p^n)
+with each entry its n x n GF(p) regular-representation block, and
+`jt_at_point` ranks the operator on that stack.  The operator over the
+chart's coordinate ring, whose minors cut out the closed strata, is built
+from the chart itself (`strata._symbolic_theta`), not from a point.
+`one_param` gives the group element itself, on a truncated curve ring.
 """
 
 from __future__ import annotations
@@ -31,36 +32,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .batch import (
-    KIND_GA,
-    KIND_GL,
-    KIND_MULTI_GA,
-    _check_pairing,
-    _mpow,
-    _validate,
-    by_variant,
-    curve_operator,
-)
+from .batch import KIND_GA, KIND_GL, KIND_MULTI_GA, _check_pairing, by_variant, curve_operator
 from .errors import DomainMismatchError, JTCalcError, NotNilpotentError
-from .fields import FiniteField, PolyRing, TruncatedCurveRing
+from .fields import FiniteField, TruncatedCurveRing
 from .jordan import _jordan_types, jt_power
-from .linalg import ExactMatrix, _Pointwise
-from .modules import ModuleExpr, UnipotentPair, texp_matrix
+from .linalg import ExactMatrix, _mpow, _Pointwise, _validate
+from .modules import UnipotentPair, texp_matrix
 
 
 @dataclass(frozen=True)
 class CommutingTuple:
-    """A point of the height-r commuting nilpotent variety.
+    """A point of the height-r commuting nilpotent variety over a finite field.
 
-    kind "gl":        mats are N x N matrices; over a finite field they are
-                      checked commuting p-nilpotent when the tuple is built.
+    kind "gl":        mats are N x N matrices, checked commuting p-nilpotent
+                      when the tuple is built.
     kind "ga":        mats are 1 x 1 (scalars a_s); the additive restricted
                       structure is trivial, so no nilpotency is imposed.
     kind "multi_ga":  height-1 point of a product of s additive lines.
 
-    Over a finite field each matrix is stored as its one-point `_Pointwise`
-    stack (`ExactMatrix`), which validation and the walker read as it is
-    (`_stacks`).
+    Building a tuple is the one check of a point: a domain that is not a
+    `FiniteField` raises a `JTCalcError` naming it, and matrices over
+    another field than the tuple's a `DomainMismatchError`.  Each matrix is
+    stored as its one-point `_Pointwise` stack (`ExactMatrix`), which
+    validation and the walker read as it is (`_stacks`).
     """
 
     kind: str
@@ -72,7 +66,11 @@ class CommutingTuple:
     def __post_init__(self):
         if len(self.mats) != self.height:
             raise JTCalcError("tuple length disagrees with height")
-        if self.kind == KIND_GL and isinstance(self.domain, FiniteField):
+        if not isinstance(self.domain, FiniteField):
+            raise JTCalcError(f"points are tuples over finite fields, not over {self.domain}")
+        if any(m.domain != self.domain for m in self.mats):
+            raise DomainMismatchError("matrix domains differ")
+        if self.kind == KIND_GL:
             _validate(*_stacks(self))
 
     @staticmethod
@@ -82,13 +80,7 @@ class CommutingTuple:
 
     @staticmethod
     def _scalar_tuple(kind, scalars, domain):
-        rows = []
-        for a in scalars:
-            if isinstance(a, int):
-                a = domain.from_int(a) if isinstance(domain, FiniteField) else domain.embed_int(a)
-            elif isinstance(domain, FiniteField):
-                a = domain.embed(a)
-            rows.append(ExactMatrix.from_rows(domain, [[a]]))
+        rows = [ExactMatrix.from_rows(domain, [[a]]) for a in scalars]
         return CommutingTuple(kind, domain, len(rows), 1, tuple(rows))
 
     @staticmethod
@@ -147,20 +139,6 @@ def conjugate_tuple(tup, g):
     return tup._with_mats(g @ m @ ginv for m in tup.mats)
 
 
-@dataclass(frozen=True)
-class ThetaMatrix:
-    """A realized universal operator at a point.
-
-    Over a finite field its p-th power was checked to vanish before it was
-    built; over other domains it was not.
-    """
-
-    module: ModuleExpr
-    matrix: ExactMatrix
-    variant: str
-    point: CommutingTuple
-
-
 def _trunc_ring(tup):
     # multi_ga points live on a product of height-1 lines: one curve parameter
     # with t^p = 0, regardless of how many lines there are.
@@ -169,42 +147,17 @@ def _trunc_ring(tup):
 
 
 def _stacks(tup):
-    """The one-point `_Pointwise` ring of a finite-field point, and its matrices as stacks of it.
+    """The one-point `_Pointwise` ring of a point, and its matrices as stacks of it.
 
     Every point of every kind is a P = 1 stack, as in a sweep; over GF(p^n)
     each entry is its n x n regular-representation block.  The stacks are
     the matrices' own read-only storage.
     """
-    return _Pointwise(_domain(tup)), [m._data for m in tup.mats]
-
-
-def _domain(tup):
-    if any(m.domain != tup.domain for m in tup.mats):
-        raise DomainMismatchError("matrix domains differ")
-    return tup.domain
-
-
-def symbolic_operator(e, tup, variant):
-    """(ring, the variant's operator) at a point over a `PolyRing`, on `batch.curve_operator`.
-
-    The ring is a new `monomials._Monomials` ring of the point's polynomial
-    ring, for this computation, and the operator is an (L, m n, m n) stack
-    of its monomial coefficients.  As over any domain but a finite
-    field, the tuple is not checked: its conditions hold only modulo the
-    chart's constraints.
-    """
-    # imported here, so that only runs that build a symbolic operator compile the module
-    from .monomials import _Monomials
-
-    domain = _domain(tup)
-    if not isinstance(domain, PolyRing):
-        raise JTCalcError(f"operators are built over finite fields and polynomial rings, not {domain}")
-    ring = _Monomials(domain)
-    return ring, curve_operator(ring, tup.kind, e, variant, [ring.lift_matrix(m) for m in tup.mats])
+    return _Pointwise(tup.domain), [m._data for m in tup.mats]
 
 
 def _stack_operator(e, tup, variant):
-    """(ring, the variant's operator) at a finite-field point, built by `batch.curve_operator`.
+    """(ring, the variant's operator) at a point, built by `batch.curve_operator`.
 
     The operator is the matrix of the one-point stack; a `gl` tuple was
     checked when it was built.
@@ -246,48 +199,54 @@ def _one_param(tup, with_inv):
 
 
 def theta_full(e, tup):
-    """Specialization of the universal operator at the point."""
+    """Specialization of the universal operator at the point, checked p-nilpotent."""
     return _theta(e, tup, "full")
 
 
 def theta_exp(e, tup):
-    """The linearized (exponential) operator: sum of per-factor coefficients."""
+    """The linearized (exponential) operator: sum of per-factor coefficients, checked
+    p-nilpotent."""
     return _theta(e, tup, "exp")
 
 
 def _theta(e, tup, variant):
-    """The variant's operator, checked p-nilpotent over a finite field.  Over other domains
-    the check is left out: there the tuple's conditions hold only modulo the chart's
-    constraints."""
     _check_pairing(e, tup.kind, tup.p, tup.height)
-    if isinstance(tup.domain, FiniteField):
-        op = _checked_operator(e, tup, variant)[1]
-        return ThetaMatrix(e, ExactMatrix._of_stack(tup.domain, op[None]), variant, tup)
-    ring, op = symbolic_operator(e, tup, variant)
-    return ThetaMatrix(e, ring.matrix(op), variant, tup)
+    return ExactMatrix._of_stack(tup.domain, _checked_operator(e, tup, variant)[1][None])
 
 
 def homotopy_theta(e, tup, s_val, t_val):
-    """The projective-line family  s * theta_exp + t * theta_full  at the point."""
-    name = f"homotopy({s_val}:{t_val})"
-    if isinstance(tup.domain, FiniteField):
-        op = _homotopy_family(e, tup)(s_val, t_val)[1]
-        return ThetaMatrix(e, ExactMatrix._of_stack(tup.domain, op[None]), name, tup)
-    _check_homotopy(s_val, t_val)
-    mat = theta_exp(e, tup).matrix.scalar_mul(s_val) + theta_full(e, tup).matrix.scalar_mul(t_val)
-    return ThetaMatrix(e, mat, name, tup)
+    """The projective-line family  s * theta_exp + t * theta_full  at the point, checked
+    p-nilpotent."""
+    ring, op, name = _homotopy_family(e, tup)(s_val, t_val)
+    _check_vanishes(ring, op, name)
+    return ExactMatrix._of_stack(tup.domain, op[None])
+
+
+def jt_homotopy_at_point(e, tup, s_val, t_val):
+    """Jordan type of  s * theta_exp + t * theta_full  at the point.
+
+    theta_exp and theta_full are checked p-nilpotent as `homotopy_theta`
+    checks them; the sum is checked once, by the final vanishing power of
+    its rank profile, as in `jt_at_point`.
+    """
+    ring, op, name = _homotopy_family(e, tup)(s_val, t_val)
+    return _jordan_types(ring, op[None], f"{name} operator is not p-nilpotent")[0]
 
 
 def homotopy_ranks(e, tup, samples, j, built=None):
     """For each (s, t) of integer samples, the rank of (s theta_exp + t theta_full)^j at a
-    finite-field point, the sums checked as `homotopy_theta` checks them.
+    point, the sums checked as `homotopy_theta` checks them.
 
     `built` maps a variant to the (ring, operator) `_typed_operator` gave at
     the point, which is used instead of building it again.
     """
     field = tup.domain
     family = _homotopy_family(e, tup, built)
-    sums = [family(field.from_int(s), field.from_int(t))[1] for s, t in samples]
+    sums = []
+    for s, t in samples:
+        ring, op, name = family(field.from_int(s), field.from_int(t))
+        _check_vanishes(ring, op, name)
+        sums.append(op)
     if not sums:
         return []
     ring = _Pointwise(field)
@@ -295,56 +254,44 @@ def homotopy_ranks(e, tup, samples, j, built=None):
 
 
 def _homotopy_family(e, tup, built=None):
-    """sample(s_val, t_val) -> (ring, s theta_exp + t theta_full) at a finite-field point, the
-    operator of its one-point stack.
+    """sample(s_val, t_val) -> (ring, s theta_exp + t theta_full, its name) at a point, the
+    operator of its one-point stack, its p-th power not checked.
 
     theta_exp and theta_full are built once, at the first sample, unless
     `built` holds them, checked.  The checks raise in this order: (0, 0) is
-    excluded, then theta_exp, theta_full and the sum must be p-nilpotent.
+    excluded, then theta_exp and theta_full must be p-nilpotent; the caller
+    checks the sum after them.
     """
     built = built or {}
     ops = []
 
     def sample(s_val, t_val):
-        _check_homotopy(s_val, t_val)
+        if s_val.is_zero() and t_val.is_zero():
+            raise JTCalcError("homotopy parameters (0, 0) are excluded")
         if not ops:
             _check_pairing(e, tup.kind, tup.p, tup.height)
             ops.extend(built.get(variant) or _checked_operator(e, tup, variant) for variant in ("exp", "full"))
         (ring, exp_op), (_, full_op) = ops
         op = (ring.scale(exp_op, s_val) + ring.scale(full_op, t_val)) % ring.p
-        _check_vanishes(ring, op, f"homotopy({s_val}:{t_val})")
-        return ring, op
+        return ring, op, f"homotopy({s_val}:{t_val})"
 
     return sample
 
 
-def _check_homotopy(s_val, t_val):
-    if s_val.is_zero() and t_val.is_zero():
-        raise JTCalcError("homotopy parameters (0, 0) are excluded")
-
-
-def theta_variant(e, tup, variant):
-    """The operator the variant names at the point: `theta_full` or `theta_exp`."""
-    return by_variant(variant, theta_full, theta_exp)(e, tup)
-
-
 def jt_at_point(e, tup, variant="full"):
-    """Local Jordan type of the selected operator at a point over a finite field.
+    """Local Jordan type of the selected operator at a point.
 
     The operator is ranked on the point's one-point stack by the loop that
     ranks sweeps and curves (`jordan._jordan_types`), and its p-nilpotency
-    is checked once, by the final vanishing power of its rank profile.  A
-    point over any other domain raises a `JTCalcError` naming its domain,
-    even a `PolyRing` point, whose operator `_theta` builds.
+    is checked once, by the final vanishing power of its rank profile.  The
+    point itself was checked when it was built (`CommutingTuple`).
     """
     by_variant(variant, None, None)
-    if not isinstance(tup.domain, FiniteField):
-        raise JTCalcError(f"Jordan types are taken at points over finite fields, not over {tup.domain}")
     return _typed_operator(e, tup, variant)[0]
 
 
 def _typed_operator(e, tup, variant):
-    """(Jordan type, ring, operator) of the variant at a finite-field point: `jt_at_point`, with
+    """(Jordan type, ring, operator) of the variant at a point: `jt_at_point`, with
     the operator of the point's one-point stack, checked p-nilpotent."""
     _check_pairing(e, tup.kind, tup.p, tup.height)
     ring, op = _stack_operator(e, tup, variant)
@@ -352,13 +299,12 @@ def _typed_operator(e, tup, variant):
 
 
 def jt_power_at_point(e, tup, variant, j):
-    """Jordan type of the j-th power of the selected operator, at a point over a finite field.
+    """Jordan type of the j-th power of the selected operator, at a point.
 
     This is `jt_power` of the type at the point: under N^j a block [i] of N
     splits into one chain per residue mod j of the position in the block.
     So the operator's rank profile is taken once, and its final vanishing
-    power is the one nilpotency check, as in `jt_at_point`, which rejects a
-    point over any other domain.
+    power is the one nilpotency check, as in `jt_at_point`.
     """
     if not 1 <= j < tup.p:
         raise JTCalcError(f"power {j} outside 1..p-1")

@@ -340,6 +340,22 @@ def test_tuple_file_is_checked_once_as_a_commuting_tuple(tmp_path, monkeypatch):
     assert calls == []
 
 
+def test_homotopy_type_checks_exp_and_full_before_ranking(monkeypatch):
+    """`jt --variant homotopy` checks theta_exp and theta_full to vanish at the p-th power, and
+    ranks their sum once: the final power of its rank profile is the sum's one check."""
+    from jtcalc import theta
+
+    checked = []
+    check = theta._check_vanishes
+    monkeypatch.setattr(theta, "_check_vanishes", lambda ring, op, name: checked.append(name) or check(ring, op, name))
+    code, out, err = run_cli(["jt", "--p", "3", "--chart", "sl2_line", "--r", "3", "--module",
+                              "Sym(2,Std(2))*Tw(2,Std(2))", "--point", "0,1,0,1,0,0", "--variant", "homotopy",
+                              "--hs", "1", "--ht", "1", "--format", "jsonl"])
+    assert code == 0, err
+    assert out == (GOLDEN / "jt_sl2_line_gf3_r3_homotopy.jsonl").read_text()
+    assert checked == ["exp", "full"]
+
+
 # the flags each command used to offer and never read
 UNREAD_FLAGS = [
     (command, flag)

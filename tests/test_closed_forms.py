@@ -20,7 +20,7 @@ from jtcalc.jordan import JordanType, all_types_of_dim, jt_of_nilpotent, jt_tens
 from jtcalc.linalg import ExactMatrix
 from jtcalc.modules import Explicit, Std, Tensor, parse_module_expr
 from jtcalc.strata import builtin_chart
-from jtcalc.theta import CommutingTuple, jt_power_at_point, theta_variant
+from jtcalc.theta import CommutingTuple, by_variant, jt_power_at_point, theta_exp, theta_full
 
 SETTINGS = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -52,7 +52,7 @@ def test_tensor_mismatch_is_checked_before_zero():
 def power_by_rank_profile(e, tup, variant, j):
     if not 1 <= j < tup.p:
         raise JTCalcError(f"power {j} outside 1..p-1")
-    return jt_of_nilpotent(theta_variant(e, tup, variant).matrix.pow(j), tup.p)
+    return jt_of_nilpotent(by_variant(variant, theta_full, theta_exp)(e, tup).pow(j), tup.p)
 
 
 def outcome(fn, *args):

@@ -61,8 +61,8 @@ def test_r3_cross_terms_closed_form():
     j = J3(F3)
     tup = CommutingTuple.gl([j, j, j])
     module = Tensor(Std(3), Tensor(Twist(1, Std(3)), Twist(2, Std(3))))
-    full = theta_full(module, tup).matrix
-    exp = theta_exp(module, tup).matrix
+    full = theta_full(module, tup)
+    exp = theta_exp(module, tup)
     assert full != exp  # height > 2 strictness
     half = F3.inv_int(2)
     i3 = ExactMatrix.identity(F3, 3)
@@ -159,7 +159,7 @@ def test_theta_against_independent_dense_polynomials():
         )
         module = Explicit(alphas)
         tup = CommutingTuple.ga([F3.from_int(s) for s in scalars], F3)
-        got = theta_full(module, tup).matrix
+        got = theta_full(module, tup)
         got_np = np.array([[int(got.entry(i, k).coeffs[0]) for k in range(3)] for i in range(3)])
         assert (got_np == want % p).all()
 

@@ -40,6 +40,7 @@ from jtcalc.strata import builtin_chart, enumerate_points
 from jtcalc.theta import theta_exp
 from poly_oracles import CoordinatePolys
 from test_point_stack import _commuting_family, explicit_leaves, module_trees
+from theta_oracles import monomial_matrix
 
 FIELDS = [GF(2), GF(3), GF(5), GF(2, 2), GF(3, 2), GF(5, 2), GF(3, 3)]
 
@@ -179,7 +180,7 @@ def _compare(ring_kind, field, kind, e, shapes, variant, draw):
         for build in (curve_operator, oracle.curve_operator):
             ring = _Monomials(poly)
             op = _outcome(build, ring, kind, e, variant, [ring.lift_matrix(m) for m in matrices])
-            outs.append(op if isinstance(op, tuple) else ring.matrix(op))
+            outs.append(op if isinstance(op, tuple) else monomial_matrix(ring, op))
         assert outs[0] == outs[1]
         return
     if ring_kind == "pointwise":

@@ -6,6 +6,8 @@ rejected inputs so that moving a check can never let one through.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jtcalc.errors import DomainMismatchError, JTCalcError, NotNilpotentError
 from jtcalc.fields import GF, TruncatedCurveRing
@@ -28,7 +30,7 @@ from jtcalc.strata import (
     semicontinuity_check,
     tabulate_jt,
 )
-from jtcalc import batch
+from jtcalc import strata
 from jtcalc import theta as theta_mod
 from jtcalc.theta import (
     CommutingTuple,
@@ -39,6 +41,7 @@ from jtcalc.theta import (
     theta_exp,
     theta_full,
 )
+import theta_oracles as oracle
 
 F2, F3 = GF(2), GF(3)
 E12 = ExactMatrix.from_rows(F3, [[0, 1], [0, 0]])
@@ -113,7 +116,7 @@ INVALID_TUPLES = [
 @pytest.mark.parametrize("mats, field", INVALID_TUPLES)
 def test_gl_tuple_reports_as_validate_commuting_tuple(mats, field):
     """`CommutingTuple` validates on integer stacks with the report of the object check."""
-    report = validate_commuting_tuple(mats, field.p)
+    report = oracle.validate_commuting_tuple(mats, field.p)
     assert report is not None
     with pytest.raises(NotNilpotentError, match=f"^{report}$"):
         CommutingTuple.gl(mats)
@@ -122,6 +125,44 @@ def test_gl_tuple_reports_as_validate_commuting_tuple(mats, field):
 def test_gl_tuple_rejects_mixed_fields():
     with pytest.raises(DomainMismatchError):
         CommutingTuple.gl([E12, E12.embed_into(F9)])
+
+
+@st.composite
+def families(draw):
+    """(matrices, field): a family over GF(p) or GF(p^n) of strictly upper or lower triangular
+    matrices, or of any entries, some of another shape: square or not, p-nilpotent or not,
+    commuting or not."""
+    field = draw(st.sampled_from([F2, F3, GF(5), F4, F9]))
+    size = draw(st.integers(1, 3))
+    element = st.integers(0, field.order - 1).map(field.from_index)
+    keep = {"upper": lambda i, j: j > i, "lower": lambda i, j: j < i, "any": lambda i, j: True}
+    mats = []
+    for _ in range(draw(st.integers(1, 3))):
+        rows = cols = size
+        if draw(st.integers(0, 5)) == 0:
+            rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        shape = keep[draw(st.sampled_from(["upper", "upper", "lower", "any"]))]
+        mats.append(ExactMatrix.from_rows(field, [[draw(element) if shape(i, j) else 0 for j in range(cols)]
+                                                  for i in range(rows)]))
+    return mats, field
+
+
+@settings(max_examples=300, deadline=None)
+@given(families())
+def test_validate_commuting_tuple_matches_the_object_check(family):
+    """`modules.validate_commuting_tuple` runs the sweep's check on the matrices' stacks, with
+    the report of the object arithmetic it replaced."""
+    mats, field = family
+    assert validate_commuting_tuple(mats, field.p) == oracle.validate_commuting_tuple(mats, field.p)
+
+
+def test_validate_commuting_tuple_rejects_mixed_fields():
+    """Matrices over different fields raise before any report, as a p that is not theirs does."""
+    for mats in ([E12, E12.embed_into(F9)], [DIAG, E12.embed_into(F9)]):
+        with pytest.raises(DomainMismatchError, match="^matrix domains differ$"):
+            validate_commuting_tuple(mats, 3)
+    with pytest.raises(DomainMismatchError, match=r"^p=5 is not the characteristic of GF\(3\)$"):
+        validate_commuting_tuple([E12], 5)
 
 
 def test_texp_matrix_rejects_non_nilpotent_matrix():
@@ -276,7 +317,7 @@ def test_homotopy_ranks_match_homotopy_theta():
     tup = CommutingTuple.gl([E12, E12.scalar_mul(F3.from_int(2)), E12])
     samples = ((1, 0), (0, 1), (1, 1), (1, 2), (2, 1))
     for j in (1, 2):
-        want = [homotopy_theta(module, tup, F3.from_int(s), F3.from_int(t)).matrix.pow(j).rank()
+        want = [homotopy_theta(module, tup, F3.from_int(s), F3.from_int(t)).pow(j).rank()
                 for s, t in samples]
         assert homotopy_ranks(module, tup, samples, j) == want
 
@@ -293,8 +334,8 @@ def test_an_invalid_curve_raises_alike_on_every_check(text, module, coeffs, mess
 
 def test_a_valid_curve_is_validated_once(monkeypatch):
     calls = []
-    validate = batch._validate
-    monkeypatch.setattr(batch, "_validate", lambda *args: calls.append(args) or validate(*args))
+    validate = strata._validate
+    monkeypatch.setattr(strata, "_validate", lambda *args: calls.append(args) or validate(*args))
     chart = parse_chart("field GF(3)\nkind gl\nr 2\nN 2\nparams a b\ntemplate\n0 a\n0 0\n"
                         "template\n0 b\n0 0\n")
     curve = curve_from_coeffs(chart, GF(3), {"a": [0, 1], "b": [1, 1]})

@@ -43,7 +43,6 @@ from jtcalc.modules import (
     Trivial,
     Twist,
     parse_module_expr,
-    validate_commuting_tuple,
 )
 from jtcalc.strata import (
     Chart,
@@ -55,9 +54,9 @@ from jtcalc.strata import (
     parse_chart,
     semicontinuity_check,
 )
-from jtcalc.theta import KIND_GL, CommutingTuple, jt_at_point
+from jtcalc.theta import KIND_GL, jt_at_point
 from linalg_oracles import cleared_rows, power_ranks, px_stack, ratfunc_rank
-from theta_oracles import theta_variant
+from theta_oracles import gl_point, scalar_point, theta_variant, validate_commuting_tuple
 
 FIELDS = [GF(2), GF(3), GF(5), GF(7), GF(2, 2), GF(3, 2), GF(5, 2)]
 
@@ -140,9 +139,9 @@ def generic_tuple(chart, substitution):
         ]
         mats.append(ExactMatrix.from_rows(ring1, rows))
     if chart.kind == KIND_GL:
-        return CommutingTuple(KIND_GL, ring1, chart.r, chart.size, tuple(mats))
+        return gl_point(mats)
     scalars = [m.entry(0, 0) for m in mats]
-    return CommutingTuple._scalar_tuple(chart.kind, scalars, ring1)
+    return scalar_point(chart.kind, scalars, ring1)
 
 
 def of_univariate(matrix):

@@ -184,7 +184,7 @@ def test_gamma_j_power_loci():
             for values, tup in enumerate_points(chart, F3):
                 vanish = all(g.evaluate(values).is_zero() for g in gens)
                 rank_j = jt_rank(jt_power_at_point(mod, tup, "full", j), 1) if j else None
-                actual = theta_full(mod, tup).matrix.pow(j).rank()
+                actual = theta_full(mod, tup).pow(j).rank()
                 assert vanish == (actual <= d)
 
 
@@ -389,7 +389,7 @@ def test_too_many_minors_are_refused_before_theta(monkeypatch):
     def no_theta(*args):
         raise AssertionError("the operator was built")
 
-    monkeypatch.setattr(strata, "symbolic_operator", no_theta)
+    monkeypatch.setattr(strata, "_symbolic_theta", no_theta)
     chart = builtin_chart("sl2_line", p=3, r=1)
     assert FOUR_STD.dim() == 16
     with pytest.raises(CapExceededError, match=r"^175953470 rank-locus minors exceed cap 500000$"):

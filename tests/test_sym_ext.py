@@ -28,6 +28,7 @@ from jtcalc.modules import (
 )
 from jtcalc.strata import builtin_chart
 from jtcalc.theta import one_param
+from theta_oracles import chart_point
 
 # -- oracle: the entry-wise kernels, as they stood in jtcalc.modules --------------
 
@@ -224,7 +225,7 @@ def test_ext_matches_oracle_on_truncated_rings(pair, d):
     (builtin_chart("upper_glN", 3, r=2, N=3), range(4)),
 ])
 def test_symbolic_one_param_matches_oracle(chart, degrees):
-    pair = one_param(chart.symbolic_tuple())
+    pair = one_param(chart_point(chart))
     for d in degrees:
         _check_pair(pair, d, False)
     for d in range(pair.size + 2):

@@ -1,12 +1,13 @@
-"""The operator over a `PolyRing` and the rank-locus minors on `batch`'s stack walker.
+"""The operator over a chart's `PolyRing` and the rank-locus minors on `batch`'s stack walker.
 
-`theta.symbolic_operator` builds the operator at a point with polynomial
-entries on the `monomials._Monomials` ring, and `strata.rank_locus_minors`
-takes the minors of its powers there by a subset DP.  The oracle is the
+`strata._symbolic_theta` builds the operator on the chart's templates in
+the `monomials._Monomials` ring, and `strata.rank_locus_minors` takes the
+minors of its powers there by a subset DP.  The oracle is the
 object-walker route kept in `theta_oracles`: `modules.eval_unipotent` on
-truncated curve rings over the `PolyRing`, and `ExactMatrix.minors`.  Both are compared
-entry for entry, the generators as strings and in order, and an error by
-its type and message.
+truncated curve rings over the `PolyRing`, at the chart's templates as a
+`SymbolicPoint`, and `ExactMatrix.minors`.  Both are compared entry for
+entry, the generators as strings and in order, and an error by its type
+and message.
 """
 
 from pathlib import Path
@@ -21,11 +22,11 @@ from test_poly_kernel import explicit_leaves, modules
 from jtcalc import monomials
 from jtcalc.cli import main
 from jtcalc.errors import DomainMismatchError, JTCalcError
-from jtcalc.fields import GF, PolyRing, TruncatedCurveRing
+from jtcalc.fields import GF, PolyRing
 from jtcalc.linalg import ExactMatrix
 from jtcalc.modules import Std, parse_module_expr
 from jtcalc.strata import Chart, builtin_chart, parse_chart, rank_locus_minors
-from jtcalc.theta import KIND_GL, CommutingTuple, theta_variant
+from jtcalc.theta import KIND_GL
 
 # the minors of the `loci` bench: (chart, p, chart kwargs, module, (j, d) pairs)
 LOCI = [
@@ -54,9 +55,8 @@ def _outcome(call):
 
 
 def assert_theta_matches(chart, e, variant):
-    tup = chart.symbolic_tuple()
-    want = _outcome(lambda: oracle.theta_variant(e, tup, variant))
-    got = _outcome(lambda: theta_variant(e, tup, variant).matrix)
+    want = _outcome(lambda: oracle.theta_variant(e, oracle.chart_point(chart), variant))
+    got = _outcome(lambda: oracle.symbolic_theta(chart, e, variant))
     assert got == want
 
 
@@ -110,7 +110,7 @@ def test_minors_dp_matches_exact_minors():
     matrix = ExactMatrix.from_rows(ring, rows)
     ring = monomials._Monomials(ring)
     stack = ring.lift_matrix(matrix)
-    assert ring.matrix(stack) == matrix
+    assert oracle.monomial_matrix(ring, stack) == matrix
     for size in range(1, 5):
         assert ring.minors(stack, size) == matrix.minors(size)
 
@@ -119,13 +119,6 @@ def test_minors_need_a_prime_field():
     ring = monomials._Monomials(PolyRing(GF(3, 2), ("x",)))
     with pytest.raises(JTCalcError, match="minors are taken over GF"):
         ring.minors(ring.identity(2), 1)
-
-
-def test_other_symbolic_domains_are_rejected():
-    ring = TruncatedCurveRing(GF(3), 1)
-    tup = CommutingTuple(KIND_GL, ring, 1, 2, (ExactMatrix.zeros(ring, 2, 2),))
-    with pytest.raises(JTCalcError, match="finite fields and polynomial rings"):
-        theta_variant(Std(2), tup, "full")
 
 
 # -- drawn charts and modules --------------------------------------------------------
@@ -186,8 +179,8 @@ def test_parsed_charts_match_object_route(data):
 
 
 @st.composite
-def extension_tuples(draw):
-    """A tuple of any kind over a `PolyRing` in x and y with coefficients all over GF(p^n)."""
+def extension_charts(draw):
+    """A chart of any kind over a `PolyRing` in x and y with coefficients all over GF(p^n)."""
     field = draw(st.sampled_from([GF(3, 2), GF(5, 2), GF(3, 3)]))
     ring = PolyRing(field, ("x", "y"))
     x, y = ring.var("x"), ring.var("y")
@@ -202,19 +195,18 @@ def extension_tuples(draw):
 
     kind = draw(st.sampled_from(["gl", "ga", "multi_ga"]))
     r = draw(st.integers(1, 2))
-    if kind == KIND_GL:
-        mats = [ExactMatrix.from_rows(ring, [[entry() for _ in range(2)] for _ in range(2)]) for _ in range(r)]
-        return CommutingTuple(KIND_GL, ring, r, 2, tuple(mats))
-    return CommutingTuple._scalar_tuple(kind, [entry() for _ in range(r)], ring)
+    size = 2 if kind == KIND_GL else 1
+    templates = tuple(ExactMatrix.from_rows(ring, [[entry() for _ in range(size)] for _ in range(size)])
+                      for _ in range(r))
+    return Chart("drawn", kind, field.p, r, size, ring, templates, ())
 
 
 @given(st.data())
 @settings(max_examples=40, deadline=None)
 def test_extension_field_coefficients_match_object_route(data):
     """Over GF(p^n) each coefficient is its regular-representation block, twisted by Frobenius."""
-    tup = data.draw(extension_tuples())
-    leaf = Std(2) if tup.kind == KIND_GL else data.draw(explicit_leaves(GF(tup.p, 2), tup.height))
+    chart = data.draw(extension_charts())
+    leaf = Std(2) if chart.kind == KIND_GL else data.draw(explicit_leaves(GF(chart.p, 2), chart.r))
     e = data.draw(modules(leaf, depth=1, cap=4))
     variant = data.draw(st.sampled_from(["full", "exp"]))
-    want = _outcome(lambda: oracle.theta_variant(e, tup, variant))
-    assert _outcome(lambda: theta_variant(e, tup, variant).matrix) == want
+    assert_theta_matches(chart, e, variant)

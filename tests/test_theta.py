@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -8,6 +9,7 @@ from jtcalc.jordan import JordanType, jt_of_nilpotent, jt_tensor, parse_jordan_t
 from jtcalc.linalg import ExactMatrix
 from jtcalc.modules import Explicit, Std, Sym, Tensor, Twist, texp_matrix
 from jtcalc.strata import (
+    Chart,
     builtin_chart,
     builtin_curves,
     constant_rank_on_strata,
@@ -17,6 +19,7 @@ from jtcalc.strata import (
     verify_closed_stratum,
 )
 from jtcalc.theta import (
+    KIND_GL,
     CommutingTuple,
     _one_param,
     conjugate_tuple,
@@ -28,9 +31,8 @@ from jtcalc.theta import (
     scale_tuple,
     theta_exp,
     theta_full,
-    theta_variant,
 )
-from theta_oracles import ga_curve_element
+from theta_oracles import ga_curve_element, symbolic_theta
 
 F3, F5 = GF(3), GF(5)
 E3 = ExactMatrix.from_rows(F3, [[0, 1], [0, 0]])
@@ -85,20 +87,20 @@ def test_one_param_without_inverse():
 def test_theta_full_examples():
     mod = Tensor(Sym(1, Std(2)), Twist(1, Sym(1, Std(2))))
     z = ExactMatrix.zeros(F3, 2, 2)
-    assert theta_full(mod, CommutingTuple.gl([z, z])).matrix.is_zero()
+    assert theta_full(mod, CommutingTuple.gl([z, z])).is_zero()
     # r=1 equals the Lie-algebra action
     tup1 = CommutingTuple.gl([E3])
     i2 = ExactMatrix.identity(F3, 2)
-    assert theta_full(Std(2), tup1).matrix == E3
+    assert theta_full(Std(2), tup1) == E3
     # at r=1 the twisted factor sees no t-coefficient; dp(E) acts on the first slot only
-    got1 = theta_full(Tensor(Std(2), Twist(1, Std(2))), tup1).matrix
+    got1 = theta_full(Tensor(Std(2), Twist(1, Std(2))), tup1)
     assert got1 == E3.kron(i2)
     # r=2 worked operator: a1 (E ox 1) + a0^p (1 ox E)
     for a0v in range(3):
         for a1v in range(3):
             a0, a1 = F3.from_int(a0v), F3.from_int(a1v)
             tup = CommutingTuple.gl([E3.scalar_mul(a0), E3.scalar_mul(a1)])
-            got = theta_full(mod, tup).matrix
+            got = theta_full(mod, tup)
             want = E3.kron(i2).scalar_mul(a1) + i2.kron(E3).scalar_mul(a0**3)
             assert got == want
 
@@ -108,7 +110,7 @@ def test_theta_exp_examples():
     z = ExactMatrix.zeros(F3, 2, 2)
     mod = Tensor(Std(2), Twist(1, Std(2)))
     tup0 = CommutingTuple.gl([z, z])
-    assert theta_exp(mod, tup0).matrix.is_zero()
+    assert theta_exp(mod, tup0).is_zero()
     assert jt_at_point(mod, tup0, "exp") == J(3, [1, 1, 1, 1])
     # additive kernel: scalar tuple acts as sum a_{r-1-i}^{p^i} alpha_i
     j3 = J3(F3)
@@ -118,14 +120,14 @@ def test_theta_exp_examples():
     for _ in range(20):
         scalars = [F3.random_element(rng) for _ in range(2)]
         tup = CommutingTuple.ga(scalars, F3)
-        got = theta_exp(emod, tup).matrix
+        got = theta_exp(emod, tup)
         want = alphas[0].scalar_mul(scalars[1]) + alphas[1].scalar_mul(scalars[0] ** 3)
         assert got == want
     # r = 2: exp and full agree on every input
     for _ in range(20):
         scalars = [F3.random_element(rng) for _ in range(2)]
         tup = CommutingTuple.ga(scalars, F3)
-        assert theta_exp(emod, tup).matrix == theta_full(emod, tup).matrix
+        assert theta_exp(emod, tup) == theta_full(emod, tup)
 
 
 def test_theta_multi_ga_examples():
@@ -139,13 +141,13 @@ def test_theta_multi_ga_examples():
         return theta_full(emod, CommutingTuple.multi_ga(scalars, F3))
 
     zero = multi_ga([F3.zero(), F3.zero()])
-    assert zero.matrix.is_zero()
+    assert zero.is_zero()
     unit = multi_ga([F3.one(), F3.zero()])
-    assert unit.matrix == alpha0
+    assert unit == alpha0
     both = multi_ga([F3.one(), F3.one()])
-    assert jt_of_nilpotent(both.matrix, 3) == J(3, [3, 1])
+    assert jt_of_nilpotent(both, 3) == J(3, [3, 1])
     # the sum of the scaled action matrices
-    assert both.matrix == alpha0 + alpha1
+    assert both == alpha0 + alpha1
     # a scalar count other than the number of action matrices is refused at the pairing
     with pytest.raises(JTCalcError, match="Explicit module of height 2 used with a 1-parameter point"):
         multi_ga([F3.one()])
@@ -213,12 +215,12 @@ def test_homotopy_examples():
     mod = Tensor(Std(2), Twist(1, Std(2)))
     tup = CommutingTuple.gl([E3, E3])
     h_exp = homotopy_theta(mod, tup, F3.one(), F3.zero())
-    assert h_exp.matrix == theta_exp(mod, tup).matrix
+    assert h_exp == theta_exp(mod, tup)
     h_full = homotopy_theta(mod, tup, F3.zero(), F3.one())
-    assert h_full.matrix == theta_full(mod, tup).matrix
+    assert h_full == theta_full(mod, tup)
     # r = 2: the family is (s + t) times one matrix
     h11 = homotopy_theta(mod, tup, F3.one(), F3.one())
-    assert h11.matrix == theta_full(mod, tup).matrix.scalar_mul(F3.from_int(2))
+    assert h11 == theta_full(mod, tup).scalar_mul(F3.from_int(2))
     with pytest.raises(JTCalcError):
         homotopy_theta(mod, tup, F3.zero(), F3.zero())
 
@@ -245,7 +247,7 @@ def test_nilpotency_of_realized_operators():
         a0, a1 = F5.random_element(rng), F5.random_element(rng)
         tup = CommutingTuple.gl([E5.scalar_mul(a0), E5.scalar_mul(a1)])
         for theta in (theta_full(mod, tup), theta_exp(mod, tup)):
-            assert theta.matrix.pow(5).is_zero()
+            assert theta.pow(5).is_zero()
 
 
 def test_twist_vanishing_height_slots():
@@ -276,9 +278,9 @@ def test_symbolic_and_pointwise_theta_agree():
     zero = ring.zero()
     t0 = ExactMatrix.from_rows(ring, [[zero, ring.var("a0")], [zero, zero]])
     t1 = ExactMatrix.from_rows(ring, [[zero, ring.var("a1")], [zero, zero]])
-    sym_tup = CommutingTuple.gl([t0, t1])
+    chart = Chart("line", KIND_GL, 3, 2, 2, ring, (t0, t1), ())
     mod = Tensor(Std(2), Twist(1, Std(2)))
-    sym_theta = theta_full(mod, sym_tup).matrix
+    sym_theta = symbolic_theta(chart, mod, "full")
     for a0v in range(3):
         for a1v in range(3):
             pt = [F3.from_int(a0v), F3.from_int(a1v)]
@@ -286,7 +288,7 @@ def test_symbolic_and_pointwise_theta_agree():
                 F3, [[sym_theta.entry(i, j).evaluate(pt) for j in range(4)] for i in range(4)]
             )
             tup = CommutingTuple.gl([E3.scalar_mul(pt[0]), E3.scalar_mul(pt[1])])
-            assert num == theta_full(mod, tup).matrix
+            assert num == theta_full(mod, tup)
 
 
 def test_dual_module_has_same_types():
@@ -333,8 +335,6 @@ def test_unknown_variant_is_rejected():
     chart = builtin_chart("sl2_line", 3, r=2)
     tup = chart.tuple_at([F3.from_int(v) for v in (0, 1, 0, 1, 1)])
     module = Tensor(Std(2), Twist(1, Std(2)))
-    assert theta_variant(module, tup, "exp").matrix == theta_exp(module, tup).matrix
-    assert theta_variant(module, tup, "full").matrix == theta_full(module, tup).matrix
     curve = builtin_curves(chart, 1, 1)[0]
     line = builtin_chart("sl2_line", 3)
     table = tabulate_jt(line, Std(2), F3)
@@ -343,7 +343,6 @@ def test_unknown_variant_is_rejected():
         for call in (
             lambda v: jt_at_point(module, tup, v),
             lambda v: jt_power_at_point(module, tup, v, 1),
-            lambda v: theta_variant(module, tup, v),
             lambda v: rank_locus_minors(chart, module, v, 1, 1),
             lambda v: semicontinuity_check(curve, module, v),
             lambda v: tabulate_jt(line, Std(2), F3, v),
@@ -356,26 +355,36 @@ def test_unknown_variant_is_rejected():
 
 
 def _off_finite_fields():
-    """(call, error type, message): inputs refused because ranks and Jordan types are taken only
-    over finite fields, at tuples checked when they are built."""
+    """(call, error type, message): inputs refused because points are tuples over finite fields,
+    checked when they are built, and ranks and Jordan types are taken only over finite fields."""
     gf3t = RationalFunctionField(F3, "t")
     poly = PolyRing(F3, ("a0", "a1"), (1, 3))
-    poly_point = CommutingTuple.gl([ExactMatrix.zeros(poly, 2, 2)])
-    off_field = r"^Jordan types are taken at points over finite fields, not over GF\(3\)\[a0:1,a1:3\]$"
+    trunc = TruncatedCurveRing(F3, 1)
     diag = ExactMatrix.from_rows(F3, [[1, 0], [0, 0]])
+
+    def off_field(domain):
+        return rf"^points are tuples over finite fields, not over {re.escape(str(domain))}$"
+
     cases = {
         "rank_gf3t": (lambda: ExactMatrix.identity(gf3t, 2).rank(), JTCalcError,
                       r"^ranks are computed over finite fields, not over GF\(3\)\(t\)$"),
         "rank_gf3t_zero": (lambda: ExactMatrix.zeros(gf3t, 2, 2).rank(), JTCalcError,
                            r"^ranks are computed over finite fields, not over GF\(3\)\(t\)$"),
         # the operator at the zero point over a polynomial ring is zero
-        "jt_at_point_polyring": (lambda: jt_at_point(Std(2), poly_point), JTCalcError, off_field),
-        "jt_power_at_point_polyring": (lambda: jt_power_at_point(Std(2), poly_point, "full", 1), JTCalcError,
-                                       off_field),
+        "jt_at_point_polyring": (lambda: jt_at_point(Std(2), CommutingTuple.gl([ExactMatrix.zeros(poly, 2, 2)])),
+                                 JTCalcError, off_field(poly)),
+        "jt_power_at_point_polyring": (
+            lambda: jt_power_at_point(Std(2), CommutingTuple.gl([ExactMatrix.zeros(poly, 2, 2)]), "full", 1),
+            JTCalcError, off_field(poly)),
+        "theta_full_truncated": (
+            lambda: theta_full(Std(2), CommutingTuple(KIND_GL, trunc, 1, 2, (ExactMatrix.zeros(trunc, 2, 2),))),
+            JTCalcError, off_field(trunc)),
         "gl_not_commuting": (lambda: CommutingTuple.gl([E3, E3.transpose()]), NotNilpotentError,
                              "^matrices 0 and 1 do not commute$"),
         "gl_not_nilpotent": (lambda: CommutingTuple.gl([diag, E3]), NotNilpotentError,
                              "^matrix 0 is not 3-nilpotent$"),
+        "gl_gf3_gf9": (lambda: CommutingTuple.gl([E3, E3.embed_into(GF(3, 2))]), DomainMismatchError,
+                       "^matrix domains differ$"),
         "jt_of_nilpotent_p": (lambda: jt_of_nilpotent(E3, 5), DomainMismatchError,
                               r"^p=5 is not the characteristic of GF\(3\)$"),
         "jt_of_nilpotent_gf3t": (lambda: jt_of_nilpotent(ExactMatrix.zeros(gf3t, 2, 2), 3), JTCalcError,
@@ -383,6 +392,15 @@ def _off_finite_fields():
         "jt_of_nilpotent_polyring": (lambda: jt_of_nilpotent(ExactMatrix.zeros(poly, 2, 2), 3), NotAFieldError,
                                      r"^GF\(3\)\[a0:1,a1:3\] is not a field$"),
     }
+    # every kind of point over every domain that is not a finite field, with a nonzero matrix
+    for name, domain in (("polyring", poly), ("truncated", TruncatedCurveRing(F3, 2)), ("gf3t", gf3t)):
+        one = domain.one()
+        cases[f"gl_{name}"] = (
+            lambda domain=domain, one=one: CommutingTuple.gl([ExactMatrix.from_rows(domain, [[0, one], [0, 0]])]),
+            JTCalcError, off_field(domain))
+        for kind, build in (("ga", CommutingTuple.ga), ("multi_ga", CommutingTuple.multi_ga)):
+            cases[f"{kind}_{name}"] = (lambda build=build, domain=domain, one=one: build([one, 0], domain),
+                                       JTCalcError, off_field(domain))
     return [pytest.param(*case, id=name) for name, case in cases.items()]
 
 

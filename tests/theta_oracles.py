@@ -1,17 +1,27 @@
 """The object-walker route to the operator over symbolic domains, kept as an oracle.
 
-`theta` builds the operator over a `PolyRing` on `batch`'s stack walker
-(the `monomials._Monomials` ring), and `strata.rank_locus_minors` takes
-its minors there.  Before, both went through `modules.eval_unipotent` on truncated
-curve rings over the point's domain, and the minors through
-`ExactMatrix.minors`; that route is kept here verbatim, for any domain the
-object arithmetic supports, with the additive curve point it reads
-(`ga_curve_element`).
+`strata._symbolic_theta` builds the operator over the chart's polynomial
+ring on `batch`'s stack walker (the `monomials._Monomials` ring), and
+`strata.rank_locus_minors` takes its minors there.  Before, both went
+through `modules.eval_unipotent` on truncated curve rings over the point's
+domain, and the minors through `ExactMatrix.minors`; that route is kept
+here verbatim, for any domain the object arithmetic supports, with the
+additive curve point it reads (`ga_curve_element`).
+
+A `CommutingTuple` is a point over a finite field, so the oracles read a
+`SymbolicPoint`: the same fields, over any domain, and not checked.
+`validate_commuting_tuple` is the object-arithmetic check of a tuple that
+`modules.validate_commuting_tuple` made before it ran on stacks.
 """
+
+from dataclasses import dataclass
+
+import numpy as np
 
 from jtcalc.batch import _check_pairing, by_variant
 from jtcalc.errors import CapExceededError, JTCalcError
 from jtcalc.fields import TruncElement
+from jtcalc.linalg import ExactMatrix
 from jtcalc.modules import (
     Explicit,
     _contains_dual,
@@ -20,8 +30,81 @@ from jtcalc.modules import (
     texp_element,
     texp_matrix,
 )
-from jtcalc.strata import SYMBOLIC_DIM_CAP
+from jtcalc.strata import SYMBOLIC_DIM_CAP, _symbolic_theta
 from jtcalc.theta import KIND_GA, KIND_GL, KIND_MULTI_GA, _one_param, _trunc_ring
+
+
+@dataclass(frozen=True)
+class SymbolicPoint:
+    """A tuple over any domain, unchecked: what the oracles, `_one_param` and `_trunc_ring` read
+    of a `CommutingTuple`.  Over a polynomial ring its conditions hold only modulo the chart's
+    constraints."""
+
+    kind: str
+    domain: object
+    height: int
+    size: int
+    mats: tuple
+
+    @property
+    def p(self):
+        return self.domain.p
+
+    def scalars(self):
+        return [m.entry(0, 0) for m in self.mats]
+
+
+def gl_point(mats):
+    mats = tuple(mats)
+    return SymbolicPoint(KIND_GL, mats[0].domain, len(mats), mats[0].rows, mats)
+
+
+def scalar_point(kind, scalars, domain):
+    mats = tuple(ExactMatrix.from_rows(domain, [[a]]) for a in scalars)
+    return SymbolicPoint(kind, domain, len(mats), 1, mats)
+
+
+def chart_point(chart):
+    """The chart's templates as a point over its polynomial ring; (0, 0) entries on the
+    additive kinds."""
+    if chart.kind == KIND_GL:
+        return SymbolicPoint(KIND_GL, chart.ring, chart.r, chart.size, chart.templates)
+    return scalar_point(chart.kind, [t.entry(0, 0) for t in chart.templates], chart.ring)
+
+
+def monomial_matrix(ring, m):
+    """The `ExactMatrix` over the polynomial ring of a stack of the `monomials._Monomials` ring."""
+    n = ring.n
+    count, rows, cols = m.shape
+    data = m.reshape(count, rows // n, n, cols // n, n)[..., 0].transpose(1, 3, 0, 2)
+    out = []
+    for row in data:
+        out.append([])
+        for entry in row:
+            monomials = np.flatnonzero(entry.any(axis=1))
+            out[-1].append(ring._polynomial(monomials, entry[monomials]))
+    return ExactMatrix.from_rows(ring.poly_ring, out)
+
+
+def symbolic_theta(chart, e, variant):
+    """The variant's operator over the chart's polynomial ring, as `strata` builds it, as an
+    `ExactMatrix`."""
+    return monomial_matrix(*_symbolic_theta(chart, e, variant))
+
+
+def validate_commuting_tuple(matrices, p):
+    """None when the tuple is pairwise commuting and p-nilpotent, else a report."""
+    size = matrices[0].rows
+    for idx, m in enumerate(matrices):
+        if m.rows != m.cols or m.rows != size:
+            return f"matrix {idx} is not square of size {size}"
+        if not m.pow(p).is_zero():
+            return f"matrix {idx} is not {p}-nilpotent"
+    for i in range(len(matrices)):
+        for j in range(i + 1, len(matrices)):
+            if matrices[i] @ matrices[j] != matrices[j] @ matrices[i]:
+                return f"matrices {i} and {j} do not commute"
+    return None
 
 
 def ga_curve_element(tup):
@@ -126,4 +209,4 @@ def rank_locus_minors(chart, e, variant, j, d):
         raise JTCalcError(f"rank bound {d} outside 0..{m}")
     if d >= m:
         return []
-    return theta_variant(e, chart.symbolic_tuple(), variant).pow(j).minors(d + 1)
+    return theta_variant(e, chart_point(chart), variant).pow(j).minors(d + 1)
