@@ -7,14 +7,16 @@ one module evaluator of the program.
 A sweep of any chart over GF(q), q = p^n, runs one chunk of points at a
 time:
 
-* a point is a row of element indices (`FiniteField.from_index`); chart
-  templates, constraints and rank-locus minors, compiled once
-  (`_CompiledPolys`), are evaluated at a (P, k) array of points: mod p over
-  GF(p), through the field's log tables over GF(p^n);
-* a sweep evaluates the operator once per weighted scaling orbit, on the
-  tuple scaled so its first nonzero entry is 1 (`_orbit_reduce`), and
-  gives each point its orbit (`jordan_types`): tables and closed strata
-  read the same arrays;
+* a point is a row of element indices (`FiniteField.from_index`), drawn
+  in bulk by a sampled sweep, which asks the generator for exactly the
+  words its draws use (`_randrange`); chart templates, constraints and
+  rank-locus minors, compiled once (`_CompiledPolys`), are evaluated at a
+  (P, k) array of points: mod p over GF(p), through the field's log tables
+  over GF(p^n);
+* a sweep validates each weighted scaling orbit once and evaluates its
+  operator once, on the tuple scaled so its first nonzero entry is 1
+  (`_orbit_reduce`), and gives each point its orbit (`jordan_types`):
+  tables and closed strata read the same arrays;
 * in the `_Pointwise` ring of `linalg` (the program's one GF(q) matrix
   kernel), where a GF(p^n) entry is its n x n GF(p) regular-representation
   block, the one-parameter group element and the
@@ -31,11 +33,12 @@ time:
   built once per module tree, chart kind, variant, p and r, from the
   point-independent t-supports of `_supports`): direct sums, and tensor
   products whose top coefficient is X (x) 1 + 1 (x) Y, split into leaves;
-  one walk per chunk gives every leaf's operator (`_operators`), each leaf
-  is ranked, and the leaf types are folded by `jt_sum` / `jt_tensor`
-  (`_fold`); single points, curves and minors walk the whole module;
+  one walk per chunk, sized from the largest leaf, gives every leaf's
+  operator (`_operators`), each leaf is ranked, and each distinct
+  combination of leaf rank rows is folded once by `jt_sum` / `jt_tensor`
+  (`_typed`); single points, curves and minors walk the whole module;
 * Jordan types come from the ranks of the operator's powers, by the one
-  loop for sweeps, single points and curves (`jordan._jordan_types`); each
+  loop for sweeps, single points and curves (`jordan._rank_rows`); each
   ring ranks its stacks (`ranks`): many points by batched GF(p)
   elimination with a pivot row per matrix (`linalg._ranks`), one point by
   block pivots (`linalg._block_rank`).
@@ -71,7 +74,7 @@ from math import comb, isqrt
 import numpy as np
 
 from .errors import ChartError, DomainMismatchError, JTCalcError, NotNilpotentError
-from .jordan import TENSOR_DIM_CAP, _jordan_types, jt_sum, jt_tensor
+from .jordan import TENSOR_DIM_CAP, _profile_type, _rank_rows, jt_sum, jt_tensor
 from .linalg import _convolve, _first_invalid, _Pointwise, _px_rank, _px_trim, _regular
 from .modules import (
     DirectSum,
@@ -93,9 +96,9 @@ KIND_MULTI_GA = "multi_ga"
 
 # int64 cells per (P, rows, cols) stack of a chunk: bounds a sweep's memory
 # whatever its number of points.  Each stage derives its own chunk from it
-# (`_Sweep`): the point stage (draws, chart evaluation, validation, orbit
-# reduction) from a point's draws and lifted tuple, an operator walk from the
-# largest stack of the module tree at every t-degree it keeps.
+# (`_Sweep`): the point stage (draws, chart evaluation, orbit reduction,
+# validation) from a point's draws and lifted tuple, an operator walk from the
+# largest stack of the type plan's leaves at every t-degree it keeps.
 CHUNK_CELLS = 1 << 16
 
 
@@ -128,32 +131,35 @@ def _check_pairing(e, kind, p, height):
 
 
 def jordan_types(chart, e, field, variant, budget, seed, samples):
-    """(values, orbit, types) of a table sweep, as arrays over its points in sweep order.
+    """(values, orbit, orbit_type, types) of a table sweep, as arrays over its points and orbits.
 
-    values is the (P, k) array of the swept points' element indices; orbit[i]
-    numbers the weighted scaling orbit of point i, in the order the sweep
-    first meets the orbits (`_Orbits`); types[j] is the Jordan type of orbit
-    j, None for the zero tuple's.  As in the per-point sweep, every tuple is
-    checked before any operator is evaluated.  Then each orbit's operator
-    is evaluated once, on its canonical tuple (`_orbit_reduce`), in walks of
-    `sweep.chunk` orbits: the operators of the leaves of the module's type
-    plan (`_type_plan`), whose types fold into the module's (`_Sweep.types`).
+    values is the (P, k) array of the swept points' element indices, in
+    sweep order; orbit[i] numbers the weighted scaling orbit of point i, in
+    the order the sweep first meets the orbits (`_Orbits`); types lists the
+    distinct Jordan types in the order the orbits first meet them, and
+    orbit_type[j] is the number of orbit j's type in it, -1 for the zero
+    tuple's orbit.  As in the per-point sweep, every tuple is checked before
+    any operator is evaluated, once per orbit (`_Sweep.points`).  Then each
+    orbit's operator is evaluated once, on its canonical tuple
+    (`_orbit_reduce`), in walks of `sweep.chunk` orbits: the operators of
+    the leaves of the module's type plan (`_type_plan`), whose types fold
+    into the module's (`_Sweep.types`).
     """
     sweep = _Sweep(chart, e, field, variant)
     orbits = _Orbits(sweep.shape, sweep.dtype)
     # the tuples go out of scope with each chunk; the points and their orbits are kept
-    chunks = [(values, orbits.add(_orbit_reduce(field, chart.kind, mats)))
-              for values, mats in sweep.points(budget, seed, samples)]
+    chunks = list(sweep.points(orbits, budget, seed, samples))
     values = np.concatenate([np.zeros((0, len(chart.params)), sweep.dtype)] + [v for v, _ in chunks])
     ids = np.concatenate([np.zeros(0, np.intp)] + [i for _, i in chunks])
     reps = orbits.representatives()
-    types = [None] * len(reps)
+    orbit_type = np.full(len(reps), -1, dtype=np.intp)
+    index = {}  # Jordan type -> its number, in the order the orbits meet them
     live = np.flatnonzero(reps.any(axis=(1, 2, 3)))
     for start in range(0, len(live), sweep.chunk):
         part = live[start:start + sweep.chunk]
-        for i, jt in zip(part.tolist(), sweep.types(reps[part])):
-            types[i] = jt
-    return values, ids, types
+        numbers, found = sweep.types(reps[part])
+        orbit_type[part] = np.array([index.setdefault(jt, len(index)) for jt in found], dtype=np.intp)[numbers]
+    return values, ids, orbit_type, list(index)
 
 
 # -- polynomials at points -----------------------------------------------------------
@@ -311,6 +317,28 @@ def _orbit_reduce(field, kind, mats):
 # -- the sweep -----------------------------------------------------------------------
 
 
+def _first_met(keys):
+    """(numbers, first) for a 1-d array of keys: numbers[i] numbers the value of keys[i]
+    among the distinct values, in the order the array first meets them, and value j first
+    occurs at first[j]."""
+    if not len(keys):
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+    # equal keys are neighbours in key order: each run of them is one value
+    # (np.unique is not used: with numpy 2.4 its first call alone raised
+    # the peak RSS of a sweep run by 0.3 to 1.5 MB)
+    order = np.argsort(keys)
+    ranked = keys[order]
+    step = np.ones(len(keys), dtype=np.intp)
+    step[1:] = ranked[1:] != ranked[:-1]
+    first = np.minimum.reduceat(order, np.flatnonzero(step))
+    met = np.argsort(first)
+    number = np.empty_like(met)
+    number[met] = np.arange(len(met))
+    numbers = np.empty_like(order)
+    numbers[order] = number[np.cumsum(step) - 1]
+    return numbers, first[met]
+
+
 class _Orbits:
     """The weighted scaling orbits a sweep has met, numbered in the order it met them.
 
@@ -329,29 +357,16 @@ class _Orbits:
         known = len(self.keys)
         keys = np.ascontiguousarray(reduced.reshape(len(reduced), -1), dtype=self.dtype).view(self.keys.dtype)
         both = np.concatenate([self.keys, keys.ravel()])
-        # equal keys are neighbours in key order: each run of them is one orbit
-        # (np.unique is not used: with numpy 2.4 its first call alone raised
-        # the peak RSS of a sweep run by 0.3 to 1.5 MB)
-        order = np.argsort(both)
-        ranked = both[order]
-        step = np.ones(len(both), dtype=np.intp)
-        step[1:] = ranked[1:] != ranked[:-1]
-        run = np.empty_like(step)
-        run[order] = np.cumsum(step) - 1
-        # each run's first key in sweep order; the known keys are distinct, so
-        # a known orbit's first key is its number
-        first = np.minimum.reduceat(order, np.flatnonzero(step))
-        new = first >= known
-        fresh = np.zeros(len(both), dtype=bool)
-        fresh[first[new]] = True
-        numbers = first.copy()
-        numbers[new] = known - 1 + np.cumsum(fresh)[first[new]]
-        self.keys = np.concatenate([self.keys, both[fresh]])
-        return numbers[run[known:]]
+        # the known keys are distinct and come first, so they keep their numbers
+        numbers, first = _first_met(both)
+        self.keys = both[first]
+        return numbers[known:]
 
-    def representatives(self):
-        """The canonical tuple of every orbit, in orbit order, as int64 element indices."""
-        return self.keys.view(self.dtype).reshape(len(self.keys), *self.shape).astype(np.int64)
+    def representatives(self, start=0):
+        """The canonical tuple of every orbit from number start on, in orbit order, as int64
+        element indices."""
+        keys = self.keys[start:]
+        return keys.view(self.dtype).reshape(len(keys), *self.shape).astype(np.int64)
 
 
 class _Sweep:
@@ -362,18 +377,20 @@ class _Sweep:
     kinds, as `Chart.tuple_at` builds it.  Each stage works in the chunk
     that keeps its stacks within CHUNK_CELLS:
 
-    * `point_chunk` points are drawn (or enumerated), evaluated, checked
-      and orbit-reduced at a time; a point costs about 8 cells per
+    * `point_chunk` points are drawn (or enumerated), evaluated,
+      orbit-reduced and checked at a time; a point costs about 8 cells per
       parameter in the draws and r (a n)^2 cells in its lifted tuple, the
       largest stacks of validation;
-    * `chunk` tuples share one operator walk (`types`), whose stacks hold
-      terms = p^(r-1) + 1 t-degrees of the module tree's largest matrix.
-      The walk gives the operators of the leaves of the module's type plan
-      (`_type_plan`), and `types` ranks each and folds their types by the
-      closed forms of direct sums and tensor products.
-
-    point_chunk is a multiple of chunk, so that operator walks cut from a
-    point chunk are those of a sweep cut into chunks of `chunk` points.
+    * `chunk` orbits share one operator walk (`types`), which gives the
+      operators of the leaves of the module's type plan (`_type_plan`); its
+      stacks hold terms = p^(r-1) + 1 t-degrees of the largest matrix that
+      the group element or a leaf builds.  `types` ranks each leaf and
+      folds their types by the closed forms of direct sums and tensor
+      products.  chunk is at most the point chunk's budget, and
+      point_chunk is a multiple of it;
+    * the walk of the whole module, where a leaf is not p-nilpotent, takes
+      `whole_chunk` orbits at a time, sized in the same way from the whole
+      module tree.
     """
 
     def __init__(self, chart, e, field, variant):
@@ -386,16 +403,29 @@ class _Sweep:
         self.shape = (chart.r, size, size)
         self.dtype = _index_dtype(field.order)
         terms = self.p ** (chart.r - 1) + 1
-        self.chunk = max(1, CHUNK_CELLS // (terms * max(_cells(e), chart.size**2) * self.n**2))
-        points = CHUNK_CELLS // (8 * len(chart.params) + chart.r * size * size * self.n**2)
-        self.point_chunk = max(1, points // self.chunk) * self.chunk
 
-    def points(self, budget, seed, samples):
-        """(values, tuples) chunks of the points `enumerate_points` yields, checked in its order.
+        def walk_chunk(nodes):
+            cells = max([_cells(node) for node in nodes] + [chart.size**2])
+            return max(1, CHUNK_CELLS // (terms * cells * self.n**2))
 
-        It raises where `enumerate_points` raises: after the chunk cut
-        before the first invalid tuple, or after the last chunk of a sampled
-        sweep that runs out of attempts.
+        points = max(1, CHUNK_CELLS // (8 * len(chart.params) + chart.r * size * size * self.n**2))
+        self.chunk = min(walk_chunk(_type_plan(e, chart.kind, variant, self.p, chart.r)[0]), points)
+        self.point_chunk = points // self.chunk * self.chunk
+        self.whole_chunk = walk_chunk([e])
+
+    def points(self, orbits, budget, seed, samples):
+        """(values, orbit) chunks of the points `enumerate_points` yields, in its order:
+        orbit[i] is the number of point i's orbit in `orbits` (`_Orbits.add`).
+
+        Validity is constant on a weighted scaling orbit: the matrices of a
+        scaled tuple are scalar multiples of the tuple's, and so are
+        p-nilpotent, and commute, where those are and do.  So each chunk
+        checks only the canonical tuples of the orbits it adds, in orbit
+        order.  The first invalid orbit is that of the chunk's first invalid
+        point, with its report, since the orbits before it are met first and
+        the known ones are valid.  So this raises where `enumerate_points`
+        raises: at the first invalid tuple, or after the last chunk of a
+        sampled sweep that runs out of attempts.
         """
         chart, field = self.chart, self.field
         if field.p != chart.p:
@@ -407,16 +437,14 @@ class _Sweep:
             raise ChartError(f"sample count {samples} is negative")
         emitted = 0
         for values in _regroup(self._accepted(total <= budget, seed, samples), self.point_chunk):
-            mats = self.tuples(values)
+            known = len(orbits.keys)
+            numbers = orbits.add(_orbit_reduce(field, chart.kind, self.tuples(values)))
             if chart.kind == KIND_GL:
-                invalid = _first_invalid(*self._stacks(mats))
+                invalid = _first_invalid(*self._stacks(orbits.representatives(known)))
                 if invalid is not None:
-                    point, report = invalid
-                    if point:
-                        yield values[:point], mats[:point]
-                    raise NotNilpotentError(report)
+                    raise NotNilpotentError(invalid[1])
             emitted += len(values)
-            yield values, mats
+            yield values, numbers
         if total > budget and emitted < samples:
             raise ChartError("rejection sampling failed to find enough chart points")
 
@@ -455,28 +483,34 @@ class _Sweep:
             yield values
 
     def types(self, mats):
-        """Jordan types of the selected operator at a stack of nonzero tuples.
+        """(numbers, types) at a stack of nonzero tuples: types lists the distinct Jordan types
+        of the selected operator in the order the stack meets them, and numbers[i] is the
+        number of tuple i's.
 
         Each leaf of the module's type plan (`_type_plan`) is ranked, and
-        the leaf types are folded by the closed forms of tensor products
-        and direct sums.  A leaf's operator need not be p-nilpotent where
-        the module's is (X (x) 1 + 1 (x) Y is when X^p = -Y^p is a nonzero
-        scalar), so a leaf that is not sends the stack to the walk of the
-        whole module, which answers or raises as a sweep without a plan.
+        each distinct combination of the leaves' rank rows is folded once by
+        the closed forms of tensor products and direct sums (`_typed`).  A
+        leaf's operator need not be p-nilpotent where the module's is
+        (X (x) 1 + 1 (x) Y is when X^p = -Y^p is a nonzero scalar), so a
+        leaf that is not sends the stack to the walk of the whole module,
+        which answers or raises as a sweep without a plan.  That walk's
+        stacks are larger than the leaves', so it takes the stack in pieces
+        of `whole_chunk` tuples.
         """
-        if not len(mats):
-            return []
         kind = self.chart.kind
         _check_pairing(self.e, kind, self.p, self.chart.r)
         report = f"{self.variant} operator is not p-nilpotent"
         ring, ops = self._operator(mats)
         try:
-            leaf_types = [_jordan_types(ring, op, report) for op in ops]
+            rows = [_rank_rows(ring, op, report) for op in ops]
         except NotNilpotentError:
-            ring, stacks = self._stacks(mats)
-            return _jordan_types(ring, curve_operator(ring, kind, self.e, self.variant, stacks), report)
+            whole = []
+            for start in range(0, len(mats), self.whole_chunk):
+                ring, stacks = self._stacks(mats[start:start + self.whole_chunk])
+                whole.append(_rank_rows(ring, curve_operator(ring, kind, self.e, self.variant, stacks), report))
+            return _typed(self.p, 0, (self.e.dim(),), [np.concatenate(whole)])
         tree = _type_plan(self.e, kind, self.variant, self.p, self.chart.r)[1]
-        return [_fold(tree, types) for types in zip(*leaf_types)]
+        return _typed(self.p, tree, tuple(ring.dim(op) for op in ops), rows)
 
     def _operator(self, mats):
         """The `_Pointwise` ring of a stack of tuples, and the operators of the type plan's
@@ -548,14 +582,25 @@ def _type_plan(e, kind, variant, p, r):
 _FOLDS = {"tensor": jt_tensor, "sum": jt_sum}
 
 
+def _typed(p, tree, dims, rows):
+    """(numbers, types) of `_Sweep.types` from the rank rows (`_rank_rows`) of the type plan's
+    leaves, dims their dimensions: each distinct combination of rows is folded once."""
+    keys = np.ascontiguousarray(np.concatenate(rows, axis=1))
+    combos, first = _first_met(keys.view((np.void, keys.shape[1] * keys.itemsize)).ravel())
+    index = {}  # Jordan type -> its number, in the order the stack meets them
+    numbers = [index.setdefault(_fold(tree, p, dims, tuple(row)), len(index)) for row in keys[first].tolist()]
+    return np.array(numbers, dtype=np.intp)[combos], list(index)
+
+
 @lru_cache(maxsize=4096)
-def _fold(tree, types):
-    """The Jordan type of a module from the types of its type plan's leaves (`_type_plan`):
-    few combinations of leaf types occur, so each is folded once."""
+def _fold(tree, p, dims, ranks):
+    """The Jordan type of a module from its type plan's leaves (`_type_plan`): leaf k has
+    dimension dims[k] and the ranks of its operator's powers at ranks[k (p-1):(k+1) (p-1)].
+    Few combinations of leaf ranks occur, so each is folded once."""
 
     def fold(node):
         if isinstance(node, int):
-            return types[node]
+            return _profile_type(p, dims[node], ranks[node * (p - 1):(node + 1) * (p - 1)])
         op, left, right = node
         return _FOLDS[op](fold(left), fold(right))
 
@@ -568,24 +613,19 @@ def _randrange(rng, q, count):
     randrange(q) takes 32-bit Mersenne Twister words w until w >> (32 - k),
     k = q.bit_length(), is below q, and returns that; getrandbits(32 W)
     returns W such words, the first as its lowest 32 bits.  So the words are
-    drawn in bulk and filtered, and then the generator is restored and moved
-    on by exactly the words the draws used.  The draws are int8 while
-    q <= 128.
+    drawn in bulk and filtered, each round exactly as many as draws are
+    still missing: those draws take at least that many words, so every word
+    drawn is one that the draws use, and the generator ends where they leave
+    it.  The draws are int8 while q <= 128.
     """
-    state = rng.getstate()
     shift = 32 - q.bit_length()
-    words = np.zeros(0, dtype=np.uint32)
-    accepted = np.zeros(0, dtype=np.intp)
-    while len(accepted) < count:
-        # at least half the words are accepted, since 2^(k-1) <= q
-        more = 2 * (count - len(accepted)) + 64
-        block = np.frombuffer(rng.getrandbits(32 * more).to_bytes(4 * more, "little"), dtype="<u4")
-        words = np.concatenate([words, block >> shift])
-        accepted = np.flatnonzero(words < q)
-    rng.setstate(state)
-    if count:
-        rng.getrandbits(32 * (int(accepted[count - 1]) + 1))
-    return words[accepted[:count]].astype(_index_dtype(q))
+    rounds = [np.zeros(0, dtype=np.uint32)]
+    missing = count
+    while missing:
+        words = np.frombuffer(rng.getrandbits(32 * missing).to_bytes(4 * missing, "little"), dtype="<u4") >> shift
+        rounds.append(words[words < q])
+        missing -= len(rounds[-1])
+    return np.concatenate(rounds).astype(_index_dtype(q))
 
 
 def _cells(e):

@@ -5,9 +5,9 @@ A Jordan type records how many blocks of each size 1..p a p-nilpotent
 operator has.  The dominance order, sums, tensor products, perp, powers and
 rank profiles all live here; every combinatorial formula has a brute-force
 matrix oracle next to it in the test suite.  The program's one loop from
-operator powers to Jordan types lives here too (`_jordan_types`): it ranks
-sweeps, single points and matrices over finite fields, and curves over
-GF(q)(s).
+operator powers to Jordan types lives here too (`_rank_rows`, read as
+types by `_jordan_types`): it ranks sweeps, single points and matrices over
+finite fields, and curves over GF(q)(s).
 """
 
 from __future__ import annotations
@@ -136,9 +136,16 @@ def jt_of_nilpotent(n, p):
 def _jordan_types(ring, op, report):
     """Jordan types of the operators of a stack of the ring, one per entry of `ring.nonzero(op)`:
     per point of a `_Pointwise` stack, or the one operator along a curve of a `_Polys` stack.
+    Their rank rows come from `_rank_rows`, which checks op^p = 0.
+    """
+    dim = ring.dim(op)
+    return [_profile_type(ring.p, dim, row) for row in map(tuple, _rank_rows(ring, op, report).tolist())]
 
-    The ranks of op, op^2, ..., op^(p-1) come from `ring.ranks`; op^p must vanish, the one
-    nilpotency check, otherwise NotNilpotentError(report).
+
+def _rank_rows(ring, op, report):
+    """The (points, p - 1) array of the ranks of op, op^2, ..., op^(p-1) at each entry of
+    `ring.nonzero(op)`, from `ring.ranks`; op^p must vanish, the one nilpotency check,
+    otherwise NotNilpotentError(report).
     """
     p = ring.p
     ranks = np.zeros((len(ring.nonzero(op)), p - 1), dtype=np.int64)
@@ -150,8 +157,7 @@ def _jordan_types(ring, op, report):
         power = ring.reduce(ring.matmul(power, op))
     if power.any():
         raise NotNilpotentError(report)
-    dim = ring.dim(op)
-    return [_profile_type(p, dim, row) for row in map(tuple, ranks.tolist())]
+    return ranks
 
 
 @lru_cache(maxsize=4096)

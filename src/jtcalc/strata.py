@@ -370,19 +370,19 @@ def tabulate_jt(chart, e, field, variant="full", budget=EXHAUSTIVE_DEFAULT_BUDGE
     alpha^(p^(r-1)).  So each weighted scaling orbit is evaluated once, and
     its type is counted for every swept point of the orbit, in sweep order.
     Every sweep, over any finite field and on every chart kind, runs on
-    integer stacks (`batch.jordan_types`), which gives each point's orbit
-    and each orbit's type.  Counts, the zero count and the first `max_reps`
-    representatives of each type are then taken per type with array
-    operations.  The orbits are numbered in the order the sweep meets them,
-    so the types come in the order of their first point.
+    integer stacks (`batch.jordan_types`), which gives each point's orbit,
+    the distinct types and each orbit's number among them.  Counts, the
+    zero count and the first `max_reps` representatives of each type are
+    then taken per type with array operations, with no Jordan type read per
+    orbit.  The orbits are numbered in the order the sweep meets them, and
+    the types in the order the orbits meet them, so the types come in the
+    order of their first point.
     """
-    values, orbit, types = batch.jordan_types(chart, e, field, variant, budget, seed, samples)
-    index = {}  # Jordan type -> its number, in order of first appearance
-    numbers = np.array([-1 if jt is None else index.setdefault(jt, len(index)) for jt in types], dtype=np.intp)
-    point_type = numbers[orbit]
-    counts = np.bincount(point_type[point_type >= 0], minlength=len(index)).tolist()
+    values, orbit, orbit_type, types = batch.jordan_types(chart, e, field, variant, budget, seed, samples)
+    point_type = orbit_type[orbit]
+    counts = np.bincount(point_type[point_type >= 0], minlength=len(types)).tolist()
     entries = {}
-    for t, jt in enumerate(index):
+    for t, jt in enumerate(types):
         reps = np.flatnonzero(point_type == t)[:max(max_reps, 0)]
         entries[jt] = StratumEntry(counts[t], [_serialize_values(field, row) for row in values[reps].tolist()])
     zero_count = len(values) - sum(counts)
@@ -519,21 +519,22 @@ def _closed_check(chart, e, a, field, variant, budget, seed, samples, polys):
     Each orbit's minors are evaluated at its first swept point, and its
     answer (in the down-set of a, minors vanish) is broadcast to its points.
     """
-    values, orbit, types = batch.jordan_types(chart, e, field, variant, budget, seed, samples)
+    values, orbit, orbit_type, types = batch.jordan_types(chart, e, field, variant, budget, seed, samples)
     # orbits are numbered as the sweep meets them: orbit j first appears where the running
     # maximum of the numbers reaches j
     first = np.flatnonzero(np.diff(np.maximum.accumulate(orbit), prepend=-1))
     minors = batch._CompiledPolys(polys, len(chart.params), field.p)
-    vanish = (~minors.at_points(field, values[first]).any(axis=1)).tolist()
-    below = {jt: dominance_leq(jt, a) for jt in set(types) - {None}}
-    live = np.array([jt is not None for jt in types], dtype=bool)
-    wrong = np.array([jt is not None and below[jt] != rhs for jt, rhs in zip(types, vanish)], dtype=bool)
+    vanish = ~minors.at_points(field, values[first]).any(axis=1)
+    # the zero orbit's number, -1, reads the padding entry
+    below = np.array([dominance_leq(jt, a) for jt in types] + [False], dtype=bool)[orbit_type]
+    live = orbit_type >= 0
+    wrong = live & (below != vanish)
     mismatches = [
         {
             "point": _serialize_values(field, values[i].tolist()),
-            "jordan_type": types[j].to_text(),
-            "in_downset": below[types[j]],
-            "minors_vanish": vanish[j],
+            "jordan_type": types[orbit_type[j]].to_text(),
+            "in_downset": bool(below[j]),
+            "minors_vanish": bool(vanish[j]),
         }
         for i, j in zip(np.flatnonzero(wrong[orbit]).tolist(), orbit[wrong[orbit]].tolist())
     ]

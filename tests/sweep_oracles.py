@@ -81,7 +81,9 @@ def oracle_jordan_types(chart, *args):
     """The per-point types in the arrays `batch.jordan_types` returns, each point its own orbit."""
     points = list(_pointwise_jordan_types(chart, *args))
     values = np.array([element_indices(values) for values, _ in points], dtype=np.int64)
-    return values.reshape(len(points), len(chart.params)), np.arange(len(points)), [jt for _, jt in points]
+    index = {}
+    orbit_type = np.array([-1 if jt is None else index.setdefault(jt, len(index)) for _, jt in points], dtype=np.intp)
+    return values.reshape(len(points), len(chart.params)), np.arange(len(points)), orbit_type, list(index)
 
 
 def oracle_closed_check(chart, e, a, field, variant, budget, seed, samples, polys):

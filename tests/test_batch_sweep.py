@@ -248,6 +248,47 @@ def test_invalid_charts_raise_alike(chart, text, opts):
     assert batched == pointwise and isinstance(batched, tuple)
 
 
+@st.composite
+def partly_invalid_sweeps(draw):
+    """A custom `gl` chart whose templates give tuples that are not p-nilpotent, or do not
+    commute, at some points and valid tuples at others (the zero tuple at least, unless a
+    template has a constant), a module over it, GF(p) or GF(p^n), and sweep options, exhaustive
+    or sampled."""
+    p, n = draw(st.sampled_from([(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)]))
+    field = GF(p, n)
+    size, r = draw(st.integers(2, 3)), draw(st.integers(1, 2))
+    params = ["a", "b", "c"][:draw(st.integers(1, 3))]
+    terms = params + [f"{x}*{y}" for x in params for y in params if x <= y]
+    # strictly upper entries keep a matrix nilpotent; the others, most often zero, may not
+    upper = st.sampled_from(["0"] + terms)
+    lower = st.sampled_from(["0"] * 16 + terms + ["1"])
+    lines = [f"name mixed\nfield GF({p})\nkind gl\nr {r}\nN {size}\nparams " + " ".join(f"{x}:1" for x in params)]
+    for _ in range(r):
+        rows = [" ".join(draw(upper if j > i else lower) for j in range(size)) for i in range(size)]
+        lines.append("template\n" + "\n".join(rows))
+    lines += [f"constraint {c}" for c in draw(st.sampled_from([[], [], [f"{params[-1]}*{params[-1]}-{params[-1]}"]]))]
+    chart = parse_chart("\n".join(lines) + "\n")
+    modules = [f"Std({size})", f"Dual(Std({size}))"] + ["Std(2)*Tw(1,Std(2))"] * (size == 2)
+    e = parse_module_expr(draw(st.sampled_from(modules)))
+    opts = {"variant": draw(st.sampled_from(["full", "exp"]))}
+    if field.order ** len(params) > 125 or draw(st.booleans()):
+        opts.update(budget=1, samples=draw(st.integers(1, 20)), seed=draw(st.integers(0, 99)))
+    return chart, e, field, opts
+
+
+@settings(SETTINGS, max_examples=40)
+@given(partly_invalid_sweeps(), st.data())
+def test_validating_once_per_orbit_raises_as_every_point(sweep, data):
+    # a sweep checks one tuple per weighted scaling orbit, the per-point sweep every tuple:
+    # both raise the first invalid point's error, or give the same reports
+    chart, e, field, opts = sweep
+    batched, oracle = both(tabulate_jt, chart, e, field, **opts)
+    assert canon_table(batched) == canon_table(oracle)
+    a = data.draw(st.sampled_from(all_types_of_dim(field.p, e.dim())))
+    batched, oracle = both(verify_closed_stratum, chart, e, a, field, **opts)
+    assert canon_report(batched) == canon_report(oracle)
+
+
 def test_sampling_failure_and_bad_arguments_raise_alike():
     e = parse_module_expr("Std(2)*Tw(1,Std(2))")
     # no point satisfies the constraint 1 = 0
@@ -281,6 +322,32 @@ def test_bulk_draws_of_field_orders_are_randrange_draws(q):
             bulk, single = random.Random(seed), random.Random(seed)
             draws = batch._randrange(bulk, q, count)
             assert draws.tolist() == [single.randrange(q) for _ in range(count)]
+            assert bulk.getstate() == single.getstate()
+
+
+class _CountedBits(random.Random):
+    """A generator that counts the calls of getrandbits and the bits they ask for."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.bits = self.calls = 0
+
+    def getrandbits(self, k):
+        self.bits += k
+        self.calls += 1
+        return super().getrandbits(k)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 9, 125, 961])
+def test_bulk_draws_ask_only_for_the_words_they_use(q):
+    # randrange(q) asks getrandbits for one 32-bit word a call; the bulk draws may ask
+    # for those words in fewer calls, but for no word more
+    for seed in (0, 3):
+        for count in (0, 1, 7, 1000, 4097):
+            bulk, single = _CountedBits(seed), _CountedBits(seed)
+            draws = batch._randrange(bulk, q, count)
+            assert draws.tolist() == [single.randrange(q) for _ in range(count)]
+            assert bulk.bits <= 32 * single.calls
             assert bulk.getstate() == single.getstate()
 
 

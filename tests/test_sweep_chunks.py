@@ -1,8 +1,9 @@
 """Sweep reports do not depend on how a sweep is cut into chunks.
 
-`batch._Sweep` derives a point chunk (draws, chart evaluation, validation,
-orbit reduction) and an operator chunk (one module walk) from
-`batch.CHUNK_CELLS`; `jordan_types` numbers orbits across the whole sweep.
+`batch._Sweep` derives a point chunk (draws, chart evaluation, orbit
+reduction, validation), an operator chunk (one walk of the type plan's
+leaves) and a chunk of the whole module's walk from `batch.CHUNK_CELLS`;
+`jordan_types` numbers orbits across the whole sweep.
 With CHUNK_CELLS patched down to a few cells every stage runs one or a few
 points at a time, and every report must be byte for byte the default one.
 Also here: the batched GF(p) ranks (`linalg._ranks`) against
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 
 from jtcalc import batch
 from jtcalc import theta as theta_mod
-from jtcalc.errors import ChartError, JTCalcError
+from jtcalc.errors import ChartError, JTCalcError, NotNilpotentError
 from jtcalc.fields import GF
 from jtcalc.jordan import parse_jordan_type
 from jtcalc.linalg import ExactMatrix, _gfp_rref, _Pointwise, _ranks
@@ -40,6 +41,9 @@ CASES = {
     "gf5 exhaustive": (builtin_chart("sl2_line", 5, r=2), parse_module_expr("Std(2)*Tw(1,Std(2))"), GF(5), {}),
     "gf7 sampled": (builtin_chart("upper_glN", 7, r=2, N=3), parse_module_expr("Std(3)*Tw(1,Std(3))"),
                     GF(7), {"budget": 10**4, "samples": 150, "seed": 5}),
+    # a Sym(2,Std(2)) leaf, whose walks take fewer tuples than a point chunk
+    "gf7 sym leaf": (builtin_chart("sl2_line", 7, r=2), parse_module_expr("Sym(2,Std(2))*Tw(1,Std(2))"),
+                     GF(7), {"budget": 10**4, "samples": 300, "seed": 5}),
     "gf9 sl2_line": (builtin_chart("sl2_line", 3, r=1), parse_module_expr("Sym(2,Std(2))*Dual(Std(2))"),
                      GF(3, 2), {}),
     "ga_r explicit": (builtin_chart("ga_r", 3, r=2), parse_module_expr("Sym(2,Explicit(file=chain3))", loader=lambda _: CHAIN3),
@@ -107,10 +111,11 @@ def test_sampling_that_runs_out_raises_alike():
     assert reports == tables
 
 
-def test_no_walk_exceeds_the_operator_chunk():
-    chart, e, field, opts = CASES["gf7 sampled"]
+def _walks(case):
+    """The `_Sweep` of a case, the table of its full operator, and the tuples of each operator
+    walk of the table and then of the closed check of its least generic type."""
+    chart, e, field, opts = CASES[case]
     sweep = batch._Sweep(chart, e, field, "full")
-    assert sweep.point_chunk % sweep.chunk == 0 and sweep.point_chunk > sweep.chunk
     walks = []
     operator = batch._Sweep._operator
 
@@ -120,13 +125,62 @@ def test_no_walk_exceeds_the_operator_chunk():
 
     with mock.patch.object(batch._Sweep, "_operator", counted):
         table = tabulate_jt(chart, e, field, **opts)
-        orbits = sum(walks)
+        orbits = len(walks)
         verify_closed_stratum(chart, e, table.types()[-1], field, **opts)
-    assert max(walks) <= sweep.chunk
+    return sweep, table, walks[:orbits], walks[orbits:]
+
+
+def _assert_walks_within_the_chunk(sweep, table, walks, closed):
+    assert max(walks + closed) <= sweep.chunk
     # the table evaluates each orbit once: fewer tuples than points
-    assert orbits < table.swept - table.zero_count
+    assert sum(walks) < table.swept - table.zero_count
     # the closed check walks the table's orbits again, not every nonzero point
-    assert sum(walks) - orbits == orbits
+    assert sum(closed) == sum(walks)
+
+
+def test_no_walk_exceeds_the_operator_chunk():
+    sweep, table, walks, closed = _walks("gf7 sym leaf")
+    assert sweep.point_chunk % sweep.chunk == 0 and sweep.point_chunk > sweep.chunk
+    _assert_walks_within_the_chunk(sweep, table, walks, closed)
+
+
+def test_leaf_sized_walks_fill_the_point_chunk():
+    # Std(3) leaves: a walk of a point chunk's orbits stays within CHUNK_CELLS, where one of
+    # the whole module would not
+    sweep, table, walks, closed = _walks("gf7 sampled")
+    assert sweep.whole_chunk < sweep.chunk == sweep.point_chunk
+    _assert_walks_within_the_chunk(sweep, table, walks, closed)
+
+
+def test_the_whole_module_walk_keeps_within_chunk_cells():
+    """Where a leaf is not p-nilpotent the whole module is walked, and its stacks, larger than
+    the leaves', are cut anew: no walk holds more cells than CHUNK_CELLS."""
+    chart, e, field = builtin_chart("sl2_line", 5, r=2), parse_module_expr("Std(2)*Tw(1,Std(2))"), GF(5)
+    cells = 384
+    terms = field.p ** (chart.r - 1) + 1
+    rank_rows, curve_operator = batch._rank_rows, batch.curve_operator
+    walks = []
+
+    def leaf_fails(ring, op, report):
+        if ring.dim(op) < e.dim():
+            raise NotNilpotentError("a leaf's message")
+        return rank_rows(ring, op, report)
+
+    def counted(ring, kind, module, variant, mats):
+        walks.append(len(mats[0]))
+        return curve_operator(ring, kind, module, variant, mats)
+
+    want = tabulate_jt(chart, e, field)
+    with mock.patch.object(batch, "CHUNK_CELLS", cells), \
+            mock.patch.object(batch, "_rank_rows", leaf_fails), mock.patch.object(batch, "curve_operator", counted):
+        sweep = batch._Sweep(chart, e, field, "full")
+        got = tabulate_jt(chart, e, field)
+    # the leaves' walks take more tuples than one of the whole module holds within the cells
+    assert sweep.chunk * terms * batch._cells(e) > cells
+    # every nonzero orbit is walked whole, once
+    assert sum(walks) == (batch.jordan_types(chart, e, field, "full", 10**6, 0, 0)[2] >= 0).sum()
+    assert max(walks) * terms * batch._cells(e) * field.n**2 <= cells
+    assert got.to_jsonl_records() == want.to_jsonl_records() and got.swept == want.swept
 
 
 # -- batched ranks ----------------------------------------------------------------------

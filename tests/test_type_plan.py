@@ -100,32 +100,32 @@ CHART = builtin_chart("sl2_line", 5, r=2)
 E = parse_module_expr("Std(2)*Tw(1,Std(2))")
 
 
-def _leaf_fails(jordan_types):
-    """`_jordan_types`, raising for the leaves' 2 x 2 operators as for an operator that is not
+def _leaf_fails(rank_rows):
+    """`_rank_rows`, raising for the leaves' 2 x 2 operators as for an operator that is not
     p-nilpotent."""
 
     def ranked(ring, op, report):
         if ring.dim(op) < E.dim():
             raise NotNilpotentError("a leaf's message")
-        return jordan_types(ring, op, report)
+        return rank_rows(ring, op, report)
 
     return ranked
 
 
 def test_a_leaf_that_is_not_nilpotent_sends_the_chunk_to_the_walk():
     want = tabulate_jt(CHART, E, GF(5))
-    with mock.patch.object(batch, "_jordan_types", _leaf_fails(batch._jordan_types)):
+    with mock.patch.object(batch, "_rank_rows", _leaf_fails(batch._rank_rows)):
         got = tabulate_jt(CHART, E, GF(5))
     assert got.to_jsonl_records() == want.to_jsonl_records() and got.swept == want.swept
 
 
 def test_the_walk_raises_its_own_message():
-    jordan_types = batch._jordan_types
+    rank_rows = batch._rank_rows
 
     def not_nilpotent(ring, kind, e, variant, mats):
         return ring.identity(e.dim())
 
-    with mock.patch.object(batch, "_jordan_types", _leaf_fails(jordan_types)), \
+    with mock.patch.object(batch, "_rank_rows", _leaf_fails(rank_rows)), \
             mock.patch.object(batch, "curve_operator", not_nilpotent):
         with pytest.raises(NotNilpotentError, match="^full operator is not p-nilpotent$"):
             tabulate_jt(CHART, E, GF(5))
