@@ -10,9 +10,9 @@ time:
 * a point is a row of element indices (`FiniteField.from_index`), drawn
   in bulk by a sampled sweep, which asks the generator for exactly the
   words its draws use (`_randrange`); chart templates, constraints and
-  rank-locus minors, compiled once (`_CompiledPolys`), are evaluated at a
-  (P, k) array of points: mod p over GF(p), through the field's log tables
-  over GF(p^n);
+  rank-locus minors, compiled once into exponent and coefficient arrays
+  (`_CompiledPolys`), are evaluated at a (P, k) array of points: mod p
+  over GF(p), through the field's log tables over GF(p^n);
 * a sweep validates each weighted scaling orbit once and evaluates its
   operator once, on the tuple scaled so its first nonzero entry is 1
   (`_orbit_reduce`), and gives each point its orbit (`jordan_types`):
@@ -68,7 +68,7 @@ ring whose stacks hold one coefficient matrix per monomial.
 from __future__ import annotations
 
 import random
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb, isqrt
 
 import numpy as np
@@ -166,46 +166,58 @@ def jordan_types(chart, e, field, variant, budget, seed, samples):
 
 
 class _CompiledPolys:
-    """Polynomials with GF(p) coefficients in k variables, compiled once for evaluation.
-
-    The monomials that occur are listed once, each as its (variable,
-    exponent) factors; each polynomial is a row of (monomial, coefficient)
-    pairs, and of `matrix`.  `at_ints` evaluates at one point of GF(p) ints,
+    """Polynomials with GF(p) coefficients in k variables, compiled once for evaluation: the
+    (monomials, k) exponents `exps` of the monomials that occur, and the (polys, monomials)
+    coefficient matrix `matrix` mod p.  `at_ints` evaluates at one point of GF(p) ints,
     `at_points` at a stack of points over any GF(q), `at_stacks` along a curve.
     """
 
-    def __init__(self, polys, k, p):
-        monomials = {}
-        self.rows = tuple(
-            tuple((monomials.setdefault(exps, len(monomials)), c.coeffs[0]) for exps, c in poly.terms.items())
-            for poly in polys
-        )
-        self.monomials = tuple(tuple((v, k) for v, k in enumerate(exps) if k) for exps in monomials)
-        self.p = p
-        self.exps = np.array(list(monomials), dtype=np.int64).reshape(len(monomials), k)
-        self.occurs = self.exps.T > 0
-        self.matrix = np.zeros((len(self.rows), len(monomials)), dtype=np.int64)
-        for j, row in enumerate(self.rows):
-            for i, c in row:
-                self.matrix[j, i] = c
+    def __init__(self, exps, matrix, p):
+        self.exps, self.matrix, self.p = exps, matrix, p
+
+    @classmethod
+    def from_terms(cls, exps, count, poly, mono, coeffs, p):
+        """count polynomials from their terms: coeffs[i] times monomial exps[mono[i]] in poly[i]."""
+        occurs = np.zeros(len(exps), dtype=bool)
+        occurs[mono] = True
+        matrix = np.zeros((count, int(occurs.sum())), dtype=np.int64)
+        matrix[poly, np.cumsum(occurs)[mono] - 1] = coeffs
+        return cls(exps[occurs], matrix, p)
+
+    @classmethod
+    def from_polys(cls, polys, k, p):
+        """`Polynomial`s compiled, their monomials in the order the terms first meet them."""
+        index = {}
+        terms = [(j, index.setdefault(e, len(index)), c.coeffs[0]) for j, poly in enumerate(polys)
+                 for e, c in poly.terms.items()]
+        exps = np.array(list(index), dtype=np.int64).reshape(len(index), k)
+        return cls.from_terms(exps, len(polys), *np.array(terms, dtype=np.int64).reshape(len(terms), 3).T, p)
+
+    @cached_property
+    def _sparse(self):
+        """Each monomial as its (variable, exponent) factors, and each polynomial as its
+        (monomial, coefficient) pairs: the forms `at_ints` and `at_stacks` read."""
+        return (tuple(tuple((v, k) for v, k in enumerate(exps) if k) for exps in self.exps.tolist()),
+                tuple(tuple((i, c) for i, c in enumerate(row) if c) for row in self.matrix.tolist()))
 
     def at_ints(self, values):
         """Values mod p at a point of GF(p) ints."""
         p = self.p
+        monomials, rows = self._sparse
         mono = []
-        for factors in self.monomials:
+        for factors in monomials:
             m = 1
             for v, k in factors:
                 m *= values[v] ** k
             mono.append(m % p)
-        return [sum(c * mono[i] for i, c in row) % p for row in self.rows]
+        return [sum(c * mono[i] for i, c in row) % p for row in rows]
 
     def at_points(self, field, values):
         """(P, len(polys)) values at a (P, k) stack of points, as element indices both ways.
 
         Evaluated over row blocks that keep within CHUNK_CELLS.
         """
-        step = max(1, CHUNK_CELLS // ((len(self.monomials) + len(self.rows) + 1) * field.n))
+        step = max(1, CHUNK_CELLS // ((len(self.exps) + len(self.matrix) + 1) * field.n))
         if len(values) <= step:
             return self._eval(field, values)
         return np.concatenate([self._eval(field, values[i:i + step]) for i in range(0, len(values), step)])
@@ -216,7 +228,7 @@ class _CompiledPolys:
         log, exp, digits, weights = _log_tables(field)
         logs = log[values] @ self.exps.T % (field.order - 1)
         # a monomial vanishes where a variable it contains does
-        zero = (values == 0) @ self.occurs
+        zero = (values == 0) @ (self.exps.T > 0)
         mono = digits[np.where(zero, 0, exp[logs])]
         return (self.matrix @ mono % self.p) @ weights
 
@@ -227,7 +239,7 @@ class _CompiledPolys:
 
         A value is a GF(p)-linear combination of monomials, and so is its block."""
         mono = []
-        for factors in self.monomials:
+        for factors in self._sparse[0]:
             m = None
             for v, k in factors:
                 for _ in range(k):
@@ -239,7 +251,7 @@ class _CompiledPolys:
         for i, m in enumerate(mono):
             table[i, :len(m)] = m
         flat = self.matrix @ table.reshape(len(mono), length * n * n) % self.p
-        return flat.reshape(len(self.rows), length, n, n)
+        return flat.reshape(len(self.matrix), length, n, n)
 
 
 @lru_cache(maxsize=None)

@@ -23,10 +23,11 @@ GF(p) elimination with a pivot row per matrix (`_ranks`).  Kernels and
 inverses come from the GF(p) reduced echelon form of the regular
 representation (`_gfp_rref`: pivots inverted by Fermat's little theorem,
 one outer-product update per pivot), which is the regular representation
-of the GF(q) reduced form.  Minors, over any ring, are subset-DP
-determinants (`_det_subset_dp`).  A tuple of stacks is checked square,
-p-nilpotent and pairwise commuting by `_first_invalid`, for points,
-sweeps, curves and `Explicit` modules alike.
+of the GF(q) reduced form.  The program's minors come from
+`monomials._Monomials.minors`; `ExactMatrix.minors`, a subset DP over any
+ring (`_det_subset_dp`), is the tests' oracle for them.  A tuple of stacks
+is checked square, p-nilpotent and pairwise commuting by `_first_invalid`,
+for points, sweeps, curves and `Explicit` modules alike.
 
 A matrix over GF(q)[x] is the same block layout with the point axis read
 as the coefficient axis: its (L, rows n, cols n) stack holds the lifted

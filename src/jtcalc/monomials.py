@@ -7,8 +7,8 @@ ring and evaluates them by `batch.curve_operator`: a matrix is a stack of
 integer coefficient matrices, one per monomial of a basis that grows as
 products meet new monomials.  The minors of the operator's powers cut out
 the closed strata.  `_Monomials.minors` takes all minors of one size by a
-subset DP over row prefixes, and the results become `Polynomial`s only at
-the end.
+subset DP over row prefixes, as sparse arrays; only the `minors` report
+turns them into `Polynomial`s (`_polynomial`).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from .batch import CHUNK_CELLS, _Polys
 from .errors import CapExceededError, JTCalcError
-from .fields import FFElement, Polynomial
+from .fields import Polynomial
 from .linalg import _Pointwise
 
 # products of monomial terms one step of `_Monomials.minors` may take: a step's peak memory
@@ -59,8 +59,7 @@ class _Monomials(_Pointwise):
         self._order = np.zeros(1, dtype=np.intp)  # the basis by increasing code
         self._sorted = self.codes
         self._mult = _code_multipliers(k)
-        if self.n == 1:
-            self._residues = [FFElement(self.field, (c,)) for c in range(self.p)]
+        self._elements = tuple(self.field.elements())
 
     def _index(self, codes, exps):
         """Basis indices of the monomials with these codes and (len(codes), k) exponents;
@@ -155,18 +154,16 @@ class _Monomials(_Pointwise):
         data[index, rows, cols] = coords
         return self.lift(data)
 
-    def _polynomial(self, monomials, coords):
-        """The polynomial with these basis monomials and nonzero (len, n) GF(q) coordinates."""
+    def _polynomial(self, monomials, indices):
+        """The polynomial with these basis monomials and nonzero coefficients, by element index
+        (`FiniteField.from_index`)."""
         exps = map(tuple, self.exps[monomials].tolist())
-        if self.n == 1:
-            coeffs = map(self._residues.__getitem__, coords[:, 0].tolist())
-        else:
-            coeffs = (FFElement(self.field, tuple(c)) for c in coords.tolist())
-        return Polynomial(self.poly_ring, dict(zip(exps, coeffs)))
+        return Polynomial(self.poly_ring, dict(zip(exps, map(self._elements.__getitem__, indices.tolist()))))
 
     def minors(self, m, size):
-        """All size x size minors of one (L, k, k) matrix over GF(p), as polynomials, row-major
-        over (row subset, column subset) pairs, the order of `ExactMatrix.minors`.
+        """All size x size minors of one (L, k, k) matrix over GF(p), row-major over (row subset,
+        column subset) pairs, the order of `ExactMatrix.minors`, as the arrays of their sparse
+        (minor, basis monomial, nonzero coefficient) triples, sorted by minor.
 
         One subset DP per row prefix, shared by every row subset with that
         prefix: the state of prefix r_1 < ... < r_i holds the determinant of
@@ -224,8 +221,7 @@ class _Monomials(_Pointwise):
             s_sid, s_mono = np.divmod(key[starts][keep], len(self.codes))
             s_val = sums[keep]
             prefixes = np.concatenate([prefixes[old], row[:, None]], axis=1)
-        bounds = np.searchsorted(s_sid, np.arange(len(prefixes) * comb(k, size) + 1))
-        return [self._polynomial(s_mono[a:b], s_val[a:b, None]) for a, b in zip(bounds[:-1], bounds[1:])]
+        return s_sid, s_mono, s_val
 
 
 @lru_cache(maxsize=None)

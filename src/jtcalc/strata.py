@@ -15,7 +15,7 @@ import itertools
 import random
 import re
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from math import comb
 
 import numpy as np
@@ -74,7 +74,7 @@ class Chart:
     def _compile(self, polys):
         if self.ring.field.n != 1:
             raise ChartError("chart template coefficients live over the prime field")
-        return batch._CompiledPolys(polys, len(self.params), self.p)
+        return batch._CompiledPolys.from_polys(polys, len(self.params), self.p)
 
     @cached_property
     def _compiled_templates(self):
@@ -88,7 +88,7 @@ class Chart:
     def _evaluate(self, compiled, values):
         """(field of the point, the element indices of the compiled polynomials there)."""
         values = list(values)
-        if not compiled.rows:
+        if not len(compiled.matrix):
             # nothing is evaluated, so the point is not checked
             return (values[0].field if values else GF(self.p)), []
         field = self.ring.point_field(values)
@@ -105,18 +105,13 @@ class Chart:
 
     def tuple_at(self, values):
         field, flat = self._evaluate(self._compiled_templates, values)
-        data = batch._coords(field, np.array(flat, dtype=np.int64))
-        mats, start = [], 0
-        for tmpl in self.templates:
-            end = start + tmpl.rows * tmpl.cols
-            block = data[start:end].reshape(tmpl.rows, tmpl.cols, field.n)
-            if self.kind != KIND_GL:
-                block = block[0, 0].reshape(1, 1, field.n)
-            mats.append(ExactMatrix.from_coords(field, block))
-            start = end
+        mats = batch._coords(field, np.array(flat, dtype=np.int64)).reshape(self.r, self.size, self.size, field.n)
+        if self.kind != KIND_GL:
+            mats = mats[:, :1, :1]
+        mats = tuple(ExactMatrix.from_coords(field, m) for m in mats)
         if self.kind == KIND_GL:
             return CommutingTuple.gl(mats)
-        return CommutingTuple(self.kind, field, len(mats), 1, tuple(mats))
+        return CommutingTuple(self.kind, field, len(mats), 1, mats)
 
     def to_text(self):
         lines = [
@@ -358,7 +353,13 @@ class StrataTable:
 
 
 def _serialize_values(field, values):
-    return [str(field.from_index(i)) for i in values]
+    return list(map(_element_texts(field).__getitem__, values))
+
+
+@lru_cache(maxsize=None)
+def _element_texts(field):
+    """The text of each element of the field, by index (`FiniteField.from_index`)."""
+    return tuple(map(str, field.elements()))
 
 
 def tabulate_jt(chart, e, field, variant="full", budget=EXHAUSTIVE_DEFAULT_BUDGET,
@@ -405,11 +406,14 @@ def tabulate_jt(chart, e, field, variant="full", budget=EXHAUSTIVE_DEFAULT_BUDGE
 
 def rank_locus_minors(chart, e, variant, j, d):
     """Generators of the j-th power rank <= d locus: all (d+1)-minors of theta^j."""
-    return _rank_loci(chart, e, [(j, d)], _theta_powers(chart, e, variant))
+    ring, count, (sid, mono, val) = _rank_loci(chart, e, [(j, d)], _theta_powers(chart, e, variant))
+    bounds = np.searchsorted(sid, np.arange(count + 1))
+    return [ring._polynomial(mono[a:b], val[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def _rank_loci(chart, e, bounds, power):
-    """The minors of `rank_locus_minors` for each (j, d) of bounds, one list after the other.
+    """The count minors of `rank_locus_minors` for each (j, d) of bounds, one bound after the
+    other, as (ring, count, triples of `_Monomials.minors`); ring is None when there are none.
 
     Every bound is checked, and the minors are counted (`_minor_count`),
     before `power(j)`, which gives (ring, theta^j), is called; it is called
@@ -426,12 +430,14 @@ def _rank_loci(chart, e, bounds, power):
     count = sum(_minor_count(m, d + 1) for _, d in bounds)
     if count > MINORS_CAP:
         raise CapExceededError(f"{count} rank-locus minors exceed cap {MINORS_CAP}")
-    polys = []
+    ring, count, minors = None, 0, [np.zeros(0, dtype=np.intp)] * 3
     for j, d in bounds:
         if d < m:
             ring, op = power(j)
-            polys += ring.minors(op, d + 1)
-    return polys
+            sid, mono, val = ring.minors(op, d + 1)
+            minors = [np.concatenate(pair) for pair in zip(minors, (sid + count, mono, val))]
+            count += comb(m, d + 1) ** 2
+    return ring, count, minors
 
 
 def _minor_count(m, size):
@@ -508,13 +514,15 @@ def verify_closed_stratum(chart, e, a, field, variant="full",
     if a.dim != m:
         raise ChartError("stratum type dimension differs from the module dimension")
     power = _theta_powers(chart, e, variant)
-    polys = _rank_loci(chart, e, [(s, jt_rank(a, s)) for s in range(1, chart.p)], power)
-    checked, mismatches = _closed_check(chart, e, a, field, variant, budget, seed, samples, polys)
+    ring, count, (sid, mono, val) = _rank_loci(chart, e, [(s, jt_rank(a, s)) for s in range(1, chart.p)], power)
+    exps = ring.exps if count else np.zeros((0, len(chart.params)), dtype=np.int64)
+    minors = batch._CompiledPolys.from_terms(exps, count, sid, mono, val, chart.p)
+    checked, mismatches = _closed_check(chart, e, a, field, variant, budget, seed, samples, minors)
     return ClosedStratumReport(chart.name, a.to_text(), variant, checked, mismatches)
 
 
-def _closed_check(chart, e, a, field, variant, budget, seed, samples, polys):
-    """(checked, mismatches) of `verify_closed_stratum` for the minors polys.
+def _closed_check(chart, e, a, field, variant, budget, seed, samples, minors):
+    """(checked, mismatches) of `verify_closed_stratum` for the compiled minors.
 
     Each orbit's minors are evaluated at its first swept point, and its
     answer (in the down-set of a, minors vanish) is broadcast to its points.
@@ -523,7 +531,6 @@ def _closed_check(chart, e, a, field, variant, budget, seed, samples, polys):
     # orbits are numbered as the sweep meets them: orbit j first appears where the running
     # maximum of the numbers reaches j
     first = np.flatnonzero(np.diff(np.maximum.accumulate(orbit), prepend=-1))
-    minors = batch._CompiledPolys(polys, len(chart.params), field.p)
     vanish = ~minors.at_points(field, values[first]).any(axis=1)
     # the zero orbit's number, -1, reads the padding entry
     below = np.array([dominance_leq(jt, a) for jt in types] + [False], dtype=bool)[orbit_type]
@@ -569,7 +576,7 @@ class Curve:
                 raise ChartError(f"the value for parameter {v!r} is not a polynomial in one variable")
         object.__setattr__(self, "_coefficients", self._read_coefficients())
         compiled = self.chart._compiled_constraints
-        if compiled.rows and self._substitute(compiled).any():
+        if len(compiled.matrix) and self._substitute(compiled).any():
             raise ChartError("curve violates a chart constraint identically in t")
 
     @property
@@ -598,7 +605,7 @@ class Curve:
         """The (len(polys), S, n, n) stacks of the compiled polynomials along the curve: each
         parameter they use enters as the lifted (degree + 1, n, n) stack of its coordinates."""
         ring, coeffs = self._ring, self._coefficients
-        used = np.flatnonzero(compiled.occurs.any(axis=1)).tolist()
+        used = np.flatnonzero(compiled.exps.any(axis=0)).tolist()
         stacks = {v: ring.lift(coeffs[v][:, None, None]) for v in used}
         return compiled.at_stacks(ring, stacks)
 

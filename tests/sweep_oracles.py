@@ -5,7 +5,8 @@ the per-point sweep code that `strata` ran for every sweep other than a
 `gl` chart over GF(p), unchanged: points come from `enumerate_points`, each
 tuple from `Chart.tuple_at`, and `jt_at_point` runs per point (per orbit
 for tables); a closed stratum's minors are evaluated at every point by
-`Polynomial.evaluate`.  Under `pointwise()` they stand in for
+`Polynomial.evaluate`, read back from their compiled arrays
+(`compiled_polynomials`).  Under `pointwise()` they stand in for
 `batch.jordan_types` and `strata._closed_check`, so that `tabulate_jt` and
 `verify_closed_stratum` build their reports from them.
 """
@@ -17,7 +18,7 @@ import numpy as np
 
 from jtcalc import batch, strata
 from jtcalc.errors import JTCalcError
-from jtcalc.fields import FiniteField
+from jtcalc.fields import FiniteField, Polynomial
 from jtcalc.jordan import dominance_leq
 from jtcalc.strata import enumerate_points
 from jtcalc.theta import KIND_MULTI_GA, jt_at_point, scale_tuple
@@ -86,8 +87,21 @@ def oracle_jordan_types(chart, *args):
     return values.reshape(len(points), len(chart.params)), np.arange(len(points)), orbit_type, list(index)
 
 
-def oracle_closed_check(chart, e, a, field, variant, budget, seed, samples, polys):
-    """(checked, mismatches) of `verify_closed_stratum`, point by point."""
+def compiled_polynomials(ring, compiled):
+    """The `Polynomial`s over the `PolyRing` ring of `batch._CompiledPolys` polynomials, in order."""
+    exps = list(map(tuple, compiled.exps.tolist()))
+    return [Polynomial(ring, {exps[i]: ring.field.from_int(c) for i, c in enumerate(row)})
+            for row in compiled.matrix.tolist()]
+
+
+def dropped_polys(compiled, count):
+    """The compiled polynomials without the first count of them."""
+    return batch._CompiledPolys(compiled.exps, compiled.matrix[count:], compiled.p)
+
+
+def oracle_closed_check(chart, e, a, field, variant, budget, seed, samples, minors):
+    """(checked, mismatches) of `verify_closed_stratum`, point by point, for the compiled minors."""
+    polys = compiled_polynomials(chart.ring, minors)
     checked, mismatches = 0, []
     for values, jt, vanish in _pointwise_closed_points(chart, e, field, variant, budget, seed, samples, polys):
         checked += 1

@@ -32,7 +32,7 @@ from jtcalc.modules import (
     parse_module_expr,
 )
 from jtcalc.strata import builtin_chart, parse_chart, rank_locus_minors, tabulate_jt, verify_closed_stratum
-from sweep_oracles import _pointwise_closed_points, oracle_closed_check, pointwise
+from sweep_oracles import _pointwise_closed_points, dropped_polys, oracle_closed_check, pointwise
 
 SETTINGS = settings(max_examples=30, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
@@ -472,7 +472,8 @@ def test_forced_mismatches_list_every_point(case, variant, monkeypatch):
     assert dropped
     reports = []
     for check in (strata._closed_check, oracle_closed_check):
-        monkeypatch.setattr(strata, "_closed_check", lambda *args, check=check: check(*args[:-1], args[-1][dropped:]))
+        monkeypatch.setattr(strata, "_closed_check",
+                            lambda *args, check=check: check(*args[:-1], dropped_polys(args[-1], dropped)))
         reports.append(verify_closed_stratum(chart, e, a, F9, variant, **opts))
     batched, oracle = reports
     assert batched.mismatches and canon_report(batched) == canon_report(oracle)

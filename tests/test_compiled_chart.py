@@ -156,11 +156,11 @@ def test_at_points_matches_polynomial_evaluate_over_prime_fields(case, step):
     """`_CompiledPolys.at_points` over GF(p), on the log tables, in one row block and in
     blocks of `step` points."""
     field, k, polys, values = case
-    compiled = batch._CompiledPolys(polys, k, field.p)
+    compiled = batch._CompiledPolys.from_polys(polys, k, field.p)
     want = [[poly.evaluate([field.from_int(v) for v in point]).coeffs[0] for poly in polys]
             for point in values.tolist()]
     assert compiled.at_points(field, values).tolist() == want
-    cells = (len(compiled.monomials) + len(compiled.rows) + 1) * step
+    cells = (len(compiled.exps) + len(compiled.matrix) + 1) * step
     with mock.patch.object(batch, "CHUNK_CELLS", cells):
         assert compiled.at_points(field, values).tolist() == want
 

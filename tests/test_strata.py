@@ -28,7 +28,7 @@ from jtcalc.strata import (
     verify_closed_stratum,
 )
 from jtcalc.theta import CommutingTuple, jt_at_point, jt_power_at_point, scale_tuple, theta_full
-from sweep_oracles import orbit_reduce
+from sweep_oracles import compiled_polynomials, orbit_reduce
 
 F3 = GF(3)
 J = JordanType.from_blocks
@@ -212,14 +212,14 @@ def _count_theta_builds(monkeypatch):
 
 
 def _closed_minors(monkeypatch, *args, **kwargs):
-    """The minors `verify_closed_stratum` checks the sweep with, and its report."""
+    """The minors `verify_closed_stratum` checks the sweep with, as `Polynomial`s, and its report."""
     from jtcalc import strata
 
     seen = []
     check = strata._closed_check
     monkeypatch.setattr(strata, "_closed_check", lambda *a: seen.append(a[-1]) or check(*a))
     report = verify_closed_stratum(*args, **kwargs)
-    return seen[0], report
+    return compiled_polynomials(args[0].ring, seen[0]), report
 
 
 @pytest.mark.parametrize("variant", ["full", "exp"])
@@ -264,6 +264,46 @@ def test_closed_stratum_checks_come_before_theta(monkeypatch):
     empty = Ext(3, Std(2))
     assert verify_closed_stratum(chart, empty, J(3, []), F3).ok
     assert not builds
+
+
+def test_closed_stratum_without_minors_counts_every_point_as_vanishing(monkeypatch):
+    """Only a zero-dimensional module has d >= m for every bound: no minors are taken, and
+    every point counts as vanishing."""
+    from jtcalc import strata
+
+    chart = builtin_chart("sl2_line", 3, r=1)
+    empty = Ext(3, Std(2))
+    seen = []
+    check = strata._closed_check
+    monkeypatch.setattr(strata, "_closed_check", lambda *a: seen.append(a[-1]) or check(*a))
+    report = verify_closed_stratum(chart, empty, J(3, []), F3)
+    minors, = seen
+    assert minors.matrix.shape == (0, 0) and minors.exps.shape == (0, len(chart.params))
+    table = tabulate_jt(chart, empty, F3)
+    assert report.ok and report.checked == table.swept - table.zero_count > 0
+    # against the down-set of the zero type, every nonzero point of Std(2) is then a mismatch
+    # whose minors vanish
+    checked, mismatches = check(chart, Std(2), J(3, [1, 1]), F3, "full", 10**6, 0, 10**4, minors)
+    assert checked == report.checked and len(mismatches) == checked
+    assert all(m["minors_vanish"] and not m["in_downset"] for m in mismatches)
+
+
+def test_closed_stratum_builds_no_polynomial(monkeypatch):
+    """`verify_closed_stratum` compiles the minors from the monomial arrays: only
+    `rank_locus_minors` turns them into `Polynomial`s."""
+    from jtcalc import monomials
+
+    def refuse(*args):
+        raise AssertionError("a minor became a Polynomial")
+
+    chart = builtin_chart("sl2_line", 3, r=2)
+    mod = Tensor(Std(2), Twist(1, Std(2)))
+    want = verify_closed_stratum(chart, mod, parse_jordan_type("[3]+[1]", 3), F3)
+    monkeypatch.setattr(monomials._Monomials, "_polynomial", refuse)
+    assert verify_closed_stratum(chart, mod, parse_jordan_type("[3]+[1]", 3), F3) == want
+    assert want.ok and want.checked
+    with pytest.raises(AssertionError, match="became a Polynomial"):
+        rank_locus_minors(chart, mod, "full", 1, 1)
 
 
 def test_continuity_downsets_are_determinantally_closed():

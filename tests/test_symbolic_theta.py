@@ -10,6 +10,7 @@ entry, the generators as strings and in order, and an error by its type
 and message.
 """
 
+from math import comb
 from pathlib import Path
 
 import numpy as np
@@ -18,8 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import theta_oracles as oracle
+from sweep_oracles import element_indices
 from test_poly_kernel import explicit_leaves, modules
-from jtcalc import monomials
+from jtcalc import batch, monomials
 from jtcalc.cli import main
 from jtcalc.errors import DomainMismatchError, JTCalcError
 from jtcalc.fields import GF, PolyRing
@@ -54,14 +56,37 @@ def _outcome(call):
         return type(exc), str(exc)
 
 
+def _once(build):
+    """A call of build, made on the first call only: each call returns its value, or raises
+    again what it raised."""
+    done = []
+
+    def call():
+        if not done:
+            try:
+                done.append((build(), None))
+            except Exception as exc:
+                done.append((None, exc))
+        value, exc = done[0]
+        if exc is not None:
+            raise exc
+        return value
+
+    return call
+
+
 def assert_theta_matches(chart, e, variant):
-    want = _outcome(lambda: oracle.theta_variant(e, oracle.chart_point(chart), variant))
+    """The operators of both routes agree; returns the oracle's operator, built once, for
+    `assert_minors_match`."""
+    theta = _once(lambda: oracle.theta_variant(e, oracle.chart_point(chart), variant))
+    want = _outcome(theta)
     got = _outcome(lambda: oracle.symbolic_theta(chart, e, variant))
     assert got == want
+    return theta
 
 
-def assert_minors_match(chart, e, variant, j, d):
-    want = _outcome(lambda: [str(g) for g in oracle.rank_locus_minors(chart, e, variant, j, d)])
+def assert_minors_match(chart, e, variant, j, d, theta):
+    want = _outcome(lambda: [str(g) for g in oracle.rank_locus_minors(chart, e, variant, j, d, theta)])
     got = _outcome(lambda: [str(g) for g in rank_locus_minors(chart, e, variant, j, d)])
     assert got == want
 
@@ -71,9 +96,9 @@ def assert_minors_match(chart, e, variant, j, d):
 def test_loci_minors_match_object_route(name, p, kw, module, pairs, variant):
     chart = builtin_chart(name, p, **kw)
     e = parse_module_expr(module)
-    assert_theta_matches(chart, e, variant)
+    theta = assert_theta_matches(chart, e, variant)
     for j, d in pairs:
-        assert_minors_match(chart, e, variant, j, d)
+        assert_minors_match(chart, e, variant, j, d, theta)
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -90,6 +115,20 @@ for _variant in ("full", "exp"):
     for _j, _d in ((1, 2), (2, 1)):
         GOLDENS[f"minors_sl2_line_gf3_{_variant}_j{_j}_d{_d}.jsonl"] = [
             "minors", *SL2, "--variant", _variant, "--j", str(_j), "--d", str(_d)]
+# recorded before the minors went straight from the monomial arrays to the closed check
+GOLDENS.update({
+    "closed_sl2_line_gf3_r3_exp.jsonl": ["closed", "--p", "3", "--chart", "sl2_line", "--r", "3", "--module",
+                                         "Std(2)*Tw(1,Std(2))*Tw(2,Std(2))", "--variant", "exp", "--type", "4[2]"],
+    "closed_sl2_line_gf5_sampled.jsonl": ["closed", "--p", "5", "--chart", "sl2_line", "--r", "2", "--module",
+                                          "Std(2)*Tw(1,Std(2))", "--type", "[3]+[1]", "--budget", "100",
+                                          "--samples", "400", "--seed", "3"],
+    "closed_upper_glN_gf9_dual.jsonl": ["closed", "--field", "GF(9)", "--chart", "upper_glN", "--N", "3", "--r", "1",
+                                        "--module", "Dual(Std(3))", "--type", "[2]+[1]", "--budget", "100",
+                                        "--samples", "300", "--seed", "2"],
+    # at r = 3 the exp and full minors differ
+    "minors_sl2_line_gf3_r3_exp_j2_d1.jsonl": ["minors", "--p", "3", "--chart", "sl2_line", "--r", "3", "--module",
+                                               "Dual(Std(2))*Std(2)", "--variant", "exp", "--j", "2", "--d", "1"],
+})
 
 
 @pytest.mark.parametrize("golden", sorted(GOLDENS))
@@ -112,7 +151,41 @@ def test_minors_dp_matches_exact_minors():
     stack = ring.lift_matrix(matrix)
     assert oracle.monomial_matrix(ring, stack) == matrix
     for size in range(1, 5):
-        assert ring.minors(stack, size) == matrix.minors(size)
+        assert oracle.minor_polynomials(ring, comb(4, size) ** 2, ring.minors(stack, size)) == matrix.minors(size)
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_compiled_minors_match_exact_minors(data):
+    """The minors compiled from the expansion's arrays, as `verify_closed_stratum` checks them,
+    evaluate at GF(p) and GF(p^2) points as the `ExactMatrix.minors` polynomials do, the
+    minors that vanish identically among them."""
+    p = data.draw(st.sampled_from([3, 5]))
+    ring = PolyRing(GF(p), ("x", "y"))
+    x, y = ring.var("x"), ring.var("y")
+    entries = [x, y, x * y, x * x, ring.one(), ring.zero()]
+    n = data.draw(st.integers(1, 4))
+    coefficients = st.lists(st.integers(0, p - 1), min_size=len(entries), max_size=len(entries))
+    rows = [[sum((entries[k] * c for k, c in enumerate(data.draw(coefficients))), ring.zero())
+             for _ in range(n)] for _ in range(n)]
+    if data.draw(st.booleans()):
+        # every minor through this row vanishes identically
+        rows[data.draw(st.integers(0, n - 1))] = [ring.zero()] * n
+    matrix = ExactMatrix.from_rows(ring, rows)
+    mono = monomials._Monomials(ring)
+    stack = mono.lift_matrix(matrix)
+    for field in (GF(p), GF(p, 2)):
+        points = data.draw(st.lists(st.lists(st.integers(0, field.order - 1), min_size=2, max_size=2),
+                                    min_size=1, max_size=6))
+        elements = [[field.from_index(i) for i in point] for point in points]
+        for size in range(1, n + 1):
+            count = comb(n, size) ** 2
+            minors = mono.minors(stack, size)
+            compiled = batch._CompiledPolys.from_terms(mono.exps, count, *minors, p)
+            want = [element_indices([g.evaluate(point) for g in matrix.minors(size)]) for point in elements]
+            assert compiled.at_points(field, np.array(points)).tolist() == want
+            if field.n == 1:
+                assert [compiled.at_ints(point) for point in points] == want
 
 
 def test_minors_need_a_prime_field():
@@ -137,11 +210,11 @@ def test_builtin_charts_match_object_route(data):
     leaf = Std(chart.size) if chart.kind == KIND_GL else data.draw(explicit_leaves(GF(p, 2), chart.r))
     e = data.draw(modules(leaf, cap=4 if p == 5 else 6))
     variant = data.draw(st.sampled_from(["full", "exp"]))
-    assert_theta_matches(chart, e, variant)
+    theta = assert_theta_matches(chart, e, variant)
     m = e.dim()
     j = data.draw(st.integers(1, p - 1))
     d = data.draw(st.integers(0, m))
-    assert_minors_match(chart, e, variant, j, d)
+    assert_minors_match(chart, e, variant, j, d, theta)
 
 
 @st.composite
@@ -174,8 +247,9 @@ def test_parsed_charts_match_object_route(data):
     leaf = Std(chart.size) if chart.kind == KIND_GL else data.draw(explicit_leaves(GF(p, 2), chart.r))
     e = data.draw(modules(leaf, depth=1))
     variant = data.draw(st.sampled_from(["full", "exp"]))
-    assert_theta_matches(chart, e, variant)
-    assert_minors_match(chart, e, variant, data.draw(st.integers(1, p - 1)), data.draw(st.integers(0, e.dim())))
+    theta = assert_theta_matches(chart, e, variant)
+    assert_minors_match(chart, e, variant, data.draw(st.integers(1, p - 1)), data.draw(st.integers(0, e.dim())),
+                        theta)
 
 
 @st.composite

@@ -82,8 +82,16 @@ def monomial_matrix(ring, m):
         out.append([])
         for entry in row:
             monomials = np.flatnonzero(entry.any(axis=1))
-            out[-1].append(ring._polynomial(monomials, entry[monomials]))
+            out[-1].append(ring._polynomial(monomials, entry[monomials] @ ring.p ** np.arange(n)))
     return ExactMatrix.from_rows(ring.poly_ring, out)
+
+
+def minor_polynomials(ring, count, minors):
+    """The count minors of `_Monomials.minors` triples as `Polynomial`s, split by minor and
+    converted by `_Monomials._polynomial` as `strata.rank_locus_minors` does."""
+    sid, mono, val = minors
+    bounds = np.searchsorted(sid, np.arange(count + 1))
+    return [ring._polynomial(mono[a:b], val[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def symbolic_theta(chart, e, variant):
@@ -198,8 +206,11 @@ def theta_variant(e, tup, variant):
     return by_variant(variant, theta_full, theta_exp)(e, tup)
 
 
-def rank_locus_minors(chart, e, variant, j, d):
-    """The generators as `rank_locus_minors` computed them: `ExactMatrix.minors` of theta^j."""
+def rank_locus_minors(chart, e, variant, j, d, theta=None):
+    """The generators as `rank_locus_minors` computed them: `ExactMatrix.minors` of theta^j.
+
+    theta() gives the operator, by default `theta_variant` at the chart's templates; a caller
+    that already built it passes it in."""
     m = e.dim()
     if m > SYMBOLIC_DIM_CAP:
         raise CapExceededError(f"symbolic dimension {m} exceeds cap {SYMBOLIC_DIM_CAP}")
@@ -209,4 +220,5 @@ def rank_locus_minors(chart, e, variant, j, d):
         raise JTCalcError(f"rank bound {d} outside 0..{m}")
     if d >= m:
         return []
-    return theta_variant(e, chart_point(chart), variant).pow(j).minors(d + 1)
+    theta = theta or (lambda: theta_variant(e, chart_point(chart), variant))
+    return theta().pow(j).minors(d + 1)
