@@ -31,7 +31,7 @@ time:
   of `modules.power_maps`, which the pointwise path uses too;
 * a sweep finds Jordan types by the module's structure (`_type_plan`,
   built once per module tree, chart kind, variant, p and r, from the
-  point-independent t-supports of `_supports`): direct sums, and tensor
+  point-independent t-supports of `_support`): direct sums, and tensor
   products whose top coefficient is X (x) 1 + 1 (x) Y, split into leaves;
   one walk per chunk, sized from the largest leaf, gives every leaf's
   operator (`_operators`), each leaf is ranked, and each distinct
@@ -86,7 +86,6 @@ from .modules import (
     Tensor,
     Trivial,
     Twist,
-    _contains_dual,
     power_maps,
 )
 
@@ -510,7 +509,6 @@ class _Sweep:
         of `whole_chunk` tuples.
         """
         kind = self.chart.kind
-        _check_pairing(self.e, kind, self.p, self.chart.r)
         report = f"{self.variant} operator is not p-nilpotent"
         ring, ops = self._operator(mats)
         try:
@@ -545,7 +543,7 @@ def _type_plan(e, kind, variant, p, r):
     summands' operators, and that of a tensor product is X (x) 1 + 1 (x) Y,
     X and Y its factors', when the t^D coefficient of the product's series
     has no cross terms: no degrees 0 < i < D of the left factor's support
-    and j of the right's (`_supports`) with i + j = D, for the top degree D
+    and j of the right's (`_support`) with i + j = D, for the top degree D
     of every operator term (`_terms`), the degree-0 coefficients being
     identities.  Then the type is jt_sum or jt_tensor of the factors' types
     (Carlson, Friedlander & Pevtsova, "Modules of constant Jordan type",
@@ -565,29 +563,28 @@ def _type_plan(e, kind, variant, p, r):
     except JTCalcError:
         return (e,), 0
     explicit = [leaf for leaf in e.leaves() if isinstance(leaf, Explicit)]
-    # Std: the degrees of the `_GroupElement` of matrix s, or of the whole tuple
-    supports = [(top, _supports(top, p, range(min(top, p ** (r if s is None else 1) - 1) + 1),
-                                dict.fromkeys(explicit, range(top + 1)))[0]) for top, s in terms]
-
-    def splits(node):
-        if node.left.dim() * node.right.dim() > TENSOR_DIM_CAP:
-            return False
-        for top, support in supports:
-            right = support(node.right)
-            if any(0 < i < top and top - i in right for i in support(node.left)):
-                return False
-        return True
-
+    # each term's `_support` key: Std leaves have the degrees of the `_GroupElement` of matrix s,
+    # or of the whole tuple, Explicit leaves every degree up to top
+    keys = [(top, min(top, p ** (r if s is None else 1) - 1),
+             tuple((leaf, frozenset(range(top + 1))) for leaf in explicit)) for top, s in terms]
     leaves = []
-
-    def plan(node):
-        if isinstance(node, DirectSum) or (isinstance(node, Tensor) and splits(node)):
-            return ("sum" if isinstance(node, DirectSum) else "tensor", plan(node.left), plan(node.right))
-        leaves.append(node)
-        return len(leaves) - 1
-
-    tree = plan(e)
+    tree = _plan(e, p, keys, leaves)
     return tuple(leaves), tree
+
+
+def _plan(node, p, keys, leaves):
+    """The tree of `_type_plan` below node, appending its leaves to leaves in walk order; keys
+    holds the (top, std, explicit) `_support` key of each operator term."""
+    if isinstance(node, Tensor) and node.left.dim() * node.right.dim() <= TENSOR_DIM_CAP:
+        split = not any(0 < i < top and top - i in _support(node.right, top, p, std, explicit)
+                        for top, std, explicit in keys for i in _support(node.left, top, p, std, explicit))
+    else:
+        split = isinstance(node, DirectSum)
+    if split:
+        return ("sum" if isinstance(node, DirectSum) else "tensor",
+                _plan(node.left, p, keys, leaves), _plan(node.right, p, keys, leaves))
+    leaves.append(node)
+    return len(leaves) - 1
 
 
 # the closed form of the Jordan type of each kind of split node
@@ -609,14 +606,10 @@ def _fold(tree, p, dims, ranks):
     """The Jordan type of a module from its type plan's leaves (`_type_plan`): leaf k has
     dimension dims[k] and the ranks of its operator's powers at ranks[k (p-1):(k+1) (p-1)].
     Few combinations of leaf ranks occur, so each is folded once."""
-
-    def fold(node):
-        if isinstance(node, int):
-            return _profile_type(p, dims[node], ranks[node * (p - 1):(node + 1) * (p - 1)])
-        op, left, right = node
-        return _FOLDS[op](fold(left), fold(right))
-
-    return fold(tree)
+    if isinstance(tree, int):
+        return _profile_type(p, dims[tree], ranks[tree * (p - 1):(tree + 1) * (p - 1)])
+    op, left, right = tree
+    return _FOLDS[op](_fold(left, p, dims, ranks), _fold(right, p, dims, ranks))
 
 
 def _randrange(rng, q, count):
@@ -647,8 +640,7 @@ def _cells(e):
         n, ext = e.inner.dim(), isinstance(e, Ext)
         for d in range(2, e.d + 1):
             cells = max(cells, _power_dim(n, d - 1, ext) * n * _power_dim(n, d, ext))
-    kids = [getattr(e, name) for name in ("inner", "left", "right") if hasattr(e, name)]
-    return max([cells] + [_cells(kid) for kid in kids])
+    return max([cells] + [_cells(child) for child in e.children])
 
 
 def _power_dim(n, d, ext):
@@ -909,112 +901,110 @@ def _pair_mul(series, left, right):
     return out
 
 
-def _supports(top, p, std, explicit):
-    """(support, levels) for series mod t^(top+1): support(node) is the set of degrees a
-    node's series can have, from std, those of the Std leaves' series, and explicit[leaf],
-    those of an Explicit leaf's; levels(node) lists the supports of Sym^k (or Ext^k) of a
-    Sym (Ext) node's inner series, k = 1, ..., d.  A tensor product's support is the sums
-    x + y up to top, x and y in its factors' supports.  Supports depend on the node and the
-    leaves' supports alone, not on any point.
+@lru_cache(maxsize=1024)
+def _support(node, top, p, std, explicit):
+    """The degrees a node's series can have mod t^(top+1), as a frozenset: those of the Std
+    leaves' series are 0, ..., std, those of an Explicit leaf's its degrees in explicit, a
+    tuple of (leaf, degrees) pairs.  A tensor product's support is the sums x + y up to top,
+    x and y in its factors' supports.  Supports depend on the node and the leaves' supports
+    alone, not on any point.
     """
-
-    def sums(a, b):
-        return {x + y for x in a for y in b if x + y <= top}
-
-    def support(node):
-        if isinstance(node, Std):
-            return std
-        if isinstance(node, Explicit):
-            return explicit[node]
-        if isinstance(node, Dual):
-            return support(node.inner)
-        if isinstance(node, (Sym, Ext)) and node.d:
-            return levels(node)[-1]
-        if isinstance(node, Tensor):
-            return sums(support(node.left), support(node.right))
-        if isinstance(node, DirectSum):
-            return set(support(node.left)) | set(support(node.right))
-        if isinstance(node, Twist):
-            q = p**node.i
-            return {d * q for d in support(node.inner) if d * q <= top}
-        # Trivial, Sym^0 and Ext^0 are constant; an unknown node raises when walked
-        return {0}
-
-    def levels(node):
-        out = [support(node.inner)]
-        for _ in range(1, node.d):
-            out.append(sums(out[-1], out[0]))
-        return out
-
-    return support, levels
+    key = top, p, std, explicit
+    if isinstance(node, Std):
+        return frozenset(range(std + 1))
+    if isinstance(node, Explicit):
+        return dict(explicit)[node]
+    if isinstance(node, Dual):
+        return _support(node.inner, *key)
+    if isinstance(node, (Sym, Ext)) and node.d:
+        return _levels(node, *key)[-1]
+    if isinstance(node, Tensor):
+        return _sums(_support(node.left, *key), _support(node.right, *key), top)
+    if isinstance(node, DirectSum):
+        return _support(node.left, *key) | _support(node.right, *key)
+    if isinstance(node, Twist):
+        q = p**node.i
+        return frozenset(d * q for d in _support(node.inner, *key) if d * q <= top)
+    # Trivial, Sym^0 and Ext^0 are constant; an unknown node raises when walked
+    return frozenset({0})
 
 
-def _module(series, e, element=None, leaves=None):
-    """The module tree's [g] or [g, g^-1] pair of series at degrees 0 and top, the degrees
-    its operator reads; g^-1 is carried only for Dual.
+@lru_cache(maxsize=1024)
+def _levels(node, top, p, std, explicit):
+    """The supports (`_support`) of Sym^k (or Ext^k) of a Sym (Ext) node's inner series,
+    k = 1, ..., d."""
+    out = [_support(node.inner, top, p, std, explicit)]
+    for _ in range(1, node.d):
+        out.append(_sums(out[-1], out[0], top))
+    return tuple(out)
+
+
+def _sums(a, b, top):
+    return frozenset(x + y for x in a for y in b if x + y <= top)
+
+
+def _module(series, node, want, element, pairs, supports):
+    """The [g] or [g, g^-1] pair of series of a node of the module tree, at least at the
+    degrees of want in its support; g^-1 is carried only for Dual.  The operator reads
+    degrees 0 and top of the root.
 
     Std leaves take the pair of `element` (a `_GroupElement`), Explicit
-    leaves theirs from `leaves`.  Each node is asked for a set of degrees
-    and gives at least those of them in its support (`_supports`), the
-    degrees its series can have: a tensor product, and each level of the
-    Sym/Ext recurrence, asks each factor only for the degrees d - y, y in
-    the other factor's support; Tw(i) asks for d / p^i.  Supports follow
-    from the degrees of the leaves' series and are found only below
-    products.  Every node's series is the identity at degree 0, so a tensor
-    product's degree-0 coefficient is the identity, not a Kronecker product.
+    leaves theirs from `pairs`; supports is (std, explicit), the `_support`
+    key of the leaves' series: the group element's top degree, and each
+    Explicit leaf with the degrees of its series.  A tensor product, and
+    each level of the Sym/Ext recurrence, asks each factor only for the
+    degrees d - y, y in the other factor's support; Tw(i) asks for d / p^i.
+    Every node's series is the identity at degree 0, so a tensor product's
+    degree-0 coefficient is the identity, not a Kronecker product.
     """
-    ring, p = series.ring, series.p
-    width = element.width if element is not None else len(next(iter(leaves.values())))
-    if element is not None:
-        support, levels = _supports(series.top, p, element.degrees, {})
-    else:
-        support, levels = _supports(series.top, p, None, {leaf: pair[0].keys() for leaf, pair in leaves.items()})
-
-    def walk(node, want):
-        if isinstance(node, Std):
-            if node.n != element.dim:
-                raise JTCalcError(f"Std({node.n}) does not match group element size {element.dim}")
-            return element.pair(want)
-        if isinstance(node, Explicit):
-            return leaves[node]
-        if isinstance(node, Trivial):
-            return [{0: ring.identity(node.d)}] * width
-        if isinstance(node, Dual):
-            g, g_inv = walk(node.inner, want)
-            return [series.transpose(g_inv), series.transpose(g)]
-        if isinstance(node, Tensor):
-            left, right = support(node.left), support(node.right)
-            a = walk(node.left, series.shifts(want, right, left))
-            b = walk(node.right, series.shifts(want, left, right))
-            out = [series.kron(x, y, want - {0}) for x, y in zip(a, b)]
-            if 0 in want:
-                one = ring.identity(ring.dim(a[0][0]) * ring.dim(b[0][0]))
-                for g in out:
-                    g[0] = one
-            return out
-        if isinstance(node, DirectSum):
-            return [series.block_diag(a, b) for a, b in zip(walk(node.left, want), walk(node.right, want))]
-        if isinstance(node, (Sym, Ext)):
-            # from level d down: the degrees each level gives, and takes of the level below and
-            # of the inner series
-            sup = levels(node)
-            steps, inner = [], {0}
-            for k in range(node.d, 1, -1):
-                below = series.shifts(want, sup[0], sup[k - 2])
-                right = series.shifts(want, sup[k - 2], sup[0])
-                steps.append((want, below, right))
-                inner |= right
-                want = below
-            if node.d:
-                inner |= want
-            ext = isinstance(node, Ext)
-            return [series.power(a, node.d, ext, steps[::-1]) for a in walk(node.inner, inner)]
-        if isinstance(node, Twist):
-            q = p**node.i
-            return [series.twist(a, node.i) for a in walk(node.inner, {d // q for d in want if d % q == 0})]
-        raise JTCalcError(f"unknown module node {node!r}")
-
-    return walk(e, {0, series.top})
+    ring, p, top = series.ring, series.p, series.top
+    if isinstance(node, Std):
+        if node.n != element.dim:
+            raise JTCalcError(f"Std({node.n}) does not match group element size {element.dim}")
+        return element.pair(want)
+    if isinstance(node, Explicit):
+        return pairs[node]
+    if isinstance(node, Trivial):
+        width = element.width if element is not None else len(next(iter(pairs.values())))
+        return [{0: ring.identity(node.d)}] * width
+    if isinstance(node, Dual):
+        g, g_inv = _module(series, node.inner, want, element, pairs, supports)
+        return [series.transpose(g_inv), series.transpose(g)]
+    if isinstance(node, Tensor):
+        left, right = _support(node.left, top, p, *supports), _support(node.right, top, p, *supports)
+        a = _module(series, node.left, series.shifts(want, right, left), element, pairs, supports)
+        b = _module(series, node.right, series.shifts(want, left, right), element, pairs, supports)
+        out = [series.kron(x, y, want - {0}) for x, y in zip(a, b)]
+        if 0 in want:
+            one = ring.identity(ring.dim(a[0][0]) * ring.dim(b[0][0]))
+            for g in out:
+                g[0] = one
+        return out
+    if isinstance(node, DirectSum):
+        a = _module(series, node.left, want, element, pairs, supports)
+        b = _module(series, node.right, want, element, pairs, supports)
+        return [series.block_diag(x, y) for x, y in zip(a, b)]
+    if isinstance(node, (Sym, Ext)):
+        # from level d down: the degrees each level gives, and takes of the level below and
+        # of the inner series
+        sup = _levels(node, top, p, *supports)
+        steps, inner = [], {0}
+        for k in range(node.d, 1, -1):
+            below = series.shifts(want, sup[0], sup[k - 2])
+            right = series.shifts(want, sup[k - 2], sup[0])
+            steps.append((want, below, right))
+            inner |= right
+            want = below
+        if node.d:
+            inner |= want
+        ext = isinstance(node, Ext)
+        return [series.power(a, node.d, ext, steps[::-1])
+                for a in _module(series, node.inner, inner, element, pairs, supports)]
+    if isinstance(node, Twist):
+        q = p**node.i
+        want = {d // q for d in want if d % q == 0}
+        return [series.twist(a, node.i) for a in _module(series, node.inner, want, element, pairs, supports)]
+    raise JTCalcError(f"unknown module node {node!r}")
 
 
 def _terms(kind, variant, p, r):
@@ -1025,11 +1015,11 @@ def _terms(kind, variant, p, r):
     The full operator is the t^(p^(r-1)) coefficient of e on prod_s exp(t^(p^s) B_s)
     (`ga`: on exp(c) for c = sum_s a_s t^(p^s)); the exponential one sums the t^(p^(r-1-s))
     coefficients of e on exp(t B_s) (`ga`: exp(a_s t)).  A `multi_ga` point has one term of
-    both variants, the t coefficient on the product of exp(t a_i alpha_i), t^p = 0.
+    both variants, the t coefficient on the product of exp(t a_i alpha_i), t^p = 0.  Any
+    other variant raises, on every kind.
     """
-    if kind == KIND_MULTI_GA:
-        return [(1, None)]
-    return by_variant(variant, [(p ** (r - 1), None)], [(p ** (r - 1 - s), s) for s in range(r)])
+    terms = by_variant(variant, [(p ** (r - 1), None)], [(p ** (r - 1 - s), s) for s in range(r)])
+    return [(1, None)] if kind == KIND_MULTI_GA else terms
 
 
 def _leaf_pairs(series, kind, mats, s, leaves, with_inv):
@@ -1062,8 +1052,8 @@ def curve_operator(ring, kind, e, variant, mats):
     stack (S, m n, m n) of its s-coefficients.
 
     mats holds the tuple, one stack of the ring per matrix (1 x 1 for the
-    additive kinds); the module's pairing with the kind is checked by the
-    caller.  Points come as `_Pointwise` stacks, giving the (P, m n, m n)
+    additive kinds); the variant and the module's pairing with the kind are
+    checked by `_operators`.  Points come as `_Pointwise` stacks, giving the (P, m n, m n)
     stack of the operators at the points, and the chart's templates as
     `monomials._Monomials` stacks.  This is `theta_full` or `theta_exp`
     over GF(q)[s], term for term (`_terms`): Std leaves act through the
@@ -1077,22 +1067,32 @@ def _operators(ring, kind, e, variant, mats, nodes):
     """The variant's operator of each subtree in `nodes` of the module tree e, at the tuple
     of stacks mats: what `curve_operator` gives for that subtree.  Each term's group element
     on a `gl` tuple, or its Explicit leaves' series on an additive point, is built once, for
-    e, and every node is walked on it; a term is built after the one before it is walked."""
-    with_inv = _contains_dual(e)
+    e, and every node is walked on it; a term is built after the one before it is walked.
+
+    The one check of what an operator is asked for, in this order: the
+    variant (`_terms`), the module's pairing with the point kind
+    (`_check_pairing`), and Explicit leaves for an additive point.
+    """
+    terms = _terms(kind, variant, ring.p, len(mats))
+    _check_pairing(e, kind, ring.p, len(mats))
+    with_inv = e._has_dual
     leaves = None
     if kind != KIND_GL:
         leaves = {leaf: _explicit_terms(leaf, ring.field) for leaf in e.leaves() if isinstance(leaf, Explicit)}
         if not leaves:
             raise JTCalcError("module evaluation needs a group element or additive point")
     totals = None
-    for top, s in _terms(kind, variant, ring.p, len(mats)):
+    for top, s in terms:
         series = _Series(ring, top)
         if leaves is None:
-            element, pairs = _GroupElement(ring, mats if s is None else [mats[s]], top, with_inv), None
+            element = _GroupElement(ring, mats if s is None else [mats[s]], top, with_inv)
+            pairs, supports = None, (element.degrees[-1], ())
         else:
             element, pairs = None, _leaf_pairs(series, kind, mats, s, leaves, with_inv)
-        terms = [series.coefficient(_module(series, node, element, pairs)[0], top) for node in nodes]
-        totals = terms if totals is None else [ring.reduce(ring.add(a, b)) for a, b in zip(totals, terms)]
+            supports = (None, tuple((leaf, frozenset(pair[0])) for leaf, pair in pairs.items()))
+        ops = [series.coefficient(_module(series, node, {0, top}, element, pairs, supports)[0], top)
+               for node in nodes]
+        totals = ops if totals is None else [ring.reduce(ring.add(a, b)) for a, b in zip(totals, ops)]
     return totals
 
 

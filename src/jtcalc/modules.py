@@ -71,19 +71,22 @@ class ModuleExpr:
     def dim(self):
         raise NotImplementedError
 
+    @cached_property
+    def children(self):
+        """The node's subtrees, left to right: none for a leaf."""
+        return tuple(getattr(self, name) for name in ("inner", "left", "right") if hasattr(self, name))
+
     def leaves(self):
-        yield self
+        """The leaf nodes of the tree, left to right."""
+        if not self.children:
+            yield self
+        for child in self.children:
+            yield from child.leaves()
 
     @cached_property
     def _has_dual(self):
         # nodes are frozen dataclasses holding their children, so this is computed once per node
-        if isinstance(self, Dual):
-            return True
-        if isinstance(self, (Tensor, DirectSum)):
-            return self.left._has_dual or self.right._has_dual
-        if isinstance(self, (Sym, Ext, Twist)):
-            return self.inner._has_dual
-        return False
+        return isinstance(self, Dual) or any(child._has_dual for child in self.children)
 
     def __mul__(self, other):
         return Tensor(self, other)
@@ -124,9 +127,6 @@ class Dual(ModuleExpr):
     def dim(self):
         return self.inner.dim()
 
-    def leaves(self):
-        yield from self.inner.leaves()
-
     def to_text(self):
         return f"Dual({self.inner.to_text()})"
 
@@ -139,10 +139,6 @@ class Tensor(ModuleExpr):
     def dim(self):
         return self.left.dim() * self.right.dim()
 
-    def leaves(self):
-        yield from self.left.leaves()
-        yield from self.right.leaves()
-
     def to_text(self):
         return f"{self.left.to_text()}*{self.right.to_text()}"
 
@@ -154,10 +150,6 @@ class DirectSum(ModuleExpr):
 
     def dim(self):
         return self.left.dim() + self.right.dim()
-
-    def leaves(self):
-        yield from self.left.leaves()
-        yield from self.right.leaves()
 
     def to_text(self):
         return f"{self.left.to_text()}+{self.right.to_text()}"
@@ -178,9 +170,6 @@ class Sym(ModuleExpr):
         n = self.inner.dim()
         return comb(n + self.d - 1, self.d) if self.d > 0 else 1
 
-    def leaves(self):
-        yield from self.inner.leaves()
-
     def to_text(self):
         return f"Sym({self.d},{self.inner.to_text()})"
 
@@ -199,9 +188,6 @@ class Ext(ModuleExpr):
     def dim(self):
         return comb(self.inner.dim(), self.d)
 
-    def leaves(self):
-        yield from self.inner.leaves()
-
     def to_text(self):
         return f"Ext({self.d},{self.inner.to_text()})"
 
@@ -217,9 +203,6 @@ class Twist(ModuleExpr):
 
     def dim(self):
         return self.inner.dim()
-
-    def leaves(self):
-        yield from self.inner.leaves()
 
     def to_text(self):
         return f"Tw({self.i},{self.inner.to_text()})"
@@ -457,11 +440,6 @@ def power_matrix(a, d, ext):
     return out
 
 
-def _contains_dual(e):
-    """Whether the tree has a Dual node (cached on the node)."""
-    return e._has_dual
-
-
 def eval_unipotent(e, gp, explicit_pairs=None):
     """Evaluate the module functor on a unipotent pair.
 
@@ -474,7 +452,7 @@ def eval_unipotent(e, gp, explicit_pairs=None):
     if gp is None and not explicit_pairs:
         raise JTCalcError("module evaluation needs a group element or additive point")
     ring = gp.domain if gp is not None else next(iter(explicit_pairs.values())).domain
-    with_inv = _contains_dual(e)
+    with_inv = e._has_dual
 
     def inv(pair, f):
         if with_inv and pair.g_inv is not None:

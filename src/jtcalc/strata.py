@@ -31,9 +31,7 @@ from .theta import (
     KIND_GL,
     KIND_MULTI_GA,
     CommutingTuple,
-    _check_pairing,
     _typed_operator,
-    by_variant,
     homotopy_ranks,
 )
 
@@ -452,7 +450,7 @@ def _theta_powers(chart, e, variant):
     """power(j) = (ring, theta^j) for `_rank_loci`: theta is built on first use, once, and its
     powers are multiplied up from it.  The variant is checked at once, before any minors are
     known to be needed."""
-    by_variant(variant, None, None)
+    batch.by_variant(variant, None, None)
     powers = []
 
     def power(j):
@@ -475,7 +473,8 @@ def _symbolic_theta(chart, e, variant):
     # imported here, so that only runs that build a symbolic operator compile the module
     from .monomials import _Monomials
 
-    _check_pairing(e, chart.kind, chart.p, chart.r)
+    # nothing before `curve_operator` raises but a collision of monomial codes (`_Monomials._index`),
+    # so it checks the variant and the module's pairing first
     ring = _Monomials(chart.ring)
     mats = chart.templates
     if chart.kind != KIND_GL:
@@ -625,11 +624,10 @@ class Curve:
 
     def operator(self, e, variant):
         """The variant's operator along the curve: the `batch._Polys` stack (S, m n, m n) of its
-        t^0, ..., t^(S-1) coefficients (`batch.curve_operator`)."""
-        chart = self.chart
-        by_variant(variant, None, None)
-        _check_pairing(e, chart.kind, chart.p, chart.r)
-        return batch.curve_operator(self._ring, chart.kind, e, variant, self.tuple_stacks)
+        t^0, ..., t^(S-1) coefficients (`batch.curve_operator`, which checks the variant and the
+        module's pairing).  `tuple_stacks` is built first; on a chart of `parse_chart` or
+        `builtin_chart`, whose templates compile over GF(p), it raises nothing."""
+        return batch.curve_operator(self._ring, self.chart.kind, e, variant, self.tuple_stacks)
 
     def validate(self):
         """Raise what `CommutingTuple` raises for the tuple along the curve unless it is a point

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .batch import KIND_GA, KIND_GL, KIND_MULTI_GA, _check_pairing, by_variant, curve_operator
+from .batch import KIND_GA, KIND_GL, KIND_MULTI_GA, curve_operator
 from .errors import DomainMismatchError, JTCalcError, NotNilpotentError
 from .fields import FiniteField, TruncatedCurveRing
 from .jordan import _jordan_types, jt_power
@@ -210,7 +210,6 @@ def theta_exp(e, tup):
 
 
 def _theta(e, tup, variant):
-    _check_pairing(e, tup.kind, tup.p, tup.height)
     return ExactMatrix._of_stack(tup.domain, _checked_operator(e, tup, variant)[1][None])
 
 
@@ -269,7 +268,6 @@ def _homotopy_family(e, tup, built=None):
         if s_val.is_zero() and t_val.is_zero():
             raise JTCalcError("homotopy parameters (0, 0) are excluded")
         if not ops:
-            _check_pairing(e, tup.kind, tup.p, tup.height)
             ops.extend(built.get(variant) or _checked_operator(e, tup, variant) for variant in ("exp", "full"))
         (ring, exp_op), (_, full_op) = ops
         op = (ring.scale(exp_op, s_val) + ring.scale(full_op, t_val)) % ring.p
@@ -286,14 +284,12 @@ def jt_at_point(e, tup, variant="full"):
     is checked once, by the final vanishing power of its rank profile.  The
     point itself was checked when it was built (`CommutingTuple`).
     """
-    by_variant(variant, None, None)
     return _typed_operator(e, tup, variant)[0]
 
 
 def _typed_operator(e, tup, variant):
     """(Jordan type, ring, operator) of the variant at a point: `jt_at_point`, with
     the operator of the point's one-point stack, checked p-nilpotent."""
-    _check_pairing(e, tup.kind, tup.p, tup.height)
     ring, op = _stack_operator(e, tup, variant)
     return _jordan_types(ring, op[None], f"{variant} operator is not p-nilpotent")[0], ring, op
 

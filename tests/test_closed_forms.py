@@ -14,13 +14,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from jtcalc.batch import by_variant
 from jtcalc.errors import JTCalcError, NotNilpotentError
 from jtcalc.fields import GF
 from jtcalc.jordan import JordanType, all_types_of_dim, jt_of_nilpotent, jt_tensor, realize_nilpotent
 from jtcalc.linalg import ExactMatrix
 from jtcalc.modules import Explicit, Std, Tensor, parse_module_expr
 from jtcalc.strata import builtin_chart
-from jtcalc.theta import CommutingTuple, by_variant, jt_power_at_point, theta_exp, theta_full
+from jtcalc.theta import CommutingTuple, jt_power_at_point, theta_exp, theta_full
 
 SETTINGS = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 

@@ -272,13 +272,15 @@ def test_every_walked_series_is_the_identity_at_degree_zero(ring_kind, case, var
         # each operator term's group element, or Explicit leaf series, with g^-1 for every tree
         series = _Series(ring, top)
         if kind == KIND_GL:
-            element, pairs = _GroupElement(ring, mats if s is None else [mats[s]], top, True), None
+            element = _GroupElement(ring, mats if s is None else [mats[s]], top, True)
+            pairs, key = None, (element.degrees[-1], ())
         elif leaves:
             element, pairs = None, _leaf_pairs(series, kind, mats, s, leaves, True)
+            key = (None, tuple((leaf, frozenset(pair[0])) for leaf, pair in pairs.items()))
         else:
             continue
         for node in _subtrees(e):
-            for g in _module(series, node, element, pairs):
+            for g in _module(series, node, {0, top}, element, pairs, key):
                 assert np.array_equal(g[0], ring.identity(node.dim()))
 
 

@@ -219,6 +219,12 @@ GOLDEN_RUNS = {
                        f"{_module_file('square4.txt')}+Tw(1,{_module_file('chain3.txt')})"],
     "multi_ga_gf9.jsonl": ["strata", "--field", "GF(9)", "--chart", "multi_ga", "--s-lines", "2",
                            "--module", _module_file("square4.txt")],
+    # Explicit trees whose leaves' series have sparse t-supports: a twisted factor, and a Dual
+    "ga_r_gf9_sym_twisted.jsonl": ["strata", "--field", "GF(9)", "--chart", "ga_r", "--r", "2", "--module",
+                                   f"Sym(2,{_module_file('chain3.txt')}*Tw(1,{_module_file('chain3.txt')}))"],
+    "multi_ga_gf3_ext_dual.jsonl": ["strata", "--p", "3", "--chart", "multi_ga", "--s-lines", "2", "--module",
+                                    f"Ext(2,{_module_file('chain3.txt')}+Dual({_module_file('chain3.txt')}))"
+                                    f"*{_module_file('chain3.txt')}"],
     "sl2_line_gf9_r2.jsonl": ["strata", "--field", "GF(9)", "--chart", "sl2_line", "--r", "2",
                               "--module", "Sym(2,Std(2))*Tw(1,Std(2))"],
     "sl2_line_gf25_sampled.jsonl": ["strata", "--field", "GF(25)", "--chart", "sl2_line", "--r", "2",

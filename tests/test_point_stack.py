@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import walk_oracles
 from jtcalc import modules as modules_mod
 from jtcalc import theta as theta_mod
+from jtcalc.batch import _check_pairing
 from jtcalc.errors import JTCalcError
 from jtcalc.fields import GF, TruncatedCurveRing, TruncElement
 from jtcalc.jordan import jt_of_nilpotent
@@ -111,7 +112,7 @@ def oracle_operator(e, tup, variant):
 def coordinate_route_operator(e, tup, variant):
     """The variant's operator as a constant curve of S = 1 `CoordinatePolys` stacks of GF(p^n)
     coordinates."""
-    theta_mod._check_pairing(e, tup.kind, tup.p, tup.height)
+    _check_pairing(e, tup.kind, tup.p, tup.height)
     ring = CoordinatePolys(tup.domain)
     op = walk_oracles.curve_operator(ring, tup.kind, e, variant, [np.array([[[v.coeffs for v in row] for row in m.to_rows()]]) for m in tup.mats])
     return ExactMatrix.from_coords(tup.domain, op[0])

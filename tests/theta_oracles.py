@@ -24,7 +24,6 @@ from jtcalc.fields import TruncElement
 from jtcalc.linalg import ExactMatrix
 from jtcalc.modules import (
     Explicit,
-    _contains_dual,
     eval_ga_point,
     eval_unipotent,
     texp_element,
@@ -134,7 +133,7 @@ def _rho_full(e, tup):
     ring = _trunc_ring(tup)
     if tup.kind == KIND_GL:
         # g^-1 is read only by Dual nodes
-        return eval_unipotent(e, _one_param(tup, _contains_dual(e)))
+        return eval_unipotent(e, _one_param(tup, e._has_dual))
     if tup.kind == KIND_GA:
         c = ga_curve_element(tup)
         pairs = {leaf: eval_ga_point(leaf, c) for leaf in _explicit_leaves(e)}
@@ -160,7 +159,7 @@ def _rho_factor(e, tup, s):
     ring = _trunc_ring(tup)
     if tup.kind == KIND_GL:
         # g^-1 is read only by Dual nodes
-        return eval_unipotent(e, texp_matrix(tup.mats[s], ring, with_inv=_contains_dual(e)))
+        return eval_unipotent(e, texp_matrix(tup.mats[s], ring, with_inv=e._has_dual))
     if tup.kind == KIND_GA:
         a = tup.scalars()[s]
         c = TruncElement(ring, {1: a})

@@ -26,7 +26,6 @@ from jtcalc.modules import (
     Tensor,
     Trivial,
     Twist,
-    _contains_dual,
     power_maps,
 )
 
@@ -222,7 +221,7 @@ def gl_operator(ring, mats, e, variant, with_inv):
 
 def curve_operator(ring, kind, e, variant, mats):
     """`batch.curve_operator` by the unrestricted walk."""
-    with_inv = _contains_dual(e)
+    with_inv = e._has_dual
     if kind == KIND_GL:
         return gl_operator(ring, mats, e, variant, with_inv)
     leaves = {leaf: explicit_terms(leaf, ring) for leaf in e.leaves() if isinstance(leaf, Explicit)}
