@@ -563,13 +563,18 @@ def _type_plan(e, kind, variant, p, r):
     except JTCalcError:
         return (e,), 0
     explicit = [leaf for leaf in e.leaves() if isinstance(leaf, Explicit)]
-    # each term's `_support` key: Std leaves have the degrees of the `_GroupElement` of matrix s,
-    # or of the whole tuple, Explicit leaves every degree up to top
-    keys = [(top, min(top, p ** (r if s is None else 1) - 1),
-             tuple((leaf, frozenset(range(top + 1))) for leaf in explicit)) for top, s in terms]
+    keys = [(top, *_plan_key(p, r, top, s, explicit)) for top, s in terms]
     leaves = []
     tree = _plan(e, p, keys, leaves)
     return tuple(leaves), tree
+
+
+def _plan_key(p, r, top, s, explicit):
+    """The (std, explicit) `_support` key of the operator term (top, s) in a type plan: Std
+    leaves have the degrees of the `_GroupElement` of matrix s, or of the whole tuple, and the
+    Explicit leaves in explicit every degree up to top."""
+    every = frozenset(range(top + 1))
+    return min(top, p ** (r if s is None else 1) - 1), tuple((leaf, every) for leaf in explicit)
 
 
 def _plan(node, p, keys, leaves):
@@ -601,15 +606,18 @@ def _typed(p, tree, dims, rows):
     return np.array(numbers, dtype=np.intp)[combos], list(index)
 
 
-@lru_cache(maxsize=4096)
-def _fold(tree, p, dims, ranks):
+def _fold_tree(tree, p, dims, ranks):
     """The Jordan type of a module from its type plan's leaves (`_type_plan`): leaf k has
-    dimension dims[k] and the ranks of its operator's powers at ranks[k (p-1):(k+1) (p-1)].
-    Few combinations of leaf ranks occur, so each is folded once."""
+    dimension dims[k] and the ranks of its operator's powers at ranks[k (p-1):(k+1) (p-1)]."""
     if isinstance(tree, int):
         return _profile_type(p, dims[tree], ranks[tree * (p - 1):(tree + 1) * (p - 1)])
     op, left, right = tree
-    return _FOLDS[op](_fold(left, p, dims, ranks), _fold(right, p, dims, ranks))
+    return _FOLDS[op](_fold_tree(left, p, dims, ranks), _fold_tree(right, p, dims, ranks))
+
+
+# few combinations of leaf ranks occur, so each is folded once; the subtrees are not cached,
+# since their keys hold the whole combination too
+_fold = lru_cache(maxsize=4096)(_fold_tree)
 
 
 def _randrange(rng, q, count):
@@ -943,17 +951,24 @@ def _sums(a, b, top):
     return frozenset(x + y for x in a for y in b if x + y <= top)
 
 
+def _walk_key(element, pairs):
+    """The (std, explicit) `_support` key of the leaves of a walk (`_module`): the group
+    element's top degree, or each Explicit leaf with the degrees of its series."""
+    if element is not None:
+        return element.degrees[-1], ()
+    return None, tuple((leaf, frozenset(pair[0])) for leaf, pair in pairs.items())
+
+
 def _module(series, node, want, element, pairs, supports):
     """The [g] or [g, g^-1] pair of series of a node of the module tree, at least at the
     degrees of want in its support; g^-1 is carried only for Dual.  The operator reads
     degrees 0 and top of the root.
 
     Std leaves take the pair of `element` (a `_GroupElement`), Explicit
-    leaves theirs from `pairs`; supports is (std, explicit), the `_support`
-    key of the leaves' series: the group element's top degree, and each
-    Explicit leaf with the degrees of its series.  A tensor product, and
-    each level of the Sym/Ext recurrence, asks each factor only for the
-    degrees d - y, y in the other factor's support; Tw(i) asks for d / p^i.
+    leaves theirs from `pairs`; supports is their `_walk_key`.  A tensor
+    product, and each level of the Sym/Ext recurrence, asks each factor only
+    for the degrees d - y, y in the other factor's support; Tw(i) asks for
+    d / p^i.
     Every node's series is the identity at degree 0, so a tensor product's
     degree-0 coefficient is the identity, not a Kronecker product.
     """
@@ -1085,11 +1100,10 @@ def _operators(ring, kind, e, variant, mats, nodes):
     for top, s in terms:
         series = _Series(ring, top)
         if leaves is None:
-            element = _GroupElement(ring, mats if s is None else [mats[s]], top, with_inv)
-            pairs, supports = None, (element.degrees[-1], ())
+            element, pairs = _GroupElement(ring, mats if s is None else [mats[s]], top, with_inv), None
         else:
             element, pairs = None, _leaf_pairs(series, kind, mats, s, leaves, with_inv)
-            supports = (None, tuple((leaf, frozenset(pair[0])) for leaf, pair in pairs.items()))
+        supports = _walk_key(element, pairs)
         ops = [series.coefficient(_module(series, node, {0, top}, element, pairs, supports)[0], top)
                for node in nodes]
         totals = ops if totals is None else [ring.reduce(ring.add(a, b)) for a, b in zip(totals, ops)]

@@ -560,7 +560,8 @@ class Curve:
     once to its `batch._Polys` stack: the regular-representation blocks of
     its t-coefficients, the one layout of the operator along the curve.
     The constraints are substituted once, here, and the templates when the
-    curve is first checked.
+    curve is first checked.  A curve over a field of another characteristic
+    than its chart's is refused, as `enumerate_points` refuses such a field.
     """
 
     chart: Chart
@@ -573,6 +574,8 @@ class Curve:
                 raise ChartError(f"curve misses a value for parameter {v!r}")
             if len(self.substitution[v].ring.variables) != 1:
                 raise ChartError(f"the value for parameter {v!r} is not a polynomial in one variable")
+        if self.field.p != self.chart.p:
+            raise ChartError("field characteristic differs from the chart's")
         object.__setattr__(self, "_coefficients", self._read_coefficients())
         compiled = self.chart._compiled_constraints
         if len(compiled.matrix) and self._substitute(compiled).any():

@@ -297,6 +297,30 @@ def test_malformed_explicit_files_name_the_line(tmp_path):
                     "--point", "1"])[0] == 0
 
 
+def test_a_curve_of_another_characteristic_than_its_chart_is_refused(tmp_path):
+    # a GF(5) curve on a GF(3) chart: refused where it is built, whatever the module, before the
+    # templates compiled mod 3 meet an operator reduced mod 5
+    ga_chart, gl_chart = tmp_path / "ga.txt", tmp_path / "gl.txt"
+    ga_chart.write_text("name g\nfield GF(3)\nkind ga\nr 1\nN 1\nparams a0\ntemplate\na0\n")
+    gl_chart.write_text(CHART)
+    (tmp_path / "ga_curve.txt").write_text("a0=1,1\n")
+    (tmp_path / "gl_curve.txt").write_text("a=4,1\n")
+    modules = {}
+    for p in (3, 5):
+        modules[p] = tmp_path / f"gf{p}.txt"
+        modules[p].write_text(EXPLICIT.replace("GF(3)", f"GF({p})"))
+    cases = [(ga_chart, "ga_curve", f"Explicit(file={modules[p]})") for p in (3, 5)]
+    cases += [(gl_chart, "gl_curve", text) for text in ("Std(2)*Std(2)", "Std(3)")]
+    for chart, curve, module in cases:
+        code, _, err = run_cli(["semicont", "--p", "5", "--chart-file", str(chart),
+                                "--curve-file", str(tmp_path / f"{curve}.txt"), "--module", module])
+        assert code == 2 and "error: field characteristic differs from the chart's\n" in err, err
+    # over the chart's own field the Explicit curve is checked
+    args = ["semicont", "--p", "3", "--chart-file", str(ga_chart), "--curve-file", str(tmp_path / "ga_curve.txt"),
+            "--module", f"Explicit(file={modules[3]})"]
+    assert run_cli(args)[0] == 0
+
+
 def _tuple_file_jt(path, *options):
     return run_cli(["jt", *options, "--module", "Std(2)*Tw(1,Std(2))", "--tuple-file", str(path),
                     "--format", "jsonl"])

@@ -29,6 +29,7 @@ from jtcalc.batch import (
     _Polys,
     _Series,
     _terms,
+    _walk_key,
     curve_operator,
 )
 from jtcalc.errors import JTCalcError
@@ -272,15 +273,13 @@ def test_every_walked_series_is_the_identity_at_degree_zero(ring_kind, case, var
         # each operator term's group element, or Explicit leaf series, with g^-1 for every tree
         series = _Series(ring, top)
         if kind == KIND_GL:
-            element = _GroupElement(ring, mats if s is None else [mats[s]], top, True)
-            pairs, key = None, (element.degrees[-1], ())
+            element, pairs = _GroupElement(ring, mats if s is None else [mats[s]], top, True), None
         elif leaves:
             element, pairs = None, _leaf_pairs(series, kind, mats, s, leaves, True)
-            key = (None, tuple((leaf, frozenset(pair[0])) for leaf, pair in pairs.items()))
         else:
             continue
         for node in _subtrees(e):
-            for g in _module(series, node, {0, top}, element, pairs, key):
+            for g in _module(series, node, {0, top}, element, pairs, _walk_key(element, pairs)):
                 assert np.array_equal(g[0], ring.identity(node.dim()))
 
 

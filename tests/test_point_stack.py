@@ -163,11 +163,13 @@ def explicit_leaves(draw, field, height):
 
 @st.composite
 def module_trees(draw, leaf, depth=2, cap=8):
-    """A module tree over the leaf with every node kind; trees above `cap` dimensions become the leaf."""
+    """A module tree with every node kind over the leaf, or over leaves drawn from it where it is
+    a strategy; trees above `cap` dimensions become a leaf."""
     kind = draw(st.sampled_from(NODE_KINDS if depth else ["leaf"]))
     inner = lambda: draw(module_trees(leaf, depth - 1, cap))  # noqa: E731
+    a_leaf = (lambda: draw(leaf)) if isinstance(leaf, st.SearchStrategy) else (lambda: leaf)  # noqa: E731
     if kind == "leaf":
-        e = leaf
+        e = a_leaf()
     elif kind == "trivial":
         e = Trivial(draw(st.integers(1, 2)))
     elif kind == "dual":
@@ -182,7 +184,7 @@ def module_trees(draw, leaf, depth=2, cap=8):
         e = Ext(draw(st.integers(0, 2)), inner())
     else:
         e = Twist(draw(st.integers(0, 2)), inner())
-    return e if e.dim() <= cap else leaf
+    return e if e.dim() <= cap else a_leaf()
 
 
 @st.composite

@@ -347,6 +347,9 @@ def test_semicontinuity_cases():
     # constraint-violating substitution is rejected
     with pytest.raises(ChartError):
         curve_from_coeffs(chart, F3, {"a": [1], "b": [1], "c": [1], "l0": [1], "l1": [1]})
+    # so is a curve over a field of another characteristic than the chart's
+    with pytest.raises(ChartError, match="field characteristic differs from the chart's"):
+        curve_from_coeffs(chart, GF(5), {"b": [1], "l0": [0, 1], "l1": [1]})
 
 
 def test_builtin_curves_satisfy_constraints():

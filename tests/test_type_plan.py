@@ -91,6 +91,10 @@ def test_an_unknown_variant_is_left_to_the_walk():
     chart = builtin_chart("sl2_line", 3, r=2)
     with pytest.raises(JTCalcError, match="unknown operator variant 'bogus'"):
         tabulate_jt(chart, parse_module_expr("Std(2)*Tw(1,Std(2))"), GF(3), "bogus")
+    # on a multi_ga chart too, whose operator has one term for every known variant
+    multi = builtin_chart("multi_ga", 3, s=2)
+    with pytest.raises(JTCalcError, match="unknown operator variant 'bogus'"):
+        tabulate_jt(multi, Tensor(CHAIN3, CHAIN3), GF(3), "bogus")
 
 
 # -- leaves that are not p-nilpotent --------------------------------------------------------------

@@ -26,38 +26,20 @@ from jtcalc.batch import (
     _leaf_pairs,
     _levels,
     _module,
+    _plan_key,
     _Series,
     _support,
     _terms,
+    _walk_key,
 )
 from jtcalc.fields import GF
-from jtcalc.modules import DirectSum, Dual, Explicit, Ext, Std, Sym, Tensor, Trivial, Twist, parse_module_expr
+from jtcalc.modules import DirectSum, Dual, Explicit, Ext, Std, Sym, Tensor, Twist, parse_module_expr
 from jtcalc.strata import builtin_chart, builtin_curves, rank_locus_minors, semicontinuity_check, tabulate_jt
 from jtcalc.theta import jt_at_point
 from test_demand_walk import _pointwise_stacks, _subtrees
-from test_point_stack import NODE_KINDS, explicit_leaves
+from test_point_stack import explicit_leaves, module_trees
 
 FIELDS = [GF(2), GF(3), GF(5), GF(3, 2)]
-
-
-@st.composite
-def pooled_trees(draw, pool, depth=3):
-    """A module tree with every node kind, its leaves drawn from pool; a tree above 8
-    dimensions becomes a leaf."""
-    kind = draw(st.sampled_from(NODE_KINDS if depth else ["leaf"]))
-    sub = lambda: draw(pooled_trees(pool, depth - 1))  # noqa: E731
-    build = {
-        "leaf": lambda: draw(st.sampled_from(pool)),
-        "trivial": lambda: Trivial(draw(st.integers(1, 2))),
-        "dual": lambda: Dual(sub()),
-        "tensor": lambda: Tensor(sub(), sub()),
-        "sum": lambda: DirectSum(sub(), sub()),
-        "sym": lambda: Sym(draw(st.integers(0, 2)), sub()),
-        "ext": lambda: Ext(draw(st.integers(0, 2)), sub()),
-        "tw": lambda: Twist(draw(st.integers(0, 2)), sub()),
-    }
-    e = build[kind]()
-    return e if e.dim() <= 8 else draw(st.sampled_from(pool))
 
 
 # -- leaves and Dual, against the per-class recursion ------------------------------------------
@@ -86,7 +68,7 @@ def mixed_trees(draw):
     """Trees over distinct leaves of every leaf kind, so that their order shows."""
     field = draw(st.sampled_from(FIELDS))
     pool = [Std(1), Std(2), draw(explicit_leaves(field, 1)), draw(explicit_leaves(field, 2))]
-    return draw(pooled_trees(pool))
+    return draw(module_trees(st.sampled_from(pool), depth=3))
 
 
 @given(mixed_trees())
@@ -113,7 +95,7 @@ def walks(draw):
     else:
         pool = [draw(explicit_leaves(field, r)), draw(explicit_leaves(field, r))]
     ring, mats = _pointwise_stacks(draw, field, [(size, size)] * r)
-    return field, kind, draw(pooled_trees(pool)), ring, mats
+    return field, kind, draw(module_trees(st.sampled_from(pool), depth=3)), ring, mats
 
 
 @given(walks(), st.sampled_from(["full", "exp"]))
@@ -129,15 +111,13 @@ def test_plan_supports_contain_the_walkers(case, variant):
     for top, s in _terms(kind, variant, p, r):
         series = _Series(ring, top)
         # the key `_type_plan` gives the term: every Explicit degree up to top
-        plan = (min(top, p ** (r if s is None else 1) - 1),
-                tuple((leaf, frozenset(range(top + 1))) for leaf in explicit))
+        plan = _plan_key(p, r, top, s, explicit)
         # the key `_operators` gives the walk: the degrees the point's series have
         if kind == KIND_GL:
-            element = _GroupElement(ring, mats if s is None else [mats[s]], top, with_inv)
-            pairs, walk = None, (element.degrees[-1], ())
+            element, pairs = _GroupElement(ring, mats if s is None else [mats[s]], top, with_inv), None
         else:
             element, pairs = None, _leaf_pairs(series, kind, mats, s, terms, with_inv)
-            walk = (None, tuple((leaf, frozenset(pair[0])) for leaf, pair in pairs.items()))
+        walk = _walk_key(element, pairs)
         for node in _subtrees(e):
             walked = _support(node, top, p, *walk)
             assert walked <= _support(node, top, p, *plan)
